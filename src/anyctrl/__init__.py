@@ -3,8 +3,7 @@ availability, closed-form stochastic-stability certificates, and a seeded
 Monte-Carlo experiment harness."""
 
 from .availability import (IidAvailability, MarkovAvailability,
-                           from_execution_time, make_sampler, sample_n,
-                           validate)
+                           from_execution_time, make_sampler, validate)
 from .controller import (BufferState, ControllerKind, TentativeSequence,
                          controller_step, empty_buffer,
                          predict_buffer_playback, shift, tentative_sequence)
@@ -17,7 +16,7 @@ from .stability import CertificateInputs, StabilityReport, evaluate
 
 __all__ = [
     "IidAvailability", "MarkovAvailability", "from_execution_time",
-    "make_sampler", "sample_n", "validate",
+    "make_sampler", "validate",
     "BufferState", "ControllerKind", "TentativeSequence", "controller_step",
     "empty_buffer", "predict_buffer_playback", "shift", "tentative_sequence",
     "CertificateViolation", "ConfigError", "DegenerateStateError",

@@ -10,7 +10,9 @@ States of the Markov model are 0-indexed throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Union
 
 import numpy as np
@@ -80,6 +82,11 @@ class MarkovAvailability:
     @property
     def p0_by_state(self) -> np.ndarray:
         return self.cond_pmfs[:, 0]
+
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """Stationary distribution of the chain, computed once per model."""
+        return _frozen(stationary_distribution(self.transition))
 
 
 AvailabilityModel = Union[IidAvailability, MarkovAvailability]
@@ -199,8 +206,7 @@ class MarkovSampler:
         self._cum_rows = np.cumsum(model.cond_pmfs, axis=1)
         self._cum_trans = np.cumsum(model.transition, axis=1)
         if model.initial_state is None:
-            pi = stationary_distribution(model.transition)
-            self.state = int(_pick(np.cumsum(pi), rng.random()))
+            self.state = int(_pick(np.cumsum(model.stationary), rng.random()))
         else:
             self.state = model.initial_state
 
@@ -210,15 +216,24 @@ class MarkovSampler:
         return n
 
     def presample(self, count: int) -> np.ndarray:
-        """Vectorized draw of `count` lengths; identical to `count` sample() calls."""
+        """Vectorized draw of `count` lengths; identical to `count` sample() calls.
+
+        Only the chain walk is sequential; it bisects Python lists because a
+        scalar numpy call per step costs more than the search itself. The
+        lengths are then picked for all steps at once: counting the cdf
+        entries <= u equals searchsorted(side="right") on a non-decreasing cdf.
+        """
         us = self.rng.random((count, 2))
-        out = np.empty(count, dtype=np.int64)
+        cum_trans = self._cum_trans.tolist()
+        last = self.model.num_states - 1
+        states = []
         state = self.state
-        for k in range(count):
-            out[k] = _pick(self._cum_rows[state], us[k, 0])
-            state = int(_pick(self._cum_trans[state], us[k, 1]))
+        for u in us[:, 1].tolist():
+            states.append(state)
+            state = min(bisect_right(cum_trans[state], u), last)
         self.state = state
-        return out
+        counts = (self._cum_rows[states] <= us[:, :1]).sum(axis=1)
+        return np.minimum(counts, self.model.max_len).astype(np.int64)
 
 
 Sampler = Union[IidSampler, MarkovSampler]
@@ -228,8 +243,3 @@ def make_sampler(model: AvailabilityModel, rng: np.random.Generator) -> Sampler:
     if isinstance(model, IidAvailability):
         return IidSampler(model, rng)
     return MarkovSampler(model, rng)
-
-
-def sample_n(sampler: Sampler) -> int:
-    """One draw of the sequence-length process; advances the sampler state."""
-    return sampler.sample()

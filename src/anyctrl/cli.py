@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--runs", type=int, default=None, help="number of runs (overrides config)")
     sim.add_argument("--horizon", type=int, default=None, help="steps per run (overrides config)")
     sim.add_argument("--traces", type=int, default=0, help="write per-step CSVs for this many runs")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; results are thread-count independent")
     sim.set_defaults(func=cmd_simulate)
 
     stab = sub.add_parser("stability", help="evaluate the closed-form certificates")
@@ -118,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--runs", type=int, default=None)
     swp.add_argument("--horizon", type=int, default=None)
-    swp.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; results are thread-count independent")
     swp.set_defaults(func=cmd_sweep)
     return parser
 

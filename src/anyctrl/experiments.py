@@ -19,7 +19,7 @@ from .availability import from_execution_time
 from .controller import ControllerKind
 from .errors import ConfigError
 from .plants import DisturbanceModel, make_builtin_plant
-from .simulation import (CostSummary, SimConfig, improvement_pct, monte_carlo,
+from .simulation import (CI_Z, SimConfig, improvement_pct, monte_carlo,
                          paired_diff)
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
@@ -33,8 +33,6 @@ SWEEP_COLUMNS = [
     "ci_diff_a2_lo", "ci_diff_a2_hi",
     "diverged_baseline", "diverged_a1", "diverged_a2",
 ]
-
-CI_Z = 1.959963984540054
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,26 @@ disturbance, initial state) derived deterministically from the master
 seed, so comparing controllers on the same run index reuses identical
 (N, w) draws: common random numbers across controller variants.
 
-Two execution paths produce identical per-run costs: a per-run reference
-loop (`run_episode`, works with any plant and records full traces) and a
-batch engine that steps all runs at once through vectorized plant
-closures. `monte_carlo` picks the batch path whenever the plant supports
-it.
+Two execution paths draw the same per-run streams through one helper
+(`_presample_run`) and do the same per-step arithmetic: a per-run
+reference loop (`run_episode`, works with any plant and records full
+traces) and a batch engine that steps all runs at once through vectorized
+plant closures. Their per-run costs differ only in the order in which the
+stage costs are summed at the end. `monte_carlo` picks the batch path
+whenever the plant supports it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .availability import AvailabilityModel, make_sampler, require_valid
-from .controller import (BufferState, ControllerKind, controller_step,
-                         empty_buffer, tentative_sequence, DECREASE_SLACK,
-                         DECREASE_CHECK_LIMIT)
+from .controller import (ControllerKind, controller_step, empty_buffer,
+                         DECREASE_SLACK, DECREASE_CHECK_LIMIT)
 from .errors import CertificateViolation, ConfigError
 from .plants import DisturbanceModel, PlantModel
 
@@ -106,17 +107,26 @@ class SimTrace:
         return self.x.shape[0]
 
 
+def _presample_run(config: SimConfig, run_index: int):
+    """(N schedule, disturbance draws, x0) for one run, from its three streams."""
+    avail_rng, dist_rng, init_rng = run_streams(config.master_seed, run_index)
+    sampler = make_sampler(config.availability, avail_rng)
+    n_sched = sampler.presample(config.horizon)
+    w = config.disturbance.draw(dist_rng, (config.horizon,))
+    return n_sched, w, _initial_state(config, init_rng)
+
+
 def run_episode(config: SimConfig, run_index: int,
                 forced_n: Optional[Sequence[int]] = None) -> SimTrace:
     """Simulate one closed-loop episode; deterministic given (master_seed, run_index).
 
     `forced_n` replaces the availability draws with a fixed sequence-length
-    schedule (used for trace-level checks).
+    schedule (used for trace-level checks); disturbances and x0 are unchanged.
     """
     plant = config.plant
-    avail_rng, dist_rng, init_rng = run_streams(config.master_seed, run_index)
-    sampler = make_sampler(config.availability, avail_rng)
-    x = _initial_state(config, init_rng)
+    n_sched, w_all, x = _presample_run(config, run_index)
+    if forced_n is not None:
+        n_sched = forced_n
     buf = empty_buffer(config.buffer_capacity, plant.p)
 
     horizon = config.horizon if forced_n is None else min(config.horizon, len(forced_n))
@@ -128,12 +138,11 @@ def run_episode(config: SimConfig, run_index: int,
     diverged = False
 
     for k in range(horizon):
-        n_avail = int(forced_n[k]) if forced_n is not None else sampler.sample()
+        n_avail = int(n_sched[k])
         u, buf = controller_step(config.controller, plant, x, n_avail, buf)
-        w = config.disturbance.draw(dist_rng, ())
         xs[k], us[k], ns[k], lams[k] = x, u, n_avail, buf.effective_length
         vs[k] = float(plant.lyapunov(x))
-        x = plant.f(x, u, w)
+        x = plant.f(x, u, w_all[k])
         if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > OVERFLOW_GUARD:
             diverged = True
             horizon = k + 1
@@ -173,21 +182,14 @@ class CostSummary:
         return cls(mean, stderr, (mean - CI_Z * stderr, mean + CI_Z * stderr), costs, diverged)
 
 
-def _presample_run(config: SimConfig, run_index: int):
-    """(N schedule, disturbance draws, x0) for one run, matching run_episode's streams."""
-    avail_rng, dist_rng, init_rng = run_streams(config.master_seed, run_index)
-    sampler = make_sampler(config.availability, avail_rng)
-    n_sched = sampler.presample(config.horizon)
-    w = config.disturbance.draw(dist_rng, (config.horizon,))
-    return n_sched, w, _initial_state(config, init_rng)
-
-
 def _batch_simulate(config: SimConfig,
                     checkpoints: Optional[Sequence[int]] = None):
     """Step all runs at once; returns (per-run costs, V means at checkpoints).
 
-    Requires a vectorized plant. Arithmetic per run is identical to
-    run_episode, so per-run costs agree bit-for-bit.
+    Requires a vectorized plant. Per-step arithmetic on every run is that of
+    run_episode; only the final summation of the stage costs differs in
+    order. Runs stop being rolled out and checked once they diverge, and the
+    loop ends when every run has diverged unless checkpoints are requested.
     """
     plant = config.plant
     horizon, runs = config.horizon, config.runs
@@ -208,32 +210,40 @@ def _batch_simulate(config: SimConfig,
     alive = np.ones(runs, dtype=bool)
     cost = np.zeros(runs)
     check_rows = []
-    checkpoints = list(checkpoints or [])
+    checkpoints = set(checkpoints or ())
+
+    # loop invariants; slots of `fresh` at or beyond a run's N(k) are never read
+    w0 = np.zeros((runs, plant.m))
+    zero_slot = np.zeros((runs, 1, plant.p))
+    no_tail = np.zeros_like(buf)
+    fresh = np.zeros_like(buf)
+    slot_idx = np.arange(cap)[None, :, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            n_now = n_all[:, k]
+            n_now = np.where(alive, n_all[:, k], 0)
             if kind.kind == "baseline":
                 u = np.where((n_now >= 1)[:, None], plant.policy(x), 0.0)
             else:
-                shifted = np.concatenate([buf[:, 1:], np.zeros((runs, 1, plant.p))], axis=1)
+                shifted = np.concatenate([buf[:, 1:], zero_slot], axis=1)
                 lam_shift = np.maximum(lam - 1, 0)
-                fresh = np.zeros_like(buf)
+                depth = int(n_now.max(initial=0))
                 chi = x
-                for j in range(1, int(n_now.max(initial=0)) + 1):
+                v = plant.lyapunov(chi) if depth else None
+                for j in range(1, depth + 1):
                     act = n_now >= j
                     uj = plant.policy(chi)
-                    nxt = plant.f(chi, uj, np.zeros((runs, plant.m)))
-                    v = plant.lyapunov(chi)
-                    bad = (act & alive & (v <= DECREASE_CHECK_LIMIT)
-                           & (plant.lyapunov(nxt) > rho * v + slack * np.maximum(1.0, v)))
+                    nxt = plant.f(chi, uj, w0)
+                    v_next = plant.lyapunov(nxt)
+                    bad = (act & (v <= DECREASE_CHECK_LIMIT)
+                           & (v_next > rho * v + slack * np.maximum(1.0, v)))
                     if np.any(bad):
                         raise CertificateViolation(j)
-                    fresh[act, j - 1] = uj[act]
+                    fresh[:, j - 1] = uj
                     chi = np.where(act[:, None], nxt, chi)
+                    v = v_next  # differs from V(chi) only on rows `act` masks from now on
                 recompute = n_now >= 1
-                slot_idx = np.arange(cap)[None, :, None]
-                tail = shifted if kind.kind == "a2" else np.zeros_like(buf)
+                tail = shifted if kind.kind == "a2" else no_tail
                 cand = np.where(slot_idx < n_now[:, None, None], fresh, tail)
                 buf = np.where(recompute[:, None, None], cand, shifted)
                 lam_new = n_now if kind.kind == "a1" else np.maximum(n_now, lam - 1)
@@ -248,6 +258,8 @@ def _batch_simulate(config: SimConfig,
             dead = ~np.all(np.isfinite(x_next), axis=-1) | (np.linalg.norm(x_next, axis=-1) > OVERFLOW_GUARD)
             alive = alive & ~dead
             x = np.where(alive[:, None], x_next, x)
+            if not checkpoints and not alive.any():
+                break
 
     costs = cost / horizon
     costs[~alive] = float("inf")
@@ -326,5 +338,6 @@ def write_trace_csv(trace: SimTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for k in range(trace.steps):
-            writer.writerow([k, *map(repr, trace.x[k]), *map(repr, trace.u[k]),
+            writer.writerow([k, *(repr(float(v)) for v in trace.x[k]),
+                             *(repr(float(v)) for v in trace.u[k]),
                              int(trace.n_seq[k]), int(trace.lam[k]), repr(float(trace.v[k]))])

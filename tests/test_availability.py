@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from anyctrl.availability import (IidAvailability, MarkovAvailability,
                                   from_execution_time, is_primitive,
-                                  make_sampler, sample_n,
-                                  stationary_distribution, validate,
-                                  require_valid)
+                                  make_sampler, stationary_distribution,
+                                  validate, require_valid)
 from anyctrl.errors import ConfigError
 
 
@@ -87,23 +86,68 @@ def test_presample_matches_repeated_sample_iid(seed, count):
     model = IidAvailability([0.4, 0.3, 0.3])
     a = make_sampler(model, np.random.default_rng(seed))
     b = make_sampler(model, np.random.default_rng(seed))
-    ones = [sample_n(a) for _ in range(count)]
-    assert np.array_equal(b.presample(count), ones)
-
-
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.integers(min_value=1, max_value=64),
-       st.sampled_from([None, 0, 1]))
-@settings(max_examples=50, deadline=None)
-def test_presample_matches_repeated_sample_markov(seed, count, init):
-    model = MarkovAvailability([[0.9, 0.1], [0.2, 0.8]],
-                               [[0.1, 0.6, 0.3], [0.7, 0.2, 0.1]],
-                               initial_state=init)
-    a = make_sampler(model, np.random.default_rng(seed))
-    b = make_sampler(model, np.random.default_rng(seed))
     ones = [a.sample() for _ in range(count)]
     assert np.array_equal(b.presample(count), ones)
-    assert a.state == b.state
+
+
+def _stochastic_rows(draw, count, width, self_loops):
+    """Rows from small integer weights, so zero entries tie in the cdf.
+
+    An all-zero row becomes the degenerate pmf e_0. A self-loop keeps a
+    transition matrix aperiodic, so its stationary power iteration converges.
+    """
+    rows = []
+    for i in range(count):
+        weights = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+        if self_loops:
+            weights[i] += 1
+        elif not any(weights) or draw(st.integers(0, 7)) == 0:
+            weights = [1] + [0] * (width - 1)
+        rows.append(np.array(weights, dtype=float) / sum(weights))
+    return np.array(rows)
+
+
+@st.composite
+def markov_models(draw):
+    states = draw(st.integers(min_value=2, max_value=16))
+    max_len = draw(st.integers(min_value=1, max_value=8))
+    return MarkovAvailability(
+        _stochastic_rows(draw, states, states, self_loops=True),
+        _stochastic_rows(draw, states, max_len + 1, self_loops=False),
+        initial_state=draw(st.one_of(st.none(), st.integers(0, states - 1))))
+
+
+class ScriptedRng:
+    """Stands in for a numpy Generator: hands out fixed uniforms in call order."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        count = int(np.prod(size))
+        out, self._values = self._values[:count], self._values[count:]
+        return np.array(out).reshape(size)
+
+
+@given(markov_models(), st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_presample_matches_repeated_sample_markov(model, seed, data):
+    count = data.draw(st.integers(min_value=1, max_value=64))
+    # uniforms that land exactly on a cdf value decide ties between
+    # zero-probability entries and, just below 1, the clip at the top
+    cdf_values = np.concatenate([np.cumsum(model.transition, axis=1).ravel(),
+                                 np.cumsum(model.cond_pmfs, axis=1).ravel(), [0.0]])
+    uniform = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                        st.sampled_from(sorted(set(cdf_values[cdf_values < 1.0].tolist()))))
+    script = data.draw(st.lists(uniform, min_size=2 * count + 1, max_size=2 * count + 1))
+    for make_rng in (lambda: ScriptedRng(script), lambda: np.random.default_rng(seed)):
+        a = make_sampler(model, make_rng())
+        b = make_sampler(model, make_rng())
+        ones = [a.sample() for _ in range(count)]
+        assert np.array_equal(b.presample(count), ones)
+        assert a.state == b.state
 
 
 def test_markov_conditional_frequencies():

@@ -1,14 +1,18 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anyctrl.availability import IidAvailability, from_execution_time
 from anyctrl.controller import ControllerKind
-from anyctrl.errors import ConfigError
+from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (CostSummary, SimConfig, empirical_cost,
-                                improvement_pct, mean_lyapunov_at,
-                                monte_carlo, paired_diff, run_episode,
-                                run_streams)
+from anyctrl.simulation import (CostSummary, SimConfig, _batch_simulate,
+                                empirical_cost, improvement_pct,
+                                mean_lyapunov_at, monte_carlo, paired_diff,
+                                run_episode, run_streams, write_runs_csv,
+                                write_trace_csv)
 
 CUBIC = make_builtin_plant("cubic_scalar")
 LINEAR = make_builtin_plant("linear_scalar", a=1.2)
@@ -139,6 +143,31 @@ def test_batch_engine_matches_reference_loop_2d():
     np.testing.assert_allclose(batch, loop, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["baseline", "a1", "a2"])
+def test_batch_engine_stops_when_every_run_diverged(kind):
+    # a starved processor lets the cubic plant escape from x0 = 2 in every run
+    cfg = SimConfig(plant=CUBIC, availability=IidAvailability([0.99, 0.01]),
+                    controller=ControllerKind(kind),
+                    disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01),
+                    horizon=3000, runs=6, master_seed=0, x0=np.array([2.0]))
+    traces = [run_episode(cfg, r) for r in range(cfg.runs)]
+    assert all(t.diverged and t.steps < cfg.horizon // 2 for t in traces)
+    stopped, _ = _batch_simulate(cfg)
+    stepped, v_at = _batch_simulate(cfg, checkpoints=[0, cfg.horizon - 1])
+    assert v_at.shape == (2, cfg.runs)
+    np.testing.assert_array_equal(stopped, stepped)
+    np.testing.assert_array_equal(stopped, np.full(cfg.runs, np.inf))
+
+
+def test_batch_engine_raises_certificate_violation():
+    # no state can contract by rho = 0, so the first rollout of a live run fails
+    cfg = make_config(plant=replace(LINEAR, rho=0.0), runs=4, horizon=50)
+    with pytest.raises(CertificateViolation):
+        monte_carlo(cfg)
+    with pytest.raises(CertificateViolation):
+        run_episode(cfg, 0)
+
+
 def test_monte_carlo_repeatable():
     a = monte_carlo(make_config())
     b = monte_carlo(make_config())
@@ -197,7 +226,6 @@ def test_mean_lyapunov_checkpoints():
 
 
 def test_write_csvs(tmp_path):
-    from anyctrl.simulation import write_runs_csv, write_trace_csv
     cfg = make_config(runs=3, horizon=20)
     summary = monte_carlo(cfg)
     runs_file = tmp_path / "runs.csv"
@@ -205,7 +233,17 @@ def test_write_csvs(tmp_path):
     lines = runs_file.read_text().strip().splitlines()
     assert lines[0] == "run,cost,diverged"
     assert len(lines) == 4
+    trace = run_episode(cfg, 0)
     trace_file = tmp_path / "trace.csv"
-    write_trace_csv(run_episode(cfg, 0), trace_file)
-    header = trace_file.read_text().splitlines()[0]
-    assert header == "k,x1,u1,N,lambda,V"
+    write_trace_csv(trace, trace_file)
+    with open(trace_file, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["k", "x1", "u1", "N", "lambda", "V"]
+    # every cell is plain number text that reproduces the trace exactly
+    table = np.array([[float(cell) for cell in row] for row in rows])
+    np.testing.assert_array_equal(table[:, 0], np.arange(trace.steps))
+    np.testing.assert_array_equal(table[:, 1:2], trace.x)
+    np.testing.assert_array_equal(table[:, 2:3], trace.u)
+    np.testing.assert_array_equal(table[:, 3], trace.n_seq)
+    np.testing.assert_array_equal(table[:, 4], trace.lam)
+    np.testing.assert_array_equal(table[:, 5], trace.v)
