@@ -114,16 +114,17 @@ def tentative_sequence(plant: PlantModel, x, length: int,
     states = np.empty((length + 1, plant.n))
     states[0] = x
     chi = x
+    v = float(plant.lyapunov(chi))
     w0 = np.zeros(plant.m)
     for j in range(length):
         u = np.asarray(plant.policy(chi), dtype=float)
         nxt = plant.f(chi, u, w0)
-        v = float(plant.lyapunov(chi))
-        if v <= DECREASE_CHECK_LIMIT and float(plant.lyapunov(nxt)) > plant.rho * v + slack * max(1.0, v):
+        v_next = float(plant.lyapunov(nxt))
+        if v <= DECREASE_CHECK_LIMIT and v_next > plant.rho * v + slack * max(1.0, v):
             raise CertificateViolation(j + 1)
         controls[j] = u
         states[j + 1] = nxt
-        chi = nxt
+        chi, v = nxt, v_next
     return TentativeSequence(controls, states)
 
 

@@ -16,11 +16,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .availability import from_execution_time
-from .controller import ControllerKind
+from .controller import KINDS, ControllerKind
 from .errors import ConfigError
 from .plants import DisturbanceModel, make_builtin_plant
 from .simulation import (CI_Z, SimConfig, improvement_pct, monte_carlo,
-                         paired_diff)
+                         paired_diff, presample)
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 
@@ -109,8 +109,12 @@ def run_sweep(spec: ExperimentSpec) -> List[dict]:
     """One row per grid point, comparing the three controllers under shared streams."""
     rows = []
     for value in spec.grid:
-        summaries = {kind: monte_carlo(_config_at(spec, value, kind))
-                     for kind in ("baseline", "a1", "a2")}
+        configs = {kind: _config_at(spec, value, kind) for kind in KINDS}
+        # the three controllers share one read-only block of presampled streams
+        base = configs["baseline"]
+        draws = presample(base) if base.plant.vectorized else None
+        summaries = {kind: monte_carlo(config, draws) for kind, config in configs.items()}
+        del draws  # freed before the next grid point's block is drawn
         row = {"grid_value": value}
         for kind, summary in summaries.items():
             row[f"cost_{kind}"] = summary.mean

@@ -99,7 +99,7 @@ def step(plant: PlantModel, x, u, w) -> np.ndarray:
 
 def norm(x) -> np.ndarray:
     """Euclidean norm over the last axis (keeps leading axes)."""
-    return np.sqrt(np.sum(np.square(x), axis=-1))
+    return np.sqrt(np.square(x).sum(-1))
 
 
 def lqr_gain_scalar(a: float, q: float, r: float, tol: float = 1e-12, max_iter: int = 100000) -> float:
@@ -154,15 +154,16 @@ def _linear_scalar(a: float, q: float = 0.2, r: float = 2.0) -> PlantModel:
 
 def sat(mu):
     """Unit saturation: clips to [-1, 1]."""
-    return np.clip(mu, -1.0, 1.0)
+    return np.minimum(np.maximum(mu, -1.0), 1.0)
 
 
 def _sat_2d() -> PlantModel:
     def f(x, u, w):
         x1 = x[..., 0]
         x2 = x[..., 1]
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1], w.shape[:-1]) + (2,))
-        out[..., 0] = x2 + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0) - SQRT5
+        first = x2 + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0) - SQRT5  # x, u, w broadcast
+        out = np.empty(first.shape + (2,))
+        out[..., 0] = first
         out[..., 1] = -sat(x1 + x2) + u[..., 1]
         return out
 

@@ -12,6 +12,14 @@ traces) and a batch engine that steps all runs at once through vectorized
 plant closures. Their per-run costs differ only in the order in which the
 stage costs are summed at the end. `monte_carlo` picks the batch path
 whenever the plant supports it.
+
+The batch engine reads every run's streams from one stacked block
+(`presample`). A sweep builds that block once per grid point and hands it
+to the baseline, a1 and a2 calls, which differ only in their controller.
+Per step, the engine rolls the certified policy forward to the deepest
+N(k) of the step on every live run, stacking the predicted states, and
+then checks the Lyapunov decrease at every depth with one `V` call and
+one masked test.
 """
 
 from __future__ import annotations
@@ -182,95 +190,122 @@ class CostSummary:
         return cls(mean, stderr, (mean - CI_Z * stderr, mean + CI_Z * stderr), costs, diverged)
 
 
-def _batch_simulate(config: SimConfig,
-                    checkpoints: Optional[Sequence[int]] = None):
-    """Step all runs at once; returns (per-run costs, V means at checkpoints).
+def presample(config: SimConfig):
+    """Every run's streams stacked: (N schedules, disturbances, initial states).
 
-    Requires a vectorized plant. Per-step arithmetic on every run is that of
-    run_episode; only the final summation of the stage costs differs in
-    order. Runs stop being rolled out and checked once they diverge, and the
-    loop ends when every run has diverged unless checkpoints are requested.
+    Shapes are (runs, horizon), (runs, horizon, m) and (runs, n); the arrays
+    are read-only. The block depends on the seed, run count, horizon,
+    availability, disturbance and initial-state settings but not on the
+    controller, so configs that differ only in their controller can share it.
+    """
+    plant = config.plant
+    n_all = np.empty((config.runs, config.horizon), dtype=np.int64)
+    w_all = np.empty((config.runs, config.horizon, plant.m))
+    x0 = np.empty((config.runs, plant.n))
+    for r in range(config.runs):
+        n_all[r], w_all[r], x0[r] = _presample_run(config, r)
+    for a in (n_all, w_all, x0):
+        a.flags.writeable = False
+    return n_all, w_all, x0
+
+
+def _batch_simulate(config: SimConfig,
+                    checkpoints: Optional[Sequence[int]] = None, draws=None):
+    """Step all runs at once; returns (per-run costs, V at checkpoints).
+
+    Requires a vectorized plant. `draws` is `presample(config)`, drawn here
+    when not given. Per-step arithmetic on every run is that of run_episode;
+    only the final summation of the stage costs differs in order.
+
+    The rollout advances every run to the deepest N(k) of the step, calling
+    only the policy and the plant per depth and stacking the predicted
+    states; rows past a run's own N(k) are never read. One Lyapunov call on
+    the stack and one masked decrease test then check every depth at once.
+    Runs stop being rolled out and checked once they diverge, and the loop
+    ends when every run has diverged and no checkpoint is left. V rows come
+    back one per requested checkpoint, in the order given.
     """
     plant = config.plant
     horizon, runs = config.horizon, config.runs
     cap = config.buffer_capacity
-    kind = config.controller
+    kind, buffer_cap = config.controller.kind, config.controller.buffer_cap
     rho, slack = plant.rho, DECREASE_SLACK
 
-    n_all = np.empty((runs, horizon), dtype=np.int64)
-    w_all = np.empty((runs, horizon, plant.m))
-    x = np.empty((runs, plant.n))
-    for r in range(runs):
-        n_all[r], w_all[r], x[r] = _presample_run(config, r)
-    if kind.buffer_cap is not None:
-        n_all = np.minimum(n_all, kind.buffer_cap)
+    n_all, w_all, x = presample(config) if draws is None else draws
+    if n_all.shape != (runs, horizon) or x.shape != (runs, plant.n):
+        raise ConfigError("presampled draws do not match the config's runs, horizon and state")
+    if buffer_cap is not None:
+        n_all = np.minimum(n_all, buffer_cap)
+    checkpoints = list(checkpoints or ())
+    if any(not 0 <= k < horizon for k in checkpoints):
+        raise ConfigError(f"checkpoints must lie in 0..{horizon - 1}, got {checkpoints}")
+    wanted, last_check, v_rows = set(checkpoints), max(checkpoints, default=-1), {}
 
     buf = np.zeros((runs, cap, plant.p))
-    lam = np.zeros(runs, dtype=np.int64)
     alive = np.ones(runs, dtype=bool)
     cost = np.zeros(runs)
-    check_rows = []
-    checkpoints = set(checkpoints or ())
 
-    # loop invariants; slots of `fresh` at or beyond a run's N(k) are never read
+    # loop invariants; rows of `fresh` and `chis` past a run's N(k) are never read
     w0 = np.zeros((runs, plant.m))
     zero_slot = np.zeros((runs, 1, plant.p))
-    no_tail = np.zeros_like(buf)
     fresh = np.zeros_like(buf)
+    chis = np.zeros((cap + 1, runs, plant.n))
     slot_idx = np.arange(cap)[None, :, None]
+    depths = np.arange(1, cap + 1)[:, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
             n_now = np.where(alive, n_all[:, k], 0)
-            if kind.kind == "baseline":
+            if kind == "baseline":
                 u = np.where((n_now >= 1)[:, None], plant.policy(x), 0.0)
             else:
-                shifted = np.concatenate([buf[:, 1:], zero_slot], axis=1)
-                lam_shift = np.maximum(lam - 1, 0)
                 depth = int(n_now.max(initial=0))
-                chi = x
-                v = plant.lyapunov(chi) if depth else None
-                for j in range(1, depth + 1):
-                    act = n_now >= j
-                    uj = plant.policy(chi)
-                    nxt = plant.f(chi, uj, w0)
-                    v_next = plant.lyapunov(nxt)
-                    bad = (act & (v <= DECREASE_CHECK_LIMIT)
-                           & (v_next > rho * v + slack * np.maximum(1.0, v)))
-                    if np.any(bad):
-                        raise CertificateViolation(j)
-                    fresh[:, j - 1] = uj
-                    chi = np.where(act[:, None], nxt, chi)
-                    v = v_next  # differs from V(chi) only on rows `act` masks from now on
-                recompute = n_now >= 1
-                tail = shifted if kind.kind == "a2" else no_tail
-                cand = np.where(slot_idx < n_now[:, None, None], fresh, tail)
-                buf = np.where(recompute[:, None, None], cand, shifted)
-                lam_new = n_now if kind.kind == "a1" else np.maximum(n_now, lam - 1)
-                lam = np.where(recompute, lam_new, lam_shift)
+                if depth:
+                    chis[0] = x
+                    for j in range(depth):
+                        uj = plant.policy(chis[j])
+                        fresh[:, j] = uj
+                        chis[j + 1] = plant.f(chis[j], uj, w0)
+                    v = plant.lyapunov(chis[:depth + 1])
+                    v_now, v_next = v[:-1], v[1:]
+                    bad = ((n_now >= depths[:depth]) & (v_now <= DECREASE_CHECK_LIMIT)
+                           & (v_next > rho * v_now + slack * np.maximum(1.0, v_now)))
+                    if bad.any():
+                        raise CertificateViolation(int(bad.any(1).argmax()) + 1)
+                shifted = np.concatenate([buf[:, 1:], zero_slot], axis=1)
+                n_slot = n_now[:, None, None]
+                if kind == "a2":
+                    buf = np.where(slot_idx < n_slot, fresh, shifted)
+                else:  # a1 zeroes the slots behind a fresh sequence
+                    buf = np.where(n_slot >= 1, np.where(slot_idx < n_slot, fresh, 0.0), shifted)
                 u = buf[:, 0, :]
 
-            if k in checkpoints:
-                check_rows.append(plant.lyapunov(x).copy())
-            stage = config.q_x * np.sum(x ** 2, axis=-1) + config.r_u * np.sum(u ** 2, axis=-1)
+            if k in wanted:
+                v_rows[k] = plant.lyapunov(x)
+            stage = config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
             cost = np.where(alive, cost + stage, cost)
             x_next = plant.f(x, u, w_all[:, k])
-            dead = ~np.all(np.isfinite(x_next), axis=-1) | (np.linalg.norm(x_next, axis=-1) > OVERFLOW_GUARD)
-            alive = alive & ~dead
+            # NaN and inf fail the comparison, so non-finite states count as diverged
+            alive &= np.sqrt(np.square(x_next).sum(-1)) <= OVERFLOW_GUARD
             x = np.where(alive[:, None], x_next, x)
-            if not checkpoints and not alive.any():
+            if k >= last_check and not alive.any():
                 break
 
     costs = cost / horizon
     costs[~alive] = float("inf")
-    v_at = np.array(check_rows) if check_rows else None  # (len(checkpoints), runs)
-    return costs, v_at
+    v_at = np.array([v_rows[k] for k in checkpoints]) if checkpoints else None
+    return costs, v_at  # v_at: (len(checkpoints), runs)
 
 
-def monte_carlo(config: SimConfig) -> CostSummary:
-    """Run all episodes and aggregate; independent of execution path and order."""
+def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
+    """Run all episodes and aggregate; independent of execution path and order.
+
+    `draws`, if given, is `presample` of this config or of one that differs
+    only in its controller; the batch engine reads it and never writes it.
+    The per-run loop draws each run's streams itself.
+    """
     if config.plant.vectorized:
-        costs, _ = _batch_simulate(config)
+        costs, _ = _batch_simulate(config, draws=draws)
     else:
         costs = np.array([
             empirical_cost(run_episode(config, r), config.q_x, config.r_u)

@@ -2,10 +2,17 @@
 
 Everything in here is deliberately written in the most literal way
 possible (python loops, lists, truncated infinite sums) so that it shares
-no code with the production modules it is checking.
+no code with the production modules it is checking. The one exception is
+the masked batch engine at the end, which reads its per-run streams
+through the package's own `_presample_run`: it is the reference for the
+batch engine's arithmetic, not for its draws.
 """
 
 import numpy as np
+
+from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
+from anyctrl.errors import CertificateViolation
+from anyctrl.simulation import OVERFLOW_GUARD, _presample_run
 
 SERIES_TERMS = 500
 
@@ -153,3 +160,73 @@ def naive_closed_loop(kind, plant, x0, n_seq, cap, buffer_cap=None, w_seq=None):
         w = np.zeros(plant.m) if w_seq is None else np.asarray(w_seq[k], dtype=float)
         x = plant.f(x, u, w)
     return states, inputs, lams, buffers
+
+
+# --- the batch engine with one masked rollout pass and decrease test per depth ---
+
+def masked_batch_simulate(config, checkpoints=()):
+    """Per-run costs and {k: V row at step k}, stepping all runs together.
+
+    Rolls out depth by depth: each depth evaluates V before and after the
+    step and tests the decrease on the runs whose N(k) reaches it, and
+    only those runs advance. Every run is stepped for the whole horizon.
+    """
+    plant = config.plant
+    horizon, runs = config.horizon, config.runs
+    cap = config.buffer_capacity
+    kind = config.controller
+    rho, slack = plant.rho, DECREASE_SLACK
+
+    n_all = np.empty((runs, horizon), dtype=np.int64)
+    w_all = np.empty((runs, horizon, plant.m))
+    x = np.empty((runs, plant.n))
+    for r in range(runs):
+        n_all[r], w_all[r], x[r] = _presample_run(config, r)
+    if kind.buffer_cap is not None:
+        n_all = np.minimum(n_all, kind.buffer_cap)
+
+    buf = np.zeros((runs, cap, plant.p))
+    alive = np.ones(runs, dtype=bool)
+    cost = np.zeros(runs)
+    v_rows = {}
+    w0 = np.zeros((runs, plant.m))
+    slot_idx = np.arange(cap)[None, :, None]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            n_now = np.where(alive, n_all[:, k], 0)
+            if kind.kind == "baseline":
+                u = np.where((n_now >= 1)[:, None], plant.policy(x), 0.0)
+            else:
+                shifted = np.concatenate([buf[:, 1:], np.zeros((runs, 1, plant.p))], axis=1)
+                fresh = np.zeros_like(buf)
+                chi = x
+                for j in range(1, int(n_now.max(initial=0)) + 1):
+                    act = n_now >= j
+                    uj = plant.policy(chi)
+                    nxt = plant.f(chi, uj, w0)
+                    v, v_next = plant.lyapunov(chi), plant.lyapunov(nxt)
+                    bad = (act & (v <= DECREASE_CHECK_LIMIT)
+                           & (v_next > rho * v + slack * np.maximum(1.0, v)))
+                    if np.any(bad):
+                        raise CertificateViolation(j)
+                    fresh[:, j - 1] = np.where(act[:, None], uj, 0.0)
+                    chi = np.where(act[:, None], nxt, chi)
+                tail = shifted if kind.kind == "a2" else np.zeros_like(buf)
+                cand = np.where(slot_idx < n_now[:, None, None], fresh, tail)
+                buf = np.where((n_now >= 1)[:, None, None], cand, shifted)
+                u = buf[:, 0, :]
+
+            if k in checkpoints:
+                v_rows[k] = plant.lyapunov(x).copy()
+            stage = config.q_x * np.sum(x ** 2, axis=-1) + config.r_u * np.sum(u ** 2, axis=-1)
+            cost = np.where(alive, cost + stage, cost)
+            x_next = plant.f(x, u, w_all[:, k])
+            dead = (~np.all(np.isfinite(x_next), axis=-1)
+                    | (np.linalg.norm(x_next, axis=-1) > OVERFLOW_GUARD))
+            alive = alive & ~dead
+            x = np.where(alive[:, None], x_next, x)
+
+    costs = cost / horizon
+    costs[~alive] = float("inf")
+    return costs, v_rows
