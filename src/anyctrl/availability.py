@@ -109,16 +109,19 @@ def from_execution_time(tau: float) -> IidAvailability:
 def is_primitive(mat: np.ndarray) -> bool:
     """True iff some power of the nonnegative matrix is entrywise positive.
 
-    Checks powers up to G^2, which suffices for irreducible aperiodic chains.
+    A primitive G x G matrix has a positive power at or below G^2, and every
+    higher power is positive too, so squaring until the exponent exceeds
+    G^2 decides it in O(log G) boolean products.
     """
     g = mat.shape[0]
-    b = mat > 0
-    power = b.copy()
-    for _ in range(g * g):
-        if power.all():
-            return True
-        power = power @ b
-    return bool(power.all())
+    power = mat > 0
+    exponent = 1
+    while not power.all():
+        if exponent > g * g:
+            return False
+        power = power @ power
+        exponent *= 2
+    return True
 
 
 def stationary_distribution(transition: np.ndarray, tol: float = 1e-12, max_iter: int = 100000) -> np.ndarray:
@@ -146,20 +149,21 @@ def validate(model: AvailabilityModel) -> List[str]:
         return problems
 
     q = model.transition
-    if np.any(q < 0):
+    q_negative = (q < 0).any()
+    if q_negative:
         problems.append("transition matrix has negative entries")
     row_sums = q.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > _TOL)
+    bad = (np.abs(row_sums - 1.0) > _TOL).nonzero()[0]
     for i in bad:
         problems.append(f"transition row {i} sums to {row_sums[i]}, not 1")
-    if not bad.size and not np.any(q < 0) and not is_primitive(q):
+    if not bad.size and not q_negative and not is_primitive(q):
         problems.append("transition matrix is not irreducible and aperiodic")
-    if np.any(model.cond_pmfs < 0):
+    if (model.cond_pmfs < 0).any():
         problems.append("conditional pmfs have negative entries")
     pmf_sums = model.cond_pmfs.sum(axis=1)
-    for i in np.flatnonzero(np.abs(pmf_sums - 1.0) > _TOL):
+    for i in (np.abs(pmf_sums - 1.0) > _TOL).nonzero()[0]:
         problems.append(f"conditional pmf for state {i} sums to {pmf_sums[i]}, not 1")
-    if np.all(model.p0_by_state >= 1.0 - _TOL):
+    if (model.p0_by_state >= 1.0 - _TOL).all():
         problems.append("every state has p0 = 1: the processor is never available")
     return problems
 

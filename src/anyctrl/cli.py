@@ -61,24 +61,37 @@ def cmd_stability(args) -> int:
     return 0
 
 
+def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
+    """A custom sweep whose variable the base config can actually vary."""
+    base_doc = dict(data.get("base") or {})
+    base = parse_sim_config(base_doc, **overrides)
+    sweep = data.get("sweep")
+    if sweep is None:
+        raise ConfigError("missing key sweep (tau | a | buffer_cap) for custom experiment")
+    if grid is None:
+        raise ConfigError("missing key grid for custom experiment")
+    if sweep == "a" and base.plant.name != "linear_scalar":
+        raise ConfigError("sweeping a needs base.plant.name linear_scalar, "
+                          f"got {base.plant.name!r}")
+    kind = base_doc["availability"]["kind"]
+    if sweep == "tau" and kind != "exec_time":
+        raise ConfigError(f"sweeping tau needs base.availability.kind exec_time, got {kind!r}")
+    return ExperimentSpec("custom", sweep, tuple(grid), base)
+
+
 def cmd_sweep(args) -> int:
     data = load_yaml(args.config)
     name = data.get("experiment", "custom")
     overrides = dict(seed=args.seed if args.seed is not None else int(data.get("seed", 0)),
                      runs=args.runs if args.runs is not None else int(data.get("runs", 200)),
                      horizon=args.horizon if args.horizon is not None else int(data.get("horizon", 10_000)))
+    grid = data.get("grid")
+    if grid is not None and not isinstance(grid, list):
+        raise ConfigError(f"grid must be a list, got {grid!r}")
     if name in ("fig1", "fig2", "fig3"):
-        spec = builtin_experiment(name, grid=data.get("grid"), **overrides)
+        spec = builtin_experiment(name, grid=grid, **overrides)
     elif name == "custom":
-        base = parse_sim_config(dict(data.get("base") or {}), seed=overrides["seed"],
-                                runs=overrides["runs"], horizon=overrides["horizon"])
-        sweep = data.get("sweep")
-        if sweep is None:
-            raise ConfigError("missing key sweep (tau | a | buffer_cap) for custom experiment")
-        grid = data.get("grid")
-        if grid is None:
-            raise ConfigError("missing key grid for custom experiment")
-        spec = ExperimentSpec("custom", sweep, tuple(grid), base)
+        spec = _custom_spec(data, grid, overrides)
     else:
         raise ConfigError(f"experiment must be one of fig1, fig2, fig3, custom; got {name!r}")
     rows = run_sweep(spec)

@@ -40,6 +40,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _float(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def parse_availability(section: dict) -> AvailabilityModel:
     kind = _require(section, "kind", "availability")
     if kind == "exec_time":
@@ -91,8 +98,11 @@ def parse_disturbance(section: Optional[dict], plant: PlantModel) -> Disturbance
 
 def parse_controller(section: dict) -> ControllerKind:
     kind = _require(section, "kind", "controller")
+    cap = section.get("buffer_cap")
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+        raise ConfigError(f"controller.buffer_cap must be an integer, got {cap!r}")
     try:
-        return ControllerKind(kind=str(kind), buffer_cap=section.get("buffer_cap"))
+        return ControllerKind(kind=str(kind), buffer_cap=cap)
     except ConfigError as exc:
         raise ConfigError(f"controller: {exc}") from None
 
@@ -108,25 +118,28 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
     x0 = data.get("x0")
     x0_box = data.get("x0_box")
     if x0_box is not None:
-        if len(x0_box) != 2:
+        if not isinstance(x0_box, (list, tuple)) or len(x0_box) != 2:
             raise ConfigError("x0_box must be [lo, hi]")
-        x0_box = (float(x0_box[0]), float(x0_box[1]))
-    try:
-        return SimConfig(
-            plant=plant,
-            availability=availability,
-            controller=controller,
-            disturbance=disturbance,
-            horizon=int(horizon if horizon is not None else data.get("horizon", 10_000)),
-            runs=int(runs if runs is not None else data.get("runs", 200)),
-            master_seed=int(seed if seed is not None else data.get("seed", 0)),
-            x0=None if x0 is None else np.asarray(x0, dtype=float),
-            x0_box=x0_box,
-            q_x=float(cost.get("q_x", 0.2)),
-            r_u=float(cost.get("r_u", 2.0)),
-        )
-    except ConfigError:
-        raise
+        x0_box = (_float(x0_box[0], "x0_box"), _float(x0_box[1], "x0_box"))
+        if x0_box[0] > x0_box[1]:
+            raise ConfigError(f"x0_box must have lo <= hi, got {list(x0_box)}")
+    q_x, r_u = _float(cost.get("q_x", 0.2), "cost.q_x"), _float(cost.get("r_u", 2.0), "cost.r_u")
+    for key, value in (("q_x", q_x), ("r_u", r_u)):
+        if not value >= 0.0:
+            raise ConfigError(f"cost.{key} must be nonnegative, got {value}")
+    return SimConfig(
+        plant=plant,
+        availability=availability,
+        controller=controller,
+        disturbance=disturbance,
+        horizon=int(horizon if horizon is not None else data.get("horizon", 10_000)),
+        runs=int(runs if runs is not None else data.get("runs", 200)),
+        master_seed=int(seed if seed is not None else data.get("seed", 0)),
+        x0=None if x0 is None else np.asarray(x0, dtype=float),
+        x0_box=x0_box,
+        q_x=q_x,
+        r_u=r_u,
+    )
 
 
 def parse_certificate_inputs(data: dict) -> CertificateInputs:

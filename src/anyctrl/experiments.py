@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -51,8 +52,14 @@ class ExperimentSpec:
             raise ConfigError(f"sweep variable must be tau, a, or buffer_cap, got {self.sweep!r}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be nonempty")
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in self.grid):
+            raise ConfigError(f"sweep grid must hold numbers, got {list(self.grid)!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
+        if self.sweep == "buffer_cap" and any(not isinstance(v, Integral) or v < 1
+                                              for v in self.grid):
+            raise ConfigError(f"sweep grid over buffer_cap must hold integers >= 1, "
+                              f"got {list(self.grid)!r}")
 
 
 def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,

@@ -323,7 +323,8 @@ def mean_lyapunov_at(config: SimConfig, checkpoints: Sequence[int]):
         for r in range(config.runs):
             trace = run_episode(config, r)
             rows.append([trace.v[k] for k in checkpoints])
-        v_at = np.asarray(rows).T
+        # contiguous like the batch path's rows, so both sum over runs in one order
+        v_at = np.ascontiguousarray(np.asarray(rows).T)
     means = v_at.mean(axis=1)
     ses = v_at.std(axis=1, ddof=1) / np.sqrt(v_at.shape[1])
     return means, ses

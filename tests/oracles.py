@@ -89,6 +89,68 @@ def gap_pmf_series(transition, cond_pmfs, state, gap):
     return float(np.sum(vec * (1.0 - p0s)))
 
 
+# --- the certificate kernels as they were written before stacking ---
+
+def spectral_radius_loop(mat, iterations=200, tol=1e-12):
+    """Power iteration with `np.linalg.norm`: the iterates `spectral_radius` must reproduce."""
+    v = np.ones(mat.shape[0])
+    radius = 0.0
+    for _ in range(iterations):
+        w = mat @ v
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            return 0.0
+        if abs(nrm - radius) <= tol * max(1.0, radius):
+            return nrm
+        radius = nrm
+        v = w / nrm
+    return radius
+
+
+def upsilon_per_state(transition, cond_pmfs, rho, alpha):
+    """Per-state Upsilon, one state at a time with its own powers of rho * Qbar.
+
+    Returns None where the power-iteration guard reports that the series
+    diverges; degenerate states (p0|s = 1) are NaN.
+    """
+    q_bar = np.asarray(transition, dtype=float)
+    pmfs = np.asarray(cond_pmfs, dtype=float)
+    g = q_bar.shape[0]
+    q_damped = np.diag(pmfs[:, 0]) @ q_bar
+    p_bar = 1.0 - pmfs[:, 0]
+    if spectral_radius_loop(alpha * q_damped) >= 1.0:
+        return None
+    eye = np.eye(g)
+    inv_rho = np.linalg.inv(eye - rho * q_damped)
+    inv_alpha = np.linalg.inv(eye - alpha * q_damped)
+    rq = rho * q_damped
+    out = np.full(g, np.nan)
+    for s in range(g):
+        p0s = pmfs[s, 0]
+        if p0s >= 1.0:
+            continue
+        weighted = np.zeros((g, g))
+        power = eye
+        for l in range(1, pmfs.shape[1]):
+            power = power @ rq
+            weighted += pmfs[s, l] * power
+        core = rho * eye + (alpha - rho) / (1.0 - p0s) * inv_alpha @ weighted
+        out[s] = float(q_bar[s] @ inv_rho @ core @ p_bar)
+    return out
+
+
+def is_primitive_stepwise(mat):
+    """Whether one of the boolean powers b^1 .. b^(G^2 + 1) is all positive, power by power."""
+    g = mat.shape[0]
+    b = mat > 0
+    power = b.copy()
+    for _ in range(g * g):
+        if power.all():
+            return True
+        power = power @ b
+    return bool(power.all())
+
+
 # --- effective-length bookkeeping recursions, straight off the definitions ---
 
 def lam_sequence_a1(n_seq):

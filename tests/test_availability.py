@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anyctrl.availability import (IidAvailability, MarkovAvailability,
                                   from_execution_time, is_primitive,
                                   make_sampler, stationary_distribution,
                                   validate, require_valid)
 from anyctrl.errors import ConfigError
+
+import oracles
 
 
 def test_exec_time_examples():
@@ -61,6 +64,44 @@ def test_is_primitive():
     assert not is_primitive(np.eye(2))
     # period-2 chain: irreducible but not aperiodic
     assert not is_primitive(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _wielandt(g):
+    """The primitive 0/1 matrix whose first positive power is the largest, (G-1)^2 + 1."""
+    mat = np.roll(np.eye(g), 1, axis=1)
+    mat[g - 1, 1 % g] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("g", range(2, 17))
+def test_is_primitive_wielandt_bound(g):
+    assert is_primitive(_wielandt(g))
+    assert oracles.is_primitive_stepwise(_wielandt(g))
+
+
+@st.composite
+def zero_one_matrices(draw):
+    """Random 0/1 matrices of G = 1..16, permutations and bipartite blocks."""
+    g = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("random", "permutation", "bipartite")))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(g)))
+        mat = np.eye(g)[list(perm)]
+        extra = draw(st.lists(st.tuples(st.integers(0, g - 1), st.integers(0, g - 1)), max_size=2))
+        for i, j in extra:
+            mat[i, j] = 1.0
+        return mat
+    mat = draw(arrays(np.int64, (g, g), elements=st.integers(0, 1))).astype(float)
+    if kind == "bipartite":
+        side = np.arange(g) < draw(st.integers(0, g))
+        mat *= side[:, None] != side[None, :]
+    return mat
+
+
+@given(zero_one_matrices())
+@settings(max_examples=400, deadline=None)
+def test_is_primitive_squaring_matches_stepwise(mat):
+    assert is_primitive(mat) == oracles.is_primitive_stepwise(mat)
 
 
 def test_stationary_distribution_fixed_point():

@@ -171,3 +171,54 @@ def test_cli_artifacts_reproducible(tmp_path):
                      "--runs", "3", "--horizon", "50"]) == 0
         outs.append((out / "runs.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+MARKOV_AVAILABILITY = {"kind": "markov", "Q": [[0.9, 0.1], [0.2, 0.8]],
+                       "P": [[0.1, 0.9], [0.6, 0.4]]}
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"sweep": "a", "grid": [0.9, 1.1], "base": {**SIM_DOC, "plant": {"name": "cubic_scalar"}}},
+     "base.plant.name"),
+    ({"base": {**SIM_DOC, "availability": MARKOV_AVAILABILITY}}, "base.availability.kind"),
+    ({"base": {**SIM_DOC, "availability": {"kind": "iid", "p": [0.3, 0.7]}}},
+     "base.availability.kind"),
+    ({"sweep": "buffer_cap", "grid": [1, 2.5]}, "grid"),
+    ({"sweep": "buffer_cap", "grid": [0, 1]}, "grid"),
+    ({"sweep": "buffer_cap", "grid": [True, 2]}, "grid"),
+    ({"grid": "0.2"}, "grid"),
+    ({"grid": [0.2, "0.3"]}, "grid"),
+    ({"experiment": "fig3", "grid": [1, 2.5]}, "grid"),
+])
+def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):
+    doc = {"experiment": "custom", "sweep": "tau", "grid": [0.2, 0.3], "base": dict(SIM_DOC)}
+    path = write_config(tmp_path, {**doc, **change})
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--runs", "2", "--horizon", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"x0_box": [1.0, -1.0]}, "x0_box"),
+    ({"x0_box": 5}, "x0_box"),
+    ({"x0_box": [0.0, "one"]}, "x0_box"),
+    ({"cost": {"q_x": "abc"}}, "cost.q_x"),
+    ({"cost": {"q_x": -0.1}}, "cost.q_x"),
+    ({"cost": {"r_u": -2.0}}, "cost.r_u"),
+    ({"controller": {"kind": "a1", "buffer_cap": 2.5}}, "controller.buffer_cap"),
+    ({"controller": {"kind": "a1", "buffer_cap": "3"}}, "controller.buffer_cap"),
+    ({"controller": {"kind": "a1", "buffer_cap": True}}, "controller.buffer_cap"),
+])
+def test_parse_sim_config_rejects_bad_keys(change, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_sim_config({**SIM_DOC, **change})
+
+
+def test_parse_sim_config_accepts_boundary_values():
+    cfg = parse_sim_config({**SIM_DOC, "x0_box": [0.5, 0.5], "cost": {"q_x": 0.0, "r_u": 0},
+                            "controller": {"kind": "a2", "buffer_cap": 2}})
+    assert cfg.x0_box == (0.5, 0.5) and (cfg.q_x, cfg.r_u) == (0.0, 0.0)
+    assert cfg.controller.buffer_cap == 2

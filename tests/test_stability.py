@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anyctrl.availability import (IidAvailability, MarkovAvailability,
                                   from_execution_time)
@@ -166,6 +167,73 @@ def test_upsilon_vs_series():
         got = upsilon(model, rho, alpha)
         want = oracles.upsilon_series(model.transition, model.cond_pmfs, rho, alpha)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def _weight_rows(draw, count, width):
+    """Integer weights 0..3 per row, so that zero entries occur; an all-zero row gets weight at 0."""
+    w = draw(arrays(np.int64, (count, width), elements=st.integers(0, 3))).astype(float)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def certificate_chains(draw):
+    """A Markov model (G = 1..16, Lambda = 1..8) with zero entries and e_0 pmf rows, plus rho, alpha."""
+    g = draw(st.integers(1, 16))
+    lam = draw(st.integers(1, 8))
+    transition = _weight_rows(draw, g, g)
+    pmfs = _weight_rows(draw, g, lam + 1)
+    degenerate = draw(arrays(np.bool_, g, elements=st.booleans()))
+    pmfs[degenerate] = np.eye(lam + 1)[0]
+    rho = draw(st.floats(0.0, 0.99))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+    return MarkovAvailability(transition, pmfs), rho, alpha
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(certificate_chains())
+@settings(max_examples=300, deadline=None)
+def test_upsilon_stacked_matches_per_state_loop(case):
+    model, rho, alpha = case
+    want = _outcome(oracles.upsilon_per_state, model.transition, model.cond_pmfs, rho, alpha)
+    got = _outcome(upsilon, model, rho, alpha)
+    if want is None:
+        assert got is DivergenceError
+    elif isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """Integer-weight and 0/1 matrices, slow sparse rings and periodic (block-cyclic) matrices, scaled."""
+    g = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("weights", "zero_one", "ring", "periodic")))
+    if kind == "ring":
+        ring = np.roll(np.eye(g), 1, axis=1)
+        stay = draw(arrays(float, g, elements=st.floats(0.0, 0.05)))
+        mat = (1.0 - stay)[:, None] * ring + np.diag(stay)
+    else:
+        top = 1 if kind == "zero_one" else 3
+        mat = draw(arrays(np.int64, (g, g), elements=st.integers(0, top))).astype(float)
+        if kind == "periodic":
+            period = draw(st.integers(1, g))
+            cls = np.arange(g) % period
+            mat *= cls[None, :] == (cls[:, None] + 1) % period
+    return mat * draw(st.floats(0.01, 2.0))
+
+
+@given(nonnegative_matrices())
+@settings(max_examples=300, deadline=None)
+def test_spectral_radius_matches_norm_loop(mat):
+    assert spectral_radius(mat) == oracles.spectral_radius_loop(mat)
 
 
 def test_upsilon_single_state_reduces_to_iid():
