@@ -4,9 +4,8 @@ Monte-Carlo experiment harness."""
 
 from .availability import (IidAvailability, MarkovAvailability,
                            from_execution_time, make_sampler, validate)
-from .controller import (BufferState, ControllerKind, TentativeSequence,
-                         controller_step, empty_buffer,
-                         predict_buffer_playback, shift, tentative_sequence)
+from .controller import (ControllerKind, controller_step, effective_lengths,
+                         tentative_sequence)
 from .errors import (CertificateViolation, ConfigError, DegenerateStateError,
                      DimensionError, DivergenceError)
 from .plants import DisturbanceModel, PlantModel, make_builtin_plant, step
@@ -17,8 +16,7 @@ from .stability import CertificateInputs, StabilityReport, evaluate
 __all__ = [
     "IidAvailability", "MarkovAvailability", "from_execution_time",
     "make_sampler", "validate",
-    "BufferState", "ControllerKind", "TentativeSequence", "controller_step",
-    "empty_buffer", "predict_buffer_playback", "shift", "tentative_sequence",
+    "ControllerKind", "controller_step", "effective_lengths", "tentative_sequence",
     "CertificateViolation", "ConfigError", "DegenerateStateError",
     "DimensionError", "DivergenceError",
     "DisturbanceModel", "PlantModel", "make_builtin_plant", "step",

@@ -124,16 +124,20 @@ def is_primitive(mat: np.ndarray) -> bool:
     return True
 
 
-def stationary_distribution(transition: np.ndarray, tol: float = 1e-12, max_iter: int = 100000) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix, by power iteration."""
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a row-stochastic matrix, by one linear solve.
+
+    Solves the balance equations pi Q = pi together with sum(pi) = 1 in the
+    least-squares sense, which is exact for the primitive chains a valid
+    model has. A reducible chain has many stationary vectors; it gets the
+    one of least norm instead of an error.
+    """
     q = np.asarray(transition, dtype=float)
-    pi = np.full(q.shape[0], 1.0 / q.shape[0])
-    for _ in range(max_iter):
-        nxt = pi @ q
-        if np.max(np.abs(nxt - pi)) <= tol:
-            return nxt
-        pi = nxt
-    return pi
+    g = q.shape[0]
+    lhs = np.vstack([q.T - np.eye(g), np.ones((1, g))])
+    rhs = np.zeros(g + 1)
+    rhs[-1] = 1.0
+    return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
 
 
 def validate(model: AvailabilityModel) -> List[str]:

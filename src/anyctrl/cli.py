@@ -6,12 +6,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (load_yaml, parse_certificate_inputs, parse_sim_config)
+from .config import (_section, load_yaml, parse_certificate_inputs, parse_scale,
+                     parse_sim_config)
 from .errors import ConfigError
 from .experiments import (ExperimentSpec, builtin_experiment, run_sweep,
                           write_sweep_csv)
-from .simulation import (empirical_cost, monte_carlo, run_episode,
-                         write_runs_csv, write_trace_csv)
+from .simulation import (monte_carlo, run_episode, write_runs_csv,
+                         write_trace_csv)
 from .stability import evaluate
 
 
@@ -63,7 +64,7 @@ def cmd_stability(args) -> int:
 
 def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
     """A custom sweep whose variable the base config can actually vary."""
-    base_doc = dict(data.get("base") or {})
+    base_doc = _section(data.get("base"), "base")
     base = parse_sim_config(base_doc, **overrides)
     sweep = data.get("sweep")
     if sweep is None:
@@ -82,9 +83,7 @@ def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
 def cmd_sweep(args) -> int:
     data = load_yaml(args.config)
     name = data.get("experiment", "custom")
-    overrides = dict(seed=args.seed if args.seed is not None else int(data.get("seed", 0)),
-                     runs=args.runs if args.runs is not None else int(data.get("runs", 200)),
-                     horizon=args.horizon if args.horizon is not None else int(data.get("horizon", 10_000)))
+    overrides = parse_scale(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
     grid = data.get("grid")
     if grid is not None and not isinstance(grid, list):
         raise ConfigError(f"grid must be a list, got {grid!r}")

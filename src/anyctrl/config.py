@@ -40,29 +40,57 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _section(value, key: str) -> dict:
+    """A nested mapping; a missing or empty section reads as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
 def _float(value, key: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
+def _int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _array(value, key: str) -> np.ndarray:
+    """A float array from nested lists of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must hold numbers in a rectangular list, got {value!r}") from None
+
+
 def parse_availability(section: dict) -> AvailabilityModel:
+    section = _section(section, "availability")
     kind = _require(section, "kind", "availability")
     if kind == "exec_time":
-        tau = _require(section, "tau", "availability")
+        tau = _float(_require(section, "tau", "availability"), "availability.tau")
         try:
-            return from_execution_time(float(tau))
+            return from_execution_time(tau)
         except ConfigError as exc:
             raise ConfigError(f"availability.tau: {exc}") from None
     if kind == "iid":
-        pmf = _require(section, "p", "availability")
-        model = IidAvailability(np.asarray(pmf, dtype=float))
+        pmf = _array(_require(section, "p", "availability"), "availability.p")
+        model = IidAvailability(pmf)
     elif kind == "markov":
-        q = _require(section, "Q", "availability")
-        p = _require(section, "P", "availability")
-        model = MarkovAvailability(np.asarray(q, dtype=float), np.asarray(p, dtype=float),
-                                   initial_state=section.get("initial_state"))
+        q = _array(_require(section, "Q", "availability"), "availability.Q")
+        p = _array(_require(section, "P", "availability"), "availability.P")
+        initial = section.get("initial_state")
+        if initial is not None:
+            initial = _int(initial, "availability.initial_state")
+        model = MarkovAvailability(q, p, initial_state=initial)
     else:
         raise ConfigError(f"availability.kind must be iid, markov, or exec_time, got {kind!r}")
     try:
@@ -73,8 +101,9 @@ def parse_availability(section: dict) -> AvailabilityModel:
 
 
 def parse_plant(section: dict) -> PlantModel:
+    section = _section(section, "plant")
     name = _require(section, "name", "plant")
-    params = dict(section.get("params") or {})
+    params = _section(section.get("params"), "plant.params")
     try:
         return make_builtin_plant(name, **params)
     except ConfigError as exc:
@@ -82,29 +111,35 @@ def parse_plant(section: dict) -> PlantModel:
 
 
 def parse_disturbance(section: Optional[dict], plant: PlantModel) -> DisturbanceModel:
+    section = _section(section, "disturbance")
     if not section:
         return DisturbanceModel(kind="none", dim=plant.m)
-    kind = section.get("kind", "none")
+    values = {key: _float(section.get(key, 0.0), f"disturbance.{key}")
+              for key in ("lo", "hi", "mean", "variance")}
     try:
-        return DisturbanceModel(
-            kind=kind, dim=plant.m,
-            lo=float(section.get("lo", 0.0)), hi=float(section.get("hi", 0.0)),
-            mean=float(section.get("mean", 0.0)),
-            variance=float(section.get("variance", 0.0)),
-        )
+        return DisturbanceModel(kind=section.get("kind", "none"), dim=plant.m, **values)
     except ConfigError as exc:
         raise ConfigError(f"disturbance: {exc}") from None
 
 
 def parse_controller(section: dict) -> ControllerKind:
+    section = _section(section, "controller")
     kind = _require(section, "kind", "controller")
     cap = section.get("buffer_cap")
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
-        raise ConfigError(f"controller.buffer_cap must be an integer, got {cap!r}")
+    if cap is not None:
+        cap = _int(cap, "controller.buffer_cap")
     try:
         return ControllerKind(kind=str(kind), buffer_cap=cap)
     except ConfigError as exc:
         raise ConfigError(f"controller: {exc}") from None
+
+
+def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] = None,
+                horizon: Optional[int] = None) -> dict:
+    """seed, runs and horizon from the file, with keyword overrides winning."""
+    given = {"seed": seed, "runs": runs, "horizon": horizon}
+    return {key: _int(data.get(key, default) if given[key] is None else given[key], key)
+            for key, default in (("seed", 0), ("runs", 200), ("horizon", 10_000))}
 
 
 def parse_sim_config(data: dict, *, seed: Optional[int] = None,
@@ -114,7 +149,7 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
     availability = parse_availability(_require(data, "availability", ""))
     controller = parse_controller(_require(data, "controller", ""))
     disturbance = parse_disturbance(data.get("disturbance"), plant)
-    cost = data.get("cost") or {}
+    cost = _section(data.get("cost"), "cost")
     x0 = data.get("x0")
     x0_box = data.get("x0_box")
     if x0_box is not None:
@@ -127,15 +162,16 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
     for key, value in (("q_x", q_x), ("r_u", r_u)):
         if not value >= 0.0:
             raise ConfigError(f"cost.{key} must be nonnegative, got {value}")
+    sizes = parse_scale(data, seed=seed, runs=runs, horizon=horizon)
     return SimConfig(
         plant=plant,
         availability=availability,
         controller=controller,
         disturbance=disturbance,
-        horizon=int(horizon if horizon is not None else data.get("horizon", 10_000)),
-        runs=int(runs if runs is not None else data.get("runs", 200)),
-        master_seed=int(seed if seed is not None else data.get("seed", 0)),
-        x0=None if x0 is None else np.asarray(x0, dtype=float),
+        horizon=sizes["horizon"],
+        runs=sizes["runs"],
+        master_seed=sizes["seed"],
+        x0=None if x0 is None else _array(x0, "x0"),
         x0_box=x0_box,
         q_x=q_x,
         r_u=r_u,
@@ -143,7 +179,7 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
 
 
 def parse_certificate_inputs(data: dict) -> CertificateInputs:
-    rho = float(_require(data, "rho", ""))
-    alpha = float(_require(data, "alpha", ""))
+    rho = _float(_require(data, "rho", ""), "rho")
+    alpha = _float(_require(data, "alpha", ""), "alpha")
     availability = parse_availability(_require(data, "availability", ""))
     return CertificateInputs(rho=rho, alpha=alpha, availability=availability)

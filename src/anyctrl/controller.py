@@ -8,11 +8,16 @@ rolling the nominal model forward under the certified policy.
 Variant one wipes the buffer on every recomputation; variant two keeps the
 tail entries stemming from older computations, overwriting only the slots
 covered by the new sequence.
+
+This module holds the only implementation of that rule. Its functions
+broadcast over any leading lane shape: a state is `(..., n)`, a length
+N(k) is `(...)` and a buffer is `(..., capacity, p)`. A single closed-loop
+episode runs it on `()` lanes, the batch engine on `(runs,)` lanes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -43,175 +48,84 @@ class ControllerKind:
             raise ConfigError("buffer_cap must be >= 1")
 
 
-@dataclass(frozen=True)
-class BufferState:
-    """Buffer of tentative inputs b_1..b_Lambda plus the effective length.
+def tentative_sequence(plant: PlantModel, x, n, out: np.ndarray) -> None:
+    """Roll the certified policy forward to depth max(n) from every lane's state.
 
-    Slots with index > effective_length hold zeros; the length is tracked
-    explicitly because a legitimate control value can be exactly zero.
+    Writes the input applied at depth j + 1 into `out[..., j, :]`; rows at
+    or past a lane's own n are scratch. The predicted states are stacked
+    and checked against the certificate's per-step Lyapunov decrease with
+    one `V` call, on the lanes whose n reaches each depth. A failure means
+    the (V, kappa, rho) triple is inconsistent on this trajectory and
+    raises CertificateViolation with the first failing depth.
     """
-
-    slots: np.ndarray  # shape (capacity, p)
-    effective_length: int
-
-    def __post_init__(self):
-        if self.slots.ndim != 2:
-            raise ConfigError("buffer slots must be a (capacity, p) array")
-        if not (0 <= self.effective_length <= self.capacity):
-            raise ConfigError(
-                f"effective length {self.effective_length} outside 0..{self.capacity}")
-
-    @property
-    def capacity(self) -> int:
-        return self.slots.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.slots.shape[1]
-
-    @property
-    def head(self) -> np.ndarray:
-        return self.slots[0]
-
-
-def empty_buffer(capacity: int, input_dim: int) -> BufferState:
-    return BufferState(np.zeros((capacity, input_dim)), 0)
-
-
-def shift(buf: BufferState) -> BufferState:
-    """Move every slot up one position, zero-fill the last, decrement the length."""
-    slots = np.vstack([buf.slots[1:], np.zeros((1, buf.input_dim))])
-    return BufferState(slots, max(buf.effective_length - 1, 0))
-
-
-@dataclass(frozen=True)
-class TentativeSequence:
-    """Controls computed ahead for the nominal model, with the predicted states.
-
-    predicted_states[j] is the nominal state after applying controls[:j].
-    """
-
-    controls: np.ndarray  # shape (N, p)
-    predicted_states: np.ndarray  # shape (N + 1, n)
-
-    @property
-    def length(self) -> int:
-        return self.controls.shape[0]
-
-
-def tentative_sequence(plant: PlantModel, x, length: int,
-                       slack: float = DECREASE_SLACK) -> TentativeSequence:
-    """Roll the certified policy forward `length` steps from state x.
-
-    Each step is checked against the per-step Lyapunov decrease of the
-    certificate; a failure means the supplied (V, kappa, rho) triple is
-    inconsistent on this trajectory and raises CertificateViolation.
-    """
-    if length < 1:
-        raise ConfigError(f"tentative sequence length must be >= 1, got {length}")
-    x = np.asarray(x, dtype=float)
-    controls = np.empty((length, plant.p))
-    states = np.empty((length + 1, plant.n))
-    states[0] = x
-    chi = x
-    v = float(plant.lyapunov(chi))
+    n = np.asarray(n)
+    depth = int(n.max())
+    if depth < 1:
+        raise ConfigError(f"tentative sequence length must be >= 1, got {depth}")
+    if depth > out.shape[-2]:
+        raise ConfigError(f"sequence length {depth} exceeds buffer capacity {out.shape[-2]}")
+    chis = np.empty((depth + 1,) + np.shape(x))
+    chis[0] = x
+    # a fresh array, never a view: bench/tracing.py tells the engine's plant
+    # step from a rollout step by its disturbance being a view
     w0 = np.zeros(plant.m)
-    for j in range(length):
-        u = np.asarray(plant.policy(chi), dtype=float)
-        nxt = plant.f(chi, u, w0)
-        v_next = float(plant.lyapunov(nxt))
-        if v <= DECREASE_CHECK_LIMIT and v_next > plant.rho * v + slack * max(1.0, v):
-            raise CertificateViolation(j + 1)
-        controls[j] = u
-        states[j + 1] = nxt
-        chi, v = nxt, v_next
-    return TentativeSequence(controls, states)
+    for j in range(depth):
+        u = plant.policy(chis[j])
+        out[..., j, :] = u
+        chis[j + 1] = plant.f(chis[j], u, w0)
+    v = plant.lyapunov(chis)
+    v_now, v_next = v[:-1], v[1:]
+    bad = ((v_now <= DECREASE_CHECK_LIMIT)
+           & (v_next > plant.rho * v_now + DECREASE_SLACK * np.maximum(1.0, v_now)))
+    if bad.any():
+        bad &= n >= np.arange(1, depth + 1).reshape((depth,) + (1,) * n.ndim)
+        if bad.any():
+            raise CertificateViolation(int(bad.reshape(depth, -1).any(1).argmax()) + 1)
 
 
-def controller_step(kind: ControllerKind, plant: PlantModel, x, n_avail: int,
-                    buf: BufferState) -> Tuple[np.ndarray, BufferState]:
-    """One controller update: returns the applied input and the next buffer.
+def controller_step(kind: ControllerKind, plant: PlantModel, x, n,
+                    buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One controller update on every lane: returns (applied input, next buffer).
 
-    `n_avail` is the number of tentative inputs the processor allows this
-    step; the baseline controller only uses the indicator n_avail >= 1.
+    `n` is the number of tentative inputs the processor allows this step,
+    before `kind.buffer_cap`; the baseline controller only uses the
+    indicator n >= 1 and leaves the buffer alone. The input is a view of
+    the returned buffer's head slot.
     """
+    n = np.asarray(n)
     if kind.kind == "baseline":
-        if n_avail >= 1:
-            return np.asarray(plant.policy(np.asarray(x, dtype=float)), dtype=float), buf
-        return np.zeros(plant.p), buf
-
-    n = n_avail
+        return np.where((n >= 1)[..., None], plant.policy(x), 0.0), buf
     if kind.buffer_cap is not None:
-        n = min(n, kind.buffer_cap)
-    if n > buf.capacity:
-        raise ConfigError(f"sequence length {n} exceeds buffer capacity {buf.capacity}")
-
-    if n == 0:
-        nxt = shift(buf)
-        return nxt.head.copy(), nxt
-
-    seq = tentative_sequence(plant, x, n)
-    slots = np.zeros_like(buf.slots)
-    slots[:n] = seq.controls
-    if kind.kind == "a1":
-        lam = n
-    else:
-        # keep surviving tail entries from older computations
-        slots[n:] = shift(buf).slots[n:]
-        lam = max(n, buf.effective_length - 1)
-    nxt = BufferState(slots, lam)
-    return nxt.head.copy(), nxt
+        n = np.minimum(n, kind.buffer_cap)
+    # lanes that compute nothing shift their buffer up one slot, zero-filling the last
+    zero_slot = np.zeros(buf.shape[:-2] + (1, buf.shape[-1]))
+    nxt = np.concatenate([buf[..., 1:, :], zero_slot], axis=-2)
+    if n.any():
+        fresh = np.empty_like(buf)
+        tentative_sequence(plant, x, n, fresh)
+        n_slot = n[..., None, None]
+        fresh_slot = np.arange(buf.shape[-2])[:, None] < n_slot
+        if kind.kind == "a2":  # keeps the shifted tail behind a fresh sequence
+            nxt = np.where(fresh_slot, fresh, nxt)
+        else:  # a1 zeroes the slots behind a fresh sequence
+            nxt = np.where(n_slot >= 1, np.where(fresh_slot, fresh, 0.0), nxt)
+    return nxt[..., 0, :], nxt
 
 
-def predict_buffer_playback(plant: PlantModel, x, buf: BufferState, steps: int) -> np.ndarray:
-    """Nominal state after `steps` steps of buffer playback with no recomputation.
+def effective_lengths(kind: ControllerKind, n_sched) -> np.ndarray:
+    """Effective buffer length lambda(k) after each step of an N(k) schedule.
 
-    Inputs are read from successive buffer slots while the effective length
-    lasts and are zero afterwards. Verification oracle; not on the control
-    path.
+    Closed forms of the recursions lambda = max(n, lambda - 1) (a2) and
+    lambda = n if n >= 1 else max(lambda - 1, 0) (a1), from lambda = 0,
+    with n capped at `kind.buffer_cap`. The baseline keeps no buffer.
     """
-    x = np.asarray(x, dtype=float)
-    w0 = np.zeros(plant.m)
-    for _ in range(steps):
-        if buf.effective_length > 0:
-            u = buf.head
-        else:
-            u = np.zeros(plant.p)
-        x = plant.f(x, u, w0)
-        buf = shift(buf)
-    return x
-
-
-# --- literal matrix forms, used as oracles against the slot-wise updates ---
-
-def shift_matrix(capacity: int, input_dim: int) -> np.ndarray:
-    """Block shift matrix: (S b)_j = b_{j+1}, last block zero."""
-    s = np.zeros((capacity * input_dim, capacity * input_dim))
-    for j in range(capacity - 1):
-        s[j * input_dim:(j + 1) * input_dim, (j + 1) * input_dim:(j + 2) * input_dim] = np.eye(input_dim)
-    return s
-
-
-def overwrite_matrix(i: int, capacity: int, input_dim: int) -> np.ndarray:
-    """Block diagonal selector for the first i slots (identity when i = capacity)."""
-    if not (1 <= i <= capacity):
-        raise ConfigError(f"overwrite index {i} outside 1..{capacity}")
-    d = np.zeros((capacity * input_dim, capacity * input_dim))
-    d[: i * input_dim, : i * input_dim] = np.eye(i * input_dim)
-    return d
-
-
-def keep_tail_matrix(i: int, capacity: int, input_dim: int) -> np.ndarray:
-    """M_i = (I - D_i) S: shifts the old buffer and zeroes the first i slots."""
-    full = capacity * input_dim
-    return (np.eye(full) - overwrite_matrix(i, capacity, input_dim)) @ shift_matrix(capacity, input_dim)
-
-
-def a2_update_matrix_form(controls: np.ndarray, prev_slots: np.ndarray) -> np.ndarray:
-    """Variant-two slot update evaluated through the literal matrix expression."""
-    capacity, input_dim = prev_slots.shape
-    n = controls.shape[0]
-    stacked = np.zeros(capacity * input_dim)
-    stacked[: n * input_dim] = controls.reshape(-1)
-    out = stacked + keep_tail_matrix(n, capacity, input_dim) @ prev_slots.reshape(-1)
-    return out.reshape(capacity, input_dim)
+    n = np.asarray(n_sched, dtype=np.int64)
+    if kind.kind == "baseline":
+        return np.zeros(n.size, dtype=np.int64)
+    if kind.buffer_cap is not None:
+        n = np.minimum(n, kind.buffer_cap)
+    k = np.arange(n.size)
+    if kind.kind == "a2":  # never negative: the running max includes n(k) + k
+        return np.maximum.accumulate(n + k) - k
+    last = np.maximum.accumulate(np.where(n >= 1, k, -1))  # step of the last computation
+    return np.where(last >= 0, np.maximum(n[last] - (k - last), 0), 0)

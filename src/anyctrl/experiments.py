@@ -119,7 +119,7 @@ def run_sweep(spec: ExperimentSpec) -> List[dict]:
         configs = {kind: _config_at(spec, value, kind) for kind in KINDS}
         # the three controllers share one read-only block of presampled streams
         base = configs["baseline"]
-        draws = presample(base) if base.plant.vectorized else None
+        draws = presample(base)
         summaries = {kind: monte_carlo(config, draws) for kind, config in configs.items()}
         del draws  # freed before the next grid point's block is drawn
         row = {"grid_value": value}

@@ -5,10 +5,9 @@ with a Lyapunov function ``V``, a stabilizing policy ``kappa``, and the
 closed-loop contraction factor ``rho`` / open-loop growth factor ``alpha``
 used by the stability certificates.
 
-All built-in plants are vectorized: ``f``, ``kappa`` and ``V`` accept
-arrays with the state/input/disturbance components on the last axis and
-broadcast over leading axes. This lets the Monte-Carlo engine step many
-runs at once.
+Every plant broadcasts: ``f``, ``kappa`` and ``V`` accept arrays with the
+state/input/disturbance components on the last axis and broadcast over
+leading axes. The controller kernel and both simulation loops rely on it.
 """
 
 from __future__ import annotations
@@ -59,6 +58,12 @@ class PlantModel:
     ``alpha`` may be None for plants where no global open-loop growth bound
     exists (the cubic benchmark); simulation never needs it, only the
     certificate evaluation does.
+
+    The callables broadcast over leading axes, component axis last, and a
+    stack's result equals its rows' results row by row: ``f`` maps states
+    ``(..., n)``, inputs ``(..., p)`` and disturbances ``(..., m)`` to
+    ``(..., n)``, ``policy`` maps ``(..., n)`` to ``(..., p)`` and
+    ``lyapunov`` maps ``(..., n)`` to ``(...)``.
     """
 
     name: str
@@ -73,7 +78,6 @@ class PlantModel:
     phi1: Callable[[np.ndarray], np.ndarray] = lambda s: s
     phi2: Callable[[np.ndarray], np.ndarray] = lambda s: s
     sample_box: float = 10.0  # half-width of the box used for invariant sampling
-    vectorized: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -127,7 +131,7 @@ def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
     return PlantModel(
         name="cubic_scalar", n=1, p=1, m=1,
         f=f, lyapunov=norm, policy=kappa,
-        rho=0.99, alpha=alpha, vectorized=True,
+        rho=0.99, alpha=alpha,
         params={} if alpha is None else {"alpha": alpha},
     )
 
@@ -147,7 +151,7 @@ def _linear_scalar(a: float, q: float = 0.2, r: float = 2.0) -> PlantModel:
     return PlantModel(
         name="linear_scalar", n=1, p=1, m=1,
         f=f, lyapunov=norm, policy=kappa,
-        rho=rho, alpha=max(1.0, abs(a)), vectorized=True,
+        rho=rho, alpha=max(1.0, abs(a)),
         params={"a": a, "gain": gain},
     )
 
@@ -181,7 +185,6 @@ def _sat_2d() -> PlantModel:
         f=f, lyapunov=v, policy=kappa,
         rho=0.5, alpha=1.618,
         phi1=lambda s: 2.0 * s, phi2=lambda s: 2.0 * s,
-        vectorized=True,
     )
 
 
@@ -204,7 +207,7 @@ def _log_lyapunov(rho: float) -> PlantModel:
         f=f, lyapunov=v, policy=kappa,
         rho=rho, alpha=2.0,
         phi1=lambda s: np.log(s + 1.0), phi2=lambda s: np.log(s + 1.0),
-        sample_box=100.0, vectorized=True,
+        sample_box=100.0,
         params={"rho": rho},
     )
 

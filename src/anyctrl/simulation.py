@@ -5,21 +5,17 @@ disturbance, initial state) derived deterministically from the master
 seed, so comparing controllers on the same run index reuses identical
 (N, w) draws: common random numbers across controller variants.
 
-Two execution paths draw the same per-run streams through one helper
-(`_presample_run`) and do the same per-step arithmetic: a per-run
-reference loop (`run_episode`, works with any plant and records full
-traces) and a batch engine that steps all runs at once through vectorized
-plant closures. Their per-run costs differ only in the order in which the
-stage costs are summed at the end. `monte_carlo` picks the batch path
-whenever the plant supports it.
+Two loops drive the one controller kernel (`controller.controller_step`)
+and draw the same per-run streams through one helper (`_presample_run`):
+`run_episode` steps a single run on `()` lanes and records its full trace,
+and the batch engine behind `monte_carlo` steps all runs at once on
+`(runs,)` lanes. Both sum each run's stage costs in step order, so a
+run's cost is the same bit for bit on either loop. Every plant must
+broadcast over leading axes (see `plants.PlantModel`).
 
 The batch engine reads every run's streams from one stacked block
 (`presample`). A sweep builds that block once per grid point and hands it
 to the baseline, a1 and a2 calls, which differ only in their controller.
-Per step, the engine rolls the certified policy forward to the deepest
-N(k) of the step on every live run, stacking the predicted states, and
-then checks the Lyapunov decrease at every depth with one `V` call and
-one masked test.
 """
 
 from __future__ import annotations
@@ -31,10 +27,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .availability import AvailabilityModel, make_sampler, require_valid
-from .controller import (ControllerKind, controller_step, empty_buffer,
-                         DECREASE_SLACK, DECREASE_CHECK_LIMIT)
-from .errors import CertificateViolation, ConfigError
-from .plants import DisturbanceModel, PlantModel
+from .controller import ControllerKind, controller_step, effective_lengths
+from .errors import ConfigError
+from .plants import DisturbanceModel, PlantModel, norm
 
 OVERFLOW_GUARD = 1e12
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
@@ -78,11 +73,6 @@ class SimConfig:
         return max(cap, 1)
 
 
-def default_x0(plant: PlantModel) -> np.ndarray:
-    """All-ones initial state; keeps runs comparable across plants."""
-    return np.ones(plant.n)
-
-
 def run_streams(master_seed: int, run_index: int):
     """(availability, disturbance, initial-state) generators for one run."""
     root = np.random.SeedSequence([int(master_seed), int(run_index)])
@@ -94,9 +84,8 @@ def _initial_state(config: SimConfig, init_rng: np.random.Generator) -> np.ndarr
     if config.x0_box is not None:
         lo, hi = config.x0_box
         return init_rng.random(config.plant.n) * (hi - lo) + lo
-    if config.x0 is not None:
-        return config.x0.copy()
-    return default_x0(config.plant)
+    # all ones by default, which keeps runs comparable across plants
+    return np.ones(config.plant.n) if config.x0 is None else config.x0.copy()
 
 
 @dataclass
@@ -131,41 +120,40 @@ def run_episode(config: SimConfig, run_index: int,
     `forced_n` replaces the availability draws with a fixed sequence-length
     schedule (used for trace-level checks); disturbances and x0 are unchanged.
     """
-    plant = config.plant
+    plant, kind = config.plant, config.controller
     n_sched, w_all, x = _presample_run(config, run_index)
     if forced_n is not None:
-        n_sched = forced_n
-    buf = empty_buffer(config.buffer_capacity, plant.p)
+        n_sched = np.array(forced_n, dtype=np.int64)
+    buf = np.zeros((config.buffer_capacity, plant.p))
 
-    horizon = config.horizon if forced_n is None else min(config.horizon, len(forced_n))
+    horizon = min(config.horizon, len(n_sched))
     xs = np.empty((horizon, plant.n))
     us = np.empty((horizon, plant.p))
-    ns = np.empty(horizon, dtype=np.int64)
-    lams = np.empty(horizon, dtype=np.int64)
-    vs = np.empty(horizon)
     diverged = False
 
     for k in range(horizon):
-        n_avail = int(n_sched[k])
-        u, buf = controller_step(config.controller, plant, x, n_avail, buf)
-        xs[k], us[k], ns[k], lams[k] = x, u, n_avail, buf.effective_length
-        vs[k] = float(plant.lyapunov(x))
+        u, buf = controller_step(kind, plant, x, n_sched[k], buf)
+        xs[k], us[k] = x, u
         x = plant.f(x, u, w_all[k])
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > OVERFLOW_GUARD:
+        if not norm(x) <= OVERFLOW_GUARD:  # the engine's guard: NaN and inf fail it too
             diverged = True
             horizon = k + 1
             break
 
-    return SimTrace(xs[:horizon], us[:horizon], ns[:horizon], lams[:horizon],
-                    vs[:horizon], diverged)
+    xs, ns = xs[:horizon], n_sched[:horizon]
+    return SimTrace(xs, us[:horizon], ns, effective_lengths(kind, ns),
+                    plant.lyapunov(xs), diverged)
 
 
 def empirical_cost(trace: SimTrace, q_x: float, r_u: float) -> float:
-    """Per-step average of q_x*|x|^2 + r_u*|u|^2; infinite for diverged traces."""
+    """Per-step average of q_x*|x|^2 + r_u*|u|^2; infinite for diverged traces.
+
+    The stage costs are summed in step order, as the batch engine does.
+    """
     if trace.diverged:
         return float("inf")
-    stage = q_x * np.sum(trace.x ** 2, axis=1) + r_u * np.sum(trace.u ** 2, axis=1)
-    return float(np.sum(stage)) / trace.steps
+    stage = q_x * np.square(trace.x).sum(-1) + r_u * np.square(trace.u).sum(-1)
+    return float(np.cumsum(stage)[-1]) / trace.steps
 
 
 @dataclass
@@ -213,80 +201,37 @@ def _batch_simulate(config: SimConfig,
                     checkpoints: Optional[Sequence[int]] = None, draws=None):
     """Step all runs at once; returns (per-run costs, V at checkpoints).
 
-    Requires a vectorized plant. `draws` is `presample(config)`, drawn here
-    when not given. Per-step arithmetic on every run is that of run_episode;
-    only the final summation of the stage costs differs in order.
-
-    The rollout advances every run to the deepest N(k) of the step, calling
-    only the policy and the plant per depth and stacking the predicted
-    states; rows past a run's own N(k) are never read. One Lyapunov call on
-    the stack and one masked decrease test then check every depth at once.
-    Runs stop being rolled out and checked once they diverge, and the loop
-    ends when every run has diverged and no checkpoint is left. V rows come
-    back one per requested checkpoint, in the order given.
+    `draws` is `presample(config)`, drawn here when not given. Each step
+    makes one `controller_step` call on all runs, with N(k) = 0 on the runs
+    that have diverged, so they are never rolled out or checked. The loop
+    ends when every run has diverged and no checkpoint is left. V rows
+    come back one per requested checkpoint, in the order given.
     """
     plant = config.plant
     horizon, runs = config.horizon, config.runs
-    cap = config.buffer_capacity
-    kind, buffer_cap = config.controller.kind, config.controller.buffer_cap
-    rho, slack = plant.rho, DECREASE_SLACK
 
     n_all, w_all, x = presample(config) if draws is None else draws
     if n_all.shape != (runs, horizon) or x.shape != (runs, plant.n):
         raise ConfigError("presampled draws do not match the config's runs, horizon and state")
-    if buffer_cap is not None:
-        n_all = np.minimum(n_all, buffer_cap)
     checkpoints = list(checkpoints or ())
     if any(not 0 <= k < horizon for k in checkpoints):
         raise ConfigError(f"checkpoints must lie in 0..{horizon - 1}, got {checkpoints}")
     wanted, last_check, v_rows = set(checkpoints), max(checkpoints, default=-1), {}
 
-    buf = np.zeros((runs, cap, plant.p))
+    buf = np.zeros((runs, config.buffer_capacity, plant.p))
     alive = np.ones(runs, dtype=bool)
     cost = np.zeros(runs)
 
-    # loop invariants; rows of `fresh` and `chis` past a run's N(k) are never read
-    w0 = np.zeros((runs, plant.m))
-    zero_slot = np.zeros((runs, 1, plant.p))
-    fresh = np.zeros_like(buf)
-    chis = np.zeros((cap + 1, runs, plant.n))
-    slot_idx = np.arange(cap)[None, :, None]
-    depths = np.arange(1, cap + 1)[:, None]
-
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            n_now = np.where(alive, n_all[:, k], 0)
-            if kind == "baseline":
-                u = np.where((n_now >= 1)[:, None], plant.policy(x), 0.0)
-            else:
-                depth = int(n_now.max(initial=0))
-                if depth:
-                    chis[0] = x
-                    for j in range(depth):
-                        uj = plant.policy(chis[j])
-                        fresh[:, j] = uj
-                        chis[j + 1] = plant.f(chis[j], uj, w0)
-                    v = plant.lyapunov(chis[:depth + 1])
-                    v_now, v_next = v[:-1], v[1:]
-                    bad = ((n_now >= depths[:depth]) & (v_now <= DECREASE_CHECK_LIMIT)
-                           & (v_next > rho * v_now + slack * np.maximum(1.0, v_now)))
-                    if bad.any():
-                        raise CertificateViolation(int(bad.any(1).argmax()) + 1)
-                shifted = np.concatenate([buf[:, 1:], zero_slot], axis=1)
-                n_slot = n_now[:, None, None]
-                if kind == "a2":
-                    buf = np.where(slot_idx < n_slot, fresh, shifted)
-                else:  # a1 zeroes the slots behind a fresh sequence
-                    buf = np.where(n_slot >= 1, np.where(slot_idx < n_slot, fresh, 0.0), shifted)
-                u = buf[:, 0, :]
-
+            u, buf = controller_step(config.controller, plant, x,
+                                     np.where(alive, n_all[:, k], 0), buf)
             if k in wanted:
                 v_rows[k] = plant.lyapunov(x)
-            stage = config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
-            cost = np.where(alive, cost + stage, cost)
+            cost += config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
             x_next = plant.f(x, u, w_all[:, k])
             # NaN and inf fail the comparison, so non-finite states count as diverged
-            alive &= np.sqrt(np.square(x_next).sum(-1)) <= OVERFLOW_GUARD
+            alive &= norm(x_next) <= OVERFLOW_GUARD
             x = np.where(alive[:, None], x_next, x)
             if k >= last_check and not alive.any():
                 break
@@ -298,33 +243,18 @@ def _batch_simulate(config: SimConfig,
 
 
 def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
-    """Run all episodes and aggregate; independent of execution path and order.
+    """Run all episodes on the batch engine and aggregate; independent of run order.
 
     `draws`, if given, is `presample` of this config or of one that differs
-    only in its controller; the batch engine reads it and never writes it.
-    The per-run loop draws each run's streams itself.
+    only in its controller; the engine reads it and never writes it.
     """
-    if config.plant.vectorized:
-        costs, _ = _batch_simulate(config, draws=draws)
-    else:
-        costs = np.array([
-            empirical_cost(run_episode(config, r), config.q_x, config.r_u)
-            for r in range(config.runs)
-        ])
+    costs, _ = _batch_simulate(config, draws=draws)
     return CostSummary.from_costs(costs)
 
 
 def mean_lyapunov_at(config: SimConfig, checkpoints: Sequence[int]):
     """Mean and standard error of V(x(k)) over runs at the given steps."""
-    if config.plant.vectorized:
-        _, v_at = _batch_simulate(config, checkpoints=checkpoints)
-    else:
-        rows = []
-        for r in range(config.runs):
-            trace = run_episode(config, r)
-            rows.append([trace.v[k] for k in checkpoints])
-        # contiguous like the batch path's rows, so both sum over runs in one order
-        v_at = np.ascontiguousarray(np.asarray(rows).T)
+    _, v_at = _batch_simulate(config, checkpoints=checkpoints)
     means = v_at.mean(axis=1)
     ses = v_at.std(axis=1, ddof=1) / np.sqrt(v_at.shape[1])
     return means, ses

@@ -11,7 +11,7 @@ batch engine's arithmetic, not for its draws.
 import numpy as np
 
 from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
-from anyctrl.errors import CertificateViolation
+from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.simulation import OVERFLOW_GUARD, _presample_run
 
 SERIES_TERMS = 500
@@ -222,6 +222,55 @@ def naive_closed_loop(kind, plant, x0, n_seq, cap, buffer_cap=None, w_seq=None):
         w = np.zeros(plant.m) if w_seq is None else np.asarray(w_seq[k], dtype=float)
         x = plant.f(x, u, w)
     return states, inputs, lams, buffers
+
+
+def predict_buffer_playback(plant, x, slots, effective_length, steps):
+    """Nominal state after `steps` steps of playing back a (capacity, p) buffer.
+
+    Inputs are read from successive slots while the effective length lasts
+    and are zero afterwards; nothing is recomputed.
+    """
+    x = np.asarray(x, dtype=float)
+    w0 = np.zeros(plant.m)
+    for j in range(steps):
+        u = slots[j] if j < min(effective_length, len(slots)) else np.zeros(plant.p)
+        x = plant.f(x, u, w0)
+    return x
+
+
+# --- literal matrix forms of the buffer updates ---
+
+def shift_matrix(capacity, input_dim):
+    """Block shift matrix: (S b)_j = b_{j+1}, last block zero."""
+    s = np.zeros((capacity * input_dim, capacity * input_dim))
+    for j in range(capacity - 1):
+        s[j * input_dim:(j + 1) * input_dim, (j + 1) * input_dim:(j + 2) * input_dim] = np.eye(input_dim)
+    return s
+
+
+def overwrite_matrix(i, capacity, input_dim):
+    """Block diagonal selector for the first i slots (identity when i = capacity)."""
+    if not (1 <= i <= capacity):
+        raise ConfigError(f"overwrite index {i} outside 1..{capacity}")
+    d = np.zeros((capacity * input_dim, capacity * input_dim))
+    d[: i * input_dim, : i * input_dim] = np.eye(i * input_dim)
+    return d
+
+
+def keep_tail_matrix(i, capacity, input_dim):
+    """M_i = (I - D_i) S: shifts the old buffer and zeroes the first i slots."""
+    full = capacity * input_dim
+    return (np.eye(full) - overwrite_matrix(i, capacity, input_dim)) @ shift_matrix(capacity, input_dim)
+
+
+def a2_update_matrix_form(controls, prev_slots):
+    """Variant-two slot update evaluated through the literal matrix expression."""
+    capacity, input_dim = prev_slots.shape
+    n = controls.shape[0]
+    stacked = np.zeros(capacity * input_dim)
+    stacked[: n * input_dim] = controls.reshape(-1)
+    out = stacked + keep_tail_matrix(n, capacity, input_dim) @ prev_slots.reshape(-1)
+    return out.reshape(capacity, input_dim)
 
 
 # --- the batch engine with one masked rollout pass and decrease test per depth ---

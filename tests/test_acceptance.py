@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
-from anyctrl.controller import (ControllerKind, a2_update_matrix_form,
-                                controller_step, empty_buffer,
-                                tentative_sequence)
+from anyctrl.controller import (ControllerKind, controller_step,
+                                effective_lengths, tentative_sequence)
 from anyctrl.experiments import builtin_experiment, _config_at
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
 from anyctrl.simulation import (CI_Z, SimConfig, mean_lyapunov_at,
@@ -31,18 +30,24 @@ LINEAR = make_builtin_plant("linear_scalar", a=1.2)
 
 
 def closed_loop(kind, plant, n_seq, cap):
-    """Forced-schedule loop returning (inputs, lambdas, buffers)."""
+    """Forced-schedule loop on one lane returning (inputs, lambdas, buffers)."""
     ctrl = ControllerKind(kind)
-    buf = empty_buffer(cap, plant.p)
+    buf = np.zeros((cap, plant.p))
     x = np.ones(plant.n)
-    inputs, lams, buffers = [], [], []
+    inputs, buffers = [], []
     for n in n_seq:
         u, buf = controller_step(ctrl, plant, x, n, buf)
         inputs.append(u.copy())
-        lams.append(buf.effective_length)
-        buffers.append(buf.slots.copy())
+        buffers.append(buf.copy())
         x = plant.f(x, u, np.zeros(plant.m))
-    return inputs, lams, buffers
+    return inputs, effective_lengths(ctrl, n_seq).tolist(), buffers
+
+
+def rollout(plant, x, n):
+    """The n tentative inputs computed from state x, as an (n, p) array."""
+    out = np.empty((n, plant.p))
+    tentative_sequence(plant, x, n, out)
+    return out
 
 
 def dominated(ref_costs, cand_costs):
@@ -270,23 +275,27 @@ def test_criterion_09_exhaustive_length_bookkeeping():
     for cap in (1, 2, 3, 4):
         matrices = {}
         for n_seq in itertools.product(range(cap + 1), repeat=6):
-            _, lam1, _ = closed_loop("a1", LINEAR, n_seq, cap)
+            _, lam1, buf1 = closed_loop("a1", LINEAR, n_seq, cap)
             assert lam1 == oracles.lam_sequence_a1(n_seq), (cap, n_seq)
-            buf = empty_buffer(cap, 1)
-            lam2 = []
+            buf = np.zeros((cap, 1))
+            buf2 = []
             x = np.ones(1)
             ctrl = ControllerKind("a2")
             for n in n_seq:
-                prev_slots = buf.slots.copy()
+                prev_slots = buf.copy()
                 u, buf = controller_step(ctrl, LINEAR, x, n, buf)
-                lam2.append(buf.effective_length)
+                buf2.append(buf)
                 if n >= 1:
-                    seq = matrices.setdefault(
-                        (tuple(x), n), tentative_sequence(LINEAR, x, n))
-                    want = a2_update_matrix_form(seq.controls, prev_slots)
-                    np.testing.assert_array_equal(buf.slots, want)
+                    controls = matrices.setdefault((tuple(x), n), rollout(LINEAR, x, n))
+                    want = oracles.a2_update_matrix_form(controls, prev_slots)
+                    np.testing.assert_array_equal(buf, want)
                 x = LINEAR.f(x, u, np.zeros(1))
+            lam2 = effective_lengths(ctrl, n_seq).tolist()
             assert lam2 == oracles.lam_sequence_a2(n_seq), (cap, n_seq)
+            # the slots past the effective length hold zeros
+            for lams, bufs in ((lam1, buf1), (lam2, buf2)):
+                for lam, slots in zip(lams, bufs):
+                    assert not slots[lam:].any(), (cap, n_seq)
 
 
 # --- criterion 10 ----------------------------------------------------------

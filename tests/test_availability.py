@@ -112,6 +112,29 @@ def test_stationary_distribution_fixed_point():
     np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-9)
 
 
+@st.composite
+def primitive_chains(draw):
+    """Row-stochastic G x G matrices, G = 1..16, with a self-loop and a ring edge per state."""
+    g = draw(st.integers(min_value=1, max_value=16))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=g, max_size=g),
+                                     min_size=g, max_size=g)), dtype=float)
+    states = np.arange(g)
+    weights[states, states] += 1.0  # aperiodic
+    weights[states, (states + 1) % g] += 1.0  # irreducible
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@given(primitive_chains())
+@settings(max_examples=200, deadline=None)
+def test_stationary_distribution_solves_balance_equations(q):
+    assert is_primitive(q)
+    pi = stationary_distribution(q)
+    assert pi.shape == (q.shape[0],)
+    assert (pi >= 0.0).all()
+    assert abs(pi.sum() - 1.0) <= 1e-14
+    assert np.max(np.abs(pi @ q - pi)) <= 1e-14
+
+
 def test_iid_sampler_frequencies():
     model = from_execution_time(0.3)
     rng = np.random.default_rng(0)
@@ -135,7 +158,7 @@ def _stochastic_rows(draw, count, width, self_loops):
     """Rows from small integer weights, so zero entries tie in the cdf.
 
     An all-zero row becomes the degenerate pmf e_0. A self-loop keeps a
-    transition matrix aperiodic, so its stationary power iteration converges.
+    transition matrix aperiodic.
     """
     rows = []
     for i in range(count):

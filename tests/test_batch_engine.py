@@ -81,16 +81,16 @@ def test_mean_lyapunov_keeps_checkpoint_order():
                     horizon=101, runs=30, master_seed=0)
     checkpoints = [100, 0, 100]
     _, v_at = _batch_simulate(cfg, checkpoints=checkpoints)
-    per_run = np.array([run_episode(cfg, r).v[checkpoints] for r in range(cfg.runs)]).T
+    # contiguous like the engine's rows, so both sum over runs in one order
+    per_run = np.ascontiguousarray(
+        np.array([run_episode(cfg, r).v[checkpoints] for r in range(cfg.runs)]).T)
     np.testing.assert_array_equal(v_at, per_run)
-    loop_cfg = replace(cfg, plant=replace(cfg.plant, vectorized=False))
-    batch = mean_lyapunov_at(cfg, checkpoints)
-    loop = mean_lyapunov_at(loop_cfg, checkpoints)
+    means, ses = mean_lyapunov_at(cfg, checkpoints)
     # equal V per run, laid out alike, so the means and SEs agree exactly
-    for got, want in zip(batch, loop):
-        assert got.shape == (3,)
-        np.testing.assert_array_equal(got, want)
-    assert batch[0][0] == batch[0][2] < batch[0][1]
+    np.testing.assert_array_equal(means, per_run.mean(axis=1))
+    np.testing.assert_array_equal(ses, per_run.std(axis=1, ddof=1) / np.sqrt(cfg.runs))
+    assert means.shape == ses.shape == (3,)
+    assert means[0] == means[2] < means[1]
     with pytest.raises(ConfigError):
         mean_lyapunov_at(cfg, [0, cfg.horizon])
 

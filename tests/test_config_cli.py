@@ -222,3 +222,38 @@ def test_parse_sim_config_accepts_boundary_values():
                             "controller": {"kind": "a2", "buffer_cap": 2}})
     assert cfg.x0_box == (0.5, 0.5) and (cfg.q_x, cfg.r_u) == (0.0, 0.0)
     assert cfg.controller.buffer_cap == 2
+
+
+STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time", "tau": 0.23}}
+
+
+@pytest.mark.parametrize("command, change, key", [
+    ("simulate", {"horizon": "x"}, "horizon"),
+    ("simulate", {"runs": "x"}, "runs"),
+    ("simulate", {"seed": "x"}, "seed"),
+    ("simulate", {"runs": 2.5}, "runs"),
+    ("simulate", {"seed": None}, "seed"),
+    ("simulate", {"availability": {"kind": "iid", "p": ["a"]}}, "availability.p"),
+    ("simulate", {"availability": {**MARKOV_AVAILABILITY, "Q": [[0.9, "q"], [0.2, 0.8]]}},
+     "availability.Q"),
+    ("simulate", {"availability": {**MARKOV_AVAILABILITY, "initial_state": "x"}},
+     "availability.initial_state"),
+    ("simulate", {"availability": {"kind": "exec_time", "tau": "x"}}, "availability.tau"),
+    ("simulate", {"disturbance": {"kind": "uniform", "lo": "q"}}, "disturbance.lo"),
+    ("simulate", {"plant": {"name": "linear_scalar", "params": [1.2]}}, "plant.params"),
+    ("simulate", {"plant": "linear_scalar"}, "plant"),
+    ("simulate", {"cost": [0.2]}, "cost"),
+    ("simulate", {"x0": ["one"]}, "x0"),
+    ("stability", {"rho": "x"}, "rho"),
+    ("stability", {"rho": None}, "rho"),
+    ("stability", {"alpha": [1.0]}, "alpha"),
+    ("sweep", {"experiment": "fig2", "seed": "x"}, "seed"),
+    ("sweep", {"experiment": "custom", "sweep": "tau", "grid": [0.2], "base": [1]}, "base"),
+])
+def test_cli_bad_values_name_their_key(tmp_path, capsys, command, change, key):
+    doc = {**(STABILITY_DOC if command == "stability" else SIM_DOC), **change}
+    path = write_config(tmp_path, doc)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
