@@ -4,8 +4,8 @@ Monte-Carlo experiment harness."""
 
 from .availability import (IidAvailability, MarkovAvailability,
                            from_execution_time, make_sampler, validate)
-from .controller import (ControllerKind, controller_step, effective_lengths,
-                         tentative_sequence)
+from .controller import (ControllerKind, Ring, controller_step, drain,
+                         effective_lengths, tentative_sequence)
 from .errors import (CertificateViolation, ConfigError, DegenerateStateError,
                      DimensionError, DivergenceError)
 from .plants import DisturbanceModel, PlantModel, make_builtin_plant, step
@@ -16,7 +16,8 @@ from .stability import CertificateInputs, StabilityReport, evaluate
 __all__ = [
     "IidAvailability", "MarkovAvailability", "from_execution_time",
     "make_sampler", "validate",
-    "ControllerKind", "controller_step", "effective_lengths", "tentative_sequence",
+    "ControllerKind", "Ring", "controller_step", "drain", "effective_lengths",
+    "tentative_sequence",
     "CertificateViolation", "ConfigError", "DegenerateStateError",
     "DimensionError", "DivergenceError",
     "DisturbanceModel", "PlantModel", "make_builtin_plant", "step",

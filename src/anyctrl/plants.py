@@ -75,9 +75,6 @@ class PlantModel:
     policy: Callable[[np.ndarray], np.ndarray]
     rho: float
     alpha: Optional[float] = None
-    phi1: Callable[[np.ndarray], np.ndarray] = lambda s: s
-    phi2: Callable[[np.ndarray], np.ndarray] = lambda s: s
-    sample_box: float = 10.0  # half-width of the box used for invariant sampling
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -184,7 +181,6 @@ def _sat_2d() -> PlantModel:
         name="sat_2d", n=2, p=2, m=1,
         f=f, lyapunov=v, policy=kappa,
         rho=0.5, alpha=1.618,
-        phi1=lambda s: 2.0 * s, phi2=lambda s: 2.0 * s,
     )
 
 
@@ -206,8 +202,6 @@ def _log_lyapunov(rho: float) -> PlantModel:
         name="log_lyapunov", n=1, p=1, m=0,
         f=f, lyapunov=v, policy=kappa,
         rho=rho, alpha=2.0,
-        phi1=lambda s: np.log(s + 1.0), phi2=lambda s: np.log(s + 1.0),
-        sample_box=100.0,
         params={"rho": rho},
     )
 

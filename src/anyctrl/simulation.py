@@ -9,9 +9,12 @@ Two loops drive the one controller kernel (`controller.controller_step`)
 and draw the same per-run streams through one helper (`_presample_run`):
 `run_episode` steps a single run on `()` lanes and records its full trace,
 and the batch engine behind `monte_carlo` steps all runs at once on
-`(runs,)` lanes. Both sum each run's stage costs in step order, so a
-run's cost is the same bit for bit on either loop. Every plant must
-broadcast over leading axes (see `plants.PlantModel`).
+`(runs,)` lanes. Each loop keeps a `controller.Ring` of in-flight
+tentative sequences, reads every step's input source from the ring's
+closed-form source map, and drains the ring once it stops stepping, so
+every computed depth is tested. Both sum each run's stage costs in step
+order, so a run's cost is the same bit for bit on either loop. Every plant
+must broadcast over leading axes (see `plants.PlantModel`).
 
 The batch engine reads every run's streams from one stacked block
 (`presample`). A sweep builds that block once per grid point and hands it
@@ -27,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .availability import AvailabilityModel, make_sampler, require_valid
-from .controller import ControllerKind, controller_step, effective_lengths
+from .controller import ControllerKind, Ring, controller_step, drain, effective_lengths
 from .errors import ConfigError
 from .plants import DisturbanceModel, PlantModel, norm
 
@@ -124,21 +127,21 @@ def run_episode(config: SimConfig, run_index: int,
     n_sched, w_all, x = _presample_run(config, run_index)
     if forced_n is not None:
         n_sched = np.array(forced_n, dtype=np.int64)
-    buf = np.zeros((config.buffer_capacity, plant.p))
-
     horizon = min(config.horizon, len(n_sched))
+    ring = Ring(plant, config.buffer_capacity, first_run=run_index)
     xs = np.empty((horizon, plant.n))
     us = np.empty((horizon, plant.p))
     diverged = False
 
-    for k in range(horizon):
-        u, buf = controller_step(kind, plant, x, n_sched[k], buf)
+    for k, src in zip(range(horizon), ring.sources(kind, n_sched[:horizon])):
+        u = controller_step(kind, plant, x, n_sched[k], ring, src)
         xs[k], us[k] = x, u
         x = plant.f(x, u, w_all[k])
         if not norm(x) <= OVERFLOW_GUARD:  # the engine's guard: NaN and inf fail it too
             diverged = True
             horizon = k + 1
             break
+    drain(plant, ring)
 
     xs, ns = xs[:horizon], n_sched[:horizon]
     return SimTrace(xs, us[:horizon], ns, effective_lengths(kind, ns),
@@ -203,9 +206,10 @@ def _batch_simulate(config: SimConfig,
 
     `draws` is `presample(config)`, drawn here when not given. Each step
     makes one `controller_step` call on all runs, with N(k) = 0 on the runs
-    that have diverged, so they are never rolled out or checked. The loop
-    ends when every run has diverged and no checkpoint is left. V rows
-    come back one per requested checkpoint, in the order given.
+    that have diverged, so they start no new sequence. The loop ends when
+    every run has diverged and no checkpoint is left; the sequences still
+    in flight are then drained. V rows come back one per requested
+    checkpoint, in the order given.
     """
     plant = config.plant
     horizon, runs = config.horizon, config.runs
@@ -218,14 +222,15 @@ def _batch_simulate(config: SimConfig,
         raise ConfigError(f"checkpoints must lie in 0..{horizon - 1}, got {checkpoints}")
     wanted, last_check, v_rows = set(checkpoints), max(checkpoints, default=-1), {}
 
-    buf = np.zeros((runs, config.buffer_capacity, plant.p))
+    kind = config.controller
+    ring = Ring(plant, config.buffer_capacity, (runs,))
     alive = np.ones(runs, dtype=bool)
     cost = np.zeros(runs)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon):
-            u, buf = controller_step(config.controller, plant, x,
-                                     np.where(alive, n_all[:, k], 0), buf)
+        # a diverged run's input is never read, so its sources need not know it diverged
+        for k, src in zip(range(horizon), ring.sources(kind, n_all)):
+            u = controller_step(kind, plant, x, np.where(alive, n_all[:, k], 0), ring, src)
             if k in wanted:
                 v_rows[k] = plant.lyapunov(x)
             cost += config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
@@ -235,6 +240,7 @@ def _batch_simulate(config: SimConfig,
             x = np.where(alive[:, None], x_next, x)
             if k >= last_check and not alive.any():
                 break
+        drain(plant, ring)
 
     costs = cost / horizon
     costs[~alive] = float("inf")

@@ -6,6 +6,12 @@ no code with the production modules it is checking. The one exception is
 the masked batch engine at the end, which reads its per-run streams
 through the package's own `_presample_run`: it is the reference for the
 batch engine's arithmetic, not for its draws.
+
+The shift-buffer controller (`tentative_sequence` and `controller_step`)
+is the kernel the package ran before it kept a ring of in-flight
+sequences. It rolls every sequence out in full when it starts and keeps
+the buffer of tentative inputs explicit, so it is the per-lane reference
+for buffer contents, which the package no longer stores.
 """
 
 import numpy as np
@@ -238,6 +244,65 @@ def predict_buffer_playback(plant, x, slots, effective_length, steps):
     return x
 
 
+# --- the full-depth shift-buffer controller, broadcasting over leading lanes ---
+
+def tentative_sequence(plant, x, n, out):
+    """Roll the certified policy forward to depth max(n) from every lane's state.
+
+    Writes the input applied at depth j + 1 into `out[..., j, :]`; rows at
+    or past a lane's own n are scratch. The decrease test runs on the lanes
+    whose n reaches each depth, and a failure raises CertificateViolation
+    with the first failing depth.
+    """
+    n = np.asarray(n)
+    depth = int(n.max())
+    if depth < 1:
+        raise ConfigError(f"tentative sequence length must be >= 1, got {depth}")
+    if depth > out.shape[-2]:
+        raise ConfigError(f"sequence length {depth} exceeds buffer capacity {out.shape[-2]}")
+    chis = np.empty((depth + 1,) + np.shape(x))
+    chis[0] = x
+    w0 = np.zeros(plant.m)
+    for j in range(depth):
+        u = plant.policy(chis[j])
+        out[..., j, :] = u
+        chis[j + 1] = plant.f(chis[j], u, w0)
+    v = plant.lyapunov(chis)
+    v_now, v_next = v[:-1], v[1:]
+    bad = ((v_now <= DECREASE_CHECK_LIMIT)
+           & (v_next > plant.rho * v_now + DECREASE_SLACK * np.maximum(1.0, v_now)))
+    bad &= n >= np.arange(1, depth + 1).reshape((depth,) + (1,) * n.ndim)
+    if bad.any():
+        raise CertificateViolation(int(bad.reshape(depth, -1).any(1).argmax()) + 1)
+
+
+def controller_step(kind, plant, x, n, buf):
+    """One shift-buffer update on every lane: returns (applied input, next buffer).
+
+    `buf` is `(..., capacity, p)`. Lanes that compute nothing shift their
+    buffer up one slot, zero-filling the last; a fresh sequence overwrites
+    the first n slots, and a1 also zeroes the slots behind it. The baseline
+    leaves the buffer alone.
+    """
+    n = np.asarray(n)
+    if kind.kind == "baseline":
+        return np.where((n >= 1)[..., None], plant.policy(x), 0.0), buf
+    if kind.buffer_cap is not None:
+        n = np.minimum(n, kind.buffer_cap)
+    zero_slot = np.zeros(buf.shape[:-2] + (1, buf.shape[-1]))
+    nxt = np.concatenate([buf[..., 1:, :], zero_slot], axis=-2)
+    if n.any():
+        fresh = np.empty_like(buf)
+        tentative_sequence(plant, x, n, fresh)
+        n_slot = n[..., None, None]
+        fresh_slot = np.arange(buf.shape[-2])[:, None] < n_slot
+        if kind.kind == "a2":
+            nxt = np.where(fresh_slot, fresh, nxt)
+        else:
+            nxt = np.where(n_slot >= 1, np.where(fresh_slot, fresh, 0.0), nxt)
+    return nxt[..., 0, :], nxt
+
+
 # --- literal matrix forms of the buffer updates ---
 
 def shift_matrix(capacity, input_dim):
@@ -264,23 +329,31 @@ def keep_tail_matrix(i, capacity, input_dim):
 
 
 def a2_update_matrix_form(controls, prev_slots):
-    """Variant-two slot update evaluated through the literal matrix expression."""
-    capacity, input_dim = prev_slots.shape
-    n = controls.shape[0]
-    stacked = np.zeros(capacity * input_dim)
-    stacked[: n * input_dim] = controls.reshape(-1)
-    out = stacked + keep_tail_matrix(n, capacity, input_dim) @ prev_slots.reshape(-1)
-    return out.reshape(capacity, input_dim)
+    """Variant-two slot update evaluated through the literal matrix expression.
+
+    `controls` is `(..., n, p)` and `prev_slots` is `(..., capacity, p)`;
+    every lane applies the same matrix M_n.
+    """
+    *lanes, capacity, input_dim = prev_slots.shape
+    n = controls.shape[-2]
+    stacked = np.zeros(lanes + [capacity * input_dim])
+    stacked[..., : n * input_dim] = controls.reshape(lanes + [n * input_dim])
+    tail = keep_tail_matrix(n, capacity, input_dim)
+    out = stacked + (tail @ prev_slots.reshape(lanes + [capacity * input_dim])[..., None])[..., 0]
+    return out.reshape(prev_slots.shape)
 
 
 # --- the batch engine with one masked rollout pass and decrease test per depth ---
 
-def masked_batch_simulate(config, checkpoints=()):
+def masked_batch_simulate(config, checkpoints=(), draws=None):
     """Per-run costs and {k: V row at step k}, stepping all runs together.
 
     Rolls out depth by depth: each depth evaluates V before and after the
     step and tests the decrease on the runs whose N(k) reaches it, and
     only those runs advance. Every run is stepped for the whole horizon.
+    `draws` replaces the per-run streams with (N, w, x0) arrays. A failed
+    test raises at its step k, with the first failing depth and the
+    lowest run failing there.
     """
     plant = config.plant
     horizon, runs = config.horizon, config.runs
@@ -293,6 +366,8 @@ def masked_batch_simulate(config, checkpoints=()):
     x = np.empty((runs, plant.n))
     for r in range(runs):
         n_all[r], w_all[r], x[r] = _presample_run(config, r)
+    if draws is not None:
+        n_all, w_all, x = (np.array(a) for a in draws)
     if kind.buffer_cap is not None:
         n_all = np.minimum(n_all, kind.buffer_cap)
 
@@ -320,7 +395,7 @@ def masked_batch_simulate(config, checkpoints=()):
                     bad = (act & (v <= DECREASE_CHECK_LIMIT)
                            & (v_next > rho * v + slack * np.maximum(1.0, v)))
                     if np.any(bad):
-                        raise CertificateViolation(j)
+                        raise CertificateViolation(j, k, int(np.argmax(bad)))
                     fresh[:, j - 1] = np.where(act[:, None], uj, 0.0)
                     chi = np.where(act[:, None], nxt, chi)
                 tail = shifted if kind.kind == "a2" else np.zeros_like(buf)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
-from anyctrl.controller import (ControllerKind, controller_step,
-                                effective_lengths, tentative_sequence)
+from anyctrl.controller import ControllerKind, effective_lengths
 from anyctrl.experiments import builtin_experiment, _config_at
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
 from anyctrl.simulation import (CI_Z, SimConfig, mean_lyapunov_at,
@@ -23,31 +22,25 @@ from anyctrl.stability import (a1_margin, baseline_margin, delta_pmf, omega,
                                omega_l, seq_len_prob, sigma, upsilon)
 
 import oracles
+from test_controller import run_loop
 from test_stability import random_iid_instance, random_markov_instance
 
 CUBIC = make_builtin_plant("cubic_scalar")
 LINEAR = make_builtin_plant("linear_scalar", a=1.2)
 
 
+LAMBDA_ORACLES = {"a1": oracles.lam_sequence_a1, "a2": oracles.lam_sequence_a2}
+
+
 def closed_loop(kind, plant, n_seq, cap):
-    """Forced-schedule loop on one lane returning (inputs, lambdas, buffers)."""
-    ctrl = ControllerKind(kind)
-    buf = np.zeros((cap, plant.p))
-    x = np.ones(plant.n)
-    inputs, buffers = [], []
-    for n in n_seq:
-        u, buf = controller_step(ctrl, plant, x, n, buf)
-        inputs.append(u.copy())
-        buffers.append(buf.copy())
-        x = plant.f(x, u, np.zeros(plant.m))
-    return inputs, effective_lengths(ctrl, n_seq).tolist(), buffers
+    """Forced-schedule loop on one lane returning (inputs, lambdas, buffers).
 
-
-def rollout(plant, x, n):
-    """The n tentative inputs computed from state x, as an (n, p) array."""
-    out = np.empty((n, plant.p))
-    tentative_sequence(plant, x, n, out)
-    return out
+    The inputs and lambdas are the package's, checked against the oracle's;
+    the buffers are the shift-buffer oracle's.
+    """
+    inputs, lams, buffers, _ = run_loop(kind, plant, n_seq, cap)
+    assert lams == LAMBDA_ORACLES[kind](n_seq), (kind, n_seq)
+    return inputs, lams, buffers
 
 
 def dominated(ref_costs, cand_costs):
@@ -272,30 +265,36 @@ def test_criterion_08_cost_study_buffer_cap_sweep():
 # --- criterion 9 -----------------------------------------------------------
 
 def test_criterion_09_exhaustive_length_bookkeeping():
+    # every schedule of a cap is one lane of one loop
     for cap in (1, 2, 3, 4):
-        matrices = {}
-        for n_seq in itertools.product(range(cap + 1), repeat=6):
-            _, lam1, buf1 = closed_loop("a1", LINEAR, n_seq, cap)
-            assert lam1 == oracles.lam_sequence_a1(n_seq), (cap, n_seq)
-            buf = np.zeros((cap, 1))
-            buf2 = []
-            x = np.ones(1)
-            ctrl = ControllerKind("a2")
-            for n in n_seq:
-                prev_slots = buf.copy()
-                u, buf = controller_step(ctrl, LINEAR, x, n, buf)
-                buf2.append(buf)
-                if n >= 1:
-                    controls = matrices.setdefault((tuple(x), n), rollout(LINEAR, x, n))
-                    want = oracles.a2_update_matrix_form(controls, prev_slots)
-                    np.testing.assert_array_equal(buf, want)
-                x = LINEAR.f(x, u, np.zeros(1))
-            lam2 = effective_lengths(ctrl, n_seq).tolist()
-            assert lam2 == oracles.lam_sequence_a2(n_seq), (cap, n_seq)
+        schedules = np.array(list(itertools.product(range(cap + 1), repeat=6)))
+        for kind in ("a1", "a2"):
+            # run_loop checks the package's played inputs against the oracle's
+            _, _, buffers, _ = run_loop(kind, LINEAR, schedules, cap)
+            lams = np.array([effective_lengths(ControllerKind(kind), n_seq)
+                             for n_seq in schedules])
+            for n_seq, lam in zip(schedules, lams):
+                assert lam.tolist() == LAMBDA_ORACLES[kind](n_seq.tolist()), (cap, n_seq)
             # the slots past the effective length hold zeros
-            for lams, bufs in ((lam1, buf1), (lam2, buf2)):
-                for lam, slots in zip(lams, bufs):
-                    assert not slots[lam:].any(), (cap, n_seq)
+            for k, slots in enumerate(buffers):
+                past = np.arange(cap) >= lams[:, k, None]
+                assert not slots[past].any(), (kind, cap, k)
+            if kind == "a1":
+                continue
+            # each a2 update is the matrix form over the inputs computed from x(k)
+            x = np.ones((len(schedules), 1))
+            prev = np.zeros((len(schedules), cap, 1))
+            for k, slots in enumerate(buffers):
+                n = schedules[:, k]
+                controls = np.empty((len(schedules), cap, 1))
+                if n.any():
+                    oracles.tentative_sequence(LINEAR, x, n, controls)
+                for i in range(1, cap + 1):
+                    lanes = n == i
+                    want = oracles.a2_update_matrix_form(controls[lanes, :i], prev[lanes])
+                    np.testing.assert_array_equal(slots[lanes], want)
+                x = LINEAR.f(x, slots[:, 0], np.zeros(1))
+                prev = slots
 
 
 # --- criterion 10 ----------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anyctrl import experiments
 from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
@@ -11,10 +12,10 @@ from anyctrl.controller import KINDS, ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import _config_at, builtin_experiment, run_sweep
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (SimConfig, _batch_simulate, mean_lyapunov_at,
-                                monte_carlo, presample, run_episode)
+from anyctrl.simulation import (SimConfig, _batch_simulate, empirical_cost,
+                                mean_lyapunov_at, monte_carlo, presample, run_episode)
 
-from oracles import masked_batch_simulate
+from oracles import masked_batch_simulate, naive_closed_loop
 
 RUNS, HORIZON = 40, 400
 
@@ -164,3 +165,95 @@ def test_violation_beyond_a_runs_sequence_length_is_not_raised():
         with pytest.raises(CertificateViolation) as info:
             monte_carlo(cfg, draws)
         assert info.value.step_index == want
+
+
+def violation_of(run):
+    with pytest.raises(CertificateViolation) as info:
+        run()
+    return info.value.step_index, info.value.start_step, info.value.run
+
+
+def test_violation_reports_start_step_and_run():
+    # the two cases above: four equal runs failing first at depth 3 of the
+    # sequence from step 0, and run 1 alone reaching its failing depth
+    cfg = violating_config(runs=4, horizon=20, x0=np.array([1e4 / R ** 1.5]))
+    for run in (lambda: monte_carlo(cfg), lambda: masked_batch_simulate(cfg)):
+        assert violation_of(run) == (3, 0, 0)
+    assert violation_of(lambda: run_episode(cfg, 2)) == (3, 0, 2)
+    x0 = np.array([[1e4 / R ** 2.5], [1e4 / R ** 1.5]])
+    cfg = violating_config(runs=2)
+    for n in ([[2], [3]], [[3], [3]]):
+        draws = (np.array(n), np.zeros((2, 1, 1)), x0)
+        assert violation_of(lambda: monte_carlo(cfg, draws)) == (3, 0, 1)
+        assert violation_of(lambda: masked_batch_simulate(cfg, draws=draws)) == (3, 0, 1)
+
+
+def test_violation_reports_the_earliest_start_step():
+    # run 1 computes first at step 2; run 0 only at step 3, so run 1's sequence
+    # is named although run 0 has the lower index
+    x0 = np.array([[0.5], [0.5]])
+    cfg = violating_config(runs=2, horizon=5)
+    draws = (np.array([[0, 0, 0, 1, 1], [0, 0, 2, 0, 0]]), np.zeros((2, 5, 1)), x0)
+    assert violation_of(lambda: monte_carlo(cfg, draws)) == (1, 2, 1)
+    assert violation_of(lambda: masked_batch_simulate(cfg, draws=draws)) == (1, 2, 1)
+
+
+# --- the engine and run_episode against both oracles on random forced schedules ---
+
+CUBIC = make_builtin_plant("cubic_scalar")
+SAT_2D = make_builtin_plant("sat_2d")
+PLANTS = {"linear": (LINEAR, 3.0), "sat_2d": (SAT_2D, 3.0),
+          # uncontrolled, the cubic plant passes the overflow guard within a few steps
+          "cubic": (CUBIC, 1000.0),
+          # rho = 0 fails every decrease test a computing run makes
+          "liar": (replace(LINEAR, rho=0.0), 3.0)}
+
+
+@st.composite
+def forced_cases(draw):
+    """A config with a capacity, buffer cap and run count, plus an N schedule per run."""
+    name = draw(st.sampled_from(sorted(PLANTS)))
+    plant, box = PLANTS[name]
+    capacity = draw(st.integers(min_value=1, max_value=4))
+    cfg = SimConfig(plant=plant,
+                    availability=IidAvailability(np.full(capacity + 1, 1.0 / (capacity + 1))),
+                    controller=ControllerKind(draw(st.sampled_from(KINDS)), buffer_cap=draw(
+                        st.one_of(st.none(), st.integers(min_value=1, max_value=capacity)))),
+                    disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.1, hi=0.1),
+                    horizon=draw(st.integers(min_value=1, max_value=8)),
+                    runs=draw(st.integers(min_value=1, max_value=5)),
+                    master_seed=draw(st.integers(min_value=0, max_value=2 ** 16)),
+                    x0_box=(-box, box))
+    lengths = st.integers(min_value=0, max_value=capacity)
+    n = draw(st.lists(st.lists(lengths, min_size=cfg.horizon, max_size=cfg.horizon),
+                      min_size=cfg.runs, max_size=cfg.runs))
+    return cfg, np.array(n, dtype=np.int64)
+
+
+@given(case=forced_cases())
+@settings(max_examples=150, deadline=None)
+def test_engine_and_episode_equal_oracles_on_forced_schedules(case):
+    cfg, n_all = case
+    _, w_all, x0 = presample(cfg)
+    draws = (n_all, w_all, x0)
+    try:
+        want, _ = masked_batch_simulate(cfg, draws=draws)
+    except CertificateViolation as exc:
+        # the same violation from both loops: earliest step, first depth, lowest run
+        found = (exc.step_index, exc.start_step, exc.run)
+        assert violation_of(lambda: monte_carlo(cfg, draws)) == found
+        assert violation_of(lambda: run_episode(cfg, found[2], forced_n=n_all[found[2]])) == found
+        return
+    np.testing.assert_array_equal(monte_carlo(cfg, draws).per_run_costs, want)
+    for r in range(cfg.runs):
+        trace = run_episode(cfg, r, forced_n=n_all[r])
+        assert empirical_cost(trace, cfg.q_x, cfg.r_u) == want[r]
+        assert trace.diverged == (not np.isfinite(want[r]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, inputs, lams, _ = naive_closed_loop(
+                cfg.controller.kind, cfg.plant, x0[r], n_all[r, :trace.steps],
+                cfg.buffer_capacity, cfg.controller.buffer_cap, w_all[r])
+        np.testing.assert_array_equal(trace.x, np.array(states))
+        np.testing.assert_array_equal(trace.u, np.array(inputs))
+        if cfg.controller.kind != "baseline":
+            assert trace.lam.tolist() == lams

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anyctrl.controller import (KINDS, ControllerKind, controller_step,
+from anyctrl.controller import (KINDS, ControllerKind, Ring, controller_step, drain,
                                 effective_lengths, tentative_sequence)
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import make_builtin_plant
@@ -17,18 +19,71 @@ n_sequences = st.lists(st.integers(min_value=0, max_value=4),
                        min_size=1, max_size=12)
 
 
-def run_loop(kind, plant, n_seq, cap, buffer_cap=None):
-    """Forced-schedule loop on one lane: (inputs, lambdas, buffers, final state)."""
+def kernel_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
+    """The package kernel on a forced `(lanes..., steps)` schedule without disturbance.
+
+    Returns the played inputs `(steps, lanes..., p)` and the final state;
+    the sequences still in flight are drained, so every depth is tested.
+    """
     ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
-    buf = np.zeros((cap, plant.p))
-    x = np.ones(plant.n)
+    n_sched = np.asarray(n_sched)
+    lanes = n_sched.shape[:-1]
+    x = np.ones(lanes + (plant.n,)) if x0 is None else np.asarray(x0, dtype=float)
+    ring = Ring(plant, cap, lanes)
+    w0 = np.zeros(plant.m)
+    inputs = []
+    for k, src in zip(range(n_sched.shape[-1]), ring.sources(ctrl, n_sched)):
+        u = controller_step(ctrl, plant, x, n_sched[..., k], ring, src)
+        inputs.append(u)
+        x = plant.f(x, u, w0)
+    drain(plant, ring)
+    return np.array(inputs), x
+
+
+def oracle_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
+    """The shift-buffer oracle on the same loop: (inputs, buffers after each step, final state)."""
+    ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
+    n_sched = np.asarray(n_sched)
+    lanes = n_sched.shape[:-1]
+    x = np.ones(lanes + (plant.n,)) if x0 is None else np.asarray(x0, dtype=float)
+    buf = np.zeros(lanes + (cap, plant.p))
+    w0 = np.zeros(plant.m)
     inputs, buffers = [], []
-    for n in n_seq:
-        u, buf = controller_step(ctrl, plant, x, n, buf)
+    for k in range(n_sched.shape[-1]):
+        u, buf = oracles.controller_step(ctrl, plant, x, n_sched[..., k], buf)
         inputs.append(u.copy())
         buffers.append(buf.copy())
-        x = plant.f(x, u, np.zeros(plant.m))
-    return inputs, effective_lengths(ctrl, n_seq).tolist(), buffers, x
+        x = plant.f(x, u, w0)
+    return np.array(inputs), buffers, x
+
+
+def run_loop(kind, plant, n_seq, cap, buffer_cap=None):
+    """Forced-schedule loop on the package kernel and on the oracle.
+
+    Asserts that both play the same inputs and reach the same state, and
+    returns (inputs, lambdas, oracle buffers, final state); lambdas are
+    `effective_lengths` of a one-lane schedule and None for lanes.
+    """
+    inputs, x = kernel_loop(kind, plant, n_seq, cap, buffer_cap)
+    want, buffers, x_want = oracle_loop(kind, plant, n_seq, cap, buffer_cap)
+    np.testing.assert_array_equal(inputs, want)
+    np.testing.assert_array_equal(x, x_want)
+    lams = (effective_lengths(ControllerKind(kind, buffer_cap=buffer_cap), n_seq).tolist()
+            if np.ndim(n_seq) == 1 else None)
+    return list(inputs), lams, buffers, x
+
+
+def played_rollout(plant, x, n):
+    """The n tentative inputs computed from state x, as the package plays them back.
+
+    A sequence of n started at step 0 and never replaced is played whole;
+    it must equal the oracle's full-depth rollout.
+    """
+    played, _ = kernel_loop("a2", plant, [n] + [0] * (n - 1), n, x0=x)
+    want = np.empty((n, plant.p))
+    oracles.tentative_sequence(plant, x, n, want)
+    np.testing.assert_array_equal(played, want)
+    return played
 
 
 def test_controller_kind_validation():
@@ -39,43 +94,72 @@ def test_controller_kind_validation():
 
 
 def test_tentative_sequence_from_one():
-    out = np.full((4, 1), np.nan)
-    tentative_sequence(CUBIC, np.array([1.0]), 3, out)
-    # the nominal states contract by 0.99 per step; each input is kappa there
-    for j, chi in enumerate([1.0, 0.99, 0.9801]):
-        np.testing.assert_allclose(out[j], CUBIC.policy(np.array([chi])))
-    assert np.isnan(out[3, 0])  # rows past the sequence are left alone
+    ring = Ring(CUBIC, 4)
+    ring.chi[0], ring.end[0], ring.reach = 1.0, 3, 3  # a sequence of three started at step 0
+    # the nominal states contract by 0.99 per step; each depth's input is kappa there
+    for chi in [1.0, 0.99, 0.9801]:
+        tentative_sequence(CUBIC, ring)
+        np.testing.assert_allclose(ring.inputs[0], CUBIC.policy(np.array([chi])))
+        ring.tick += 1
+    np.testing.assert_allclose(ring.chi[0], [0.99 ** 3])
+    # slots without a sequence in flight are left alone, and so is the zero row
+    assert not ring.chi[1:].any() and not ring.inputs[1:].any()
 
 
 def test_tentative_sequence_rejects_bad_length():
-    with pytest.raises(ConfigError):
-        tentative_sequence(CUBIC, np.array([1.0]), 0, np.empty((2, 1)))
-    with pytest.raises(ConfigError):
-        tentative_sequence(CUBIC, np.array([[1.0], [1.0]]), [0, 3], np.empty((2, 2, 1)))
+    ring = Ring(CUBIC, 2)
+    with pytest.raises(ConfigError):  # no sequence in flight
+        tentative_sequence(CUBIC, ring)
+    lanes = Ring(CUBIC, 2, (2,))
+    with pytest.raises(ConfigError):  # one lane asks for more than the ring holds
+        controller_step(ControllerKind("a2"), CUBIC, np.ones((2, 1)), [0, 3], lanes, None)
 
 
 def test_certificate_violation_reports_step():
     # a plant whose "certificate" is a lie: rho says halving, dynamics do nothing
-    from dataclasses import replace
     liar = replace(LINEAR, rho=0.01)
     with pytest.raises(CertificateViolation) as exc:
-        tentative_sequence(liar, np.array([1.0]), 3, np.empty((3, 1)))
+        kernel_loop("a2", liar, [3], 3)
+    assert (exc.value.step_index, exc.value.start_step, exc.value.run) == (1, 0, 0)
+    assert "prediction step 1 of the sequence computed at step 0 in run 0" in str(exc.value)
+    with pytest.raises(CertificateViolation) as exc:
+        oracles.tentative_sequence(liar, np.array([1.0]), 3, np.empty((3, 1)))
     assert exc.value.step_index == 1
 
 
+def test_violation_names_the_earliest_sequence_not_the_first_detected():
+    # rho = 0 fails every decrease test below DECREASE_CHECK_LIMIT. Lane 0's sequence
+    # from step 0 first fails at depth 3 (step 2); lane 1's from step 1 fails at
+    # depth 1 (step 1), which is seen first. Rolled out in full at their start
+    # steps, lane 0's fails first, and the drain reports it.
+    liar = replace(LINEAR, rho=0.0)
+    x0 = np.array([[1e4 / LINEAR.rho ** 1.5], [1.0]])
+    n = [[4, 0, 0, 0], [0, 1, 0, 0]]
+    with pytest.raises(CertificateViolation) as exc:
+        kernel_loop("a2", liar, n, 4, x0=x0)
+    assert (exc.value.step_index, exc.value.start_step, exc.value.run) == (3, 0, 0)
+    with pytest.raises(CertificateViolation) as exc:
+        oracle_loop("a2", liar, n, 4, x0=x0)
+    assert exc.value.step_index == 3
+
+
 def test_baseline_ignores_buffer():
-    buf = np.array([[5.0], [6.0]])
-    u, out = controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 2, buf)
+    ring = Ring(LINEAR, 2)
+    u = controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 2, ring, None)
     np.testing.assert_allclose(u, LINEAR.policy(np.array([1.0])))
-    assert out is buf
-    u, out = controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 0, buf)
+    u = controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 0, ring, None)
     np.testing.assert_array_equal(u, [0.0])
+    assert (ring.tick, ring.reach) == (0, 0) and not ring.end.any() and not ring.inputs.any()
+    buf = np.array([[5.0], [6.0]])
+    _, out = oracles.controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 2, buf)
+    assert out is buf
 
 
 def test_sequence_longer_than_buffer_rejected():
-    buf = np.zeros((2, 1))
     with pytest.raises(ConfigError):
-        controller_step(ControllerKind("a1"), LINEAR, np.array([1.0]), 3, buf)
+        controller_step(ControllerKind("a1"), LINEAR, np.array([1.0]), 3, Ring(LINEAR, 2), None)
+    with pytest.raises(ConfigError):
+        oracles.controller_step(ControllerKind("a1"), LINEAR, np.array([1.0]), 3, np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("kind", ["a1", "a2"])
@@ -141,8 +225,7 @@ def test_buffer_cap_truncates():
 def test_playback_prediction_consistency():
     """During pure playback the plant follows the states predicted at computation time."""
     x0 = np.array([1.0])
-    slots = np.empty((4, 1))
-    tentative_sequence(LINEAR, x0, 4, slots)
+    slots = played_rollout(LINEAR, x0, 4)
     predicted = oracles.predict_buffer_playback(LINEAR, x0, slots, 4, 4)
     _, _, _, x = run_loop("a2", LINEAR, [4, 0, 0, 0], 4)
     np.testing.assert_array_equal(x, predicted)
@@ -174,10 +257,9 @@ def test_a2_slot_update_equals_matrix_form(n):
     rng = np.random.default_rng(n)
     prev = rng.normal(size=(4, 1))
     x = np.array([1.0])
-    controls = np.empty((4, 1))
-    tentative_sequence(LINEAR, x, n, controls)
-    _, out = controller_step(ControllerKind("a2"), LINEAR, x, n, prev.copy())
-    np.testing.assert_array_equal(out, oracles.a2_update_matrix_form(controls[:n], prev))
+    controls = played_rollout(LINEAR, x, n)
+    _, out = oracles.controller_step(ControllerKind("a2"), LINEAR, x, n, prev.copy())
+    np.testing.assert_array_equal(out, oracles.a2_update_matrix_form(controls, prev))
 
 
 @st.composite
@@ -194,26 +276,19 @@ def lane_schedules(draw):
     coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     x0 = draw(st.lists(st.lists(coords, min_size=plant.n, max_size=plant.n),
                        min_size=lanes, max_size=lanes))
-    return plant, cap, buffer_cap, np.array(x0), np.array(n)
+    return plant, cap, buffer_cap, np.array(x0), np.array(n).T
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @given(case=lane_schedules())
 @settings(max_examples=60, deadline=None)
 def test_kernel_on_stacked_lanes_equals_kernel_per_lane(kind, case):
-    plant, cap, buffer_cap, x, n_sched = case
-    ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
-    lanes = x.shape[0]
-    buf = np.zeros((lanes, cap, plant.p))
-    rows = [(x[r].copy(), buf[r].copy()) for r in range(lanes)]
-    w0 = np.zeros(plant.m)
-    for n in n_sched:
-        u, buf = controller_step(ctrl, plant, x, n, buf)
-        for r in range(lanes):
-            x_r, buf_r = rows[r]
-            u_r, buf_r = controller_step(ctrl, plant, x_r, n[r], buf_r)
-            np.testing.assert_array_equal(u[r], u_r)
-            np.testing.assert_array_equal(buf[r], buf_r)
-            rows[r] = (plant.f(x_r, u_r, w0), buf_r)
-        x = plant.f(x, u, w0)
-        np.testing.assert_array_equal(x, np.array([row[0] for row in rows]))
+    plant, cap, buffer_cap, x0, n_sched = case
+    inputs, x = kernel_loop(kind, plant, n_sched, cap, buffer_cap, x0)
+    for r in range(x0.shape[0]):
+        lane_inputs, lane_x = kernel_loop(kind, plant, n_sched[r], cap, buffer_cap, x0[r])
+        np.testing.assert_array_equal(inputs[:, r], lane_inputs)
+        np.testing.assert_array_equal(x[r], lane_x)
+    want, _, x_want = oracle_loop(kind, plant, n_sched, cap, buffer_cap, x0)
+    np.testing.assert_array_equal(inputs, want)
+    np.testing.assert_array_equal(x, x_want)

@@ -281,12 +281,25 @@ def test_episode_equals_naive_loop_on_its_own_streams(kind, plant_name, tau, buf
     np.testing.assert_array_equal(trace.n_seq, n_sched[:trace.steps])
 
 
+def ticks_in_flight(n_sched):
+    """Steps at which some tentative sequence is in flight, drain steps past the end included.
+
+    `n_sched` is a capped `(lanes, steps)` schedule; the sequence started at
+    step t is in flight at steps t .. t + N(t) - 1.
+    """
+    n_sched = np.atleast_2d(n_sched)
+    k = np.arange(n_sched.shape[1])
+    reach = np.maximum.accumulate((n_sched + k).max(axis=0))  # largest end step so far
+    return int((reach > k).sum()) + max(int(reach[-1]) - k.size, 0)
+
+
 @pytest.mark.parametrize("kind, buffer_cap", [("baseline", None), ("a1", None),
                                               ("a2", None), ("a2", 2)])
 def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_cap):
     """Each loop calls simulation.controller_step once per step and
-    controller.tentative_sequence once per step that computes, so wrappers
-    patched onto those module globals see all of the controller's work."""
+    controller.tentative_sequence once per step with a sequence in flight,
+    drain steps included, so wrappers patched onto those module globals see
+    all of the controller's work."""
     calls = {"step": 0, "rollout": 0}
 
     def counted(name, fn):
@@ -302,13 +315,14 @@ def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_
     cfg = make_config(controller=ControllerKind(kind, buffer_cap=buffer_cap),
                       runs=6, horizon=120)
     n_all, _, _ = presample(cfg)
+    n_all = n_all if buffer_cap is None else np.minimum(n_all, buffer_cap)
     computes = kind != "baseline"
 
     summary = monte_carlo(cfg)
     assert summary.diverged_count == 0
-    assert calls == {"step": cfg.horizon, "rollout": computes * int((n_all.max(0) >= 1).sum())}
+    assert calls == {"step": cfg.horizon, "rollout": computes * ticks_in_flight(n_all)}
 
     for r in range(2):
         calls.update(step=0, rollout=0)
         trace = run_episode(cfg, r)
-        assert calls == {"step": trace.steps, "rollout": computes * int((n_all[r] >= 1).sum())}
+        assert calls == {"step": trace.steps, "rollout": computes * ticks_in_flight(n_all[r])}
