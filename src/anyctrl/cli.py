@@ -30,6 +30,9 @@ def _common_flags(sub):
 def cmd_simulate(args) -> int:
     data = load_yaml(args.config)
     config = parse_sim_config(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
+    if not 0 <= args.traces <= config.runs:
+        raise ConfigError(f"--traces must lie in 0..{config.runs} (the number of runs), "
+                          f"got {args.traces}")
     summary = monte_carlo(config)
     out = _out_dir(args)
     write_runs_csv(summary, out / "runs.csv")
@@ -65,7 +68,10 @@ def cmd_stability(args) -> int:
 def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
     """A custom sweep whose variable the base config can actually vary."""
     base_doc = _section(data.get("base"), "base")
-    base = parse_sim_config(base_doc, **overrides)
+    try:
+        base = parse_sim_config(base_doc, **overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"base: {exc}") from None
     sweep = data.get("sweep")
     if sweep is None:
         raise ConfigError("missing key sweep (tau | a | buffer_cap) for custom experiment")
@@ -116,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     sim.add_argument("--runs", type=int, default=None, help="number of runs (overrides config)")
     sim.add_argument("--horizon", type=int, default=None, help="steps per run (overrides config)")
-    sim.add_argument("--traces", type=int, default=0, help="write per-step CSVs for this many runs")
+    sim.add_argument("--traces", type=int, default=0,
+                     help="write per-step CSVs for the first K runs, 0 <= K <= runs")
     sim.set_defaults(func=cmd_simulate)
 
     stab = sub.add_parser("stability", help="evaluate the closed-form certificates")

@@ -1,7 +1,8 @@
 """YAML config parsing for simulations, certificate checks, and sweeps.
 
 The config is one nested key-value file; see README for the full schema.
-Every parse error names the offending key.
+Every parse error names the offending key. Numbers must be finite: NaN
+and infinities are config errors, not values to simulate with.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import yaml
 from .availability import (AvailabilityModel, IidAvailability,
                            MarkovAvailability, from_execution_time,
                            require_valid)
-from .controller import ControllerKind
+from .controller import KINDS, ControllerKind
 from .errors import ConfigError
-from .plants import DisturbanceModel, PlantModel, make_builtin_plant
+from .plants import (BUILTIN_PLANTS, DISTURBANCE_KINDS, DisturbanceModel, PlantModel,
+                     make_builtin_plant)
 from .simulation import SimConfig
 from .stability import CertificateInputs
 
@@ -53,9 +55,12 @@ def _float(value, key: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return out
 
 
 def _int(value, key: str) -> int:
@@ -65,11 +70,14 @@ def _int(value, key: str) -> int:
 
 
 def _array(value, key: str) -> np.ndarray:
-    """A float array from nested lists of numbers."""
+    """A float array from nested lists of finite numbers."""
     try:
-        return np.asarray(value, dtype=float)
+        out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must hold numbers in a rectangular list, got {value!r}") from None
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{key} must hold finite numbers, got {value!r}")
+    return out
 
 
 def parse_availability(section: dict) -> AvailabilityModel:
@@ -83,41 +91,47 @@ def parse_availability(section: dict) -> AvailabilityModel:
             raise ConfigError(f"availability.tau: {exc}") from None
     if kind == "iid":
         pmf = _array(_require(section, "p", "availability"), "availability.p")
-        model = IidAvailability(pmf)
+        where, build = "availability.p", lambda: IidAvailability(pmf)
     elif kind == "markov":
         q = _array(_require(section, "Q", "availability"), "availability.Q")
         p = _array(_require(section, "P", "availability"), "availability.P")
         initial = section.get("initial_state")
         if initial is not None:
             initial = _int(initial, "availability.initial_state")
-        model = MarkovAvailability(q, p, initial_state=initial)
+        # the invariants tie Q, P and initial_state together
+        where, build = "availability", lambda: MarkovAvailability(q, p, initial_state=initial)
     else:
         raise ConfigError(f"availability.kind must be iid, markov, or exec_time, got {kind!r}")
     try:
-        require_valid(model)
+        return require_valid(build())
     except ConfigError as exc:
-        raise ConfigError(f"availability: {exc}") from None
-    return model
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_plant(section: dict) -> PlantModel:
     section = _section(section, "plant")
     name = _require(section, "name", "plant")
-    params = _section(section.get("params"), "plant.params")
+    if not isinstance(name, str) or name not in BUILTIN_PLANTS:
+        raise ConfigError(f"plant.name must be one of {list(BUILTIN_PLANTS)}, got {name!r}")
+    params = {str(key): _float(value, f"plant.params.{key}")
+              for key, value in _section(section.get("params"), "plant.params").items()}
     try:
         return make_builtin_plant(name, **params)
     except ConfigError as exc:
-        raise ConfigError(f"plant: {exc}") from None
+        raise ConfigError(f"plant.params: {exc}") from None
 
 
 def parse_disturbance(section: Optional[dict], plant: PlantModel) -> DisturbanceModel:
     section = _section(section, "disturbance")
     if not section:
         return DisturbanceModel(kind="none", dim=plant.m)
+    kind = section.get("kind", "none")
+    if kind not in DISTURBANCE_KINDS:
+        raise ConfigError(f"disturbance.kind must be one of {DISTURBANCE_KINDS}, got {kind!r}")
     values = {key: _float(section.get(key, 0.0), f"disturbance.{key}")
               for key in ("lo", "hi", "mean", "variance")}
     try:
-        return DisturbanceModel(kind=section.get("kind", "none"), dim=plant.m, **values)
+        return DisturbanceModel(kind=kind, dim=plant.m, **values)
     except ConfigError as exc:
         raise ConfigError(f"disturbance: {exc}") from None
 
@@ -125,21 +139,31 @@ def parse_disturbance(section: Optional[dict], plant: PlantModel) -> Disturbance
 def parse_controller(section: dict) -> ControllerKind:
     section = _section(section, "controller")
     kind = _require(section, "kind", "controller")
+    if kind not in KINDS:
+        raise ConfigError(f"controller.kind must be one of {KINDS}, got {kind!r}")
     cap = section.get("buffer_cap")
     if cap is not None:
         cap = _int(cap, "controller.buffer_cap")
-    try:
-        return ControllerKind(kind=str(kind), buffer_cap=cap)
-    except ConfigError as exc:
-        raise ConfigError(f"controller: {exc}") from None
+        if cap < 1:
+            raise ConfigError(f"controller.buffer_cap must be >= 1, got {cap}")
+    return ControllerKind(kind=kind, buffer_cap=cap)
 
 
 def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] = None,
                 horizon: Optional[int] = None) -> dict:
-    """seed, runs and horizon from the file, with keyword overrides winning."""
+    """seed, runs and horizon from the file, with keyword overrides winning.
+
+    The file's values are checked even where an override replaces them.
+    """
     given = {"seed": seed, "runs": runs, "horizon": horizon}
-    return {key: _int(data.get(key, default) if given[key] is None else given[key], key)
-            for key, default in (("seed", 0), ("runs", 200), ("horizon", 10_000))}
+    out = {}
+    for key, default, least in (("seed", 0, 0), ("runs", 200, 1), ("horizon", 10_000, 1)):
+        override = [] if given[key] is None else [given[key]]
+        for value in [data.get(key, default)] + override:
+            out[key] = _int(value, key)
+            if out[key] < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return out
 
 
 def parse_sim_config(data: dict, *, seed: Optional[int] = None,

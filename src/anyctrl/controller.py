@@ -11,8 +11,12 @@ A ring of C slots per lane (C the buffer capacity) holds the sequences in
 flight: slot t mod C holds the predicted state, the end step t + N(t) and
 the latest input of the sequence started at step t. Each step starts the
 new sequence and then advances every in-flight row one depth with one
-stacked policy / f / V call and one Lyapunov decrease test
-(`tentative_sequence`).
+stacked policy / f call (`tentative_sequence`), and that is all the
+recursion needs. The Lyapunov decrease tests of those depths are
+bookkeeping: the ring records each depth's states and runs one stacked V
+call and one test over a whole block of SOURCE_BLOCK steps (`check`), at
+each block's end and when it drains. A failure therefore surfaces at the
+end of its block, with the fields it would have had at its own step.
 
 The input played at step k is one gather from the ring, at a source
 computed in closed form from the capped N schedule (`Ring.sources`).
@@ -45,8 +49,9 @@ DECREASE_SLACK = 1e-9
 # in double precision (order eps * |x|^3 for the cubic benchmark) swamps any
 # meaningful tolerance, and such states are outside every certified region
 DECREASE_CHECK_LIMIT = 1e4
-# steps per block of the source map, so its memory does not grow with the
-# horizon; each block reads C - 1 steps of look-back
+# steps per block: the source map is built (reading C - 1 steps of look-back),
+# the decrease tests run and the batch engine adds its stage costs once per
+# block, so none of them costs a call per step or memory per horizon step
 SOURCE_BLOCK = 16
 
 KINDS = ("baseline", "a1", "a2")
@@ -70,7 +75,8 @@ class Ring:
     """The tentative sequences in flight on every lane: slot t mod C for the one started at step t.
 
     `first_run` is the run index of the first lane; a certificate violation
-    names the run of the failing sequence.
+    names the run of the failing sequence. `block` is SOURCE_BLOCK when the
+    ring is built: the steps per source-map block and per decrease check.
     """
 
     def __init__(self, plant: PlantModel, capacity: int, lanes=(), first_run: int = 0):
@@ -78,9 +84,11 @@ class Ring:
         size = math.prod(lanes) * capacity
         self.capacity = capacity
         self.first_run = first_run
+        self.block = SOURCE_BLOCK
         self.tick = 0  # the step the next advance computes
         self.reach = 0  # the largest end step of any sequence started so far
         self.failure = None  # (start step, depth, run) of the earliest failed decrease test
+        self.pending = []  # (tick, rows, states before, states after) of each untested depth
         self.chi = np.zeros(lanes + (capacity, plant.n))  # predicted states
         self.end = np.zeros(lanes + (capacity,), dtype=np.int64)  # t + N(t)
         # each slot's latest input, flat, with one last row of zeros for steps without a source
@@ -94,8 +102,8 @@ class Ring:
         """Yield, for k = 0, 1, ..., the `inputs` row of u(k) on every lane.
 
         `n_sched` is the `(..., horizon)` schedule of N(k) before
-        `kind.buffer_cap`. The map is built SOURCE_BLOCK steps at a time
-        from C - 1 steps of look-back; a step of no source maps to the
+        `kind.buffer_cap`. The map is built `block` steps at a time from
+        C - 1 steps of look-back; a step of no source maps to the
         zero row. The baseline has no sources and gets None.
         """
         n_sched = np.asarray(n_sched)
@@ -103,8 +111,8 @@ class Ring:
         if kind.kind == "baseline":
             yield from (None for _ in range(horizon))
             return
-        for start in range(0, horizon, SOURCE_BLOCK):
-            stop = min(start + SOURCE_BLOCK, horizon)
+        for start in range(0, horizon, self.block):
+            stop = min(start + self.block, horizon)
             lo = max(start - (c - 1), 0)
             # time-major N(t) for t = start - (c - 1) .. stop - 1, zero before step 0
             n = np.zeros((stop - start + c - 1,) + lanes, dtype=np.int64)
@@ -124,12 +132,13 @@ class Ring:
                 covered = np.take_along_axis(n, last, axis=0) > k - t_src
             yield from np.where(covered, self.base + t_src % c, self.inputs.shape[0] - 1)
 
-    def fail(self, rows: np.ndarray) -> None:
-        """Keep the earliest (start step, depth, run) among the rows failing at this tick."""
+    def fail(self, ticks: np.ndarray, rows: np.ndarray) -> None:
+        """Keep the earliest (start step, depth, run) among rows failing at the given ticks."""
         lane, slot = np.divmod(rows, self.capacity)
-        starts = self.tick - (self.tick - slot) % self.capacity
-        first = int(starts.min())
-        found = (first, self.tick - first + 1, self.first_run + int(lane[starts == first].min()))
+        starts = ticks - (ticks - slot) % self.capacity
+        depths = ticks - starts + 1
+        i = np.lexsort((lane, depths, starts))[0]
+        found = (int(starts[i]), int(depths[i]), self.first_run + int(lane[i]))
         self.failure = found if self.failure is None else min(self.failure, found)
 
 
@@ -138,10 +147,9 @@ def tentative_sequence(plant: PlantModel, ring: Ring) -> None:
 
     Every row whose sequence reaches this step takes one step of the
     nominal model under the certified policy, with one stacked call each of
-    policy, f and V, and its input becomes its slot's latest input. The
-    certificate's per-step Lyapunov decrease is tested on all rows at once.
-    A failure means the (V, kappa, rho) triple is inconsistent on this
-    trajectory; it is recorded on the ring and raised by `drain`.
+    policy and f, and its input becomes its slot's latest input. The states
+    before and after the step are recorded on the ring for `check`, which
+    tests the certificate's per-step Lyapunov decrease on them.
     """
     rows = (ring.end > ring.tick).ravel().nonzero()[0]
     if rows.size == 0:
@@ -150,15 +158,39 @@ def tentative_sequence(plant: PlantModel, ring: Ring) -> None:
     chi = chis.take(rows, axis=0)
     u = plant.policy(chi)
     nxt = plant.f(chi, u, ring.w0)
-    v = plant.lyapunov(np.concatenate((chi, nxt)))
-    v_now, v_next = v[:rows.size], v[rows.size:]
     chis[rows] = nxt
     ring.inputs[rows] = u
+    ring.pending.append((ring.tick, rows, chi, nxt))
+
+
+def check(plant: PlantModel, ring: Ring) -> None:
+    """Test every depth recorded since the last check, with one stacked V call.
+
+    A depth fails when V after its step exceeds rho times V before it (plus
+    a slack) and V before it is at most DECREASE_CHECK_LIMIT; that means
+    the (V, kappa, rho) triple is inconsistent on this trajectory. The earliest failure is kept on the ring (`Ring.fail`) and
+    raised by `drain`. V is evaluated row by row, so its values and the
+    test's outcome are those of testing each step on its own.
+    """
+    if not ring.pending:
+        return
+    ticks, rows, chis, nxts = zip(*ring.pending)
+    ring.pending = []
+    v = plant.lyapunov(np.concatenate(chis + nxts))
+    v_now, v_next = np.split(v, 2)
     bad = v_next > plant.rho * v_now + DECREASE_SLACK * np.maximum(1.0, v_now)
     if bad.any():
         bad &= v_now <= DECREASE_CHECK_LIMIT
         if bad.any():
-            ring.fail(rows[bad])
+            sizes = [r.size for r in rows]
+            ring.fail(np.repeat(ticks, sizes)[bad], np.concatenate(rows)[bad])
+
+
+def settle(plant: PlantModel, ring: Ring) -> None:
+    """Check the recorded depths; at a failure, drain the ring, which raises."""
+    check(plant, ring)
+    if ring.failure is not None:
+        drain(plant, ring)
 
 
 def drain(plant: PlantModel, ring: Ring) -> None:
@@ -172,6 +204,7 @@ def drain(plant: PlantModel, ring: Ring) -> None:
     while ring.reach > ring.tick:
         tentative_sequence(plant, ring)
         ring.tick += 1
+    check(plant, ring)
     if ring.failure is not None:
         start, depth, run = ring.failure
         raise CertificateViolation(depth, start, run)
@@ -183,8 +216,11 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     `n` is the number of tentative inputs the processor allows this step,
     before `kind.buffer_cap`, and `src` is this step's entry of
     `ring.sources`. The baseline controller only uses the indicator n >= 1
-    and leaves the ring alone. A failed decrease test drains the ring and
-    raises (see `drain`).
+    and leaves the ring alone. The decrease tests run at the end of each
+    block of `ring.block` steps; a failure drains the ring and raises (see
+    `drain`). Every sequence started up to the failing step is then tested
+    in full, and any started later has a later start step, so the
+    violation names what it would have named at the failing step.
     """
     n = np.asarray(n)
     if kind.kind == "baseline":
@@ -193,6 +229,7 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
         n = np.minimum(n, kind.buffer_cap)
     longest = int(n.max())
     if longest > ring.capacity:
+        settle(plant, ring)  # an earlier failed test is raised first
         raise ConfigError(f"sequence length {longest} exceeds buffer capacity {ring.capacity}")
     slot = ring.tick % ring.capacity  # its last sequence ended by now
     ring.chi[..., slot, :] = x
@@ -201,8 +238,8 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     if ring.reach > ring.tick:
         tentative_sequence(plant, ring)
     ring.tick += 1
-    if ring.failure is not None:
-        drain(plant, ring)
+    if ring.tick % ring.block == 0:
+        settle(plant, ring)
     return ring.inputs.take(src, axis=0)
 
 

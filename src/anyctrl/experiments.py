@@ -2,7 +2,9 @@
 
 A sweep runs baseline / buffer-wiping / tail-keeping controllers over a
 parameter grid, reusing identical availability and disturbance streams per
-run index so that paired cost differences are low-variance. The three
+run index so that paired cost differences are low-variance. Each run's
+streams are seeded and drawn once per sweep; only the N schedules are
+drawn again when the swept value changes the availability model. The three
 named experiments vary, respectively, the execution time tau, the linear
 plant parameter a, and an artificial buffer-size cap.
 """
@@ -10,6 +12,7 @@ plant parameter a, and an artificial buffer-size cap.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import List, Optional, Sequence
@@ -21,7 +24,7 @@ from .controller import KINDS, ControllerKind
 from .errors import ConfigError
 from .plants import DisturbanceModel, make_builtin_plant
 from .simulation import (CI_Z, SimConfig, improvement_pct, monte_carlo,
-                         paired_diff, presample)
+                         paired_diff, presample_each)
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 
@@ -52,14 +55,22 @@ class ExperimentSpec:
             raise ConfigError(f"sweep variable must be tau, a, or buffer_cap, got {self.sweep!r}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be nonempty")
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in self.grid):
-            raise ConfigError(f"sweep grid must hold numbers, got {list(self.grid)!r}")
+        if any(isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v)
+               for v in self.grid):
+            raise ConfigError(f"sweep grid must hold finite numbers, got {list(self.grid)!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
+        if self.sweep == "tau" and any(not 0.0 < v < 1.0 for v in self.grid):
+            raise ConfigError(f"sweep grid over tau must lie in (0, 1), got {list(self.grid)!r}")
         if self.sweep == "buffer_cap" and any(not isinstance(v, Integral) or v < 1
                                               for v in self.grid):
             raise ConfigError(f"sweep grid over buffer_cap must hold integers >= 1, "
                               f"got {list(self.grid)!r}")
+
+
+def _grid(grid: Optional[Sequence[float]], default: tuple) -> tuple:
+    """The given grid, or the default when none is given; an empty grid stays empty."""
+    return default if grid is None else tuple(grid)
 
 
 def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
@@ -75,7 +86,7 @@ def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
             disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01),
             horizon=horizon, runs=runs, master_seed=seed,
         )
-        return ExperimentSpec("fig1", "tau", tuple(grid or (0.1, 0.2, 0.3, 0.4, 0.5)), base)
+        return ExperimentSpec("fig1", "tau", _grid(grid, (0.1, 0.2, 0.3, 0.4, 0.5)), base)
     if name == "fig2":
         plant = make_builtin_plant("linear_scalar", a=0.9)
         base = SimConfig(
@@ -85,7 +96,7 @@ def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
             disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
             horizon=horizon, runs=runs, master_seed=seed,
         )
-        return ExperimentSpec("fig2", "a", tuple(grid or (0.9, 1.1, 1.3, 1.5)), base)
+        return ExperimentSpec("fig2", "a", _grid(grid, (0.9, 1.1, 1.3, 1.5)), base)
     if name == "fig3":
         plant = make_builtin_plant("linear_scalar", a=1.7)
         base = SimConfig(
@@ -95,7 +106,7 @@ def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
             disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
             horizon=horizon, runs=runs, master_seed=seed,
         )
-        return ExperimentSpec("fig3", "buffer_cap", tuple(grid or (1, 2, 3, 4)), base)
+        return ExperimentSpec("fig3", "buffer_cap", _grid(grid, (1, 2, 3, 4)), base)
     raise ConfigError(f"no built-in experiment named {name!r}")
 
 
@@ -113,13 +124,19 @@ def _config_at(spec: ExperimentSpec, value: float, kind: str) -> SimConfig:
 
 
 def run_sweep(spec: ExperimentSpec) -> List[dict]:
-    """One row per grid point, comparing the three controllers under shared streams."""
+    """One row per grid point, comparing the three controllers under shared streams.
+
+    Each run's streams are seeded once for the whole sweep (see
+    `simulation.presample_each`): its disturbances and initial state are
+    drawn once, and its N schedule once per availability model, so only a
+    `tau` sweep draws new schedules at every grid point.
+    """
+    cells = [{kind: _config_at(spec, value, kind) for kind in KINDS} for value in spec.grid]
+    blocks = presample_each([configs["baseline"] for configs in cells])
     rows = []
-    for value in spec.grid:
-        configs = {kind: _config_at(spec, value, kind) for kind in KINDS}
+    for value, configs in zip(spec.grid, cells):
         # the three controllers share one read-only block of presampled streams
-        base = configs["baseline"]
-        draws = presample(base)
+        draws = next(blocks)
         summaries = {kind: monte_carlo(config, draws) for kind, config in configs.items()}
         del draws  # freed before the next grid point's block is drawn
         row = {"grid_value": value}

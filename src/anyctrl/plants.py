@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 SQRT5 = np.sqrt(5.0)
+DISTURBANCE_KINDS = ("none", "uniform", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class DisturbanceModel:
     variance: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "uniform", "gaussian"):
+        if self.kind not in DISTURBANCE_KINDS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
         if self.kind == "uniform" and self.lo > self.hi:
             raise ConfigError("disturbance.lo must be <= disturbance.hi")
@@ -212,6 +213,7 @@ _BUILDERS = {
     "sat_2d": _sat_2d,
     "log_lyapunov": _log_lyapunov,
 }
+BUILTIN_PLANTS = tuple(sorted(_BUILDERS))
 
 
 def make_builtin_plant(name: str, **params) -> PlantModel:
@@ -222,7 +224,7 @@ def make_builtin_plant(name: str, **params) -> PlantModel:
     try:
         builder = _BUILDERS[name]
     except KeyError:
-        raise ConfigError(f"unknown plant {name!r}; choose from {sorted(_BUILDERS)}") from None
+        raise ConfigError(f"unknown plant {name!r}; choose from {list(BUILTIN_PLANTS)}") from None
     try:
         return builder(**params)
     except TypeError as exc:

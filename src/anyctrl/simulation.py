@@ -6,26 +6,36 @@ seed, so comparing controllers on the same run index reuses identical
 (N, w) draws: common random numbers across controller variants.
 
 Two loops drive the one controller kernel (`controller.controller_step`)
-and draw the same per-run streams through one helper (`_presample_run`):
-`run_episode` steps a single run on `()` lanes and records its full trace,
-and the batch engine behind `monte_carlo` steps all runs at once on
-`(runs,)` lanes. Each loop keeps a `controller.Ring` of in-flight
-tentative sequences, reads every step's input source from the ring's
-closed-form source map, and drains the ring once it stops stepping, so
-every computed depth is tested. Both sum each run's stage costs in step
-order, so a run's cost is the same bit for bit on either loop. Every plant
-must broadcast over leading axes (see `plants.PlantModel`).
+and draw the same per-run streams (`_run_draws`): `run_episode` steps a
+single run on `()` lanes and records its full trace, and the batch engine
+behind `monte_carlo` steps all runs at once on `(runs,)` lanes. Each loop
+keeps a `controller.Ring` of in-flight tentative sequences, reads every
+step's input source from the ring's closed-form source map, and drains
+the ring once it stops stepping, so every computed depth is tested.
+
+A loop's step does only the recursion: the gather that gives u(k), one
+advance of the in-flight sequences, the plant step and the divergence
+guard. The bookkeeping runs once per block of `Ring.block` steps: the
+ring tests the block's Lyapunov decreases in one stacked pass, and the
+engine evaluates the block's stage costs in one pass and adds them to
+each run's cost in step order. `run_episode` sums its trace's stage costs
+in step order too, so a run's cost is the same bit for bit on either
+loop. Every plant must broadcast over leading axes (see
+`plants.PlantModel`).
 
 The batch engine reads every run's streams from one stacked block
-(`presample`). A sweep builds that block once per grid point and hands it
-to the baseline, a1 and a2 calls, which differ only in their controller.
+(`presample`). A sweep seeds each run's streams once (`presample_each`),
+draws the disturbances and initial states once, and redraws only the N
+schedules when the availability model changes; each grid point's block
+is handed to the baseline, a1 and a2 calls, which differ only in their
+controller.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,13 +117,17 @@ class SimTrace:
         return self.x.shape[0]
 
 
+def _run_draws(config: SimConfig, run_index: int):
+    """(availability generator, disturbance draws, x0) for one run, from its three streams."""
+    avail_rng, dist_rng, init_rng = run_streams(config.master_seed, run_index)
+    w = config.disturbance.draw(dist_rng, (config.horizon,))
+    return avail_rng, w, _initial_state(config, init_rng)
+
+
 def _presample_run(config: SimConfig, run_index: int):
     """(N schedule, disturbance draws, x0) for one run, from its three streams."""
-    avail_rng, dist_rng, init_rng = run_streams(config.master_seed, run_index)
-    sampler = make_sampler(config.availability, avail_rng)
-    n_sched = sampler.presample(config.horizon)
-    w = config.disturbance.draw(dist_rng, (config.horizon,))
-    return n_sched, w, _initial_state(config, init_rng)
+    avail_rng, w, x0 = _run_draws(config, run_index)
+    return make_sampler(config.availability, avail_rng).presample(config.horizon), w, x0
 
 
 def run_episode(config: SimConfig, run_index: int,
@@ -189,15 +203,40 @@ def presample(config: SimConfig):
     availability, disturbance and initial-state settings but not on the
     controller, so configs that differ only in their controller can share it.
     """
-    plant = config.plant
-    n_all = np.empty((config.runs, config.horizon), dtype=np.int64)
-    w_all = np.empty((config.runs, config.horizon, plant.m))
-    x0 = np.empty((config.runs, plant.n))
-    for r in range(config.runs):
-        n_all[r], w_all[r], x0[r] = _presample_run(config, r)
-    for a in (n_all, w_all, x0):
-        a.flags.writeable = False
-    return n_all, w_all, x0
+    return next(presample_each([config]))
+
+
+def presample_each(configs: Sequence[SimConfig]) -> Iterator:
+    """Yield `presample(config)` for each config in turn, seeding every run's streams once.
+
+    The configs may differ in their availability model, plant parameters
+    and controller, and must agree in everything else that `presample`
+    reads. The disturbances and initial states are drawn once and shared
+    by every block. The N schedules are drawn again, from each run's saved
+    availability-generator state, whenever the availability model is not
+    the previous config's (by identity); the last schedules are released
+    first, so a caller that drops each block before asking for the next
+    holds one at a time.
+    """
+    first = configs[0]
+    runs, horizon, plant = first.runs, first.horizon, first.plant
+    w_all = np.empty((runs, horizon, plant.m))
+    x0 = np.empty((runs, plant.n))
+    states = []  # each run's availability-generator state before its first draw
+    for r in range(runs):
+        rng, w_all[r], x0[r] = _run_draws(first, r)
+        states.append(rng.bit_generator.state)
+    w_all.flags.writeable = x0.flags.writeable = False
+    n_all = availability = None
+    for config in configs:
+        if config.availability is not availability:
+            availability, n_all = config.availability, None
+            n_all = np.empty((runs, horizon), dtype=np.int64)
+            for r, state in enumerate(states):
+                rng.bit_generator.state = state
+                n_all[r] = make_sampler(availability, rng).presample(horizon)
+            n_all.flags.writeable = False
+        yield n_all, w_all, x0
 
 
 def _batch_simulate(config: SimConfig,
@@ -206,10 +245,13 @@ def _batch_simulate(config: SimConfig,
 
     `draws` is `presample(config)`, drawn here when not given. Each step
     makes one `controller_step` call on all runs, with N(k) = 0 on the runs
-    that have diverged, so they start no new sequence. The loop ends when
-    every run has diverged and no checkpoint is left; the sequences still
-    in flight are then drained. V rows come back one per requested
-    checkpoint, in the order given.
+    that have diverged, so they start no new sequence; until a run
+    diverges, the step skips the masks that keep diverged runs. The states and
+    inputs of a block of `ring.block` steps are kept, and their stage costs
+    are added once per block (`_add_stage_costs`). The loop ends when every
+    run has diverged and no checkpoint is left; the last block's costs are
+    then added and the sequences still in flight drained. V rows come back
+    one per requested checkpoint, in the order given.
     """
     plant = config.plant
     horizon, runs = config.horizon, config.runs
@@ -225,27 +267,55 @@ def _batch_simulate(config: SimConfig,
     kind = config.controller
     ring = Ring(plant, config.buffer_capacity, (runs,))
     alive = np.ones(runs, dtype=bool)
+    diverged = False  # whether any run has; until then the masks below are identities
     cost = np.zeros(runs)
+    xs, us = [], []  # the block's states and inputs, step by step
 
     with np.errstate(over="ignore", invalid="ignore"):
         # a diverged run's input is never read, so its sources need not know it diverged
         for k, src in zip(range(horizon), ring.sources(kind, n_all)):
-            u = controller_step(kind, plant, x, np.where(alive, n_all[:, k], 0), ring, src)
+            n = np.where(alive, n_all[:, k], 0) if diverged else n_all[:, k]
+            u = controller_step(kind, plant, x, n, ring, src)
             if k in wanted:
                 v_rows[k] = plant.lyapunov(x)
-            cost += config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
+            xs.append(x)
+            us.append(u)
             x_next = plant.f(x, u, w_all[:, k])
             # NaN and inf fail the comparison, so non-finite states count as diverged
-            alive &= norm(x_next) <= OVERFLOW_GUARD
-            x = np.where(alive[:, None], x_next, x)
-            if k >= last_check and not alive.any():
+            finite = norm(x_next) <= OVERFLOW_GUARD
+            if diverged or not finite.all():
+                diverged = True
+                alive &= finite
+                x = np.where(alive[:, None], x_next, x)
+            else:
+                x = x_next
+            if len(xs) == ring.block:
+                cost = _add_stage_costs(config, cost, xs, us)
+            if diverged and k >= last_check and not alive.any():
                 break
+        cost = _add_stage_costs(config, cost, xs, us)
         drain(plant, ring)
 
     costs = cost / horizon
     costs[~alive] = float("inf")
     v_at = np.array([v_rows[k] for k in checkpoints]) if checkpoints else None
     return costs, v_at  # v_at: (len(checkpoints), runs)
+
+
+def _add_stage_costs(config: SimConfig, cost: np.ndarray, xs: list, us: list) -> np.ndarray:
+    """`cost` plus the stage costs of the steps in `xs`/`us`, added in step order; empties both.
+
+    The stage costs of all steps are evaluated in one pass and summed by a
+    running sum over the step axis, so each run's total is the same bit
+    for bit as adding one step's stage cost at a time.
+    """
+    if not xs:
+        return cost
+    x, u = np.stack(xs), np.stack(us)
+    xs.clear()
+    us.clear()
+    stage = config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
+    return np.add.accumulate(np.concatenate((cost[None], stage)), axis=0)[-1]
 
 
 def monte_carlo(config: SimConfig, draws=None) -> CostSummary:

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anyctrl import experiments
+from anyctrl import experiments, simulation
 from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
 from anyctrl.controller import KINDS, ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import _config_at, builtin_experiment, run_sweep
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (SimConfig, _batch_simulate, empirical_cost,
-                                mean_lyapunov_at, monte_carlo, presample, run_episode)
+from anyctrl.simulation import (SimConfig, _batch_simulate, empirical_cost, mean_lyapunov_at,
+                                monte_carlo, presample, presample_each, run_episode,
+                                run_streams)
 
 from oracles import masked_batch_simulate, naive_closed_loop
 
@@ -96,34 +97,90 @@ def test_mean_lyapunov_keeps_checkpoint_order():
         mean_lyapunov_at(cfg, [0, cfg.horizon])
 
 
-def test_run_sweep_equals_independent_monte_carlo(monkeypatch):
-    spec = builtin_experiment("fig1", seed=2, runs=12, horizon=300, grid=(0.1, 0.3, 0.5))
-    blocks, results = [], []
+def markov_a_sweep(seed, runs, horizon, grid):
+    """A custom sweep of the linear plant's a under a Markov processor."""
+    base = SimConfig(plant=make_builtin_plant("linear_scalar", a=0.9),
+                     availability=MarkovAvailability(Q3, P3),
+                     controller=ControllerKind("baseline"),
+                     disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                     horizon=horizon, runs=runs, master_seed=seed, x0_box=(-1.0, 1.0))
+    return experiments.ExperimentSpec("custom", "a", grid, base)
 
-    def recording_presample(config):
-        block = presample(config)
-        blocks.append((block, [a.copy() for a in block]))
-        return block
+
+SWEEPS = {
+    "fig1-tau": lambda: builtin_experiment("fig1", seed=2, runs=12, horizon=300,
+                                           grid=(0.1, 0.3, 0.5)),
+    "fig2-a": lambda: builtin_experiment("fig2", seed=4, runs=12, horizon=300, grid=(0.9, 1.5)),
+    "fig3-buffer_cap": lambda: builtin_experiment("fig3", seed=5, runs=12, horizon=300,
+                                                  grid=(1, 2, 4)),
+    "custom-a-markov": lambda: markov_a_sweep(6, 12, 300, (0.8, 1.2, 1.4)),
+}
+
+
+def check_sweep_against_monte_carlo(monkeypatch, spec):
+    """Run `spec` and assert what `test_run_sweep_equals_independent_monte_carlo` states."""
+    blocks, results, seeded = [], [], []
+
+    def recording_presample_each(configs):
+        for block in presample_each(configs):
+            blocks.append((block, [a.copy() for a in block]))
+            yield block
 
     def recording_monte_carlo(config, draws=None):
         summary = monte_carlo(config, draws)
         results.append(summary.per_run_costs)
         return summary
 
-    monkeypatch.setattr(experiments, "presample", recording_presample)
+    def recording_run_streams(master_seed, run_index):
+        seeded.append(run_index)
+        return run_streams(master_seed, run_index)
+
+    monkeypatch.setattr(experiments, "presample_each", recording_presample_each)
     monkeypatch.setattr(experiments, "monte_carlo", recording_monte_carlo)
+    monkeypatch.setattr(simulation, "run_streams", recording_run_streams)
     rows = run_sweep(spec)
     monkeypatch.undo()
 
     assert len(blocks) == len(spec.grid) and len(results) == 3 * len(spec.grid)
-    for block, copies in blocks:
-        for array, copy in zip(block, copies):
+    assert seeded == list(range(spec.base.runs))
+    for value, (block, copies) in zip(spec.grid, blocks):
+        want = presample(_config_at(spec, value, "baseline"))
+        for array, copy, wanted in zip(block, copies, want):
             assert not array.flags.writeable
             np.testing.assert_array_equal(array, copy)
+            assert array.dtype == wanted.dtype
+            np.testing.assert_array_equal(array, wanted)
     cells = [(value, kind) for value in spec.grid for kind in KINDS]
     for (value, kind), costs in zip(cells, results):
         np.testing.assert_array_equal(costs, monte_carlo(_config_at(spec, value, kind)).per_run_costs)
     assert [row["grid_value"] for row in rows] == list(spec.grid)
+
+
+def test_run_sweep_equals_independent_monte_carlo(monkeypatch):
+    """On a tau, an a, a buffer_cap and a Markov a sweep: each grid point's block is
+    read-only, left unwritten and equal to `presample` of that grid point; the sweep
+    seeds each run's streams once; and every cell's costs equal an independent
+    `monte_carlo` call."""
+    for name in sorted(SWEEPS):
+        check_sweep_against_monte_carlo(monkeypatch, SWEEPS[name]())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_diverged_run_keeps_its_last_state(kind):
+    # one disturbance spike throws run 0 past the overflow guard at step 5; from its
+    # last state the next step would be back in range, but a diverged run stays put
+    cfg = replace(sweep_cell("fig2", 1.5, kind), runs=3, horizon=20)
+    n_all, w_all, x0 = presample(cfg)
+    w_all = w_all.copy()
+    w_all[0, 5] = 1e13
+    draws = (n_all, w_all, x0)
+    checkpoints = [4, 5, 6, 10, 19]
+    want_costs, want_v = masked_batch_simulate(cfg, set(checkpoints), draws=draws)
+    costs, v_at = _batch_simulate(cfg, checkpoints=checkpoints, draws=draws)
+    np.testing.assert_array_equal(costs, want_costs)
+    np.testing.assert_array_equal(v_at, np.array([want_v[k] for k in checkpoints]))
+    assert costs[0] == np.inf and np.isfinite(costs[1:]).all()
+    assert v_at[1, 0] == v_at[2, 0] == v_at[3, 0] == v_at[4, 0]
 
 
 # --- certificate violations past the first prediction step ---

@@ -104,6 +104,27 @@ def test_cli_simulate(tmp_path, capsys):
     assert "mean cost" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("traces", ["4", "-1"])
+def test_cli_simulate_rejects_traces_outside_the_runs(tmp_path, capsys, traces):
+    # 4 traces of 3 runs would write trace_3.csv for a run runs.csv does not hold
+    path = write_config(tmp_path, SIM_DOC)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out),
+                 "--runs", "3", "--horizon", "20", "--traces", traces])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--traces" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_simulate_writes_a_trace_for_every_run(tmp_path):
+    path = write_config(tmp_path, SIM_DOC)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--runs", "3", "--horizon", "20", "--traces", "3"]) == 0
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == [f"trace_{r}.csv" for r in range(3)]
+
+
 def test_cli_simulate_reports_bad_tau(tmp_path, capsys):
     doc = dict(SIM_DOC)
     doc["availability"] = {"kind": "exec_time", "tau": 1.5}
