@@ -3,12 +3,15 @@
 
 For every cell (grid value x controller kind) of the fig1, fig2 and fig3
 sweeps, run through `run_sweep`, it prints a digest of the per-run costs,
-one of the sweep rows, and one over x, u, N, lambda and V of the first
-`--traces` `run_episode` traces of the cell's config. Two more configs
-(sat_2d under a 3-state Markov processor, and log_lyapunov) get the same
-cost and trace digests from `monte_carlo` and `run_episode`, and
-`anyctrl simulate --traces 2` on configs/simulate.yaml gets one digest per
-output file.
+one of the sweep rows, one over x, u, N, lambda and V of the first
+`--traces` `run_episode` traces of the cell's config, and one of the
+per-run V at the steps in CHECKPOINTS (those below the horizon) from
+`_batch_simulate`. A fig1 cell also gets a digest of the `run_episode`
+trace of its first diverging run, the trace that stops at the overflow
+guard. Two more configs (sat_2d under a 3-state Markov processor, and
+log_lyapunov) get the same cost, trace and V digests from `monte_carlo`,
+`run_episode` and `_batch_simulate`, and `anyctrl simulate --traces 2` on
+configs/simulate.yaml gets one digest per output file.
 
 Run it on two checkouts and diff the outputs; an empty diff means every
 cost, row, trace and CLI file is bit-identical:
@@ -37,12 +40,16 @@ from anyctrl.availability import MarkovAvailability, from_execution_time  # noqa
 from anyctrl.cli import main as cli_main  # noqa: E402
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
 from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
-from anyctrl.simulation import SimConfig, monte_carlo, run_episode  # noqa: E402
+from anyctrl.simulation import (SimConfig, _batch_simulate, monte_carlo,  # noqa: E402
+                                run_episode)
 
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
       [0.30, 0.30, 0.20, 0.10, 0.10],
       [0.70, 0.15, 0.08, 0.05, 0.02]]
+# the first step, both sides of the first block boundary (16 steps), a later
+# step and the last step (-1 stands for horizon - 1)
+CHECKPOINTS = (0, 15, 16, 200, -1)
 
 
 def digest(*arrays) -> str:
@@ -54,12 +61,28 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def trace_digest(config, traces: int) -> str:
+def trace_digest(config, runs) -> str:
     parts = []
-    for r in range(traces):
+    for r in runs:
         t = run_episode(config, r)
         parts += [t.x, t.u, t.n_seq, t.lam, t.v, np.array([t.diverged])]
     return digest(*parts)
+
+
+def checkpoint_digest(config) -> str:
+    steps = sorted({k % config.horizon for k in CHECKPOINTS if k < config.horizon})
+    _, v_at = _batch_simulate(config, checkpoints=steps)
+    return digest(np.array(steps), v_at)
+
+
+def print_cell(cell, config, costs, traces: int, diverging: bool = False) -> None:
+    print(f"{cell} costs {digest(costs)}")
+    print(f"{cell} traces {trace_digest(config, range(traces))}")
+    print(f"{cell} checkpoints {checkpoint_digest(config)}")
+    if diverging:
+        runs = np.flatnonzero(~np.isfinite(costs))[:1]
+        first = f"run {runs[0]} {trace_digest(config, runs)}" if runs.size else "none"
+        print(f"{cell} first diverging {first}")
 
 
 def extra_configs(seed: int, runs: int, horizon: int):
@@ -101,18 +124,16 @@ def main():
             experiments.monte_carlo = mc
         cells = [(value, kind) for value in spec.grid for kind in KINDS]
         for (value, kind), summary in zip(cells, summaries):
-            cell = f"{name} {spec.sweep}={value:g} {kind}"
-            print(f"{cell} costs {digest(summary.per_run_costs)}")
-            config = experiments._config_at(spec, value, kind)
-            print(f"{cell} traces {trace_digest(config, args.traces)}")
+            print_cell(f"{name} {spec.sweep}={value:g} {kind}",
+                       experiments._config_at(spec, value, kind), summary.per_run_costs,
+                       args.traces, diverging=name == "fig1")
         table = [[row[k] for k in experiments.SWEEP_COLUMNS] for row in rows]
         print(f"{name} rows {digest(np.array(table, dtype=float))}")
 
     for name, base in extra_configs(args.seed, args.runs, args.horizon).items():
         for kind in KINDS:
             config = replace(base, controller=ControllerKind(kind))
-            print(f"{name} {kind} costs {digest(monte_carlo(config).per_run_costs)}")
-            print(f"{name} {kind} traces {trace_digest(config, args.traces)}")
+            print_cell(f"{name} {kind}", config, monte_carlo(config).per_run_costs, args.traces)
 
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(["simulate", "--config", str(ROOT / "configs" / "simulate.yaml"),

@@ -77,9 +77,6 @@ def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
         raise ConfigError("missing key sweep (tau | a | buffer_cap) for custom experiment")
     if grid is None:
         raise ConfigError("missing key grid for custom experiment")
-    if sweep == "a" and base.plant.name != "linear_scalar":
-        raise ConfigError("sweeping a needs base.plant.name linear_scalar, "
-                          f"got {base.plant.name!r}")
     kind = base_doc["availability"]["kind"]
     if sweep == "tau" and kind != "exec_time":
         raise ConfigError(f"sweeping tau needs base.availability.kind exec_time, got {kind!r}")
@@ -89,7 +86,10 @@ def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
 def cmd_sweep(args) -> int:
     data = load_yaml(args.config)
     name = data.get("experiment", "custom")
-    overrides = parse_scale(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
+    scale = parse_scale(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
+    # a value neither the top level nor a flag gives stays the base's (or the built-in default)
+    overrides = {key: value for key, value in scale.items()
+                 if key in data or getattr(args, key) is not None}
     grid = data.get("grid")
     if grid is not None and not isinstance(grid, list):
         raise ConfigError(f"grid must be a list, got {grid!r}")

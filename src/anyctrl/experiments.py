@@ -53,6 +53,9 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment {self.name!r}; choose from {EXPERIMENTS}")
         if self.sweep not in ("tau", "a", "buffer_cap"):
             raise ConfigError(f"sweep variable must be tau, a, or buffer_cap, got {self.sweep!r}")
+        if self.sweep == "a" and self.base.plant.name != "linear_scalar":
+            raise ConfigError("sweeping a needs base.plant.name linear_scalar, "
+                              f"got {self.base.plant.name!r}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be nonempty")
         if any(isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v)
@@ -115,8 +118,9 @@ def _config_at(spec: ExperimentSpec, value: float, kind: str) -> SimConfig:
     cap = None
     if spec.sweep == "tau":
         base = replace(base, availability=from_execution_time(float(value)))
-    elif spec.sweep == "a":
-        base = replace(base, plant=make_builtin_plant("linear_scalar", a=float(value)))
+    elif spec.sweep == "a":  # the base plant's LQR weights carry over
+        weights = {key: base.plant.params[key] for key in ("q", "r")}
+        base = replace(base, plant=make_builtin_plant("linear_scalar", a=float(value), **weights))
     else:
         cap = int(value)
     controller = ControllerKind(kind, buffer_cap=cap if kind != "baseline" else None)

@@ -7,11 +7,12 @@ used by the stability certificates.
 
 Every plant broadcasts: ``f``, ``kappa`` and ``V`` accept arrays with the
 state/input/disturbance components on the last axis and broadcast over
-leading axes. The controller kernel and both simulation loops rely on it.
+leading axes. The controller kernel and the simulation loop rely on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -104,19 +105,19 @@ def norm(x) -> np.ndarray:
     return np.sqrt(np.square(x).sum(-1))
 
 
-def lqr_gain_scalar(a: float, q: float, r: float, tol: float = 1e-12, max_iter: int = 100000) -> float:
+def lqr_gain_scalar(a: float, q: float, r: float) -> float:
     """Infinite-horizon LQR gain for x+ = a x + u with stage cost q x^2 + r u^2.
 
-    Iterates the scalar Riccati recursion to a fixed point.
+    The cost-to-go p is the larger root of the Riccati equation
+    p^2 + (r - q - a^2 r) p - q r = 0, in its cancellation-free form; for
+    q = 0 and |a| > 1 it is r (a^2 - 1), whose gain a - 1/a stabilises.
     """
-    pk = q
-    for _ in range(max_iter):
-        pk_next = q + a * a * pk * r / (r + pk)
-        if abs(pk_next - pk) <= tol:
-            pk = pk_next
-            break
-        pk = pk_next
-    return a * pk / (r + pk)
+    if not (q >= 0.0 and r > 0.0):
+        raise ConfigError(f"LQR weights need q >= 0 and r > 0, got q={q}, r={r}")
+    b = r - q - a * a * r
+    root = math.sqrt(b * b + 4.0 * q * r)
+    p = 2.0 * q * r / (b + root) if b > 0.0 else (root - b) / 2.0
+    return a * p / (r + p)
 
 
 def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
@@ -150,7 +151,7 @@ def _linear_scalar(a: float, q: float = 0.2, r: float = 2.0) -> PlantModel:
         name="linear_scalar", n=1, p=1, m=1,
         f=f, lyapunov=norm, policy=kappa,
         rho=rho, alpha=max(1.0, abs(a)),
-        params={"a": a, "gain": gain},
+        params={"a": a, "q": q, "r": r, "gain": gain},
     )
 
 
@@ -219,7 +220,7 @@ BUILTIN_PLANTS = tuple(sorted(_BUILDERS))
 def make_builtin_plant(name: str, **params) -> PlantModel:
     """Construct one of the four built-in plants by name.
 
-    cubic_scalar(alpha=None), linear_scalar(a), sat_2d(), log_lyapunov(rho).
+    cubic_scalar(alpha=None), linear_scalar(a, q=0.2, r=2.0), sat_2d(), log_lyapunov(rho).
     """
     try:
         builder = _BUILDERS[name]

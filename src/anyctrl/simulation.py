@@ -5,23 +5,24 @@ disturbance, initial state) derived deterministically from the master
 seed, so comparing controllers on the same run index reuses identical
 (N, w) draws: common random numbers across controller variants.
 
-Two loops drive the one controller kernel (`controller.controller_step`)
-and draw the same per-run streams (`_run_draws`): `run_episode` steps a
-single run on `()` lanes and records its full trace, and the batch engine
-behind `monte_carlo` steps all runs at once on `(runs,)` lanes. Each loop
-keeps a `controller.Ring` of in-flight tentative sequences, reads every
-step's input source from the ring's closed-form source map, and drains
-the ring once it stops stepping, so every computed depth is tested.
+One loop over time steps (`_blocks`) drives the one controller kernel
+(`controller.controller_step`) on any leading lane shape: `run_episode`
+steps a single run on `()` lanes and records its full trace, and the batch
+engine behind `monte_carlo` steps all runs at once on `(runs,)` lanes. Both
+draw the same per-run streams (`_run_draws`). The loop keeps a
+`controller.Ring` of in-flight tentative sequences, reads every step's
+input source from the ring's closed-form source map, and drains the ring
+once it stops stepping, so every computed depth is tested.
 
-A loop's step does only the recursion: the gather that gives u(k), one
-advance of the in-flight sequences, the plant step and the divergence
-guard. The bookkeeping runs once per block of `Ring.block` steps: the
-ring tests the block's Lyapunov decreases in one stacked pass, and the
-engine evaluates the block's stage costs in one pass and adds them to
-each run's cost in step order. `run_episode` sums its trace's stage costs
-in step order too, so a run's cost is the same bit for bit on either
-loop. Every plant must broadcast over leading axes (see
-`plants.PlantModel`).
+A step does only the recursion: the gather that gives u(k), one advance of
+the in-flight sequences, the plant step and the divergence guard. The
+bookkeeping runs once per block of `Ring.block` steps: the ring tests the
+block's Lyapunov decreases in one stacked pass, and the loop hands the
+block's states and inputs to its consumer. `run_episode` joins the blocks
+into its trace; the engine evaluates each block's stage costs in one pass
+and adds them to each run's cost in step order, as `empirical_cost` sums a
+trace's, so a run's cost is the same bit for bit either way. Every plant
+must broadcast over leading axes (see `plants.PlantModel`).
 
 The batch engine reads every run's streams from one stacked block
 (`presample`). A sweep seeds each run's streams once (`presample_each`),
@@ -124,42 +125,31 @@ def _run_draws(config: SimConfig, run_index: int):
     return avail_rng, w, _initial_state(config, init_rng)
 
 
-def _presample_run(config: SimConfig, run_index: int):
-    """(N schedule, disturbance draws, x0) for one run, from its three streams."""
-    avail_rng, w, x0 = _run_draws(config, run_index)
-    return make_sampler(config.availability, avail_rng).presample(config.horizon), w, x0
-
-
 def run_episode(config: SimConfig, run_index: int,
                 forced_n: Optional[Sequence[int]] = None) -> SimTrace:
     """Simulate one closed-loop episode; deterministic given (master_seed, run_index).
 
     `forced_n` replaces the availability draws with a fixed sequence-length
     schedule (used for trace-level checks); disturbances and x0 are unchanged.
+    It stops at the step whose next state fails the overflow guard; an empty
+    `forced_n` gives an empty trace.
     """
-    plant, kind = config.plant, config.controller
-    n_sched, w_all, x = _presample_run(config, run_index)
-    if forced_n is not None:
-        n_sched = np.array(forced_n, dtype=np.int64)
-    horizon = min(config.horizon, len(n_sched))
-    ring = Ring(plant, config.buffer_capacity, first_run=run_index)
-    xs = np.empty((horizon, plant.n))
-    us = np.empty((horizon, plant.p))
-    diverged = False
+    avail_rng, w_all, x0 = _run_draws(config, run_index)
+    n_sched = (make_sampler(config.availability, avail_rng).presample(config.horizon)
+               if forced_n is None else np.array(forced_n, dtype=np.int64)[:config.horizon])
+    xs, us, alive = [np.empty((0, config.plant.n))], [np.empty((0, config.plant.p))], True
+    for states, inputs, alive in _blocks(config, n_sched, w_all, x0, first_run=run_index):
+        xs.append(states)
+        us.append(inputs)
+    xs = np.concatenate(xs)
+    ns = n_sched[:len(xs)]
+    return SimTrace(xs, np.concatenate(us), ns, effective_lengths(config.controller, ns),
+                    config.plant.lyapunov(xs), not alive)
 
-    for k, src in zip(range(horizon), ring.sources(kind, n_sched[:horizon])):
-        u = controller_step(kind, plant, x, n_sched[k], ring, src)
-        xs[k], us[k] = x, u
-        x = plant.f(x, u, w_all[k])
-        if not norm(x) <= OVERFLOW_GUARD:  # the engine's guard: NaN and inf fail it too
-            diverged = True
-            horizon = k + 1
-            break
-    drain(plant, ring)
 
-    xs, ns = xs[:horizon], n_sched[:horizon]
-    return SimTrace(xs, us[:horizon], ns, effective_lengths(kind, ns),
-                    plant.lyapunov(xs), diverged)
+def _stage_costs(x: np.ndarray, u: np.ndarray, q_x: float, r_u: float) -> np.ndarray:
+    """q_x*|x|^2 + r_u*|u|^2 per step and lane, component axis last."""
+    return q_x * np.square(x).sum(-1) + r_u * np.square(u).sum(-1)
 
 
 def empirical_cost(trace: SimTrace, q_x: float, r_u: float) -> float:
@@ -169,8 +159,7 @@ def empirical_cost(trace: SimTrace, q_x: float, r_u: float) -> float:
     """
     if trace.diverged:
         return float("inf")
-    stage = q_x * np.square(trace.x).sum(-1) + r_u * np.square(trace.u).sum(-1)
-    return float(np.cumsum(stage)[-1]) / trace.steps
+    return float(np.cumsum(_stage_costs(trace.x, trace.u, q_x, r_u))[-1]) / trace.steps
 
 
 @dataclass
@@ -239,83 +228,82 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
         yield n_all, w_all, x0
 
 
+def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0, last_check: int = -1):
+    """Step the closed loop on the lanes of `x0`; yield (states, inputs, alive) per block.
+
+    The lanes are the leading axes of `x0` (`(..., n)`), of the N schedule
+    (`(..., horizon)`) and of the disturbances (`(..., horizon, m)`): `()`
+    for one run, `(runs,)` for the batch engine. A block holds x(k) and u(k)
+    for `ring.block` steps, and `alive` the lanes not diverged by its end. A
+    diverged lane keeps its last state and starts no sequence. Once all have
+    diverged and step `last_check` is done, the loop stops; then the ring is drained.
+    """
+    plant, kind = config.plant, config.controller
+    horizon = n_sched.shape[-1]
+    ring = Ring(plant, config.buffer_capacity, x0.shape[:-1], first_run)
+    alive = np.ones(x0.shape[:-1], dtype=bool)
+    diverged = False  # whether any lane has; until then the masks below are identities
+    # on `()` lanes the guard gives a NumPy scalar, whose `all()` costs ~3 us a step
+    every = np.ndarray.all if alive.ndim else bool
+    x, xs, us = x0, [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a diverged lane's input is never read, so its sources need not know it diverged
+        for k, src in zip(range(horizon), ring.sources(kind, n_sched)):
+            n = np.where(alive, n_sched[..., k], 0) if diverged else n_sched[..., k]
+            u = controller_step(kind, plant, x, n, ring, src)
+            xs.append(x)
+            us.append(u)
+            x_next = plant.f(x, u, w[..., k, :])
+            # NaN and inf fail the comparison, so non-finite states count as diverged
+            finite = norm(x_next) <= OVERFLOW_GUARD
+            if diverged or not every(finite):
+                diverged = True
+                alive = alive & finite
+                x = np.where(alive[..., None], x_next, x)
+            else:
+                x = x_next
+            if diverged and k >= last_check and not alive.any():
+                break
+            if len(xs) == ring.block:
+                yield np.array(xs), np.array(us), alive
+                xs, us = [], []
+        if xs:
+            yield np.array(xs), np.array(us), alive
+        drain(plant, ring)
+
+
 def _batch_simulate(config: SimConfig,
                     checkpoints: Optional[Sequence[int]] = None, draws=None):
     """Step all runs at once; returns (per-run costs, V at checkpoints).
 
-    `draws` is `presample(config)`, drawn here when not given. Each step
-    makes one `controller_step` call on all runs, with N(k) = 0 on the runs
-    that have diverged, so they start no new sequence; until a run
-    diverges, the step skips the masks that keep diverged runs. The states and
-    inputs of a block of `ring.block` steps are kept, and their stage costs
-    are added once per block (`_add_stage_costs`). The loop ends when every
-    run has diverged and no checkpoint is left; the last block's costs are
-    then added and the sequences still in flight drained. V rows come back
-    one per requested checkpoint, in the order given.
+    `draws` is `presample(config)`, drawn here when not given. Each block's
+    stage costs are added by a running sum over the step axis, so a run's
+    total is the same bit for bit as adding one step at a time (and as
+    `empirical_cost` of its trace). V rows come back one per requested
+    checkpoint, in the order given.
     """
-    plant = config.plant
     horizon, runs = config.horizon, config.runs
-
-    n_all, w_all, x = presample(config) if draws is None else draws
-    if n_all.shape != (runs, horizon) or x.shape != (runs, plant.n):
+    n_all, w_all, x0 = presample(config) if draws is None else draws
+    if n_all.shape != (runs, horizon) or x0.shape != (runs, config.plant.n):
         raise ConfigError("presampled draws do not match the config's runs, horizon and state")
     checkpoints = list(checkpoints or ())
     if any(not 0 <= k < horizon for k in checkpoints):
         raise ConfigError(f"checkpoints must lie in 0..{horizon - 1}, got {checkpoints}")
-    wanted, last_check, v_rows = set(checkpoints), max(checkpoints, default=-1), {}
+    wanted, v_rows = set(checkpoints), {}
 
-    kind = config.controller
-    ring = Ring(plant, config.buffer_capacity, (runs,))
-    alive = np.ones(runs, dtype=bool)
-    diverged = False  # whether any run has; until then the masks below are identities
-    cost = np.zeros(runs)
-    xs, us = [], []  # the block's states and inputs, step by step
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a diverged run's input is never read, so its sources need not know it diverged
-        for k, src in zip(range(horizon), ring.sources(kind, n_all)):
-            n = np.where(alive, n_all[:, k], 0) if diverged else n_all[:, k]
-            u = controller_step(kind, plant, x, n, ring, src)
-            if k in wanted:
-                v_rows[k] = plant.lyapunov(x)
-            xs.append(x)
-            us.append(u)
-            x_next = plant.f(x, u, w_all[:, k])
-            # NaN and inf fail the comparison, so non-finite states count as diverged
-            finite = norm(x_next) <= OVERFLOW_GUARD
-            if diverged or not finite.all():
-                diverged = True
-                alive &= finite
-                x = np.where(alive[:, None], x_next, x)
-            else:
-                x = x_next
-            if len(xs) == ring.block:
-                cost = _add_stage_costs(config, cost, xs, us)
-            if diverged and k >= last_check and not alive.any():
-                break
-        cost = _add_stage_costs(config, cost, xs, us)
-        drain(plant, ring)
+    cost, start = np.zeros(runs), 0
+    for states, inputs, alive in _blocks(config, n_all, w_all, x0,
+                                         last_check=max(checkpoints, default=-1)):
+        stage = _stage_costs(states, inputs, config.q_x, config.r_u)
+        cost = np.add.accumulate(np.concatenate((cost[None], stage)), axis=0)[-1]
+        for k in wanted.intersection(range(start, start + len(states))):
+            v_rows[k] = config.plant.lyapunov(states[k - start])
+        start += len(states)
 
     costs = cost / horizon
     costs[~alive] = float("inf")
     v_at = np.array([v_rows[k] for k in checkpoints]) if checkpoints else None
     return costs, v_at  # v_at: (len(checkpoints), runs)
-
-
-def _add_stage_costs(config: SimConfig, cost: np.ndarray, xs: list, us: list) -> np.ndarray:
-    """`cost` plus the stage costs of the steps in `xs`/`us`, added in step order; empties both.
-
-    The stage costs of all steps are evaluated in one pass and summed by a
-    running sum over the step axis, so each run's total is the same bit
-    for bit as adding one step's stage cost at a time.
-    """
-    if not xs:
-        return cost
-    x, u = np.stack(xs), np.stack(us)
-    xs.clear()
-    us.clear()
-    stage = config.q_x * np.square(x).sum(-1) + config.r_u * np.square(u).sum(-1)
-    return np.add.accumulate(np.concatenate((cost[None], stage)), axis=0)[-1]
 
 
 def monte_carlo(config: SimConfig, draws=None) -> CostSummary:

@@ -4,8 +4,8 @@ Everything in here is deliberately written in the most literal way
 possible (python loops, lists, truncated infinite sums) so that it shares
 no code with the production modules it is checking. The one exception is
 the masked batch engine at the end, which reads its per-run streams
-through the package's own `_presample_run`: it is the reference for the
-batch engine's arithmetic, not for its draws.
+through the package's own `_run_draws` (`presample_run`): it is the
+reference for the batch engine's arithmetic, not for its draws.
 
 The shift-buffer controller (`tentative_sequence` and `controller_step`)
 is the kernel the package ran before it kept a ring of in-flight
@@ -16,9 +16,10 @@ for buffer contents, which the package no longer stores.
 
 import numpy as np
 
+from anyctrl.availability import make_sampler
 from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
 from anyctrl.errors import CertificateViolation, ConfigError
-from anyctrl.simulation import OVERFLOW_GUARD, _presample_run
+from anyctrl.simulation import OVERFLOW_GUARD, _run_draws
 
 SERIES_TERMS = 500
 
@@ -343,7 +344,31 @@ def a2_update_matrix_form(controls, prev_slots):
     return out.reshape(prev_slots.shape)
 
 
+# --- the scalar LQR gain by iterating the Riccati recursion ---
+
+def riccati_gain_loop(a, q, r, tol=1e-12, max_iter=100000):
+    """LQR gain for x+ = a x + u from the Riccati recursion iterated from p = q.
+
+    Stops once an iterate moves by at most `tol`. From p = 0 (q = 0) the
+    recursion never moves, so it returns gain 0 even where |a| > 1.
+    """
+    pk = q
+    for _ in range(max_iter):
+        pk_next = q + a * a * pk * r / (r + pk)
+        if abs(pk_next - pk) <= tol:
+            pk = pk_next
+            break
+        pk = pk_next
+    return a * pk / (r + pk)
+
+
 # --- the batch engine with one masked rollout pass and decrease test per depth ---
+
+def presample_run(config, run_index):
+    """(N schedule, disturbance draws, x0) for one run, as `run_episode` draws them."""
+    avail_rng, w, x0 = _run_draws(config, run_index)
+    return make_sampler(config.availability, avail_rng).presample(config.horizon), w, x0
+
 
 def masked_batch_simulate(config, checkpoints=(), draws=None):
     """Per-run costs and {k: V row at step k}, stepping all runs together.
@@ -365,7 +390,7 @@ def masked_batch_simulate(config, checkpoints=(), draws=None):
     w_all = np.empty((runs, horizon, plant.m))
     x = np.empty((runs, plant.n))
     for r in range(runs):
-        n_all[r], w_all[r], x[r] = _presample_run(config, r)
+        n_all[r], w_all[r], x[r] = presample_run(config, r)
     if draws is not None:
         n_all, w_all, x = (np.array(a) for a in draws)
     if kind.buffer_cap is not None:

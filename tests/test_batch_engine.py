@@ -296,7 +296,7 @@ def test_engine_and_episode_equal_oracles_on_forced_schedules(case):
     try:
         want, _ = masked_batch_simulate(cfg, draws=draws)
     except CertificateViolation as exc:
-        # the same violation from both loops: earliest step, first depth, lowest run
+        # the same violation on (runs,) and () lanes: earliest step, first depth, lowest run
         found = (exc.step_index, exc.start_step, exc.run)
         assert violation_of(lambda: monte_carlo(cfg, draws)) == found
         assert violation_of(lambda: run_episode(cfg, found[2], forced_n=n_all[found[2]])) == found

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from anyctrl import cli
 from anyctrl.availability import IidAvailability, MarkovAvailability
 from anyctrl.cli import main
 from anyctrl.config import (load_yaml, parse_availability,
@@ -165,6 +166,22 @@ def test_cli_sweep_custom(tmp_path, capsys):
         assert float(r["cost_baseline"]) > 0.0
 
 
+@pytest.mark.parametrize("top, flags, want", [
+    ({}, [], (9, 2, 5)),  # the base's values hold
+    ({"seed": 4, "runs": 3}, [], (4, 3, 5)),  # the top level replaces them
+    ({"seed": 4, "runs": 3}, ["--runs", "6", "--horizon", "7"], (4, 6, 7)),  # so does a flag
+])
+def test_cli_custom_sweep_keeps_the_base_scale(tmp_path, monkeypatch, top, flags, want):
+    specs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or [])
+    base = {**SIM_DOC, "seed": 9, "runs": 2, "horizon": 5}
+    path = write_config(tmp_path, {"experiment": "custom", "sweep": "tau", "grid": [0.2],
+                                   "base": base, **top})
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), *flags]) == 0
+    (spec,) = specs
+    assert (spec.base.master_seed, spec.base.runs, spec.base.horizon) == want
+
+
 def test_cli_sweep_builtin_smoke(tmp_path):
     path = write_config(tmp_path, {"experiment": "fig2", "grid": [0.9, 1.1]})
     out = tmp_path / "out"
@@ -210,6 +227,7 @@ MARKOV_AVAILABILITY = {"kind": "markov", "Q": [[0.9, 0.1], [0.2, 0.8]],
     ({"grid": "0.2"}, "grid"),
     ({"grid": [0.2, "0.3"]}, "grid"),
     ({"experiment": "fig3", "grid": [1, 2.5]}, "grid"),
+    ({"base": {**SIM_DOC, "horizon": 0}}, "base: horizon"),
 ])
 def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):
     doc = {"experiment": "custom", "sweep": "tau", "grid": [0.2, 0.3], "base": dict(SIM_DOC)}
@@ -232,6 +250,9 @@ def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):
     ({"controller": {"kind": "a1", "buffer_cap": 2.5}}, "controller.buffer_cap"),
     ({"controller": {"kind": "a1", "buffer_cap": "3"}}, "controller.buffer_cap"),
     ({"controller": {"kind": "a1", "buffer_cap": True}}, "controller.buffer_cap"),
+    ({"plant": {"name": "linear_scalar", "params": {"a": 1.2, "r": -2.0}}}, "plant.params"),
+    ({"plant": {"name": "linear_scalar", "params": {"a": 1.2, "r": 0}}}, "plant.params"),
+    ({"plant": {"name": "linear_scalar", "params": {"a": 1.2, "q": -0.5}}}, "plant.params"),
 ])
 def test_parse_sim_config_rejects_bad_keys(change, key):
     with pytest.raises(ConfigError, match=key):

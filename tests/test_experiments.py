@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from anyctrl.errors import ConfigError
-from anyctrl.experiments import (SWEEP_COLUMNS, ExperimentSpec,
+from anyctrl.experiments import (SWEEP_COLUMNS, ExperimentSpec, _config_at,
                                  builtin_experiment, run_sweep,
                                  write_sweep_csv)
+from anyctrl.plants import lqr_gain_scalar, make_builtin_plant
 from anyctrl.simulation import monte_carlo
 
 
@@ -18,6 +19,8 @@ def test_spec_validation():
         ExperimentSpec("custom", "tau", (), base)
     with pytest.raises(ConfigError):
         ExperimentSpec("custom", "tau", (0.3, 0.2), base)
+    with pytest.raises(ConfigError, match="base.plant.name"):
+        ExperimentSpec("custom", "a", (0.9, 1.1), base)  # the cubic plant has no a to sweep
 
 
 def test_builtin_protocols():
@@ -57,3 +60,17 @@ def test_sweeps_use_common_random_numbers():
     n_base = run_episode(base, 0).n_seq
     n_a2 = run_episode(replace(base, controller=ControllerKind("a2")), 0).n_seq
     np.testing.assert_array_equal(n_base, n_a2)
+
+
+def test_a_sweep_keeps_the_base_lqr_weights():
+    from dataclasses import replace
+    base = replace(builtin_experiment("fig2", runs=2, horizon=10).base,
+                   plant=make_builtin_plant("linear_scalar", a=1.1, q=1.0, r=0.5))
+    spec = ExperimentSpec("custom", "a", (0.9, 1.3), base)
+    for value in spec.grid:
+        for kind in ("baseline", "a2"):
+            params = _config_at(spec, value, kind).plant.params
+            assert params == {"a": value, "q": 1.0, "r": 0.5,
+                              "gain": lqr_gain_scalar(value, 1.0, 0.5)}
+    # the default weights (q 0.2, r 2.0) would give 0.194
+    assert abs(_config_at(spec, 0.9, "a1").plant.params["gain"] - 0.649) < 1e-3

@@ -7,6 +7,8 @@ from anyctrl.errors import ConfigError, DimensionError
 from anyctrl.plants import (DisturbanceModel, lqr_gain_scalar,
                             make_builtin_plant, norm, sat, step)
 
+from oracles import riccati_gain_loop
+
 PLANT_NAMES = ["cubic_scalar", "linear_scalar", "sat_2d", "log_lyapunov"]
 # half-width of the box the contraction test samples states from
 SAMPLE_BOX = {"cubic_scalar": 10.0, "linear_scalar": 10.0, "sat_2d": 10.0, "log_lyapunov": 100.0}
@@ -43,6 +45,40 @@ def test_lqr_gain_riccati_fixed_point():
     # recover the cost-to-go from the gain and check it solves the Riccati equation
     p = gain * r / (a - gain)
     assert abs(p - (q + a * a * p * r / (r + p))) < 1e-9
+
+
+@pytest.mark.parametrize("a, q, r", [(0.05, 0.2, 2.0), (0.9, 1.0, 0.5), (-1.3, 0.7, 0.1),
+                                     (3.0, 0.2, 2.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0),
+                                     (-2.0, 0.0, 3.0)])
+def test_lqr_gain_closed_form_solves_riccati(a, q, r):
+    gain = lqr_gain_scalar(a, q, r)
+    p = gain * r / (a - gain)  # the cost-to-go behind the gain
+    assert p >= 0.0 and abs(a - gain) < 1.0
+    assert abs(p - (q + a * a * p * r / (r + p))) <= 1e-12 * max(1.0, p)
+
+
+def test_lqr_gain_closed_form_matches_the_riccati_iteration():
+    # the iteration stops within its 1e-12 tolerance of the root; the stock weights
+    # move by at most 1.4e-12 relative over a in [0.05, 3]
+    for a in np.linspace(0.05, 3.0, 400):
+        want = riccati_gain_loop(a, 0.2, 2.0)
+        assert abs(lqr_gain_scalar(a, 0.2, 2.0) - want) <= 1.4e-12 * want
+
+
+def test_linear_plant_with_zero_state_weight_is_stabilised():
+    # with q = 0 the iteration never leaves p = 0, so its gain 0 leaves |a| > 1
+    # unstable; the larger Riccati root gives the stabilising gain a - 1/a
+    assert riccati_gain_loop(2.0, 0.0, 1.0) == 0.0
+    plant = make_builtin_plant("linear_scalar", a=2.0, q=0.0)
+    assert plant.params["gain"] == 1.5 and plant.rho == 0.5
+    with pytest.raises(ConfigError, match="not contracting"):
+        make_builtin_plant("linear_scalar", a=1.0, q=0.0)
+
+
+@pytest.mark.parametrize("q, r", [(-0.1, 2.0), (0.2, 0.0), (0.2, -2.0)])
+def test_lqr_gain_rejects_bad_weights(q, r):
+    with pytest.raises(ConfigError, match="q >= 0 and r > 0"):
+        lqr_gain_scalar(1.1, q, r)
 
 
 def test_unknown_plant_and_bad_params():

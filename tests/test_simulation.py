@@ -11,8 +11,7 @@ from anyctrl.controller import ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
 from anyctrl.simulation import (CostSummary, SimConfig, _batch_simulate,
-                                _presample_run, empirical_cost,
-                                improvement_pct, mean_lyapunov_at,
+                                empirical_cost, improvement_pct, mean_lyapunov_at,
                                 monte_carlo, paired_diff, presample,
                                 run_episode, run_streams, write_runs_csv,
                                 write_trace_csv)
@@ -269,7 +268,7 @@ def test_episode_equals_naive_loop_on_its_own_streams(kind, plant_name, tau, buf
                     disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
                     horizon=40, runs=1, master_seed=seed, x0_box=(-2.0, 2.0))
     trace = run_episode(cfg, run_index)
-    n_sched, w, x0 = _presample_run(cfg, run_index)
+    n_sched, w, x0 = oracles.presample_run(cfg, run_index)
     states, inputs, lams, _ = oracles.naive_closed_loop(
         kind, plant, x0, n_sched[:trace.steps], cfg.buffer_capacity, buffer_cap, w)
     np.testing.assert_array_equal(trace.x, np.array(states))
@@ -296,7 +295,7 @@ def ticks_in_flight(n_sched):
 @pytest.mark.parametrize("kind, buffer_cap", [("baseline", None), ("a1", None),
                                               ("a2", None), ("a2", 2)])
 def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_cap):
-    """Each loop calls simulation.controller_step once per step and
+    """monte_carlo and run_episode call simulation.controller_step once per step and
     controller.tentative_sequence once per step with a sequence in flight,
     drain steps included, so wrappers patched onto those module globals see
     all of the controller's work."""
