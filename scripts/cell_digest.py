@@ -10,14 +10,18 @@ per-run V at the steps in CHECKPOINTS (those below the horizon) from
 trace of its first diverging run, the trace that stops at the overflow
 guard. Two more configs (sat_2d under a 3-state Markov processor, and
 log_lyapunov) get the same cost, trace and V digests from `monte_carlo`,
-`run_episode` and `_batch_simulate`, and `anyctrl simulate --traces 2` on
-configs/simulate.yaml gets one digest per output file.
+`run_episode` and `_batch_simulate`. The N schedules that `presample` draws
+under a 16-state Markov processor, with its initial state set and unset,
+get one digest each. `anyctrl simulate --traces 2` gets one digest per
+output file, on configs/simulate.yaml and on the sat_2d Markov config.
 
-Run it on two checkouts and diff the outputs; an empty diff means every
-cost, row, trace and CLI file is bit-identical:
+It imports the package from the `src/` next to it unless PYTHONPATH is
+set, so one copy of the script can check two versions of the package.
+Diff the outputs; an empty diff means every cost, row, trace, schedule
+and CLI file is bit-identical:
 
     python scripts/cell_digest.py > after.txt
-    (cd ../other && python scripts/cell_digest.py) > before.txt
+    PYTHONPATH=../other/src python scripts/cell_digest.py > before.txt
     diff before.txt after.txt
 """
 
@@ -25,13 +29,16 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+if not os.environ.get("PYTHONPATH"):
+    sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -41,7 +48,7 @@ from anyctrl.cli import main as cli_main  # noqa: E402
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
 from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
 from anyctrl.simulation import (SimConfig, _batch_simulate, monte_carlo,  # noqa: E402
-                                run_episode)
+                                presample, run_episode)
 
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
@@ -99,6 +106,43 @@ def extra_configs(seed: int, runs: int, horizon: int):
     return {"markov_sat_2d": sat, "log_lyapunov": log}
 
 
+def chain16(initial_state):
+    """A 16-state chain; some of its cdf rows end just below or above 1 by float residue."""
+    rng = np.random.default_rng(16)
+    q = rng.dirichlet(np.full(16, 0.5), size=16)
+    p = rng.dirichlet(np.full(6, 0.5), size=16)
+    return MarkovAvailability(q, p, initial_state=initial_state)
+
+
+def print_schedules(seed: int, runs: int, horizon: int) -> None:
+    for initial_state in (None, 5):
+        config = SimConfig(plant=make_builtin_plant("sat_2d"),
+                           availability=chain16(initial_state),
+                           controller=ControllerKind("a2"),
+                           disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
+                           horizon=horizon, runs=runs, master_seed=seed)
+        print(f"markov16 initial_state={initial_state} schedules {digest(presample(config)[0])}")
+
+
+def markov_simulate_doc(seed: int) -> dict:
+    return {"plant": {"name": "sat_2d"},
+            "availability": {"kind": "markov", "Q": Q3, "P": P3},
+            "controller": {"kind": "a2"},
+            "disturbance": {"kind": "uniform", "lo": -0.05, "hi": 0.05},
+            "seed": seed, "x0_box": [-2.0, 2.0]}
+
+
+def print_cli_simulate(name: str, config: Path, runs: int, horizon: int) -> None:
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["simulate", "--config", str(config), "--out", out, "--runs", str(runs),
+                         "--horizon", str(horizon), "--traces", "2"])
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(Path(out).iterdir())}
+    print(f"{name} exit {code}")
+    for file, sha in files.items():
+        print(f"{name} {file} {sha}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -135,15 +179,13 @@ def main():
             config = replace(base, controller=ControllerKind(kind))
             print_cell(f"{name} {kind}", config, monte_carlo(config).per_run_costs, args.traces)
 
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(["simulate", "--config", str(ROOT / "configs" / "simulate.yaml"),
-                         "--out", out, "--runs", str(args.runs),
-                         "--horizon", str(args.horizon), "--traces", "2"])
-        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                 for path in sorted(Path(out).iterdir())}
-    print(f"cli simulate exit {code}")
-    for name, sha in files.items():
-        print(f"cli simulate {name} {sha}")
+    print_schedules(args.seed, args.runs, args.horizon)
+
+    print_cli_simulate("cli simulate", ROOT / "configs" / "simulate.yaml", args.runs, args.horizon)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "markov.yaml"
+        config.write_text(json.dumps(markov_simulate_doc(args.seed)))  # JSON is YAML
+        print_cli_simulate("cli simulate markov", config, args.runs, args.horizon)
 
 
 if __name__ == "__main__":

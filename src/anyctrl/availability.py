@@ -184,6 +184,13 @@ def _pick(cumulative: np.ndarray, u) -> np.ndarray:
     return np.minimum(np.searchsorted(cumulative, u, side="right"), cumulative.size - 1)
 
 
+def _open_top(cumulative: np.ndarray) -> np.ndarray:
+    """The cdf rows with their top entry set to +inf: a search never runs past the last index."""
+    out = cumulative.copy()
+    out[..., -1] = np.inf
+    return out
+
+
 class IidSampler:
     """Draws N(k) i.i.d. from the model pmf. One uniform per call."""
 
@@ -227,21 +234,22 @@ class MarkovSampler:
         """Vectorized draw of `count` lengths; identical to `count` sample() calls.
 
         Only the chain walk is sequential; it bisects Python lists because a
-        scalar numpy call per step costs more than the search itself. The
-        lengths are then picked for all steps at once: counting the cdf
-        entries <= u equals searchsorted(side="right") on a non-decreasing cdf.
+        scalar numpy call per step costs more than the search itself. Each
+        cdf row's top entry is +inf there, so the search never runs past the
+        last state and needs no clip: for u < 1 and a non-decreasing row it
+        finds the state the clipped search finds. The lengths are then picked
+        for all steps at once: counting the cdf entries <= u equals
+        searchsorted(side="right") on a non-decreasing cdf.
         """
         us = self.rng.random((count, 2))
-        cum_trans = self._cum_trans.tolist()
-        last = self.model.num_states - 1
+        cum_trans = _open_top(self._cum_trans).tolist()
         states = []
         state = self.state
         for u in us[:, 1].tolist():
             states.append(state)
-            state = min(bisect_right(cum_trans[state], u), last)
+            state = bisect_right(cum_trans[state], u)
         self.state = state
-        counts = (self._cum_rows[states] <= us[:, :1]).sum(axis=1)
-        return np.minimum(counts, self.model.max_len).astype(np.int64)
+        return (_open_top(self._cum_rows)[states] <= us[:, :1]).sum(axis=1, dtype=np.int64)
 
 
 Sampler = Union[IidSampler, MarkovSampler]

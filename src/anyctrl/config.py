@@ -153,11 +153,13 @@ def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] =
                 horizon: Optional[int] = None) -> dict:
     """seed, runs and horizon from the file, with keyword overrides winning.
 
-    The file's values are checked even where an override replaces them.
+    A value neither gives is the SimConfig default. The file's values are
+    checked even where an override replaces them.
     """
     given = {"seed": seed, "runs": runs, "horizon": horizon}
     out = {}
-    for key, default, least in (("seed", 0, 0), ("runs", 200, 1), ("horizon", 10_000, 1)):
+    for key, default, least in (("seed", SimConfig.master_seed, 0), ("runs", SimConfig.runs, 1),
+                                ("horizon", SimConfig.horizon, 1)):
         override = [] if given[key] is None else [given[key]]
         for value in [data.get(key, default)] + override:
             out[key] = _int(value, key)

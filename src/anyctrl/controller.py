@@ -12,10 +12,14 @@ flight: slot t mod C holds the predicted state, the end step t + N(t) and
 the latest input of the sequence started at step t. Each step starts the
 new sequence and then advances every in-flight row one depth with one
 stacked policy / f call (`tentative_sequence`), and that is all the
-recursion needs. The Lyapunov decrease tests of those depths are
-bookkeeping: the ring records each depth's states and runs one stacked V
-call and one test over a whole block of SOURCE_BLOCK steps (`check`), at
-each block's end and when it drains. A failure therefore surfaces at the
+recursion needs. The advanced states and inputs are scattered back as
+whole rows, through 1-D views of the ring (built once per ring) in which
+each float64 row is one `np.void` item; the plant's outputs are first
+cast to contiguous float64, as plain assignment casts them. The Lyapunov
+decrease tests of those depths are bookkeeping: the ring records each
+depth's states and runs one stacked V call and one test over a whole
+block of SOURCE_BLOCK steps (`check`), at each block's end and when it
+drains. A failure therefore surfaces at the
 end of its block, with the fields it would have had at its own step.
 
 The input played at step k is one gather from the ring, at a source
@@ -93,6 +97,9 @@ class Ring:
         self.end = np.zeros(lanes + (capacity,), dtype=np.int64)  # t + N(t)
         # each slot's latest input, flat, with one last row of zeros for steps without a source
         self.inputs = np.zeros((size + 1, plant.p))
+        # the same memory with one opaque item per state or input row, for 1-D scatters
+        self.chi_rows = _row_items(self.chi.reshape(size, plant.n))
+        self.input_rows = _row_items(self.inputs)
         self.base = np.arange(0, size, capacity).reshape(lanes)  # flat index of each lane's slot 0
         # a fresh array, never a view: bench/tracing.py tells the engine's plant
         # step from a rollout step by its disturbance being a view
@@ -154,13 +161,23 @@ def tentative_sequence(plant: PlantModel, ring: Ring) -> None:
     rows = (ring.end > ring.tick).ravel().nonzero()[0]
     if rows.size == 0:
         raise ConfigError(f"no tentative sequence in flight at step {ring.tick}")
-    chis = ring.chi.reshape(-1, ring.chi.shape[-1])
-    chi = chis.take(rows, axis=0)
+    chi = ring.chi.reshape(-1, ring.chi.shape[-1]).take(rows, axis=0)
     u = plant.policy(chi)
     nxt = plant.f(chi, u, ring.w0)
-    chis[rows] = nxt
-    ring.inputs[rows] = u
+    # a 1-D scatter of whole rows costs a quarter of numpy's row-subspace assignment
+    ring.chi_rows[rows] = _as_rows(nxt, ring.chi_rows.dtype)
+    ring.input_rows[rows] = _as_rows(u, ring.input_rows.dtype)
     ring.pending.append((ring.tick, rows, chi, nxt))
+
+
+def _row_items(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous `(count, width)` array as a view of `count` opaque items, one per row."""
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize))).reshape(-1)
+
+
+def _as_rows(a, row: np.dtype) -> np.ndarray:
+    """`(count, width)` values as `count` items of dtype `row`, cast to float64 as assignment is."""
+    return np.ascontiguousarray(a, dtype=float).view(row).reshape(-1)
 
 
 def check(plant: PlantModel, ring: Ring) -> None:

@@ -76,10 +76,15 @@ def _grid(grid: Optional[Sequence[float]], default: tuple) -> tuple:
     return default if grid is None else tuple(grid)
 
 
-def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
-                       horizon: int = 10_000,
+def builtin_experiment(name: str, *, seed: Optional[int] = None, runs: Optional[int] = None,
+                       horizon: Optional[int] = None,
                        grid: Optional[Sequence[float]] = None) -> ExperimentSpec:
-    """The three stock experiment protocols at desk scale."""
+    """The three stock experiment protocols at desk scale.
+
+    A `seed`, `runs` or `horizon` of None is the SimConfig default.
+    """
+    scale = {key: value for key, value in
+             (("master_seed", seed), ("runs", runs), ("horizon", horizon)) if value is not None}
     if name == "fig1":
         plant = make_builtin_plant("cubic_scalar")
         base = SimConfig(
@@ -87,7 +92,7 @@ def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
             availability=from_execution_time(0.3),  # placeholder, swept
             controller=ControllerKind("baseline"),
             disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01),
-            horizon=horizon, runs=runs, master_seed=seed,
+            **scale,
         )
         return ExperimentSpec("fig1", "tau", _grid(grid, (0.1, 0.2, 0.3, 0.4, 0.5)), base)
     if name == "fig2":
@@ -97,7 +102,7 @@ def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
             availability=from_execution_time(0.3),
             controller=ControllerKind("baseline"),
             disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
-            horizon=horizon, runs=runs, master_seed=seed,
+            **scale,
         )
         return ExperimentSpec("fig2", "a", _grid(grid, (0.9, 1.1, 1.3, 1.5)), base)
     if name == "fig3":
@@ -107,7 +112,7 @@ def builtin_experiment(name: str, *, seed: int = 0, runs: int = 200,
             availability=from_execution_time(0.23),
             controller=ControllerKind("baseline"),
             disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
-            horizon=horizon, runs=runs, master_seed=seed,
+            **scale,
         )
         return ExperimentSpec("fig3", "buffer_cap", _grid(grid, (1, 2, 3, 4)), base)
     raise ConfigError(f"no built-in experiment named {name!r}")

@@ -15,7 +15,12 @@ input source from the ring's closed-form source map, and drains the ring
 once it stops stepping, so every computed depth is tested.
 
 A step does only the recursion: the gather that gives u(k), one advance of
-the in-flight sequences, the plant step and the divergence guard. The
+the in-flight sequences, the plant step and the divergence guard. A lane
+diverges when its next state's norm exceeds OVERFLOW_GUARD or is not
+finite; the guard first tests the whole next state's squared norm, one dot
+product, against GUARD_PRECHECK, and takes the per-lane norms only when
+that fails (NaN, inf and an overflowing sum all fail it) and on every step
+after the first divergence, so its outcome is the per-lane test's. The
 bookkeeping runs once per block of `Ring.block` steps: the ring tests the
 block's Lyapunov decreases in one stacked pass, and the loop hands the
 block's states and inputs to its consumer. `run_episode` joins the blocks
@@ -46,6 +51,9 @@ from .errors import ConfigError
 from .plants import DisturbanceModel, PlantModel, norm
 
 OVERFLOW_GUARD = 1e12
+# a whole next state whose squared norm is at most this has every lane's norm
+# at most OVERFLOW_GUARD / 2, so its lanes pass the guard without testing each
+GUARD_PRECHECK = (OVERFLOW_GUARD / 2) ** 2
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -254,10 +262,13 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0, last_check: i
             xs.append(x)
             us.append(u)
             x_next = plant.f(x, u, w[..., k, :])
-            # NaN and inf fail the comparison, so non-finite states count as diverged
-            finite = norm(x_next) <= OVERFLOW_GUARD
-            if diverged or not every(finite):
-                diverged = True
+            flat = x_next.reshape(-1)
+            # NaN, inf and an overflowing sum fail both comparisons, so
+            # non-finite states count as diverged
+            if diverged or not flat.dot(flat) <= GUARD_PRECHECK:
+                finite = norm(x_next) <= OVERFLOW_GUARD
+                diverged = diverged or not every(finite)
+            if diverged:
                 alive = alive & finite
                 x = np.where(alive[..., None], x_next, x)
             else:
@@ -364,10 +375,12 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     n, p = trace.x.shape[1], trace.u.shape[1]
     header = (["k"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(p)]
               + ["N", "lambda", "V"])
+    # Python floats from tolist(): their repr is that of the array's values, at a
+    # fraction of the cost of converting each numpy scalar
+    columns = [range(trace.steps),
+               *(map(repr, c) for c in np.concatenate((trace.x, trace.u), axis=1).T.tolist()),
+               trace.n_seq.tolist(), trace.lam.tolist(), map(repr, trace.v.tolist())]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(trace.steps):
-            writer.writerow([k, *(repr(float(v)) for v in trace.x[k]),
-                             *(repr(float(v)) for v in trace.u[k]),
-                             int(trace.n_seq[k]), int(trace.lam[k]), repr(float(trace.v[k]))])
+        writer.writerows(zip(*columns))

@@ -12,6 +12,8 @@ is the kernel the package ran before it kept a ring of in-flight
 sequences. It rolls every sequence out in full when it starts and keeps
 the buffer of tentative inputs explicit, so it is the per-lane reference
 for buffer contents, which the package no longer stores.
+`ring_advance_fancy` is the ring advance with numpy's row-subspace
+assignment, the reference for the package's whole-row scatters.
 """
 
 import numpy as np
@@ -302,6 +304,27 @@ def controller_step(kind, plant, x, n, buf):
         else:
             nxt = np.where(n_slot >= 1, np.where(fresh_slot, fresh, 0.0), nxt)
     return nxt[..., 0, :], nxt
+
+
+# --- the ring advance with numpy's row-subspace scatters ---
+
+def ring_advance_fancy(plant, ring):
+    """`controller.tentative_sequence` with numpy's row-subspace assignment for the scatters.
+
+    The package scatters each ring row as one opaque item; this writes the
+    same rows through `chis[rows] = nxt`, which casts and reorders as plain
+    assignment does.
+    """
+    rows = (ring.end > ring.tick).ravel().nonzero()[0]
+    if rows.size == 0:
+        raise ConfigError(f"no tentative sequence in flight at step {ring.tick}")
+    chis = ring.chi.reshape(-1, ring.chi.shape[-1])
+    chi = chis.take(rows, axis=0)
+    u = plant.policy(chi)
+    nxt = plant.f(chi, u, ring.w0)
+    chis[rows] = nxt
+    ring.inputs[rows] = u
+    ring.pending.append((ring.tick, rows, chi, nxt))
 
 
 # --- literal matrix forms of the buffer updates ---

@@ -225,3 +225,57 @@ def test_markov_conditional_frequencies():
     freq = np.bincount(draws, minlength=3) / draws.size
     expected = 0.5 * model.cond_pmfs[0] + 0.5 * model.cond_pmfs[1]
     np.testing.assert_allclose(freq, expected, atol=0.01)
+
+
+@st.composite
+def residue_chains(draw):
+    """Chains of 1-16 states whose cdf rows end a few ulps below or above 1.
+
+    Each row's largest entry is moved by up to four ulps either way, so the
+    float residue of its cumulative sum lands on both sides of 1.
+    """
+    states = draw(st.integers(min_value=1, max_value=16))
+    max_len = draw(st.integers(min_value=0, max_value=8))
+
+    def rows(width):
+        out = []
+        for _ in range(states):
+            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)),
+                               dtype=float)
+            weights[draw(st.integers(0, width - 1))] += 1.0
+            row = weights / weights.sum()
+            big = int(row.argmax())
+            shift = draw(st.integers(-4, 4))
+            for _ in range(abs(shift)):
+                row[big] = np.nextafter(row[big], np.sign(shift) * np.inf)
+            out.append(row)
+        return np.array(out)
+
+    initial = draw(st.one_of(st.none(), st.integers(0, states - 1)))
+    return MarkovAvailability(rows(states), rows(max_len + 1), initial_state=initial)
+
+
+def near_the_top(model):
+    """Uniforms that decide ties and the top of every cdf row: cdf values and their neighbours."""
+    cdfs = np.concatenate([np.cumsum(model.transition, axis=1).ravel(),
+                           np.cumsum(model.cond_pmfs, axis=1).ravel(),
+                           np.cumsum(model.stationary)])
+    top = [1.0]
+    for _ in range(4):
+        top.append(np.nextafter(top[-1], 0.0))
+    values = np.concatenate([cdfs, np.nextafter(cdfs, 0.0), np.nextafter(cdfs, 2.0), top])
+    return np.unique(values[(values >= 0.0) & (values < 1.0)])
+
+
+@given(residue_chains(), st.sampled_from([0, 1, 1001]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_presample_equals_sample_loop_at_the_top_of_the_cdf(model, count, seed):
+    rng = np.random.default_rng(seed)
+    script = rng.random(2 * count + 1)
+    special = rng.random(script.size) < 0.5
+    script[special] = rng.choice(near_the_top(model), int(special.sum()))
+    a = make_sampler(model, ScriptedRng(script))
+    b = make_sampler(model, ScriptedRng(script))
+    ones = [a.sample() for _ in range(count)]
+    assert np.array_equal(b.presample(count), ones)
+    assert a.state == b.state

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from anyctrl.config import parse_scale
 from anyctrl.errors import ConfigError
 from anyctrl.experiments import (SWEEP_COLUMNS, ExperimentSpec, _config_at,
                                  builtin_experiment, run_sweep,
                                  write_sweep_csv)
 from anyctrl.plants import lqr_gain_scalar, make_builtin_plant
-from anyctrl.simulation import monte_carlo
+from anyctrl.simulation import SimConfig, monte_carlo
 
 
 def test_spec_validation():
@@ -35,6 +36,20 @@ def test_builtin_protocols():
     assert fig3.base.availability.max_len == 4
     with pytest.raises(ConfigError):
         builtin_experiment("fig4")
+
+
+def test_scale_defaults_have_one_home():
+    defaults = {"seed": SimConfig.master_seed, "runs": SimConfig.runs,
+                "horizon": SimConfig.horizon}
+    assert defaults == {"seed": 0, "runs": 200, "horizon": 10_000}
+    assert parse_scale({}) == defaults
+    for name in ("fig1", "fig2", "fig3"):
+        base = builtin_experiment(name).base
+        assert {"seed": base.master_seed, "runs": base.runs, "horizon": base.horizon} == defaults
+    # a value that is given leaves the others at their defaults
+    base = builtin_experiment("fig2", runs=3).base
+    assert (base.master_seed, base.runs, base.horizon) == (0, 3, 10_000)
+    assert parse_scale({"runs": 3}) == {**defaults, "runs": 3}
 
 
 def test_sweep_rows_and_csv(tmp_path):

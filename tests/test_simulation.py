@@ -9,7 +9,7 @@ from anyctrl import controller, simulation
 from anyctrl.availability import IidAvailability, from_execution_time
 from anyctrl.controller import ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
-from anyctrl.plants import DisturbanceModel, make_builtin_plant
+from anyctrl.plants import DisturbanceModel, PlantModel, make_builtin_plant
 from anyctrl.simulation import (CostSummary, SimConfig, _batch_simulate,
                                 empirical_cost, improvement_pct, mean_lyapunov_at,
                                 monte_carlo, paired_diff, presample,
@@ -325,3 +325,101 @@ def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_
         calls.update(step=0, rollout=0)
         trace = run_episode(cfg, r)
         assert calls == {"step": trace.steps, "rollout": computes * ticks_in_flight(n_all[r])}
+
+
+# --- the divergence guard's one-dot pre-check ---
+
+G = simulation.OVERFLOW_GUARD
+# the next state is the disturbance, so each lane's states are scripted exactly
+ECHO = PlantModel(name="echo", n=2, p=1, m=2,
+                  f=lambda x, u, w: w + np.zeros_like(x),
+                  lyapunov=lambda x: np.square(x).sum(-1),
+                  policy=lambda x: np.zeros(x.shape[:-1] + (1,)), rho=0.5)
+# (step, next state) of each lane's one large state; every other state is small
+SPIKES = {"0.49 guard": (2, [0.49 * G, 0.0]), "0.99 guard": (3, [0.6 * G, 0.79 * G]),
+          "1.01 guard": (5, [1.01 * G, 0.0]), "nan": (7, [np.nan, 0.0]),
+          "inf": (9, [0.0, np.inf]), "square overflows": (11, [1e200, 1e200]),
+          "none": (None, None)}
+GUARD_HORIZON = 20
+
+
+def guard_lanes(names):
+    """(x0, N schedule, disturbances) with the named spikes on lanes in the given order."""
+    rng = np.random.default_rng(4)
+    w = rng.uniform(-1.0, 1.0, (len(names), GUARD_HORIZON, 2))
+    for lane, name in enumerate(names):
+        step, state = SPIKES[name]
+        if step is not None:
+            w[lane, step] = state
+    n_sched = rng.integers(0, 3, (len(names), GUARD_HORIZON))
+    return rng.uniform(-1.0, 1.0, (len(names), 2)), n_sched, w
+
+
+def stepped(kind, x0, n_sched, w, last_check=-1):
+    """The states and last `alive` that `_blocks` yields."""
+    config = SimConfig(plant=ECHO, availability=IidAvailability([0.5, 0.3, 0.2]),
+                       controller=ControllerKind(kind),
+                       disturbance=DisturbanceModel(kind="none", dim=2),
+                       horizon=GUARD_HORIZON)
+    states, alive = [], None
+    for xs, _, alive in simulation._blocks(config, n_sched, w, x0, last_check=last_check):
+        states.append(xs)
+    return np.concatenate(states), alive
+
+
+def exact_guard(x0, w):
+    """States and alive flags under the exact per-lane test, stepping the whole horizon."""
+    x, alive, states = x0, np.ones(x0.shape[:-1], dtype=bool), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(GUARD_HORIZON):
+            states.append(x)
+            finite = np.sqrt(np.square(w[..., k, :]).sum(-1)) <= G
+            alive = alive & finite
+            x = np.where(alive[..., None], w[..., k, :], x)
+    return np.array(states), alive
+
+
+@pytest.mark.parametrize("kind", ["baseline", "a2"])
+def test_guard_precheck_on_run_lanes_equals_the_exact_test(monkeypatch, kind):
+    names = sorted(SPIKES)
+    x0, n_sched, w = guard_lanes(names)
+    states, alive = stepped(kind, x0, n_sched, w, last_check=GUARD_HORIZON - 1)
+    want_states, want_alive = exact_guard(x0, w)
+    np.testing.assert_array_equal(states, want_states)
+    np.testing.assert_array_equal(alive, want_alive)
+    assert dict(zip(names, alive)) == {name: name in ("none", "0.49 guard", "0.99 guard")
+                                       for name in names}
+    # diverged lanes keep the last state that passed the guard
+    for lane, name in enumerate(names):
+        step = SPIKES[name][0]
+        if not alive[lane]:
+            assert (states[step + 1:, lane] == w[lane, step - 1]).all()
+    # every step through the exact test alone gives the same states
+    monkeypatch.setattr(simulation, "GUARD_PRECHECK", -1.0)
+    exact_states, exact_alive = stepped(kind, x0, n_sched, w, last_check=GUARD_HORIZON - 1)
+    np.testing.assert_array_equal(states, exact_states)
+    np.testing.assert_array_equal(alive, exact_alive)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "a2"])
+@pytest.mark.parametrize("name", sorted(SPIKES))
+def test_guard_precheck_on_one_lane_truncates_where_the_exact_test_does(kind, name):
+    x0, n_sched, w = (a[0] for a in guard_lanes([name]))
+    states, alive = stepped(kind, x0, n_sched, w)
+    want_states, want_alive = exact_guard(x0, w)
+    step = SPIKES[name][0]
+    diverges = not want_alive
+    assert bool(alive) == (not diverges)
+    # a diverging episode stops after the step whose next state fails the guard
+    assert len(states) == (step + 1 if diverges else GUARD_HORIZON)
+    np.testing.assert_array_equal(states, want_states[:len(states)])
+
+
+def test_all_lanes_diverging_stop_the_loop_where_the_exact_test_does():
+    names = ["1.01 guard", "nan", "inf", "square overflows"]
+    x0, n_sched, w = guard_lanes(names)
+    states, alive = stepped("a2", x0, n_sched, w)
+    want_states, want_alive = exact_guard(x0, w)
+    assert not alive.any() and not want_alive.any()
+    assert len(states) == max(SPIKES[name][0] for name in names) + 1
+    np.testing.assert_array_equal(states, want_states[:len(states)])
