@@ -13,7 +13,9 @@ log_lyapunov) get the same cost, trace and V digests from `monte_carlo`,
 `run_episode` and `_batch_simulate`. The N schedules that `presample` draws
 under a 16-state Markov processor, with its initial state set and unset,
 get one digest each. `anyctrl simulate --traces 2` gets one digest per
-output file, on configs/simulate.yaml and on the sat_2d Markov config.
+output file, on configs/simulate.yaml and on the sat_2d Markov config, and
+`anyctrl sweep` one per output file on each configs/sweep_fig*.yaml (at the
+file's seed and the script's runs and horizon).
 
 It imports the package from the `src/` next to it unless PYTHONPATH is
 set, so one copy of the script can check two versions of the package.
@@ -132,10 +134,10 @@ def markov_simulate_doc(seed: int) -> dict:
             "seed": seed, "x0_box": [-2.0, 2.0]}
 
 
-def print_cli_simulate(name: str, config: Path, runs: int, horizon: int) -> None:
+def print_cli(name: str, command: str, config: Path, runs: int, horizon: int, *flags) -> None:
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(["simulate", "--config", str(config), "--out", out, "--runs", str(runs),
-                         "--horizon", str(horizon), "--traces", "2"])
+        code = cli_main([command, "--config", str(config), "--out", out, "--runs", str(runs),
+                         "--horizon", str(horizon), *flags])
         files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                  for path in sorted(Path(out).iterdir())}
     print(f"{name} exit {code}")
@@ -181,11 +183,15 @@ def main():
 
     print_schedules(args.seed, args.runs, args.horizon)
 
-    print_cli_simulate("cli simulate", ROOT / "configs" / "simulate.yaml", args.runs, args.horizon)
+    scale = (args.runs, args.horizon)
+    print_cli("cli simulate", "simulate", ROOT / "configs" / "simulate.yaml", *scale,
+              "--traces", "2")
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "markov.yaml"
         config.write_text(json.dumps(markov_simulate_doc(args.seed)))  # JSON is YAML
-        print_cli_simulate("cli simulate markov", config, args.runs, args.horizon)
+        print_cli("cli simulate markov", "simulate", config, *scale, "--traces", "2")
+    for config in sorted((ROOT / "configs").glob("sweep_fig*.yaml")):
+        print_cli(f"cli sweep {config.name}", "sweep", config, *scale)
 
 
 if __name__ == "__main__":

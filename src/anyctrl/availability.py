@@ -179,14 +179,15 @@ def require_valid(model: AvailabilityModel) -> AvailabilityModel:
     return model
 
 
-def _pick(cumulative: np.ndarray, u) -> np.ndarray:
-    """Invert a cdf at uniform draw(s); clipped against float residue at the top."""
-    return np.minimum(np.searchsorted(cumulative, u, side="right"), cumulative.size - 1)
+def _open_top(pmfs: np.ndarray) -> np.ndarray:
+    """The cdfs of the pmf rows with their top entry set to +inf.
 
-
-def _open_top(cumulative: np.ndarray) -> np.ndarray:
-    """The cdf rows with their top entry set to +inf: a search never runs past the last index."""
-    out = cumulative.copy()
+    A search then never runs past the last index: for u in [0, 1) and a
+    non-decreasing row, searchsorted(side="right") picks the index that the
+    search on the plain cdf, clipped to the last index against float
+    residue at the top, picks.
+    """
+    out = np.cumsum(pmfs, axis=-1)
     out[..., -1] = np.inf
     return out
 
@@ -197,14 +198,14 @@ class IidSampler:
     def __init__(self, model: IidAvailability, rng: np.random.Generator):
         self.model = model
         self.rng = rng
-        self._cum = np.cumsum(model.pmf)
+        self._cum = _open_top(model.pmf)
 
     def sample(self) -> int:
-        return int(_pick(self._cum, self.rng.random()))
+        return int(np.searchsorted(self._cum, self.rng.random(), side="right"))
 
     def presample(self, count: int) -> np.ndarray:
         """Vectorized draw of `count` lengths; identical to `count` sample() calls."""
-        return _pick(self._cum, self.rng.random(count)).astype(np.int64)
+        return np.searchsorted(self._cum, self.rng.random(count), side="right").astype(np.int64)
 
 
 class MarkovSampler:
@@ -218,38 +219,36 @@ class MarkovSampler:
     def __init__(self, model: MarkovAvailability, rng: np.random.Generator):
         self.model = model
         self.rng = rng
-        self._cum_rows = np.cumsum(model.cond_pmfs, axis=1)
-        self._cum_trans = np.cumsum(model.transition, axis=1)
+        self._cum_rows = _open_top(model.cond_pmfs)
+        # Python lists: the sequential chain walk bisects them, because a
+        # scalar numpy call per step costs more than the search itself
+        self._cum_trans = _open_top(model.transition).tolist()
         if model.initial_state is None:
-            self.state = int(_pick(np.cumsum(model.stationary), rng.random()))
+            self.state = bisect_right(_open_top(model.stationary).tolist(), rng.random())
         else:
             self.state = model.initial_state
 
     def sample(self) -> int:
-        n = int(_pick(self._cum_rows[self.state], self.rng.random()))
-        self.state = int(_pick(self._cum_trans[self.state], self.rng.random()))
+        n = int(np.searchsorted(self._cum_rows[self.state], self.rng.random(), side="right"))
+        self.state = bisect_right(self._cum_trans[self.state], self.rng.random())
         return n
 
     def presample(self, count: int) -> np.ndarray:
         """Vectorized draw of `count` lengths; identical to `count` sample() calls.
 
-        Only the chain walk is sequential; it bisects Python lists because a
-        scalar numpy call per step costs more than the search itself. Each
-        cdf row's top entry is +inf there, so the search never runs past the
-        last state and needs no clip: for u < 1 and a non-decreasing row it
-        finds the state the clipped search finds. The lengths are then picked
-        for all steps at once: counting the cdf entries <= u equals
+        Only the chain walk is sequential. The lengths are then picked for
+        all steps at once: counting the cdf entries <= u equals
         searchsorted(side="right") on a non-decreasing cdf.
         """
         us = self.rng.random((count, 2))
-        cum_trans = _open_top(self._cum_trans).tolist()
+        cum_trans = self._cum_trans
         states = []
         state = self.state
         for u in us[:, 1].tolist():
             states.append(state)
             state = bisect_right(cum_trans[state], u)
         self.state = state
-        return (_open_top(self._cum_rows)[states] <= us[:, :1]).sum(axis=1, dtype=np.int64)
+        return (self._cum_rows[states] <= us[:, :1]).sum(axis=1, dtype=np.int64)
 
 
 Sampler = Union[IidSampler, MarkovSampler]

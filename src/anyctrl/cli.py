@@ -9,7 +9,7 @@ from pathlib import Path
 from .config import (_section, load_yaml, parse_certificate_inputs, parse_scale,
                      parse_sim_config)
 from .errors import ConfigError
-from .experiments import (ExperimentSpec, builtin_experiment, run_sweep,
+from .experiments import (BUILTIN, ExperimentSpec, builtin_experiment, run_sweep,
                           write_sweep_csv)
 from .simulation import (monte_carlo, run_episode, write_runs_csv,
                          write_trace_csv)
@@ -80,7 +80,7 @@ def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
     kind = base_doc["availability"]["kind"]
     if sweep == "tau" and kind != "exec_time":
         raise ConfigError(f"sweeping tau needs base.availability.kind exec_time, got {kind!r}")
-    return ExperimentSpec("custom", sweep, tuple(grid), base)
+    return ExperimentSpec(sweep, tuple(grid), base)
 
 
 def cmd_sweep(args) -> int:
@@ -93,12 +93,13 @@ def cmd_sweep(args) -> int:
     grid = data.get("grid")
     if grid is not None and not isinstance(grid, list):
         raise ConfigError(f"grid must be a list, got {grid!r}")
-    if name in ("fig1", "fig2", "fig3"):
+    if isinstance(name, str) and name in BUILTIN:  # a list is unhashable: test it is a str first
         spec = builtin_experiment(name, grid=grid, **overrides)
     elif name == "custom":
         spec = _custom_spec(data, grid, overrides)
     else:
-        raise ConfigError(f"experiment must be one of fig1, fig2, fig3, custom; got {name!r}")
+        raise ConfigError(f"experiment must be one of {', '.join(BUILTIN)}, custom; "
+                          f"got {name!r}")
     rows = run_sweep(spec)
     out = _out_dir(args)
     path = out / f"sweep_{name}.csv"

@@ -5,8 +5,8 @@ parameter grid, reusing identical availability and disturbance streams per
 run index so that paired cost differences are low-variance. Each run's
 streams are seeded and drawn once per sweep; only the N schedules are
 drawn again when the swept value changes the availability model. The three
-named experiments vary, respectively, the execution time tau, the linear
-plant parameter a, and an artificial buffer-size cap.
+stock experiments (`BUILTIN`) vary, respectively, the execution time tau,
+the linear plant parameter a, and an artificial buffer-size cap.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .availability import from_execution_time
 from .controller import KINDS, ControllerKind
 from .errors import ConfigError
 from .plants import DisturbanceModel, make_builtin_plant
 from .simulation import (CI_Z, SimConfig, improvement_pct, monte_carlo,
                          paired_diff, presample_each)
-
-EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 
 SWEEP_COLUMNS = [
     "grid_value",
@@ -41,16 +37,13 @@ SWEEP_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named sweep: which variable moves over which grid, on what template."""
+    """A sweep: which variable moves over which grid, on what template."""
 
-    name: str
     sweep: str  # tau | a | buffer_cap
     grid: Sequence[float]
     base: SimConfig
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.name!r}; choose from {EXPERIMENTS}")
         if self.sweep not in ("tau", "a", "buffer_cap"):
             raise ConfigError(f"sweep variable must be tau, a, or buffer_cap, got {self.sweep!r}")
         if self.sweep == "a" and self.base.plant.name != "linear_scalar":
@@ -71,51 +64,35 @@ class ExperimentSpec:
                               f"got {list(self.grid)!r}")
 
 
-def _grid(grid: Optional[Sequence[float]], default: tuple) -> tuple:
-    """The given grid, or the default when none is given; an empty grid stays empty."""
-    return default if grid is None else tuple(grid)
+# The stock studies, one row each: sweep variable, default grid, plant name
+# and params, execution time tau (a tau sweep replaces it), disturbance.
+BUILTIN = {
+    "fig1": ("tau", (0.1, 0.2, 0.3, 0.4, 0.5), "cubic_scalar", {}, 0.3,
+             DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01)),
+    "fig2": ("a", (0.9, 1.1, 1.3, 1.5), "linear_scalar", {"a": 0.9}, 0.3,
+             DisturbanceModel(kind="gaussian", dim=1, variance=0.1)),
+    "fig3": ("buffer_cap", (1, 2, 3, 4), "linear_scalar", {"a": 1.7}, 0.23,
+             DisturbanceModel(kind="gaussian", dim=1, variance=0.1)),
+}
 
 
 def builtin_experiment(name: str, *, seed: Optional[int] = None, runs: Optional[int] = None,
                        horizon: Optional[int] = None,
                        grid: Optional[Sequence[float]] = None) -> ExperimentSpec:
-    """The three stock experiment protocols at desk scale.
+    """The stock experiment protocol `name` (a key of BUILTIN) at desk scale.
 
-    A `seed`, `runs` or `horizon` of None is the SimConfig default.
+    A `seed`, `runs` or `horizon` of None is the SimConfig default, and a
+    `grid` of None the protocol's default grid.
     """
+    if name not in BUILTIN:
+        raise ConfigError(f"no built-in experiment named {name!r}")
+    sweep, default_grid, plant, params, tau, disturbance = BUILTIN[name]
     scale = {key: value for key, value in
              (("master_seed", seed), ("runs", runs), ("horizon", horizon)) if value is not None}
-    if name == "fig1":
-        plant = make_builtin_plant("cubic_scalar")
-        base = SimConfig(
-            plant=plant,
-            availability=from_execution_time(0.3),  # placeholder, swept
-            controller=ControllerKind("baseline"),
-            disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01),
-            **scale,
-        )
-        return ExperimentSpec("fig1", "tau", _grid(grid, (0.1, 0.2, 0.3, 0.4, 0.5)), base)
-    if name == "fig2":
-        plant = make_builtin_plant("linear_scalar", a=0.9)
-        base = SimConfig(
-            plant=plant,
-            availability=from_execution_time(0.3),
-            controller=ControllerKind("baseline"),
-            disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
-            **scale,
-        )
-        return ExperimentSpec("fig2", "a", _grid(grid, (0.9, 1.1, 1.3, 1.5)), base)
-    if name == "fig3":
-        plant = make_builtin_plant("linear_scalar", a=1.7)
-        base = SimConfig(
-            plant=plant,
-            availability=from_execution_time(0.23),
-            controller=ControllerKind("baseline"),
-            disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
-            **scale,
-        )
-        return ExperimentSpec("fig3", "buffer_cap", _grid(grid, (1, 2, 3, 4)), base)
-    raise ConfigError(f"no built-in experiment named {name!r}")
+    base = SimConfig(plant=make_builtin_plant(plant, **params),
+                     availability=from_execution_time(tau),
+                     controller=ControllerKind("baseline"), disturbance=disturbance, **scale)
+    return ExperimentSpec(sweep, default_grid if grid is None else tuple(grid), base)
 
 
 def _config_at(spec: ExperimentSpec, value: float, kind: str) -> SimConfig:

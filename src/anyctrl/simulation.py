@@ -276,10 +276,10 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0, last_check: i
             if diverged and k >= last_check and not alive.any():
                 break
             if len(xs) == ring.block:
-                yield np.array(xs), np.array(us), alive
+                yield np.array(xs, dtype=float), np.array(us, dtype=float), alive
                 xs, us = [], []
         if xs:
-            yield np.array(xs), np.array(us), alive
+            yield np.array(xs, dtype=float), np.array(us, dtype=float), alive
         drain(plant, ring)
 
 

@@ -18,7 +18,7 @@ assignment, the reference for the package's whole-row scatters.
 
 import numpy as np
 
-from anyctrl.availability import make_sampler
+from anyctrl.availability import IidAvailability, make_sampler
 from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.simulation import OVERFLOW_GUARD, _run_draws
@@ -158,6 +158,34 @@ def is_primitive_stepwise(mat):
             return True
         power = power @ b
     return bool(power.all())
+
+
+# --- availability draws, one clipped cdf inversion per step ---
+
+def _clipped_pick(cdf, u):
+    """Invert a cdf at u; clipped to the last index against float residue at the top."""
+    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+
+def sample_loop(model, rng, count):
+    """(`count` lengths drawn one step at a time, final chain state) of a sampler on `rng`.
+
+    A Markov model draws an unset initial state from the stationary
+    distribution; an i.i.d. model has no chain state (None).
+    """
+    if isinstance(model, IidAvailability):
+        cdf = np.cumsum(model.pmf)
+        return [_clipped_pick(cdf, rng.random()) for _ in range(count)], None
+    rows = np.cumsum(model.cond_pmfs, axis=1)
+    trans = np.cumsum(model.transition, axis=1)
+    state = model.initial_state
+    if state is None:
+        state = _clipped_pick(np.cumsum(model.stationary), rng.random())
+    lengths = []
+    for _ in range(count):
+        lengths.append(_clipped_pick(rows[state], rng.random()))
+        state = _clipped_pick(trans[state], rng.random())
+    return lengths, state
 
 
 # --- effective-length bookkeeping recursions, straight off the definitions ---

@@ -152,6 +152,7 @@ def test_presample_matches_repeated_sample_iid(seed, count):
     b = make_sampler(model, np.random.default_rng(seed))
     ones = [a.sample() for _ in range(count)]
     assert np.array_equal(b.presample(count), ones)
+    assert ones == oracles.sample_loop(model, np.random.default_rng(seed), count)[0]
 
 
 def _stochastic_rows(draw, count, width, self_loops):
@@ -212,6 +213,7 @@ def test_presample_matches_repeated_sample_markov(model, seed, data):
         ones = [a.sample() for _ in range(count)]
         assert np.array_equal(b.presample(count), ones)
         assert a.state == b.state
+        assert (ones, a.state) == oracles.sample_loop(model, make_rng(), count)
 
 
 def test_markov_conditional_frequencies():
@@ -279,3 +281,4 @@ def test_presample_equals_sample_loop_at_the_top_of_the_cdf(model, count, seed):
     ones = [a.sample() for _ in range(count)]
     assert np.array_equal(b.presample(count), ones)
     assert a.state == b.state
+    assert (ones, a.state) == oracles.sample_loop(model, ScriptedRng(script), count)

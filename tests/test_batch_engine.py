@@ -104,7 +104,7 @@ def markov_a_sweep(seed, runs, horizon, grid):
                      controller=ControllerKind("baseline"),
                      disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
                      horizon=horizon, runs=runs, master_seed=seed, x0_box=(-1.0, 1.0))
-    return experiments.ExperimentSpec("custom", "a", grid, base)
+    return experiments.ExperimentSpec("a", grid, base)
 
 
 SWEEPS = {

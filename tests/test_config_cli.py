@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from anyctrl.cli import main
 from anyctrl.config import (load_yaml, parse_availability,
                             parse_certificate_inputs, parse_sim_config)
 from anyctrl.errors import ConfigError
+from anyctrl.experiments import builtin_experiment, run_sweep, write_sweep_csv
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 
 SIM_DOC = {
     "plant": {"name": "linear_scalar", "params": {"a": 1.2}},
@@ -136,11 +141,8 @@ def test_cli_simulate_reports_bad_tau(tmp_path, capsys):
 
 
 def test_cli_stability(tmp_path, capsys):
-    path = write_config(tmp_path, {
-        "rho": 0.5, "alpha": 1.618,
-        "availability": {"kind": "exec_time", "tau": 0.23}})
     out = tmp_path / "out"
-    code = main(["stability", "--config", str(path), "--out", str(out)])
+    code = main(["stability", "--config", str(CONFIG_DIR / "stability.yaml"), "--out", str(out)])
     assert code == 0
     text = (out / "stability.txt").read_text()
     assert "verdict.a1=stable" in text
@@ -191,6 +193,17 @@ def test_cli_sweep_builtin_smoke(tmp_path):
     with open(out / "sweep_fig2.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header[:4] == ["grid_value", "cost_baseline", "cost_a1", "cost_a2"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_shipped_configs_run(tmp_path, path):
+    command, _, name = path.stem.partition("_")  # simulate, stability or sweep_<experiment>
+    scale = ["--runs", "3", "--horizon", "50"] if command != "stability" else []
+    assert main([command, "--config", str(path), "--out", str(tmp_path), *scale]) == 0
+    if command == "sweep":  # a stock sweep's file runs its built-in protocol at seed 7
+        write_sweep_csv(run_sweep(builtin_experiment(name, seed=7, runs=3, horizon=50)),
+                        tmp_path / "want.csv")
+        assert (tmp_path / f"{path.stem}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_cli_sweep_rejects_unknown_experiment(tmp_path, capsys):

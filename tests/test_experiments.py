@@ -13,15 +13,13 @@ from anyctrl.simulation import SimConfig, monte_carlo
 def test_spec_validation():
     base = builtin_experiment("fig1").base
     with pytest.raises(ConfigError):
-        ExperimentSpec("fig7", "tau", (0.1,), base)
+        ExperimentSpec("gamma", (0.1,), base)
     with pytest.raises(ConfigError):
-        ExperimentSpec("custom", "gamma", (0.1,), base)
+        ExperimentSpec("tau", (), base)
     with pytest.raises(ConfigError):
-        ExperimentSpec("custom", "tau", (), base)
-    with pytest.raises(ConfigError):
-        ExperimentSpec("custom", "tau", (0.3, 0.2), base)
+        ExperimentSpec("tau", (0.3, 0.2), base)
     with pytest.raises(ConfigError, match="base.plant.name"):
-        ExperimentSpec("custom", "a", (0.9, 1.1), base)  # the cubic plant has no a to sweep
+        ExperimentSpec("a", (0.9, 1.1), base)  # the cubic plant has no a to sweep
 
 
 def test_builtin_protocols():
@@ -81,7 +79,7 @@ def test_a_sweep_keeps_the_base_lqr_weights():
     from dataclasses import replace
     base = replace(builtin_experiment("fig2", runs=2, horizon=10).base,
                    plant=make_builtin_plant("linear_scalar", a=1.1, q=1.0, r=0.5))
-    spec = ExperimentSpec("custom", "a", (0.9, 1.3), base)
+    spec = ExperimentSpec("a", (0.9, 1.3), base)
     for value in spec.grid:
         for kind in ("baseline", "a2"):
             params = _config_at(spec, value, kind).plant.params

@@ -4,7 +4,8 @@
 the ring as one opaque item per row, after casting the plant's output to
 contiguous float64. Plants may return Fortran-ordered, transposed, strided
 or float32 arrays; the ring and every cost must then be what the plain
-`chis[rows] = nxt` assignment of `oracles.ring_advance_fancy` gives.
+`chis[rows] = nxt` assignment of `oracles.ring_advance_fancy` gives, and
+the batch engine must cost a run as its own episode does.
 """
 
 from dataclasses import replace
@@ -16,7 +17,7 @@ from anyctrl import controller
 from anyctrl.availability import MarkovAvailability
 from anyctrl.controller import KINDS, ControllerKind, Ring, tentative_sequence
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, _batch_simulate, run_episode
+from anyctrl.simulation import SimConfig, _batch_simulate, empirical_cost, run_episode
 
 import oracles
 
@@ -89,12 +90,15 @@ def markov_sat_2d(plant, kind):
                      horizon=120, runs=12, master_seed=9, x0_box=(-2.0, 2.0))
 
 
-@pytest.mark.parametrize("kind", [k for k in KINDS if k != "baseline"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
     config = markov_sat_2d(laid_out(SAT_2D, layout), kind)
     costs, _ = _batch_simulate(config)
     traces = [run_episode(config, r) for r in range(2)]
+    # the engine's `(runs,)` lanes and one run's `()` lanes cost the plant's output alike
+    np.testing.assert_array_equal(costs[:2], [empirical_cost(trace, config.q_x, config.r_u)
+                                              for trace in traces])
     monkeypatch.setattr(controller, "tentative_sequence", oracles.ring_advance_fancy)
     want, _ = _batch_simulate(config)
     np.testing.assert_array_equal(costs, want)
@@ -103,3 +107,4 @@ def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
         np.testing.assert_array_equal(trace.x, expected.x)
         np.testing.assert_array_equal(trace.u, expected.u)
         np.testing.assert_array_equal(trace.v, expected.v)
+
