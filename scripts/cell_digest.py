@@ -12,15 +12,21 @@ guard. Two more configs (sat_2d under a 3-state Markov processor, and
 log_lyapunov) get the same cost, trace and V digests from `monte_carlo`,
 `run_episode` and `_batch_simulate`. The N schedules that `presample` draws
 under a 16-state Markov processor, with its initial state set and unset,
-get one digest each. `anyctrl simulate --traces 2` gets one digest per
-output file, on configs/simulate.yaml and on the sat_2d Markov config, and
-`anyctrl sweep` one per output file on each configs/sweep_fig*.yaml (at the
-file's seed and the script's runs and horizon).
+get one digest each. The certificate lines (`evaluate(...).lines()`) of a
+seeded set of inputs get one digest per kind of input: execution-time and
+random i.i.d. models, dense and slow ring Markov chains, chains with
+degenerate (p0|s = 1) states, and chains with alpha * p_hat0 within 1e-3 of
+one. `anyctrl simulate --traces 2` gets one digest per output file, on
+configs/simulate.yaml and on the sat_2d Markov config, `anyctrl stability`
+one per output file on configs/stability.yaml and
+configs/stability_markov.yaml, and `anyctrl sweep` one per output file on
+each configs/sweep_fig*.yaml (at the file's seed and the script's runs and
+horizon).
 
 It imports the package from the `src/` next to it unless PYTHONPATH is
 set, so one copy of the script can check two versions of the package.
-Diff the outputs; an empty diff means every cost, row, trace, schedule
-and CLI file is bit-identical:
+Diff the outputs; an empty diff means every cost, row, trace, schedule,
+certificate and CLI file is bit-identical:
 
     python scripts/cell_digest.py > after.txt
     PYTHONPATH=../other/src python scripts/cell_digest.py > before.txt
@@ -45,12 +51,14 @@ if not os.environ.get("PYTHONPATH"):
 import numpy as np  # noqa: E402
 
 from anyctrl import experiments  # noqa: E402
-from anyctrl.availability import MarkovAvailability, from_execution_time  # noqa: E402
+from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
+                                  from_execution_time)
 from anyctrl.cli import main as cli_main  # noqa: E402
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
 from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
 from anyctrl.simulation import (SimConfig, _batch_simulate, monte_carlo,  # noqa: E402
                                 presample, run_episode)
+from anyctrl.stability import CertificateInputs, evaluate  # noqa: E402
 
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
@@ -126,6 +134,62 @@ def print_schedules(seed: int, runs: int, horizon: int) -> None:
         print(f"markov16 initial_state={initial_state} schedules {digest(presample(config)[0])}")
 
 
+def _pmf_rows(rng, states: int, lam: int) -> np.ndarray:
+    """Per-state pmfs over {0..lam} with a random share of extra idle mass."""
+    rows = rng.dirichlet(np.ones(lam + 1), size=states)
+    push = rng.uniform(0.0, 0.9, size=states)
+    rows *= (1.0 - push)[:, None]
+    rows[:, 0] += push
+    return rows
+
+
+def _chain(rng, kind: str, states: int) -> np.ndarray:
+    if kind == "ring":  # small self-loops and rare skips: slow power iteration
+        stay = rng.uniform(0.005, 0.05, size=states)
+        skip = np.where(rng.random(states) < 0.5, rng.uniform(0.0, 0.02, size=states), 0.0)
+        q = np.diag(stay) + np.roll(np.diag(1.0 - stay - skip), 1, axis=1)
+        return q + np.roll(np.diag(skip), 2, axis=1)
+    return rng.dirichlet(np.full(states, rng.choice([0.3, 1.0, 5.0])), size=states)
+
+
+def certificate_cases(seed: int, count: int = 64):
+    """Seeded (kind, rho, alpha, model) certificate inputs, `count` of each kind."""
+    rng = np.random.default_rng([seed, 11])
+    for kind in ("exec_time", "iid", "dense", "ring", "degenerate", "near_one"):
+        for i in range(count):
+            rho, alpha = float(rng.uniform(0.0, 0.98)), float(1.0 + rng.exponential(0.8))
+            if kind == "exec_time":
+                model = from_execution_time((i % 63 + 1) / 64.0)
+            elif kind == "iid":
+                model = IidAvailability(_pmf_rows(rng, 1, int(rng.integers(1, 13)))[0])
+            else:
+                states = int(rng.integers(2, 17))
+                pmfs = _pmf_rows(rng, states, int(rng.integers(1, 7)))
+                if kind == "degenerate":  # some states, never all, have p0|s = 1
+                    idle = rng.random(states) < 0.3
+                    idle[rng.integers(states)] = False
+                    pmfs[idle] = np.eye(pmfs.shape[1])[0]
+                q = _chain(rng, "ring" if kind == "ring" or i % 2 else "dense", states)
+                model = MarkovAvailability(q, pmfs)
+                if kind == "near_one":
+                    gap = rng.choice([1e-12, 1e-9, 1e-6, 1e-3]) * rng.choice([-1.0, 1.0])
+                    alpha = max(1.0, (1.0 + gap) / float(pmfs[:, 0].max()))
+            yield kind, rho, alpha, model
+
+
+def print_certificates(seed: int) -> None:
+    lines = {}
+    for kind, rho, alpha, model in certificate_cases(seed):
+        try:
+            report = evaluate(CertificateInputs(rho, alpha, model)).lines()
+        except Exception as exc:  # a raising evaluation is part of the result
+            report = [f"raised {type(exc).__name__}: {exc}"]
+        lines.setdefault(kind, []).extend(report + [""])
+    for kind, text in lines.items():
+        sha = hashlib.sha256("\n".join(text).encode()).hexdigest()
+        print(f"certificates {kind} {sha}")
+
+
 def markov_simulate_doc(seed: int) -> dict:
     return {"plant": {"name": "sat_2d"},
             "availability": {"kind": "markov", "Q": Q3, "P": P3},
@@ -134,10 +198,9 @@ def markov_simulate_doc(seed: int) -> dict:
             "seed": seed, "x0_box": [-2.0, 2.0]}
 
 
-def print_cli(name: str, command: str, config: Path, runs: int, horizon: int, *flags) -> None:
+def print_cli(name: str, command: str, config: Path, *flags) -> None:
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main([command, "--config", str(config), "--out", out, "--runs", str(runs),
-                         "--horizon", str(horizon), *flags])
+        code = cli_main([command, "--config", str(config), "--out", out, *flags])
         files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                  for path in sorted(Path(out).iterdir())}
     print(f"{name} exit {code}")
@@ -182,14 +245,17 @@ def main():
             print_cell(f"{name} {kind}", config, monte_carlo(config).per_run_costs, args.traces)
 
     print_schedules(args.seed, args.runs, args.horizon)
+    print_certificates(args.seed)
 
-    scale = (args.runs, args.horizon)
+    scale = ("--runs", str(args.runs), "--horizon", str(args.horizon))
     print_cli("cli simulate", "simulate", ROOT / "configs" / "simulate.yaml", *scale,
               "--traces", "2")
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "markov.yaml"
         config.write_text(json.dumps(markov_simulate_doc(args.seed)))  # JSON is YAML
         print_cli("cli simulate markov", "simulate", config, *scale, "--traces", "2")
+    for config in ("stability.yaml", "stability_markov.yaml"):
+        print_cli(f"cli stability {config}", "stability", ROOT / "configs" / config)
     for config in sorted((ROOT / "configs").glob("sweep_fig*.yaml")):
         print_cli(f"cli sweep {config.name}", "sweep", config, *scale)
 

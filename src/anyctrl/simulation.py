@@ -48,7 +48,7 @@ import numpy as np
 from .availability import AvailabilityModel, make_sampler, require_valid
 from .controller import ControllerKind, Ring, controller_step, drain, effective_lengths
 from .errors import ConfigError
-from .plants import DisturbanceModel, PlantModel, norm
+from .plants import DisturbanceModel, PlantModel, norm, sum_squares
 
 OVERFLOW_GUARD = 1e12
 # a whole next state whose squared norm is at most this has every lane's norm
@@ -157,7 +157,7 @@ def run_episode(config: SimConfig, run_index: int,
 
 def _stage_costs(x: np.ndarray, u: np.ndarray, q_x: float, r_u: float) -> np.ndarray:
     """q_x*|x|^2 + r_u*|u|^2 per step and lane, component axis last."""
-    return q_x * np.square(x).sum(-1) + r_u * np.square(u).sum(-1)
+    return q_x * sum_squares(x) + r_u * sum_squares(u)
 
 
 def empirical_cost(trace: SimTrace, q_x: float, r_u: float) -> float:

@@ -4,7 +4,8 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per criterion. Criterion 6 is split: the strict-positivity clause for the
 two largest execution times is unattainable at this scale (all three
 controllers genuinely diverge there) and is kept as a strict expected
-failure; see the repository notes for the analysis.
+failure; README's section "Criterion 6 at large execution times" gives
+the analysis.
 """
 
 import functools
@@ -220,7 +221,7 @@ def test_criterion_06_cost_study_tau_sweep_ordering():
     strict=True,
     reason="all three controllers genuinely diverge at tau >= 0.4 at this "
            "scale, so no strictly positive improvement is measurable; "
-           "see notes/decisions.md")
+           "see README, 'Criterion 6 at large execution times'")
 def test_criterion_06_cost_study_strict_positivity_at_large_tau():
     for tau in (0.4, 0.5):
         s = fig_costs("fig1")[tau]

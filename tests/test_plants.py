@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from anyctrl.controller import DECREASE_CHECK_LIMIT
 from anyctrl.errors import ConfigError, DimensionError
 from anyctrl.plants import (DisturbanceModel, lqr_gain_scalar,
-                            make_builtin_plant, norm, sat, step)
+                            make_builtin_plant, norm, sat, step,
+                            sum_squares)
 
 from oracles import riccati_gain_loop
 
@@ -174,3 +176,21 @@ def test_disturbance_models():
 def test_norm_reduces_last_axis():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     np.testing.assert_allclose(norm(x), [5.0, 0.0])
+
+
+# huge values overflow their squares, subnormal ones underflow them
+COMPONENT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e154, 1.5e154, 1e308, -1e308, 5e-324, -2.2e-308, 1e-160, 0.0, -0.0]))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda width: arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=5).map(
+        lambda lead: lead + (width,)), elements=COMPONENT_VALUES)))
+@settings(max_examples=300, deadline=None)
+def test_sum_squares_is_the_reduction_bit_for_bit(x):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.square(x).sum(-1)
+        got = sum_squares(x)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == want.dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anyctrl.availability import (IidAvailability, MarkovAvailability,
                                   from_execution_time)
 from anyctrl.errors import (ConfigError, DegenerateStateError,
                             DivergenceError)
-from anyctrl.stability import (CertificateInputs, a1_margin, a2_overrun_prob,
-                               baseline_margin, delta_pmf, evaluate,
+from anyctrl.stability import (BRACKET_MARGIN, CertificateInputs, a1_margin,
+                               a2_overrun_prob, baseline_margin, delta_pmf, evaluate,
                                markov_baseline, markov_bars, omega, omega_l,
                                seq_len_prob, sigma, spectral_radius, upsilon)
 
@@ -234,6 +234,78 @@ def nonnegative_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_spectral_radius_matches_norm_loop(mat):
     assert spectral_radius(mat) == oracles.spectral_radius_loop(mat)
+
+
+@st.composite
+def damped_chains(draw):
+    """alpha * diag(p0) @ Q for a chain with zero entries, alpha * p_hat0 on either side of one."""
+    g = draw(st.integers(1, 16))
+    transition = _weight_rows(draw, g, g)
+    p0 = draw(arrays(float, g, elements=st.floats(0.0, 1.0)))
+    p0[draw(st.integers(0, g - 1))] = draw(st.floats(0.05, 1.0))  # p_hat0 > 0
+    target = draw(st.one_of(st.floats(0.3, 1.7),
+                            st.sampled_from([1.0 - 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-6])))
+    alpha = target / p0.max()
+    return alpha * (p0[:, None] * transition)
+
+
+@st.composite
+def scaled_stochastic(draw):
+    """A stochastic matrix (zero entries, rings) scaled to a Perron root of 1 or 1 +- tiny."""
+    g = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        ring = np.roll(np.eye(g), draw(st.integers(1, 3)), axis=1)
+        stay = draw(arrays(float, g, elements=st.floats(0.0, 0.05)))
+        mat = (1.0 - stay)[:, None] * ring + np.diag(stay)
+    else:
+        mat = _weight_rows(draw, g, g)
+    gap = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]))
+    return mat * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap)
+
+
+@given(st.one_of(
+    st.tuples(nonnegative_matrices(), st.one_of(st.just(1.0), st.floats(0.05, 3.0))),
+    st.tuples(damped_chains(), st.just(1.0)),
+    st.tuples(scaled_stochastic(), st.just(1.0))))
+@example((np.diag([1.5, 0.1, 0.1, 0.1]), 1.0))  # one row sum above, three below
+@example((np.array([[0.0, 3.0], [0.0, 0.0]]), 1.0))  # nilpotent, one row sum of 3
+@settings(max_examples=600, deadline=None)
+def test_bracketed_spectral_radius_keeps_the_verdict(case):
+    mat, bound = case
+    assert (spectral_radius(mat, bound=bound) >= bound) == (
+        oracles.spectral_radius_loop(mat) >= bound)
+
+
+class CountingMatrix(np.ndarray):
+    """A matrix that counts its `dot` products."""
+
+    products = 0
+
+    def dot(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self).dot(other)
+
+
+def guard_products(mat, bound=1.0):
+    CountingMatrix.products = 0
+    value = spectral_radius(np.asarray(mat, dtype=float).view(CountingMatrix), bound=bound)
+    return value, CountingMatrix.products
+
+
+def test_guard_below_the_worst_state_bound_takes_one_product():
+    model = MarkovAvailability([[0.0, 0.98, 0.02], [0.01, 0.0, 0.99], [0.97, 0.03, 0.0]],
+                               [[0.6, 0.4], [0.3, 0.7], [0.75, 0.25]])
+    _, q_damped, _ = markov_bars(model)
+    alpha = 1.3  # alpha * p_hat0 = 0.975
+    assert guard_products(alpha * q_damped) == (1.0 - BRACKET_MARGIN, 1)
+    assert oracles.spectral_radius_loop(alpha * q_damped) < 1.0
+    # alpha * min p0|s above one puts every row sum above the bound: decided at once
+    assert guard_products(4.0 * q_damped) == (1.0 + BRACKET_MARGIN, 1)
+    # alpha * p_hat0 >= 1 with a root below one needs the later checkpoints
+    value, products = guard_products(1.4 * q_damped)  # alpha * p_hat0 = 1.05
+    assert products > 1 and value < 1.0 and oracles.spectral_radius_loop(1.4 * q_damped) < 1.0
+    # without a bound nothing is decided early
+    assert guard_products(alpha * q_damped, bound=None)[1] > 1
 
 
 def test_upsilon_single_state_reduces_to_iid():
