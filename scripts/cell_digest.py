@@ -5,12 +5,12 @@ For every cell (grid value x controller kind) of the fig1, fig2 and fig3
 sweeps, run through `run_sweep`, it prints a digest of the per-run costs,
 one of the sweep rows, one over x, u, N, lambda and V of the first
 `--traces` `run_episode` traces of the cell's config, and one of the
-per-run V at the steps in CHECKPOINTS (those below the horizon) from
-`_batch_simulate`. A fig1 cell also gets a digest of the `run_episode`
-trace of its first diverging run, the trace that stops at the overflow
-guard. Two more configs (sat_2d under a 3-state Markov processor, and
-log_lyapunov) get the same cost, trace and V digests from `monte_carlo`,
-`run_episode` and `_batch_simulate`. The N schedules that `presample` draws
+per-run V at the steps in CHECKPOINTS (those below the horizon), read from
+the states the engine's loop `_blocks` yields. A fig1 cell also gets a
+digest of the `run_episode` trace of its first diverging run, the trace
+that stops at the overflow guard. Two more configs (sat_2d under a 3-state
+Markov processor, and log_lyapunov) get the same cost, trace and V digests
+from `monte_carlo`, `run_episode` and `_blocks`. The N schedules that `presample` draws
 under a 16-state Markov processor, with its initial state set and unset,
 get one digest each. The certificate lines (`evaluate(...).lines()`) of a
 seeded set of inputs get one digest per kind of input: execution-time and
@@ -56,8 +56,8 @@ from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: 
 from anyctrl.cli import main as cli_main  # noqa: E402
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
 from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
-from anyctrl.simulation import (SimConfig, _batch_simulate, monte_carlo,  # noqa: E402
-                                presample, run_episode)
+from anyctrl.simulation import (SimConfig, _blocks, monte_carlo, presample,  # noqa: E402
+                                run_episode)
 from anyctrl.stability import CertificateInputs, evaluate  # noqa: E402
 
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
@@ -88,7 +88,16 @@ def trace_digest(config, runs) -> str:
 
 def checkpoint_digest(config) -> str:
     steps = sorted({k % config.horizon for k in CHECKPOINTS if k < config.horizon})
-    _, v_at = _batch_simulate(config, checkpoints=steps)
+    n_all, w_all, x0 = presample(config)
+    cap = config.controller.buffer_cap
+    n_all = n_all if cap is None else np.minimum(n_all, cap)  # the schedule the engine runs
+    rows, start = {}, 0
+    for states, _, _ in _blocks(config, n_all, w_all, x0):
+        for k in set(steps).intersection(range(start, start + len(states))):
+            rows[k] = states[k - start]
+        start += len(states)
+    # once every run has diverged the loop stops, and each run keeps its last state
+    v_at = np.array([config.plant.lyapunov(rows.get(k, states[-1])) for k in steps])
     return digest(np.array(steps), v_at)
 
 

@@ -7,8 +7,8 @@ from .availability import (IidAvailability, MarkovAvailability,
 from .controller import (ControllerKind, Ring, controller_step, drain,
                          effective_lengths, tentative_sequence)
 from .errors import (CertificateViolation, ConfigError, DegenerateStateError,
-                     DimensionError, DivergenceError)
-from .plants import DisturbanceModel, PlantModel, make_builtin_plant, step
+                     DivergenceError)
+from .plants import DisturbanceModel, PlantModel, make_builtin_plant
 from .simulation import (CostSummary, SimConfig, SimTrace, empirical_cost,
                          improvement_pct, monte_carlo, run_episode)
 from .stability import CertificateInputs, StabilityReport, evaluate
@@ -19,8 +19,8 @@ __all__ = [
     "ControllerKind", "Ring", "controller_step", "drain", "effective_lengths",
     "tentative_sequence",
     "CertificateViolation", "ConfigError", "DegenerateStateError",
-    "DimensionError", "DivergenceError",
-    "DisturbanceModel", "PlantModel", "make_builtin_plant", "step",
+    "DivergenceError",
+    "DisturbanceModel", "PlantModel", "make_builtin_plant",
     "CostSummary", "SimConfig", "SimTrace", "empirical_cost",
     "improvement_pct", "monte_carlo", "run_episode",
     "CertificateInputs", "StabilityReport", "evaluate",

@@ -74,6 +74,14 @@ class ControllerKind:
         if self.buffer_cap is not None and self.buffer_cap < 1:
             raise ConfigError("buffer_cap must be >= 1")
 
+    def capped(self, n_sched) -> np.ndarray:
+        """The N(k) schedule as int64, capped at `buffer_cap` when one is set.
+
+        Without a cap an int64 schedule comes back as the same array.
+        """
+        n = np.asarray(n_sched, dtype=np.int64)
+        return n if self.buffer_cap is None else np.minimum(n, self.buffer_cap)
+
 
 class Ring:
     """The tentative sequences in flight on every lane: slot t mod C for the one started at step t.
@@ -108,9 +116,9 @@ class Ring:
     def sources(self, kind: ControllerKind, n_sched) -> Iterator:
         """Yield, for k = 0, 1, ..., the `inputs` row of u(k) on every lane.
 
-        `n_sched` is the `(..., horizon)` schedule of N(k) before
-        `kind.buffer_cap`. The map is built `block` steps at a time from
-        C - 1 steps of look-back; a step of no source maps to the
+        `n_sched` is the capped `(..., horizon)` schedule of N(k)
+        (`ControllerKind.capped`). The map is built `block` steps at a time
+        from C - 1 steps of look-back; a step of no source maps to the
         zero row. The baseline has no sources and gets None.
         """
         n_sched = np.asarray(n_sched)
@@ -124,8 +132,6 @@ class Ring:
             # time-major N(t) for t = start - (c - 1) .. stop - 1, zero before step 0
             n = np.zeros((stop - start + c - 1,) + lanes, dtype=np.int64)
             n[c - 1 - (start - lo):] = np.moveaxis(n_sched[..., lo:stop], -1, 0)
-            if kind.buffer_cap is not None:
-                np.minimum(n, kind.buffer_cap, out=n)
             t = np.arange(start - (c - 1), stop).reshape((-1,) + (1,) * len(lanes))
             k = t[c - 1:]
             if kind.kind == "a2":  # t = k - d for the smallest d with N(k - d) > d
@@ -230,10 +236,10 @@ def drain(plant: PlantModel, ring: Ring) -> None:
 def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, src) -> np.ndarray:
     """One controller update on every lane: returns the applied input u(k).
 
-    `n` is the number of tentative inputs the processor allows this step,
-    before `kind.buffer_cap`, and `src` is this step's entry of
-    `ring.sources`. The baseline controller only uses the indicator n >= 1
-    and leaves the ring alone. The decrease tests run at the end of each
+    `n` is this step's entry of the capped schedule, at most the ring's
+    capacity, and `src` is this step's entry of `ring.sources`. The
+    baseline controller only uses the indicator n >= 1 and leaves the ring
+    alone. The decrease tests run at the end of each
     block of `ring.block` steps; a failure drains the ring and raises (see
     `drain`). Every sequence started up to the failing step is then tested
     in full, and any started later has a later start step, so the
@@ -242,12 +248,7 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     n = np.asarray(n)
     if kind.kind == "baseline":
         return np.where((n >= 1)[..., None], plant.policy(x), 0.0)
-    if kind.buffer_cap is not None:
-        n = np.minimum(n, kind.buffer_cap)
     longest = int(n.max())
-    if longest > ring.capacity:
-        settle(plant, ring)  # an earlier failed test is raised first
-        raise ConfigError(f"sequence length {longest} exceeds buffer capacity {ring.capacity}")
     slot = ring.tick % ring.capacity  # its last sequence ended by now
     ring.chi[..., slot, :] = x
     ring.end[..., slot] = ring.tick + n
@@ -265,13 +266,12 @@ def effective_lengths(kind: ControllerKind, n_sched) -> np.ndarray:
 
     Closed forms of the recursions lambda = max(n, lambda - 1) (a2) and
     lambda = n if n >= 1 else max(lambda - 1, 0) (a1), from lambda = 0,
-    with n capped at `kind.buffer_cap`. The baseline keeps no buffer.
+    on the capped schedule (`ControllerKind.capped`). The baseline keeps no
+    buffer.
     """
     n = np.asarray(n_sched, dtype=np.int64)
     if kind.kind == "baseline":
         return np.zeros(n.size, dtype=np.int64)
-    if kind.buffer_cap is not None:
-        n = np.minimum(n, kind.buffer_cap)
     k = np.arange(n.size)
     if kind.kind == "a2":  # never negative: the running max includes n(k) + k
         return np.maximum.accumulate(n + k) - k

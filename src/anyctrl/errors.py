@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """A configuration value is missing, malformed, or out of range."""
 
 
-class DimensionError(ValueError):
-    """A vector argument does not match the plant dimensions."""
-
-
 class CertificateViolation(RuntimeError):
     """The supplied (V, kappa, rho) triple failed the per-step decrease test.
 

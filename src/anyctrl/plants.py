@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 SQRT5 = np.sqrt(5.0)
 DISTURBANCE_KINDS = ("none", "uniform", "gaussian")
@@ -84,20 +84,6 @@ class PlantModel:
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
         if self.alpha is not None and self.alpha < 1.0:
             raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
-
-
-def step(plant: PlantModel, x, u, w) -> np.ndarray:
-    """One application of the plant dynamics, with dimension checks."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape[-1:] != (plant.n,):
-        raise DimensionError(f"state has last dim {x.shape[-1:]}, expected {plant.n}")
-    if u.shape[-1:] != (plant.p,):
-        raise DimensionError(f"input has last dim {u.shape[-1:]}, expected {plant.p}")
-    if w.shape[-1:] != (plant.m,):
-        raise DimensionError(f"disturbance has last dim {w.shape[-1:]}, expected {plant.m}")
-    return plant.f(x, u, w)
 
 
 def sum_squares(x) -> np.ndarray:

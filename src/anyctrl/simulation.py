@@ -89,10 +89,8 @@ class SimConfig:
 
     @property
     def buffer_capacity(self) -> int:
-        cap = self.availability.max_len
-        if self.controller.buffer_cap is not None:
-            cap = min(cap, self.controller.buffer_cap)
-        return max(cap, 1)
+        cap = self.controller.buffer_cap
+        return self.availability.max_len if cap is None else min(self.availability.max_len, cap)
 
 
 def run_streams(master_seed: int, run_index: int):
@@ -140,18 +138,21 @@ def run_episode(config: SimConfig, run_index: int,
     `forced_n` replaces the availability draws with a fixed sequence-length
     schedule (used for trace-level checks); disturbances and x0 are unchanged.
     It stops at the step whose next state fails the overflow guard; an empty
-    `forced_n` gives an empty trace.
+    `forced_n` gives an empty trace. The trace records N(k) as drawn and
+    lambda(k) of the capped schedule.
     """
     avail_rng, w_all, x0 = _run_draws(config, run_index)
     n_sched = (make_sampler(config.availability, avail_rng).presample(config.horizon)
                if forced_n is None else np.array(forced_n, dtype=np.int64)[:config.horizon])
+    capped = config.controller.capped(n_sched)
     xs, us, alive = [np.empty((0, config.plant.n))], [np.empty((0, config.plant.p))], True
-    for states, inputs, alive in _blocks(config, n_sched, w_all, x0, first_run=run_index):
+    for states, inputs, alive in _blocks(config, capped, w_all, x0, first_run=run_index):
         xs.append(states)
         us.append(inputs)
     xs = np.concatenate(xs)
-    ns = n_sched[:len(xs)]
-    return SimTrace(xs, np.concatenate(us), ns, effective_lengths(config.controller, ns),
+    steps = len(xs)
+    return SimTrace(xs, np.concatenate(us), n_sched[:steps],
+                    effective_lengths(config.controller, capped[:steps]),
                     config.plant.lyapunov(xs), not alive)
 
 
@@ -236,19 +237,24 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
         yield n_all, w_all, x0
 
 
-def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0, last_check: int = -1):
+def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
     """Step the closed loop on the lanes of `x0`; yield (states, inputs, alive) per block.
 
-    The lanes are the leading axes of `x0` (`(..., n)`), of the N schedule
-    (`(..., horizon)`) and of the disturbances (`(..., horizon, m)`): `()`
-    for one run, `(runs,)` for the batch engine. A block holds x(k) and u(k)
-    for `ring.block` steps, and `alive` the lanes not diverged by its end. A
-    diverged lane keeps its last state and starts no sequence. Once all have
-    diverged and step `last_check` is done, the loop stops; then the ring is drained.
+    The lanes are the leading axes of `x0` (`(..., n)`), of the capped N
+    schedule (`(..., horizon)`, `ControllerKind.capped`) and of the
+    disturbances (`(..., horizon, m)`): `()` for one run, `(runs,)` for the
+    batch engine. For a1 and a2, a schedule longer than the buffer capacity
+    anywhere raises ConfigError before the first step. A block holds x(k)
+    and u(k) for `ring.block` steps, and `alive` the lanes not diverged by
+    its end. A diverged lane keeps its last state and starts no sequence.
+    Once all have diverged the loop stops; then the ring is drained.
     """
     plant, kind = config.plant, config.controller
     horizon = n_sched.shape[-1]
     ring = Ring(plant, config.buffer_capacity, x0.shape[:-1], first_run)
+    longest = int(n_sched.max(initial=0))
+    if kind.kind != "baseline" and longest > ring.capacity:
+        raise ConfigError(f"sequence length {longest} exceeds buffer capacity {ring.capacity}")
     alive = np.ones(x0.shape[:-1], dtype=bool)
     diverged = False  # whether any lane has; until then the masks below are identities
     # on `()` lanes the guard gives a NumPy scalar, whose `all()` costs ~3 us a step
@@ -273,7 +279,7 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0, last_check: i
                 x = np.where(alive[..., None], x_next, x)
             else:
                 x = x_next
-            if diverged and k >= last_check and not alive.any():
+            if diverged and not alive.any():
                 break
             if len(xs) == ring.block:
                 yield np.array(xs, dtype=float), np.array(us, dtype=float), alive
@@ -283,38 +289,26 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0, last_check: i
         drain(plant, ring)
 
 
-def _batch_simulate(config: SimConfig,
-                    checkpoints: Optional[Sequence[int]] = None, draws=None):
-    """Step all runs at once; returns (per-run costs, V at checkpoints).
+def _batch_simulate(config: SimConfig, draws=None) -> np.ndarray:
+    """Step all runs at once; returns the per-run costs.
 
-    `draws` is `presample(config)`, drawn here when not given. Each block's
-    stage costs are added by a running sum over the step axis, so a run's
-    total is the same bit for bit as adding one step at a time (and as
-    `empirical_cost` of its trace). V rows come back one per requested
-    checkpoint, in the order given.
+    `draws` is `presample(config)`, drawn here when not given; its N
+    schedules are capped here, which copies them only when a cap is set.
+    Each block's stage costs are added by a running sum over the step axis,
+    so a run's total is the same bit for bit as adding one step at a time
+    (and as `empirical_cost` of its trace).
     """
     horizon, runs = config.horizon, config.runs
     n_all, w_all, x0 = presample(config) if draws is None else draws
     if n_all.shape != (runs, horizon) or x0.shape != (runs, config.plant.n):
         raise ConfigError("presampled draws do not match the config's runs, horizon and state")
-    checkpoints = list(checkpoints or ())
-    if any(not 0 <= k < horizon for k in checkpoints):
-        raise ConfigError(f"checkpoints must lie in 0..{horizon - 1}, got {checkpoints}")
-    wanted, v_rows = set(checkpoints), {}
-
-    cost, start = np.zeros(runs), 0
-    for states, inputs, alive in _blocks(config, n_all, w_all, x0,
-                                         last_check=max(checkpoints, default=-1)):
+    cost = np.zeros(runs)
+    for states, inputs, alive in _blocks(config, config.controller.capped(n_all), w_all, x0):
         stage = _stage_costs(states, inputs, config.q_x, config.r_u)
         cost = np.add.accumulate(np.concatenate((cost[None], stage)), axis=0)[-1]
-        for k in wanted.intersection(range(start, start + len(states))):
-            v_rows[k] = config.plant.lyapunov(states[k - start])
-        start += len(states)
-
     costs = cost / horizon
     costs[~alive] = float("inf")
-    v_at = np.array([v_rows[k] for k in checkpoints]) if checkpoints else None
-    return costs, v_at  # v_at: (len(checkpoints), runs)
+    return costs
 
 
 def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
@@ -323,16 +317,7 @@ def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
     `draws`, if given, is `presample` of this config or of one that differs
     only in its controller; the engine reads it and never writes it.
     """
-    costs, _ = _batch_simulate(config, draws=draws)
-    return CostSummary.from_costs(costs)
-
-
-def mean_lyapunov_at(config: SimConfig, checkpoints: Sequence[int]):
-    """Mean and standard error of V(x(k)) over runs at the given steps."""
-    _, v_at = _batch_simulate(config, checkpoints=checkpoints)
-    means = v_at.mean(axis=1)
-    ses = v_at.std(axis=1, ddof=1) / np.sqrt(v_at.shape[1])
-    return means, ses
+    return CostSummary.from_costs(_batch_simulate(config, draws=draws))
 
 
 def improvement_pct(candidate: CostSummary, reference: CostSummary) -> float:

@@ -14,6 +14,10 @@ the buffer of tentative inputs explicit, so it is the per-lane reference
 for buffer contents, which the package no longer stores.
 `ring_advance_fancy` is the ring advance with numpy's row-subspace
 assignment, the reference for the package's whole-row scatters.
+
+`lyapunov_at` and `mean_lyapunov_at` are no references: they read V at
+given steps from the states the package's loop (`simulation._blocks`)
+yields, for the tests that check those states.
 """
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from anyctrl.availability import IidAvailability, make_sampler
 from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
 from anyctrl.errors import CertificateViolation, ConfigError
-from anyctrl.simulation import OVERFLOW_GUARD, _run_draws
+from anyctrl.simulation import OVERFLOW_GUARD, _blocks, _run_draws, presample
 
 SERIES_TERMS = 500
 
@@ -492,3 +496,29 @@ def masked_batch_simulate(config, checkpoints=(), draws=None):
     costs = cost / horizon
     costs[~alive] = float("inf")
     return costs, v_rows
+
+
+# --- V at given steps, read from the states the package's loop yields ---
+
+def lyapunov_at(config, steps, draws=None):
+    """V(x(k)) of every run at each step k in `steps`: `(len(steps), runs)`, in the order given.
+
+    `draws` is `presample(config)`, drawn here when not given. Once every
+    run has diverged the loop stops; a later step reads each run's last
+    state, which a diverged run keeps.
+    """
+    if any(not 0 <= k < config.horizon for k in steps):
+        raise ConfigError(f"steps must lie in 0..{config.horizon - 1}, got {steps}")
+    n_all, w_all, x0 = presample(config) if draws is None else draws
+    rows, start = {}, 0
+    for states, _, _ in _blocks(config, config.controller.capped(n_all), w_all, x0):
+        for k in set(steps).intersection(range(start, start + len(states))):
+            rows[k] = states[k - start]
+        start += len(states)
+    return np.array([config.plant.lyapunov(rows.get(k, states[-1])) for k in steps])
+
+
+def mean_lyapunov_at(config, steps):
+    """Mean and standard error of V(x(k)) over runs at the given steps."""
+    v_at = lyapunov_at(config, steps)
+    return v_at.mean(axis=1), v_at.std(axis=1, ddof=1) / np.sqrt(v_at.shape[1])

@@ -18,8 +18,7 @@ from anyctrl.availability import IidAvailability, MarkovAvailability, from_execu
 from anyctrl.controller import KINDS, ControllerKind, effective_lengths
 from anyctrl.experiments import builtin_experiment, _config_at
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (CI_Z, SimConfig, mean_lyapunov_at,
-                                monte_carlo, presample_each)
+from anyctrl.simulation import CI_Z, SimConfig, monte_carlo, presample_each
 from anyctrl.stability import (a1_margin, baseline_margin, delta_pmf, omega,
                                omega_l, seq_len_prob, sigma, upsilon)
 
@@ -331,7 +330,7 @@ def test_criterion_11_certificate_vs_simulation_decay():
                     disturbance=DisturbanceModel(kind="none", dim=1),
                     horizon=10_001, runs=500, master_seed=7)
     checkpoints = [100, 1_000, 10_000]
-    means, ses = mean_lyapunov_at(cfg, checkpoints)
+    means, ses = oracles.mean_lyapunov_at(cfg, checkpoints)
     assert np.all(np.isfinite(means))
     # decay is so fast that V underflows to exact zero by k = 1000, which
     # makes consecutive checkpoints inseparable at 3 standard errors; the

@@ -12,11 +12,10 @@ from anyctrl.controller import KINDS, ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import _config_at, builtin_experiment, run_sweep
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (SimConfig, _batch_simulate, empirical_cost, mean_lyapunov_at,
-                                monte_carlo, presample, presample_each, run_episode,
-                                run_streams)
+from anyctrl.simulation import (SimConfig, _batch_simulate, empirical_cost, monte_carlo,
+                                presample, presample_each, run_episode, run_streams)
 
-from oracles import masked_batch_simulate, naive_closed_loop
+from oracles import lyapunov_at, masked_batch_simulate, mean_lyapunov_at, naive_closed_loop
 
 RUNS, HORIZON = 40, 400
 
@@ -71,7 +70,7 @@ def test_batch_checkpoints_equal_masked_reference(kind):
     cfg = markov_sat_2d(kind, None)
     checkpoints = [HORIZON - 1, 0, 37, 0, 200]
     _, want = masked_batch_simulate(cfg, set(checkpoints))
-    _, v_at = _batch_simulate(cfg, checkpoints=checkpoints)
+    v_at = lyapunov_at(cfg, checkpoints)
     np.testing.assert_array_equal(v_at, np.array([want[k] for k in checkpoints]))
 
 
@@ -82,7 +81,7 @@ def test_mean_lyapunov_keeps_checkpoint_order():
                     disturbance=DisturbanceModel(kind="none", dim=1),
                     horizon=101, runs=30, master_seed=0)
     checkpoints = [100, 0, 100]
-    _, v_at = _batch_simulate(cfg, checkpoints=checkpoints)
+    v_at = lyapunov_at(cfg, checkpoints)
     # contiguous like the engine's rows, so both sum over runs in one order
     per_run = np.ascontiguousarray(
         np.array([run_episode(cfg, r).v[checkpoints] for r in range(cfg.runs)]).T)
@@ -176,7 +175,8 @@ def test_a_diverged_run_keeps_its_last_state(kind):
     draws = (n_all, w_all, x0)
     checkpoints = [4, 5, 6, 10, 19]
     want_costs, want_v = masked_batch_simulate(cfg, set(checkpoints), draws=draws)
-    costs, v_at = _batch_simulate(cfg, checkpoints=checkpoints, draws=draws)
+    costs = _batch_simulate(cfg, draws=draws)
+    v_at = lyapunov_at(cfg, checkpoints, draws=draws)
     np.testing.assert_array_equal(costs, want_costs)
     np.testing.assert_array_equal(v_at, np.array([want_v[k] for k in checkpoints]))
     assert costs[0] == np.inf and np.isfinite(costs[1:]).all()

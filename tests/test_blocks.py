@@ -19,7 +19,7 @@ from anyctrl.experiments import _config_at, builtin_experiment
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
 from anyctrl.simulation import SimConfig, _batch_simulate, empirical_cost, run_episode
 
-from oracles import masked_batch_simulate
+from oracles import lyapunov_at, masked_batch_simulate
 
 RUNS, HORIZON = 30, 300
 CHECKPOINTS = [HORIZON - 1, 0, 15, 16, 47, 200]
@@ -72,7 +72,8 @@ def test_results_do_not_depend_on_block_length(monkeypatch, case):
     seen = []
     for length in block_lengths(cfg.horizon):
         monkeypatch.setattr(controller, "SOURCE_BLOCK", length)
-        costs, v_at = _batch_simulate(cfg, checkpoints=CHECKPOINTS)
+        costs = _batch_simulate(cfg)
+        v_at = lyapunov_at(cfg, CHECKPOINTS)
         np.testing.assert_array_equal(costs, want)
         np.testing.assert_array_equal(v_at, np.array([want_v[k] for k in CHECKPOINTS]))
         traces = [run_episode(cfg, r) for r in range(TRACES)]

@@ -3,11 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from anyctrl.availability import IidAvailability
 from anyctrl.controller import (KINDS, ControllerKind, Ring, controller_step, drain,
                                 effective_lengths, tentative_sequence)
 from anyctrl.errors import CertificateViolation, ConfigError
-from anyctrl.plants import make_builtin_plant
+from anyctrl.plants import DisturbanceModel, make_builtin_plant
+from anyctrl.simulation import SimConfig, _blocks, run_episode
 
 import oracles
 
@@ -26,7 +29,7 @@ def kernel_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
     the sequences still in flight are drained, so every depth is tested.
     """
     ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
-    n_sched = np.asarray(n_sched)
+    n_sched = ctrl.capped(n_sched)
     lanes = n_sched.shape[:-1]
     x = np.ones(lanes + (plant.n,)) if x0 is None else np.asarray(x0, dtype=float)
     ring = Ring(plant, cap, lanes)
@@ -68,7 +71,8 @@ def run_loop(kind, plant, n_seq, cap, buffer_cap=None):
     want, buffers, x_want = oracle_loop(kind, plant, n_seq, cap, buffer_cap)
     np.testing.assert_array_equal(inputs, want)
     np.testing.assert_array_equal(x, x_want)
-    lams = (effective_lengths(ControllerKind(kind, buffer_cap=buffer_cap), n_seq).tolist()
+    ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
+    lams = (effective_lengths(ctrl, ctrl.capped(n_seq)).tolist()
             if np.ndim(n_seq) == 1 else None)
     return list(inputs), lams, buffers, x
 
@@ -110,9 +114,6 @@ def test_tentative_sequence_rejects_bad_length():
     ring = Ring(CUBIC, 2)
     with pytest.raises(ConfigError):  # no sequence in flight
         tentative_sequence(CUBIC, ring)
-    lanes = Ring(CUBIC, 2, (2,))
-    with pytest.raises(ConfigError):  # one lane asks for more than the ring holds
-        controller_step(ControllerKind("a2"), CUBIC, np.ones((2, 1)), [0, 3], lanes, None)
 
 
 def test_certificate_violation_reports_step():
@@ -156,8 +157,34 @@ def test_baseline_ignores_buffer():
 
 
 def test_sequence_longer_than_buffer_rejected():
-    with pytest.raises(ConfigError):
-        controller_step(ControllerKind("a1"), LINEAR, np.array([1.0]), 3, Ring(LINEAR, 2), None)
+    """For a1 and a2 a capped schedule over the buffer capacity anywhere fails at the
+    loop's entry, before the plant steps once; the baseline keeps no sequences and
+    runs it."""
+    f_calls = []
+
+    def counted_f(x, u, w):
+        f_calls.append(np.shape(x))
+        return LINEAR.f(x, u, w)
+
+    base = SimConfig(plant=replace(LINEAR, f=counted_f),
+                     availability=IidAvailability([0.5, 0.3, 0.2]),  # capacity 2
+                     controller=ControllerKind("a1"),
+                     disturbance=DisturbanceModel(kind="none", dim=1), horizon=3, runs=2)
+    # lane 1 asks for three inputs at step 1, after lane 0's first sequence
+    n_sched, w, x0 = np.array([[1, 0, 0], [0, 3, 0]]), np.zeros((2, 3, 1)), np.ones((2, 1))
+    for kind in KINDS:
+        cfg = replace(base, controller=ControllerKind(kind))
+        assert cfg.buffer_capacity == 2
+        for run in (lambda: run_episode(cfg, 0, forced_n=[3, 0, 0]),
+                    lambda: list(_blocks(cfg, n_sched, w, x0))):
+            f_calls.clear()
+            if kind == "baseline":
+                run()
+                assert len(f_calls) == 3
+            else:
+                with pytest.raises(ConfigError, match="length 3 exceeds buffer capacity 2"):
+                    run()
+                assert f_calls == []
     with pytest.raises(ConfigError):
         oracles.controller_step(ControllerKind("a1"), LINEAR, np.array([1.0]), 3, np.zeros((2, 1)))
 
@@ -194,11 +221,31 @@ def test_lambda_recursion(kind, n_seq):
        buffer_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
 @settings(max_examples=80, deadline=None)
 def test_effective_lengths_match_recursions(kind, n_seq, buffer_cap):
-    got = effective_lengths(ControllerKind(kind, buffer_cap=buffer_cap), n_seq)
+    ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
+    got = effective_lengths(ctrl, ctrl.capped(n_seq))
     capped = [n if buffer_cap is None else min(n, buffer_cap) for n in n_seq]
     want = {"baseline": lambda ns: [0] * len(ns), "a1": oracles.lam_sequence_a1,
             "a2": oracles.lam_sequence_a2}[kind](capped)
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+@given(n=arrays(np.int64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+                elements=st.integers(min_value=0, max_value=9)),
+       buffer_cap=st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_capped_is_the_minimum_applied_once(n, buffer_cap):
+    n.flags.writeable = False  # the shared draws are read-only
+    ctrl = ControllerKind("a2", buffer_cap=buffer_cap)
+    once = ctrl.capped(n)
+    assert once.dtype == np.int64
+    np.testing.assert_array_equal(once, np.minimum(n, buffer_cap))
+    np.testing.assert_array_equal(ctrl.capped(once), once)
+    # without a cap, an int64 schedule is itself and a list becomes an equal int64 array
+    free = ControllerKind("a2")
+    assert free.capped(n) is n
+    listed = free.capped(n.ravel().tolist())
+    assert listed.dtype == np.int64
+    np.testing.assert_array_equal(listed, n.ravel())
 
 
 @given(n_seq=st.lists(st.integers(min_value=0, max_value=2),

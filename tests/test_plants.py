@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from anyctrl.controller import DECREASE_CHECK_LIMIT
-from anyctrl.errors import ConfigError, DimensionError
+from anyctrl.errors import ConfigError
 from anyctrl.plants import (DisturbanceModel, lqr_gain_scalar,
-                            make_builtin_plant, norm, sat, step,
-                            sum_squares)
+                            make_builtin_plant, norm, sat, sum_squares)
 
 from oracles import riccati_gain_loop
 
@@ -29,12 +28,12 @@ def test_cubic_closed_loop_step():
     x = np.array([1.0])
     u = plant.policy(x)
     np.testing.assert_allclose(u, [-2.0])
-    np.testing.assert_allclose(step(plant, x, u, [0.0]), [0.99])
+    np.testing.assert_allclose(plant.f(x, u, np.array([0.0])), [0.99])
 
 
 def test_linear_scalar_values():
     plant = make_builtin_plant("linear_scalar", a=1.5)
-    np.testing.assert_allclose(step(plant, [2.0], [0.0], [0.0]), [3.0])
+    np.testing.assert_allclose(plant.f(np.array([2.0]), np.array([0.0]), np.array([0.0])), [3.0])
     gain = plant.params["gain"]
     assert abs(gain - lqr_gain_scalar(1.5, 0.2, 2.0)) == 0.0
     assert abs(plant.rho - abs(1.5 - gain)) < 1e-15
@@ -90,16 +89,6 @@ def test_unknown_plant_and_bad_params():
         make_builtin_plant("linear_scalar", b=2.0)
 
 
-def test_dimension_checks():
-    plant = make_builtin_plant("sat_2d")
-    with pytest.raises(DimensionError):
-        step(plant, [1.0], [0.0, 0.0], [0.0])
-    with pytest.raises(DimensionError):
-        step(plant, [1.0, 1.0], [0.0], [0.0])
-    with pytest.raises(DimensionError):
-        step(plant, [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-
-
 def test_sat():
     np.testing.assert_allclose(sat(np.array([-3.0, -0.5, 0.0, 0.4, 7.0])),
                                [-1.0, -0.5, 0.0, 0.4, 1.0])
@@ -109,7 +98,7 @@ def test_sat():
 def test_origin_is_an_equilibrium(name):
     plant = build(name)
     x0 = np.zeros(plant.n)
-    nxt = step(plant, x0, np.zeros(plant.p), np.zeros(plant.m))
+    nxt = plant.f(x0, np.zeros(plant.p), np.zeros(plant.m))
     np.testing.assert_allclose(nxt, x0, atol=1e-15)
     np.testing.assert_allclose(plant.policy(x0), np.zeros(plant.p), atol=1e-15)
 

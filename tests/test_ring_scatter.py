@@ -94,13 +94,13 @@ def markov_sat_2d(plant, kind):
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
     config = markov_sat_2d(laid_out(SAT_2D, layout), kind)
-    costs, _ = _batch_simulate(config)
+    costs = _batch_simulate(config)
     traces = [run_episode(config, r) for r in range(2)]
     # the engine's `(runs,)` lanes and one run's `()` lanes cost the plant's output alike
     np.testing.assert_array_equal(costs[:2], [empirical_cost(trace, config.q_x, config.r_u)
                                               for trace in traces])
     monkeypatch.setattr(controller, "tentative_sequence", oracles.ring_advance_fancy)
-    want, _ = _batch_simulate(config)
+    want = _batch_simulate(config)
     np.testing.assert_array_equal(costs, want)
     for r, trace in enumerate(traces):
         expected = run_episode(config, r)

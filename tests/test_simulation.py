@@ -11,7 +11,7 @@ from anyctrl.controller import ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import DisturbanceModel, PlantModel, make_builtin_plant
 from anyctrl.simulation import (CostSummary, SimConfig, _batch_simulate,
-                                empirical_cost, improvement_pct, mean_lyapunov_at,
+                                empirical_cost, improvement_pct,
                                 monte_carlo, paired_diff, presample,
                                 run_episode, run_streams, write_runs_csv,
                                 write_trace_csv)
@@ -156,11 +156,13 @@ def test_batch_engine_stops_when_every_run_diverged(kind):
                     horizon=3000, runs=6, master_seed=0, x0=np.array([2.0]))
     traces = [run_episode(cfg, r) for r in range(cfg.runs)]
     assert all(t.diverged and t.steps < cfg.horizon // 2 for t in traces)
-    stopped, _ = _batch_simulate(cfg)
-    stepped, v_at = _batch_simulate(cfg, checkpoints=[0, cfg.horizon - 1])
-    assert v_at.shape == (2, cfg.runs)
+    stopped = _batch_simulate(cfg)
+    # the reference steps every run for the whole horizon
+    stepped, _ = oracles.masked_batch_simulate(cfg)
     np.testing.assert_array_equal(stopped, stepped)
     np.testing.assert_array_equal(stopped, np.full(cfg.runs, np.inf))
+    steps = sum(len(states) for states, _, _ in simulation._blocks(cfg, *presample(cfg)))
+    assert steps < cfg.horizon // 2
 
 
 def test_batch_engine_raises_certificate_violation():
@@ -221,7 +223,7 @@ def test_mean_lyapunov_checkpoints():
                     controller=ControllerKind("a1"),
                     disturbance=DisturbanceModel(kind="none", dim=1),
                     horizon=101, runs=30, master_seed=0)
-    means, ses = mean_lyapunov_at(cfg, [0, 10, 100])
+    means, ses = oracles.mean_lyapunov_at(cfg, [0, 10, 100])
     assert means.shape == (3,) and ses.shape == (3,)
     # V(x(0)) = 2*|(1,1)| for every run
     assert means[0] == pytest.approx(2.0 * np.sqrt(2.0))
@@ -355,14 +357,14 @@ def guard_lanes(names):
     return rng.uniform(-1.0, 1.0, (len(names), 2)), n_sched, w
 
 
-def stepped(kind, x0, n_sched, w, last_check=-1):
+def stepped(kind, x0, n_sched, w):
     """The states and last `alive` that `_blocks` yields."""
     config = SimConfig(plant=ECHO, availability=IidAvailability([0.5, 0.3, 0.2]),
                        controller=ControllerKind(kind),
                        disturbance=DisturbanceModel(kind="none", dim=2),
                        horizon=GUARD_HORIZON)
     states, alive = [], None
-    for xs, _, alive in simulation._blocks(config, n_sched, w, x0, last_check=last_check):
+    for xs, _, alive in simulation._blocks(config, n_sched, w, x0):
         states.append(xs)
     return np.concatenate(states), alive
 
@@ -383,7 +385,7 @@ def exact_guard(x0, w):
 def test_guard_precheck_on_run_lanes_equals_the_exact_test(monkeypatch, kind):
     names = sorted(SPIKES)
     x0, n_sched, w = guard_lanes(names)
-    states, alive = stepped(kind, x0, n_sched, w, last_check=GUARD_HORIZON - 1)
+    states, alive = stepped(kind, x0, n_sched, w)
     want_states, want_alive = exact_guard(x0, w)
     np.testing.assert_array_equal(states, want_states)
     np.testing.assert_array_equal(alive, want_alive)
@@ -396,7 +398,7 @@ def test_guard_precheck_on_run_lanes_equals_the_exact_test(monkeypatch, kind):
             assert (states[step + 1:, lane] == w[lane, step - 1]).all()
     # every step through the exact test alone gives the same states
     monkeypatch.setattr(simulation, "GUARD_PRECHECK", -1.0)
-    exact_states, exact_alive = stepped(kind, x0, n_sched, w, last_check=GUARD_HORIZON - 1)
+    exact_states, exact_alive = stepped(kind, x0, n_sched, w)
     np.testing.assert_array_equal(states, exact_states)
     np.testing.assert_array_equal(alive, exact_alive)
 
