@@ -16,7 +16,9 @@ get one digest each. The certificate lines (`evaluate(...).lines()`) of a
 seeded set of inputs get one digest per kind of input: execution-time and
 random i.i.d. models, dense and slow ring Markov chains, chains with
 degenerate (p0|s = 1) states, and chains with alpha * p_hat0 within 1e-3 of
-one. `anyctrl simulate --traces 2` gets one digest per output file, on
+one, and those of every input in the benchmark's certify pool
+(`bench/workloads.certificate_pool`) get one digest together.
+`anyctrl simulate --traces 2` gets one digest per output file, on
 configs/simulate.yaml and on the sat_2d Markov config, `anyctrl stability`
 one per output file on configs/stability.yaml and
 configs/stability_markov.yaml, and `anyctrl sweep` one per output file on
@@ -47,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 if not os.environ.get("PYTHONPATH"):
     sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "bench"))  # the certify pool; the package still comes from above
 
 import numpy as np  # noqa: E402
 
@@ -59,6 +62,7 @@ from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
 from anyctrl.simulation import (SimConfig, _blocks, monte_carlo, presample,  # noqa: E402
                                 run_episode)
 from anyctrl.stability import CertificateInputs, evaluate  # noqa: E402
+from workloads import certificate_pool  # noqa: E402
 
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
@@ -186,14 +190,20 @@ def certificate_cases(seed: int, count: int = 64):
             yield kind, rho, alpha, model
 
 
+def certificate_lines(rho, alpha, model) -> list:
+    try:
+        return evaluate(CertificateInputs(rho, alpha, model)).lines()
+    except Exception as exc:  # a raising evaluation is part of the result
+        return [f"raised {type(exc).__name__}: {exc}"]
+
+
 def print_certificates(seed: int) -> None:
     lines = {}
     for kind, rho, alpha, model in certificate_cases(seed):
-        try:
-            report = evaluate(CertificateInputs(rho, alpha, model)).lines()
-        except Exception as exc:  # a raising evaluation is part of the result
-            report = [f"raised {type(exc).__name__}: {exc}"]
-        lines.setdefault(kind, []).extend(report + [""])
+        lines.setdefault(kind, []).extend(certificate_lines(rho, alpha, model) + [""])
+    pool = certificate_pool()
+    lines[f"pool of {len(pool)}"] = [line for _, rho, alpha, model in pool
+                                     for line in certificate_lines(rho, alpha, model) + [""]]
     for kind, text in lines.items():
         sha = hashlib.sha256("\n".join(text).encode()).hexdigest()
         print(f"certificates {kind} {sha}")

@@ -6,11 +6,10 @@ from .availability import (IidAvailability, MarkovAvailability,
                            from_execution_time, make_sampler, validate)
 from .controller import (ControllerKind, Ring, controller_step, drain,
                          effective_lengths, tentative_sequence)
-from .errors import (CertificateViolation, ConfigError, DegenerateStateError,
-                     DivergenceError)
+from .errors import CertificateViolation, ConfigError, DivergenceError
 from .plants import DisturbanceModel, PlantModel, make_builtin_plant
-from .simulation import (CostSummary, SimConfig, SimTrace, empirical_cost,
-                         improvement_pct, monte_carlo, run_episode)
+from .simulation import (CostSummary, SimConfig, SimTrace, improvement_pct,
+                         monte_carlo, run_episode)
 from .stability import CertificateInputs, StabilityReport, evaluate
 
 __all__ = [
@@ -18,10 +17,9 @@ __all__ = [
     "make_sampler", "validate",
     "ControllerKind", "Ring", "controller_step", "drain", "effective_lengths",
     "tentative_sequence",
-    "CertificateViolation", "ConfigError", "DegenerateStateError",
-    "DivergenceError",
+    "CertificateViolation", "ConfigError", "DivergenceError",
     "DisturbanceModel", "PlantModel", "make_builtin_plant",
-    "CostSummary", "SimConfig", "SimTrace", "empirical_cost",
-    "improvement_pct", "monte_carlo", "run_episode",
+    "CostSummary", "SimConfig", "SimTrace", "improvement_pct",
+    "monte_carlo", "run_episode",
     "CertificateInputs", "StabilityReport", "evaluate",
 ]

@@ -6,8 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (_section, load_yaml, parse_certificate_inputs, parse_scale,
-                     parse_sim_config)
+from .config import (CUSTOM_SWEEP_KEYS, SWEEP_KEYS, _section, load_yaml,
+                     parse_certificate_inputs, parse_scale, parse_sim_config)
 from .errors import ConfigError
 from .experiments import (BUILTIN, ExperimentSpec, builtin_experiment, run_sweep,
                           write_sweep_csv)
@@ -100,6 +100,7 @@ def cmd_sweep(args) -> int:
     else:
         raise ConfigError(f"experiment must be one of {', '.join(BUILTIN)}, custom; "
                           f"got {name!r}")
+    _section(data, "", CUSTOM_SWEEP_KEYS if name == "custom" else SWEEP_KEYS)
     rows = run_sweep(spec)
     out = _out_dir(args)
     path = out / f"sweep_{name}.csv"

@@ -1,8 +1,9 @@
 """YAML config parsing for simulations, certificate checks, and sweeps.
 
 The config is one nested key-value file; see README for the full schema.
-Every parse error names the offending key. Numbers must be finite: NaN
-and infinities are config errors, not values to simulate with.
+Every parse error names the offending key, and a key the schema does not
+know is an error too. Numbers must be finite: NaN and infinities are
+config errors, not values to simulate with.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from .plants import (BUILTIN_PLANTS, DISTURBANCE_KINDS, DisturbanceModel, PlantM
                      make_builtin_plant)
 from .simulation import SimConfig
 from .stability import CertificateInputs
+
+# the top-level keys of each kind of document
+SIM_KEYS = ("plant", "availability", "controller", "disturbance", "cost", "x0", "x0_box",
+            "seed", "runs", "horizon")
+STABILITY_KEYS = ("rho", "alpha", "availability")
+SWEEP_KEYS = ("experiment", "grid", "seed", "runs", "horizon")
+CUSTOM_SWEEP_KEYS = SWEEP_KEYS + ("sweep", "base")
 
 
 def load_yaml(path) -> dict:
@@ -42,12 +50,18 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _section(value, key: str) -> dict:
-    """A nested mapping; a missing or empty section reads as {}."""
+def _section(value, key: str, known: Optional[tuple] = None) -> dict:
+    """A nested mapping; a missing or empty section reads as {}.
+
+    With `known` given, a key outside it is an error; `key` "" is the top level.
+    """
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    unknown = [name for name in value if known is not None and name not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {key}{'.' if key else ''}{unknown[0]}")
     return value
 
 
@@ -81,7 +95,7 @@ def _array(value, key: str) -> np.ndarray:
 
 
 def parse_availability(section: dict) -> AvailabilityModel:
-    section = _section(section, "availability")
+    section = _section(section, "availability", ("kind", "tau", "p", "Q", "P", "initial_state"))
     kind = _require(section, "kind", "availability")
     if kind == "exec_time":
         tau = _float(_require(section, "tau", "availability"), "availability.tau")
@@ -109,7 +123,7 @@ def parse_availability(section: dict) -> AvailabilityModel:
 
 
 def parse_plant(section: dict) -> PlantModel:
-    section = _section(section, "plant")
+    section = _section(section, "plant", ("name", "params"))
     name = _require(section, "name", "plant")
     if not isinstance(name, str) or name not in BUILTIN_PLANTS:
         raise ConfigError(f"plant.name must be one of {list(BUILTIN_PLANTS)}, got {name!r}")
@@ -122,7 +136,7 @@ def parse_plant(section: dict) -> PlantModel:
 
 
 def parse_disturbance(section: Optional[dict], plant: PlantModel) -> DisturbanceModel:
-    section = _section(section, "disturbance")
+    section = _section(section, "disturbance", ("kind", "lo", "hi", "mean", "variance"))
     if not section:
         return DisturbanceModel(kind="none", dim=plant.m)
     kind = section.get("kind", "none")
@@ -137,7 +151,7 @@ def parse_disturbance(section: Optional[dict], plant: PlantModel) -> Disturbance
 
 
 def parse_controller(section: dict) -> ControllerKind:
-    section = _section(section, "controller")
+    section = _section(section, "controller", ("kind", "buffer_cap"))
     kind = _require(section, "kind", "controller")
     if kind not in KINDS:
         raise ConfigError(f"controller.kind must be one of {KINDS}, got {kind!r}")
@@ -171,11 +185,12 @@ def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] =
 def parse_sim_config(data: dict, *, seed: Optional[int] = None,
                      runs: Optional[int] = None, horizon: Optional[int] = None) -> SimConfig:
     """Build a SimConfig from a parsed mapping; keyword overrides win over file values."""
+    _section(data, "", SIM_KEYS)
     plant = parse_plant(_require(data, "plant", ""))
     availability = parse_availability(_require(data, "availability", ""))
     controller = parse_controller(_require(data, "controller", ""))
     disturbance = parse_disturbance(data.get("disturbance"), plant)
-    cost = _section(data.get("cost"), "cost")
+    cost = _section(data.get("cost"), "cost", ("q_x", "r_u"))
     x0 = data.get("x0")
     x0_box = data.get("x0_box")
     if x0_box is not None:
@@ -205,6 +220,7 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
 
 
 def parse_certificate_inputs(data: dict) -> CertificateInputs:
+    _section(data, "", STABILITY_KEYS)
     rho = _float(_require(data, "rho", ""), "rho")
     alpha = _float(_require(data, "alpha", ""), "alpha")
     availability = parse_availability(_require(data, "availability", ""))

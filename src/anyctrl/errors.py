@@ -22,7 +22,3 @@ class CertificateViolation(RuntimeError):
 
 class DivergenceError(ArithmeticError):
     """A closed-form certificate does not converge (e.g. p0*alpha >= 1)."""
-
-
-class DegenerateStateError(ValueError):
-    """A Markov processor state with p0|state = 1 was queried for gap statistics."""

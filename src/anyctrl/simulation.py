@@ -25,9 +25,9 @@ bookkeeping runs once per block of `Ring.block` steps: the ring tests the
 block's Lyapunov decreases in one stacked pass, and the loop hands the
 block's states and inputs to its consumer. `run_episode` joins the blocks
 into its trace; the engine evaluates each block's stage costs in one pass
-and adds them to each run's cost in step order, as `empirical_cost` sums a
-trace's, so a run's cost is the same bit for bit either way. Every plant
-must broadcast over leading axes (see `plants.PlantModel`).
+and adds them to each run's cost in step order, so a run's cost is the same
+bit for bit as the step-order sum over its trace. Every plant must
+broadcast over leading axes (see `plants.PlantModel`).
 
 The batch engine reads every run's streams from one stacked block
 (`presample`). A sweep seeds each run's streams once (`presample_each`),
@@ -161,16 +161,6 @@ def _stage_costs(x: np.ndarray, u: np.ndarray, q_x: float, r_u: float) -> np.nda
     return q_x * sum_squares(x) + r_u * sum_squares(u)
 
 
-def empirical_cost(trace: SimTrace, q_x: float, r_u: float) -> float:
-    """Per-step average of q_x*|x|^2 + r_u*|u|^2; infinite for diverged traces.
-
-    The stage costs are summed in step order, as the batch engine does.
-    """
-    if trace.diverged:
-        return float("inf")
-    return float(np.cumsum(_stage_costs(trace.x, trace.u, q_x, r_u))[-1]) / trace.steps
-
-
 @dataclass
 class CostSummary:
     """Aggregated empirical costs over runs; mean/SE/CI over non-diverged runs."""
@@ -295,8 +285,8 @@ def _batch_simulate(config: SimConfig, draws=None) -> np.ndarray:
     `draws` is `presample(config)`, drawn here when not given; its N
     schedules are capped here, which copies them only when a cap is set.
     Each block's stage costs are added by a running sum over the step axis,
-    so a run's total is the same bit for bit as adding one step at a time
-    (and as `empirical_cost` of its trace).
+    so a run's total is the same bit for bit as adding its trace's stage
+    costs one step at a time.
     """
     horizon, runs = config.horizon, config.runs
     n_all, w_all, x0 = presample(config) if draws is None else draws
@@ -324,12 +314,13 @@ def improvement_pct(candidate: CostSummary, reference: CostSummary) -> float:
     """Percentage cost reduction of candidate relative to reference.
 
     A reference whose every run diverged counts as 100% improvement for a
-    finite candidate (the reference cost is unbounded).
+    finite candidate (the reference cost is unbounded). A zero reference
+    cost leaves the percentage undefined: NaN.
     """
-    if not (reference.mean > 0.0):
-        raise ConfigError("reference mean cost must be positive for improvement")
     if np.isinf(reference.mean):
         return 100.0 if np.isfinite(candidate.mean) else float("nan")
+    if reference.mean == 0.0:
+        return float("nan")
     return 100.0 * (reference.mean - candidate.mean) / reference.mean
 
 

@@ -3,21 +3,22 @@
 All certificates return continuous margins (stable iff margin < 1) so that
 parameter sweeps can plot margin against availability parameters instead of
 a bare verdict. The Markov-model quantities operate on the thinned chain of
-computation instants; its one-step statistics are captured by the matrices
-built in :func:`markov_bars`.
+computation instants: `upsilon` damps each transition by its state's idle
+probability, Q_bar = diag(p0|s) Q, and weights the end of a gap by the
+per-state computation probabilities p_bar = 1 - p0|s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .availability import (AvailabilityModel, IidAvailability,
                            MarkovAvailability, require_valid)
-from .errors import ConfigError, DegenerateStateError, DivergenceError
+from .errors import ConfigError, DivergenceError
 
 MAX_CHAIN_STATES = 16
 
@@ -76,19 +77,18 @@ def omega_l(length: int, p0: float, rho: float, alpha: float) -> float:
     """Expected contraction over one computation gap, given a stored sequence of `length`."""
     if p0 * alpha >= 1.0:
         raise DivergenceError(f"p0*alpha = {p0 * alpha} >= 1: certificate series diverges")
-    if length < 1:
-        raise ConfigError(f"sequence length must be >= 1, got {length}")
     pr = p0 * rho
     return rho * (1.0 - pr ** length) / (1.0 - pr) + alpha * pr ** length / (1.0 - p0 * alpha)
 
 
 def sigma(model: IidAvailability, rho: float, alpha: float) -> float:
-    """Effective contraction factor of the buffer-wiping controller."""
+    """Effective contraction factor of the buffer-wiping controller.
+
+    Since alpha >= 1, the guard p0*alpha < 1 also keeps p0 below one.
+    """
     p0 = model.p0
     if p0 * alpha >= 1.0:
         raise DivergenceError(f"p0*alpha = {p0 * alpha} >= 1: certificate series diverges")
-    if p0 >= 1.0:
-        raise DivergenceError("p0 = 1: the processor is never available")
     ls = np.arange(1, model.max_len + 1)
     tail = float(np.sum(model.pmf[1:] * (p0 * rho) ** ls))
     return (rho * (1.0 - p0 * alpha) + (alpha - rho) / (1.0 - p0) * tail) / (1.0 - p0 * rho)
@@ -105,88 +105,35 @@ def omega(model: IidAvailability, rho: float, alpha: float) -> float:
                      for l in range(1, model.max_len + 1)))
 
 
-def seq_len_prob(model: IidAvailability) -> float:
-    """Probability that the next computation arrives before the stored sequence runs out."""
-    p0 = model.p0
-    if p0 >= 1.0:
-        raise DivergenceError("p0 = 1: the processor is never available")
-    ls = np.arange(1, model.max_len + 1)
-    return float(np.sum(model.pmf[1:] * (1.0 - p0 ** ls)) / (1.0 - p0))
-
-
-def a2_overrun_prob(model: IidAvailability, lam_prev: int) -> float:
-    """Probability that playback outlives the fresh sequence but not the kept tail.
-
-    `lam_prev` is the effective buffer length carried into the computation
-    instant; the event is empty for lam_prev <= 1.
-    """
-    if not (0 <= lam_prev <= model.max_len):
-        raise ConfigError(f"lam_prev {lam_prev} outside 0..{model.max_len}")
-    p0 = model.p0
-    total = 0.0
-    for l in range(1, model.max_len + 1):
-        total += model.pmf[l] * (p0 ** l - p0 ** max(l, lam_prev - 1))
-    return total / (1.0 - p0)
-
-
 # --- Markov processor-state model ---
 
-def _check_states(model: MarkovAvailability):
-    if model.num_states > MAX_CHAIN_STATES:
-        raise ConfigError(
-            f"chain has {model.num_states} states; dense certificate evaluation "
-            f"supports at most {MAX_CHAIN_STATES}")
-
-
-def markov_bars(model: MarkovAvailability) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gap-statistics matrices: (row vectors q_bar, Q_bar, p_bar).
-
-    Q_bar = diag(p0|s) Q damps transitions by the per-state idle
-    probability; p_bar stacks the per-state computation probabilities.
-    """
-    _check_states(model)
-    q_bar = model.transition
-    q_damped = np.diag(model.p0_by_state) @ model.transition
-    p_bar = 1.0 - model.p0_by_state
-    return q_bar, q_damped, p_bar
-
-
-def delta_pmf(model: MarkovAvailability, state: int, gap: int) -> float:
-    """Pr{gap between computations = `gap` | chain state at the last computation}."""
-    if not (0 <= state < model.num_states):
-        raise ConfigError(f"state {state} outside 0..{model.num_states - 1}")
-    if model.p0_by_state[state] >= 1.0:
-        raise DegenerateStateError(
-            f"state {state} has p0 = 1; gap statistics are undefined from it")
-    if gap < 1:
-        raise ConfigError(f"gap must be >= 1, got {gap}")
-    q_bar, q_damped, p_bar = markov_bars(model)
-    return float(q_bar[state] @ np.linalg.matrix_power(q_damped, gap - 1) @ p_bar)
-
-
+# the power iteration's step limit, and the change of the norm at which it stops
+# (relative to the norm above one, absolute below)
+POWER_ITERATIONS = 200
+POWER_TOL = 1e-12
 # power-iteration steps at which `spectral_radius` tests its Collatz-Wielandt bracket
 BRACKET_CHECKPOINTS = (0, 4, 8, 16, 32, 64, 128)
 # relative distance from `bound` that a bracket must clear; covers rounding drift
 BRACKET_MARGIN = 1e-9
 
 
-def spectral_radius(mat: np.ndarray, iterations: int = 200, tol: float = 1e-12,
-                    bound: Optional[float] = None) -> float:
-    """Estimate of the Perron root of a nonnegative matrix by power iteration.
+def spectral_radius(mat: np.ndarray, bound: float) -> float:
+    """Power-iteration estimate of the Perron root of a nonnegative matrix, against `bound`.
 
-    Runs at most `iterations` (200) steps from the all-ones vector and stops
-    as soon as successive norms agree to `tol`, so it can return before it
-    has converged: on slowly mixing or periodic chains the value can be off
-    either way (for [[0, .9], [.4, 0]] it returns 0.517; the root is 0.6).
-    As the guard of `upsilon` it misjudges 22 of the 1024 ring chains in the
-    benchmark's certify pool. Each step takes the product with `ndarray.dot`
-    and the norm as sqrt(w . w); these give the same iterates as `mat @ v`
-    and `np.linalg.norm`, without their Python wrappers.
+    The caller only asks which side of `bound` the estimate lies on. The
+    iteration runs at most POWER_ITERATIONS (200) steps from the all-ones
+    vector and stops as soon as successive norms agree to POWER_TOL, so it
+    can stop before it has converged: on slowly mixing or periodic chains
+    the estimate can be off either way (for [[0, .9], [.4, 0]] it is 0.517;
+    the root is 0.6). As the guard of `upsilon` it misjudges 22 of the 1024
+    ring chains in the benchmark's certify pool. Each step takes the product
+    with `ndarray.dot` and the norm as sqrt(w . w); these give the same
+    iterates as `mat @ v` and `np.linalg.norm`, without their Python
+    wrappers.
 
-    With `bound` set, the caller only asks which side of `bound` the value
-    lies on, and the loop may answer early. At the steps in
-    BRACKET_CHECKPOINTS it applies the Collatz-Wielandt test to the current
-    iterate v >= 0 and w = mat . v: if w <= lo * v in every component, with
+    The loop may answer early. At the steps in BRACKET_CHECKPOINTS it
+    applies the Collatz-Wielandt test to the current iterate v >= 0 and
+    w = mat . v: if w <= lo * v in every component, with
     lo = bound * (1 - BRACKET_MARGIN), then mat^j w <= lo * mat^(j-1) w for
     every j, because mat >= 0, so every later norm the loop would compute
     is at most lo, and it returns lo. If w >= hi * v with
@@ -207,16 +154,15 @@ def spectral_radius(mat: np.ndarray, iterations: int = 200, tol: float = 1e-12,
     """
     v = np.ones(mat.shape[0])
     radius, v_norm = 0.0, math.sqrt(v.size)
-    checks = iter(BRACKET_CHECKPOINTS if bound is not None else ())
-    check = next(checks, -1)
-    if bound is not None:
-        lo, hi = bound * (1.0 - BRACKET_MARGIN), bound * (1.0 + BRACKET_MARGIN)
-    for step in range(iterations):
+    checks = iter(BRACKET_CHECKPOINTS)
+    check = next(checks)
+    lo, hi = bound * (1.0 - BRACKET_MARGIN), bound * (1.0 + BRACKET_MARGIN)
+    for step in range(POWER_ITERATIONS):
         w = mat.dot(v)
         nrm = math.sqrt(w.dot(w))
         if nrm == 0.0:
             return 0.0
-        if abs(nrm - radius) <= (tol * radius if radius > 1.0 else tol):
+        if abs(nrm - radius) <= (POWER_TOL * radius if radius > 1.0 else POWER_TOL):
             return nrm
         if step == check:
             check = next(checks, -1)
@@ -235,7 +181,8 @@ def spectral_radius(mat: np.ndarray, iterations: int = 200, tol: float = 1e-12,
 def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     """Per-state gap contraction factors for the buffer-wiping controller.
 
-    Entries for degenerate states (p0|s = 1) are NaN. Requires the sharp
+    Entries for degenerate states (p0|s = 1) are NaN. Chains of more than
+    MAX_CHAIN_STATES states are a ConfigError. Requires the sharp
     convergence guard: spectral radius of alpha * Q_bar below one, decided
     by `spectral_radius(..., bound=1.0)`. Its Collatz-Wielandt bracket
     gives the same verdict as the full power iteration, often in far fewer
@@ -246,16 +193,21 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     one batched matmul with the same per-state arithmetic as a loop over
     states.
     """
-    _check_states(model)
-    q_bar, q_damped, p_bar = markov_bars(model)
+    g = model.num_states
+    if g > MAX_CHAIN_STATES:
+        raise ConfigError(f"chain has {g} states; dense certificate evaluation "
+                          f"supports at most {MAX_CHAIN_STATES}")
+    p0, q_bar = model.p0_by_state, model.transition
+    # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros
+    q_damped = p0[:, None] * q_bar
+    p_bar = 1.0 - p0
     if spectral_radius(alpha * q_damped, bound=1.0) >= 1.0:
         raise DivergenceError("spectral radius of alpha * Q_bar >= 1: series diverges")
-    g = model.num_states
     eye = np.eye(g)
     inv_rho = np.linalg.inv(eye - rho * q_damped)
     inv_alpha = np.linalg.inv(eye - alpha * q_damped)
     rq = rho * q_damped
-    live = np.flatnonzero(model.p0_by_state < 1.0)
+    live = np.flatnonzero(p0 < 1.0)
     pmfs = model.cond_pmfs[live]
     weighted = np.zeros((live.size, g, g))
     power = eye
@@ -268,12 +220,6 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     out = np.full(g, np.nan)
     out[live] = (q_bar[live, None, :] @ inv_rho @ core @ p_bar)[:, 0]
     return out
-
-
-def markov_baseline(model: MarkovAvailability, rho: float, alpha: float) -> Tuple[float, float]:
-    """Worst-state idle probability and the induced baseline margin."""
-    p_hat0 = float(np.max(model.p0_by_state))
-    return p_hat0, baseline_margin(p_hat0, alpha, rho)
 
 
 def _verdict(margin: float) -> str:
@@ -301,10 +247,10 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
         report.notes.append("the a1 certificate also certifies a2 (same margin)")
         return report
 
-    p_hat0, margin = markov_baseline(model, rho, alpha)
-    report.p_hat0 = p_hat0
-    report.baseline_margin = margin
-    report.verdicts["baseline"] = _verdict(margin)
+    # the baseline margin at the worst state's idle probability
+    p_hat0 = report.p_hat0 = float(np.max(model.p0_by_state))
+    report.baseline_margin = baseline_margin(p_hat0, alpha, rho)
+    report.verdicts["baseline"] = _verdict(report.baseline_margin)
     if p_hat0 * alpha >= 1.0:
         report.notes.append("worst-state guard alpha*p_hat0 >= 1; falling back "
                             "to the sharp spectral-radius guard")

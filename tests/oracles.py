@@ -15,6 +15,11 @@ for buffer contents, which the package no longer stores.
 `ring_advance_fancy` is the ring advance with numpy's row-subspace
 assignment, the reference for the package's whole-row scatters.
 
+`seq_len_prob` and `gap_pmf_series` are the gap statistics that
+criteria 2 and 3 check, which no shipped code computes. `empirical_cost`
+is the reference for the engine's per-run costs: it adds a trace's stage
+costs one step at a time, in python floats.
+
 `lyapunov_at` and `mean_lyapunov_at` are no references: they read V at
 given steps from the states the package's loop (`simulation._blocks`)
 yields, for the tests that check those states.
@@ -88,6 +93,21 @@ def upsilon_series(transition, cond_pmfs, rho, alpha, terms=SERIES_TERMS):
     return out
 
 
+def seq_len_prob(pmf):
+    """Pr{the next computation comes before the stored sequence runs out}, as a double sum.
+
+    Sums Pr{N = l | N >= 1} * Pr{gap = j} over every gap j <= l, where the
+    gap between computations is geometric: Pr{gap = j} = p0^(j-1) (1 - p0).
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    p0 = pmf[0]
+    total = 0.0
+    for l in range(1, pmf.size):
+        for j in range(1, l + 1):
+            total += pmf[l] / (1.0 - p0) * p0 ** (j - 1) * (1.0 - p0)
+    return total
+
+
 def gap_pmf_series(transition, cond_pmfs, state, gap):
     """Pr{gap between computations = gap | state at last computation}, literally.
 
@@ -100,6 +120,18 @@ def gap_pmf_series(transition, cond_pmfs, state, gap):
     for _ in range(gap - 1):
         vec = (vec * p0s) @ q
     return float(np.sum(vec * (1.0 - p0s)))
+
+
+# --- the per-run cost of a trace ---
+
+def empirical_cost(trace, q_x, r_u):
+    """Per-step average of q_x*|x|^2 + r_u*|u|^2, summed in step order; inf for a diverged trace."""
+    if trace.diverged:
+        return float("inf")
+    total = 0.0
+    for x, u in zip(trace.x.tolist(), trace.u.tolist()):
+        total += q_x * sum(c * c for c in x) + r_u * sum(c * c for c in u)
+    return total / trace.steps
 
 
 # --- the certificate kernels as they were written before stacking ---

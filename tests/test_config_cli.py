@@ -168,6 +168,27 @@ def test_cli_sweep_custom(tmp_path, capsys):
         assert float(r["cost_baseline"]) > 0.0
 
 
+@pytest.mark.parametrize("change", [
+    {"x0": [0.0], "disturbance": {"kind": "none"}},  # the state stays at the origin
+    {"cost": {"q_x": 0, "r_u": 0}},
+])
+def test_cli_sweep_with_a_zero_cost_baseline(tmp_path, capsys, change):
+    # an improvement over a zero cost is undefined: nan, not an error
+    path = write_config(tmp_path, {"experiment": "custom", "sweep": "tau", "grid": [0.2, 0.3],
+                                   "base": {**SIM_DOC, **change}})
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(path), "--out", str(out),
+                 "--runs", "3", "--horizon", "50"])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "sweep_custom.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["grid_value"]) for r in rows] == [0.2, 0.3]
+    for r in rows:
+        assert float(r["cost_baseline"]) == 0.0
+        assert r["impr_a1_pct"] == r["impr_a2_pct"] == "nan"
+    assert "+nan%" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("top, flags, want", [
     ({}, [], (9, 2, 5)),  # the base's values hold
     ({"seed": 4, "runs": 3}, [], (4, 3, 5)),  # the top level replaces them

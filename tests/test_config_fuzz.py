@@ -2,9 +2,10 @@
 
 The strategy builds a valid `simulate`, `stability` or `sweep` document,
 then breaks exactly one key: it drops a required key, gives a value of
-the wrong type, or puts a number out of its range (including NaN and
-infinities). The CLI must exit with status 2 and name the key on stderr,
-without a traceback and without running anything.
+the wrong type, puts a number out of its range (including NaN and
+infinities), or adds a misspelt key that the schema does not know. The
+CLI must exit with status 2 and name the key on stderr, without a
+traceback and without running anything.
 """
 
 import contextlib
@@ -65,6 +66,7 @@ def sim_documents(draw, plants=PLANTS, availabilities=AVAILABILITIES):
 def availability_mutations(section):
     kind = section["kind"]
     out = [(("kind",), v, "availability.kind") for v in [DROP, "bogus", 5, [1]]]
+    out += [(("tua",), 0.3, "availability.tua")]
     if kind == "exec_time":
         out += [(("tau",), v, "availability.tau")
                 for v in [DROP, *WRONG_NUMBERS, *NON_FINITE, 0.0, 1.0, -0.3, 1.5]]
@@ -130,6 +132,12 @@ def sim_mutations(doc):
                       [0, 1, 2]]]
     n = STATE_DIM[plant["name"]]
     out += [(("x0",), v, "x0") for v in ["x", [["a"]], 5.0, [0.1] * (n + 1), [NAN] * n]]
+    # a misspelt key in each section and at the top level
+    out += [(("plant", "param"), {"a": 1.2}, "plant.param"),
+            (("controller", "bufer_cap"), 1, "controller.bufer_cap"),
+            (("cost", "q_xx"), 0.2, "cost.q_xx"),
+            (("disturbance", "varaince"), 0.1, "disturbance.varaince"),
+            (("horizn",), 50, "horizn")]
     return out + scale_mutations()
 
 
@@ -149,6 +157,7 @@ def stability_cases(draw):
         out += [((key,), v, key) for v in [DROP, *WRONG_NUMBERS, *NON_FINITE]]
     out += [(("rho",), v, "rho") for v in [1.0, -0.1, 2.0]]
     out += [(("alpha",), v, "alpha") for v in [0.5, -1.0]]
+    out += [(("alhpa",), 1.618, "alhpa")]
     out += availability_mutations(doc["availability"])
     path, value, key = draw(st.sampled_from(out))
     return "stability", doc, path, value, (key,)
@@ -169,6 +178,8 @@ def sweep_cases(draw):
         out = [(("experiment",), v, "experiment") for v in ["fig9", 5, [1]]]
         out += [(("grid",), v, "grid")
                 for v in ["x", 5, [], [True], ["0.2"], [0.3, 0.2], *BAD_GRIDS[name]]]
+        # sweep and base are keys of a custom sweep only
+        out += [(("gird",), [0.2], "gird"), (("sweep",), "tau", "sweep"), (("base",), {}, "base")]
         out += scale_mutations()
         path, value, key = draw(st.sampled_from(out))
         return "sweep", doc, path, value, (key,)
@@ -181,6 +192,7 @@ def sweep_cases(draw):
     out = [(("sweep",), v, "sweep") for v in [DROP, "gamma", 5]]
     out += [(("grid",), v, "grid") for v in [DROP, "x", [], [0.3, 0.2], [NAN]]]
     out += [(("base",), v, "base") for v in [DROP, *WRONG_SECTIONS]]
+    out += [(("gird",), [0.2], "gird")]
     out += scale_mutations()
     if draw(st.booleans()):
         path, value, key = draw(st.sampled_from(out))

@@ -17,7 +17,7 @@ from anyctrl import controller
 from anyctrl.availability import MarkovAvailability
 from anyctrl.controller import KINDS, ControllerKind, Ring, tentative_sequence
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, _batch_simulate, empirical_cost, run_episode
+from anyctrl.simulation import SimConfig, _batch_simulate, run_episode
 
 import oracles
 
@@ -97,7 +97,7 @@ def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
     costs = _batch_simulate(config)
     traces = [run_episode(config, r) for r in range(2)]
     # the engine's `(runs,)` lanes and one run's `()` lanes cost the plant's output alike
-    np.testing.assert_array_equal(costs[:2], [empirical_cost(trace, config.q_x, config.r_u)
+    np.testing.assert_array_equal(costs[:2], [oracles.empirical_cost(trace, config.q_x, config.r_u)
                                               for trace in traces])
     monkeypatch.setattr(controller, "tentative_sequence", oracles.ring_advance_fancy)
     want = _batch_simulate(config)
