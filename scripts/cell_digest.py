@@ -12,8 +12,11 @@ that stops at the overflow guard. Two more configs (sat_2d under a 3-state
 Markov processor, and log_lyapunov) get the same cost, trace and V digests
 from `monte_carlo`, `run_episode` and `_blocks`. The N schedules that `presample` draws
 under a 16-state Markov processor, with its initial state set and unset,
-get one digest each. The certificate lines (`evaluate(...).lines()`) of a
-seeded set of inputs get one digest per kind of input: execution-time and
+get one digest each, and so do those under the benchmark's 3-state chain
+(`bench/workloads.markov_config`) at 1, 2 and `--runs` runs and an odd
+horizon, so that the last block of the lockstep chain walk is partial.
+The certificate lines (`evaluate(...).lines()`) of a seeded set of
+inputs get one digest per kind of input: execution-time and
 random i.i.d. models, dense and slow ring Markov chains, chains with
 degenerate (p0|s = 1) states, and chains with alpha * p_hat0 within 1e-3 of
 one, and those of every input in the benchmark's certify pool
@@ -49,7 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 if not os.environ.get("PYTHONPATH"):
     sys.path.insert(0, str(ROOT / "src"))
-sys.path.append(str(ROOT / "bench"))  # the certify pool; the package still comes from above
+sys.path.append(str(ROOT / "bench"))  # certify pool, Markov config; the package comes from above
 
 import numpy as np  # noqa: E402
 
@@ -57,12 +60,13 @@ from anyctrl import experiments  # noqa: E402
 from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
                                   from_execution_time)
 from anyctrl.cli import main as cli_main  # noqa: E402
+from anyctrl.config import parse_sim_config  # noqa: E402
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
 from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
 from anyctrl.simulation import (SimConfig, _blocks, monte_carlo, presample,  # noqa: E402
                                 run_episode)
 from anyctrl.stability import CertificateInputs, evaluate  # noqa: E402
-from workloads import certificate_pool  # noqa: E402
+from workloads import certificate_pool, markov_config  # noqa: E402
 
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
@@ -145,6 +149,10 @@ def print_schedules(seed: int, runs: int, horizon: int) -> None:
                            disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
                            horizon=horizon, runs=runs, master_seed=seed)
         print(f"markov16 initial_state={initial_state} schedules {digest(presample(config)[0])}")
+    odd = horizon | 1
+    for count in (1, 2, runs):
+        config = parse_sim_config(markov_config(seed, count, odd))
+        print(f"bench markov runs={count} horizon={odd} schedules {digest(presample(config)[0])}")
 
 
 def _pmf_rows(rng, states: int, lam: int) -> np.ndarray:

@@ -29,6 +29,9 @@ SIM_KEYS = ("plant", "availability", "controller", "disturbance", "cost", "x0", 
 STABILITY_KEYS = ("rho", "alpha", "availability")
 SWEEP_KEYS = ("experiment", "grid", "seed", "runs", "horizon")
 CUSTOM_SWEEP_KEYS = SWEEP_KEYS + ("sweep", "base")
+# the keys, besides `kind`, that each kind of availability and disturbance section reads
+AVAILABILITY_KEYS = {"exec_time": ("tau",), "iid": ("p",), "markov": ("Q", "P", "initial_state")}
+DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
 
 
 def load_yaml(path) -> dict:
@@ -65,6 +68,13 @@ def _section(value, key: str, known: Optional[tuple] = None) -> dict:
     return value
 
 
+def _kind_keys(section: dict, key: str, kind: str, known: dict) -> None:
+    """Reject a key that `kind` does not read, such as another kind's, naming it."""
+    stray = [name for name in section if name != "kind" and name not in known[kind]]
+    if stray:
+        raise ConfigError(f"unknown key {key}.{stray[0]} for kind {kind}")
+
+
 def _float(value, key: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -95,8 +105,11 @@ def _array(value, key: str) -> np.ndarray:
 
 
 def parse_availability(section: dict) -> AvailabilityModel:
-    section = _section(section, "availability", ("kind", "tau", "p", "Q", "P", "initial_state"))
+    section = _section(section, "availability")
     kind = _require(section, "kind", "availability")
+    if not isinstance(kind, str) or kind not in AVAILABILITY_KEYS:
+        raise ConfigError(f"availability.kind must be iid, markov, or exec_time, got {kind!r}")
+    _kind_keys(section, "availability", kind, AVAILABILITY_KEYS)
     if kind == "exec_time":
         tau = _float(_require(section, "tau", "availability"), "availability.tau")
         try:
@@ -106,7 +119,7 @@ def parse_availability(section: dict) -> AvailabilityModel:
     if kind == "iid":
         pmf = _array(_require(section, "p", "availability"), "availability.p")
         where, build = "availability.p", lambda: IidAvailability(pmf)
-    elif kind == "markov":
+    else:
         q = _array(_require(section, "Q", "availability"), "availability.Q")
         p = _array(_require(section, "P", "availability"), "availability.P")
         initial = section.get("initial_state")
@@ -114,8 +127,6 @@ def parse_availability(section: dict) -> AvailabilityModel:
             initial = _int(initial, "availability.initial_state")
         # the invariants tie Q, P and initial_state together
         where, build = "availability", lambda: MarkovAvailability(q, p, initial_state=initial)
-    else:
-        raise ConfigError(f"availability.kind must be iid, markov, or exec_time, got {kind!r}")
     try:
         return require_valid(build())
     except ConfigError as exc:
@@ -136,14 +147,13 @@ def parse_plant(section: dict) -> PlantModel:
 
 
 def parse_disturbance(section: Optional[dict], plant: PlantModel) -> DisturbanceModel:
-    section = _section(section, "disturbance", ("kind", "lo", "hi", "mean", "variance"))
-    if not section:
-        return DisturbanceModel(kind="none", dim=plant.m)
+    section = _section(section, "disturbance")
     kind = section.get("kind", "none")
-    if kind not in DISTURBANCE_KINDS:
+    if not isinstance(kind, str) or kind not in DISTURBANCE_KEYS:
         raise ConfigError(f"disturbance.kind must be one of {DISTURBANCE_KINDS}, got {kind!r}")
+    _kind_keys(section, "disturbance", kind, DISTURBANCE_KEYS)
     values = {key: _float(section.get(key, 0.0), f"disturbance.{key}")
-              for key in ("lo", "hi", "mean", "variance")}
+              for key in DISTURBANCE_KEYS[kind]}
     try:
         return DisturbanceModel(kind=kind, dim=plant.m, **values)
     except ConfigError as exc:

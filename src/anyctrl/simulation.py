@@ -200,29 +200,32 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
     The configs may differ in their availability model, plant parameters
     and controller, and must agree in everything else that `presample`
     reads. The disturbances and initial states are drawn once and shared
-    by every block. The N schedules are drawn again, from each run's saved
-    availability-generator state, whenever the availability model is not
-    the previous config's (by identity); the last schedules are released
-    first, so a caller that drops each block before asking for the next
-    holds one at a time.
+    by every block. The N schedules are drawn again whenever the
+    availability model is not the previous config's (by identity): every
+    run's availability generator is rewound to its state before its first
+    draw, and one lane-shaped sampler over all of them (`make_sampler` on
+    the list) draws every schedule in one `presample` call, row r the same
+    bits as a sampler on run r's generator alone. The last schedules are
+    released first, so a caller that drops each block before asking for
+    the next holds one at a time.
     """
     first = configs[0]
     runs, horizon, plant = first.runs, first.horizon, first.plant
     w_all = np.empty((runs, horizon, plant.m))
     x0 = np.empty((runs, plant.n))
-    states = []  # each run's availability-generator state before its first draw
+    rngs, states = [], []  # each run's availability generator and its state before its first draw
     for r in range(runs):
         rng, w_all[r], x0[r] = _run_draws(first, r)
+        rngs.append(rng)
         states.append(rng.bit_generator.state)
     w_all.flags.writeable = x0.flags.writeable = False
     n_all = availability = None
     for config in configs:
         if config.availability is not availability:
             availability, n_all = config.availability, None
-            n_all = np.empty((runs, horizon), dtype=np.int64)
-            for r, state in enumerate(states):
+            for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
-                n_all[r] = make_sampler(availability, rng).presample(horizon)
+            n_all = make_sampler(availability, rngs).presample(horizon)
             n_all.flags.writeable = False
         yield n_all, w_all, x0
 

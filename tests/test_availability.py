@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anyctrl.availability import (IidAvailability, MarkovAvailability,
+from anyctrl.availability import (WALK_BLOCK, IidAvailability, MarkovAvailability,
                                   from_execution_time, is_primitive,
                                   make_sampler, stationary_distribution,
                                   validate, require_valid)
@@ -259,9 +261,12 @@ def residue_chains(draw):
 
 def near_the_top(model):
     """Uniforms that decide ties and the top of every cdf row: cdf values and their neighbours."""
-    cdfs = np.concatenate([np.cumsum(model.transition, axis=1).ravel(),
-                           np.cumsum(model.cond_pmfs, axis=1).ravel(),
-                           np.cumsum(model.stationary)])
+    if isinstance(model, IidAvailability):
+        cdfs = np.cumsum(model.pmf)
+    else:
+        cdfs = np.concatenate([np.cumsum(model.transition, axis=1).ravel(),
+                               np.cumsum(model.cond_pmfs, axis=1).ravel(),
+                               np.cumsum(model.stationary)])
     top = [1.0]
     for _ in range(4):
         top.append(np.nextafter(top[-1], 0.0))
@@ -282,3 +287,40 @@ def test_presample_equals_sample_loop_at_the_top_of_the_cdf(model, count, seed):
     assert np.array_equal(b.presample(count), ones)
     assert a.state == b.state
     assert (ones, a.state) == oracles.sample_loop(model, ScriptedRng(script), count)
+
+
+@st.composite
+def iid_models(draw):
+    width = draw(st.integers(min_value=1, max_value=9))
+    return IidAvailability(_stochastic_rows(draw, 1, width, self_loops=False)[0])
+
+
+def _with_both_initial_states(model):
+    """The model with its chain's initial state unset and set (an i.i.d. model as is)."""
+    if isinstance(model, IidAvailability):
+        return [model]
+    start = model.initial_state or model.num_states - 1
+    return [replace(model, initial_state=None), replace(model, initial_state=start)]
+
+
+@given(st.one_of(markov_models(), residue_chains(), iid_models()), st.integers(1, 5),
+       st.sampled_from([0, 1, WALK_BLOCK - 1, WALK_BLOCK, WALK_BLOCK + 1, 1001]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_lane_sampler_rows_equal_single_stream_samplers(drawn, streams, count, seed):
+    """Row r of a sampler on many streams, and its lane r state, are those of stream r alone."""
+    rng = np.random.default_rng(seed)
+    for model in _with_both_initial_states(drawn):
+        scripts = rng.random((streams, 2 * count + 1))
+        special = rng.random(scripts.shape) < 0.5
+        scripts[special] = rng.choice(near_the_top(model), int(special.sum()))
+        seeds = rng.integers(2 ** 32, size=streams)
+        for make_rng, keys in ((ScriptedRng, scripts), (np.random.default_rng, seeds)):
+            lanes = make_sampler(model, [make_rng(key) for key in keys])
+            got = lanes.presample(count)
+            assert got.shape == (streams, count) and got.dtype == np.int64
+            for r, key in enumerate(keys):
+                one = make_sampler(model, make_rng(key))
+                assert np.array_equal(got[r], one.presample(count))
+                if isinstance(model, MarkovAvailability):
+                    assert lanes.state[r] == one.state

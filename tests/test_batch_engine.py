@@ -1,5 +1,6 @@
 """The batch engine against the masked per-depth reference engine, bit for bit."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,25 @@ def test_mean_lyapunov_keeps_checkpoint_order():
     assert means[0] == means[2] < means[1]
     with pytest.raises(ConfigError):
         mean_lyapunov_at(cfg, [0, cfg.horizon])
+
+
+# working memory `presample` may use beyond its outputs; stacking every run's
+# (horizon, 2) uniforms, or any (runs, horizon) float array, needs far more
+PRESAMPLE_ALLOWANCE = 16 * 2 ** 20
+
+
+def test_presample_memory_stays_near_its_outputs():
+    """The traced peak of a 200-run x 20 000-step Markov presample: outputs plus an allowance."""
+    config = replace(markov_sat_2d("a2", None), runs=200, horizon=20_000)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        draws = presample(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in draws)
+    assert peak - start < outputs + PRESAMPLE_ALLOWANCE
 
 
 def markov_a_sweep(seed, runs, horizon, grid):

@@ -8,10 +8,11 @@ import yaml
 from anyctrl import cli
 from anyctrl.availability import IidAvailability, MarkovAvailability
 from anyctrl.cli import main
-from anyctrl.config import (load_yaml, parse_availability,
-                            parse_certificate_inputs, parse_sim_config)
+from anyctrl.config import (load_yaml, parse_availability, parse_certificate_inputs,
+                            parse_disturbance, parse_sim_config)
 from anyctrl.errors import ConfigError
 from anyctrl.experiments import builtin_experiment, run_sweep, write_sweep_csv
+from anyctrl.plants import make_builtin_plant
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -68,6 +69,20 @@ def test_parse_availability_errors_name_keys():
         parse_availability({"kind": "iid"})
     with pytest.raises(ConfigError, match="availability"):
         parse_availability({"kind": "iid", "p": [0.5, 0.6]})
+
+
+def test_keys_of_another_kind_are_named():
+    """Keys are checked per kind: a key that only another kind reads is an error."""
+    with pytest.raises(ConfigError, match="unknown key availability.tau for kind iid"):
+        parse_availability({"kind": "iid", "p": [0.5, 0.5], "tau": 0.3})
+    with pytest.raises(ConfigError, match="unknown key availability.Q for kind exec_time"):
+        parse_availability({"kind": "exec_time", "tau": 0.3, "Q": [[1]]})
+    plant = make_builtin_plant("sat_2d")
+    with pytest.raises(ConfigError, match="unknown key disturbance.lo for kind gaussian"):
+        parse_disturbance({"kind": "gaussian", "variance": 0.1, "lo": -5, "hi": 5}, plant)
+    # the kind defaults to none, which reads no other key
+    with pytest.raises(ConfigError, match="unknown key disturbance.lo for kind none"):
+        parse_disturbance({"lo": -1, "hi": 1}, plant)
 
 
 def test_parse_sim_config_and_overrides():

@@ -3,7 +3,8 @@
 The strategy builds a valid `simulate`, `stability` or `sweep` document,
 then breaks exactly one key: it drops a required key, gives a value of
 the wrong type, puts a number out of its range (including NaN and
-infinities), or adds a misspelt key that the schema does not know. The
+infinities), adds a misspelt key that the schema does not know, or adds
+a key that only another kind of its section reads. The
 CLI must exit with status 2 and name the key on stderr, without a
 traceback and without running anything.
 """
@@ -67,6 +68,10 @@ def availability_mutations(section):
     kind = section["kind"]
     out = [(("kind",), v, "availability.kind") for v in [DROP, "bogus", 5, [1]]]
     out += [(("tua",), 0.3, "availability.tua")]
+    # a key of another kind
+    out += [{"exec_time": (("Q",), [[1.0]], "availability.Q"),
+             "iid": (("tau",), 0.3, "availability.tau"),
+             "markov": (("p",), [0.5, 0.5], "availability.p")}[kind]]
     if kind == "exec_time":
         out += [(("tau",), v, "availability.tau")
                 for v in [DROP, *WRONG_NUMBERS, *NON_FINITE, 0.0, 1.0, -0.3, 1.5]]
@@ -127,6 +132,10 @@ def sim_mutations(doc):
         out += [(("disturbance", "lo"), 5.0, "disturbance.lo")]
     if dist["kind"] == "gaussian":
         out += [(("disturbance", "variance"), -1.0, "disturbance.variance")]
+    # a key of another kind
+    out += [{"uniform": (("disturbance", "variance"), 0.1, "disturbance.variance"),
+             "gaussian": (("disturbance", "lo"), -1.0, "disturbance.lo"),
+             "none": (("disturbance", "hi"), 1.0, "disturbance.hi")}[dist["kind"]]]
     out += [(("x0_box",), v, "x0_box")
             for v in ["x", 5, [1.0], [0.0, "one"], [1.0, -1.0], [NAN, 1.0], [0.0, INF],
                       [0, 1, 2]]]
