@@ -10,7 +10,8 @@ States of the Markov model are 0-indexed throughout.
 A sampler (`make_sampler`) draws N(k) on one Generator, lanes `()`, or on
 a sequence of per-run Generators, lanes `(runs,)`; `presample(count)`
 returns `lanes + (count,)` lengths, and row r is bit for bit what a
-sampler on the r-th Generator alone draws.
+sampler on the r-th Generator alone draws. `sample()`, one draw, needs a
+sampler on one Generator.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ _TOL = 1e-12
 # time steps per block of the lockstep chain walk on many streams; a block
 # holds every stream's uniforms and picks, O(streams x WALK_BLOCK) memory
 WALK_BLOCK = 256
+# streams from which the lockstep walk (a few us per array step) beats one
+# bisect per stream and step (~0.2 us); both break even near 20 streams
+LOCKSTEP_MIN_LANES = 24
 
 
 def _frozen(a) -> np.ndarray:
@@ -205,6 +209,12 @@ def _lanes(rng) -> tuple:
     return () if hasattr(rng, "random") else (len(rng),)
 
 
+def _one_stream(sampler) -> None:
+    if sampler.lanes:
+        raise TypeError(f"sample() draws on one Generator; this sampler has "
+                        f"{sampler.lanes[0]} lanes, use presample()")
+
+
 class IidSampler:
     """Draws N(k) i.i.d. from the model pmf. One uniform per step and lane."""
 
@@ -216,17 +226,17 @@ class IidSampler:
 
     def sample(self) -> int:
         """One draw on a single stream."""
+        _one_stream(self)
         return int(np.searchsorted(self._cum, self.rng.random(), side="right"))
 
     def presample(self, count: int) -> np.ndarray:
         """`count` lengths per lane, shape lanes + (count,); identical to `count` sample() calls."""
-        if not self.lanes:
-            return np.searchsorted(self._cum, self.rng.random(count), side="right").astype(np.int64)
+        streams = self.rng if self.lanes else [self.rng]
         # one lane at a time: no stacked uniforms beside the output
-        out = np.empty(self.lanes + (count,), dtype=np.int64)
-        for n, rng in zip(out, self.rng):
+        out = np.empty((len(streams), count), dtype=np.int64)
+        for n, rng in zip(out, streams):
             n[:] = np.searchsorted(self._cum, rng.random(count), side="right")
-        return out
+        return out.reshape(self.lanes + (count,))
 
 
 class MarkovSampler:
@@ -236,12 +246,13 @@ class MarkovSampler:
     draw when unset. Each step consumes two uniforms: one for N(k) given
     g(k), one for the transition to g(k+1).
 
-    On one Generator, `state` is the chain state and `presample` walks the
-    chain with one bisect per step, which at ~0.2 us beats any numpy call.
-    On a sequence of Generators, one per lane, `state` holds every lane's
-    state and `presample` walks all lanes in lockstep, one array step per
-    time step (`_walk_lanes`). Either way lane r gets the lengths and final
-    state that one Generator gives on stream r.
+    On one Generator `state` is the chain state; on a sequence of
+    Generators, one per lane, it holds every lane's state. `presample`
+    walks each stream's chain with one bisect per step (`_walk_stream`),
+    which at ~0.2 us beats any numpy call, unless there are at least
+    LOCKSTEP_MIN_LANES lanes: then it walks all lanes in lockstep, one
+    array step per time step (`_walk_lanes`). Either way lane r gets the
+    lengths and final state that one Generator gives on stream r.
     """
 
     def __init__(self, model: MarkovAvailability, rng):
@@ -265,6 +276,7 @@ class MarkovSampler:
 
     def sample(self) -> int:
         """One draw on a single stream."""
+        _one_stream(self)
         n = int(np.searchsorted(self._cum_rows_cols[:, self.state], self.rng.random(),
                                 side="right"))
         self.state = bisect_right(self._cum_trans[self.state], self.rng.random())
@@ -289,17 +301,26 @@ class MarkovSampler:
         Only the chain walk is sequential. The lengths are then picked for
         all steps at once.
         """
-        if self.lanes:
+        if self.lanes and self.lanes[0] >= LOCKSTEP_MIN_LANES:
             return self._walk_lanes(count)
-        us = self.rng.random((count, 2))
+        streams = self.rng if self.lanes else [self.rng]
+        out = np.empty((len(streams), count), dtype=np.int64)
+        last = []
+        for n, rng, state in zip(out, streams, np.atleast_1d(self.state).tolist()):
+            n[:], state = self._walk_stream(rng, state, count)
+            last.append(state)
+        self.state = np.array(last, dtype=np.int64) if self.lanes else last[0]
+        return out.reshape(self.lanes + (count,))
+
+    def _walk_stream(self, rng, state: int, count: int):
+        """One stream's lengths from `state` on, and its state after them."""
+        us = rng.random((count, 2))
         cum_trans = self._cum_trans
         states = []
-        state = self.state
         for u in us[:, 1].tolist():
             states.append(state)
             state = bisect_right(cum_trans[state], u)
-        self.state = state
-        return self._pick(states, us[:, 0])
+        return self._pick(states, us[:, 0]), state
 
     def _walk_lanes(self, count: int) -> np.ndarray:
         """Every lane's chain, WALK_BLOCK steps at a time.
@@ -314,7 +335,8 @@ class MarkovSampler:
         out = np.empty((lanes, count), dtype=np.int64)
         rows = np.empty((self.model.num_states, lanes))
         hits = np.empty(rows.shape, dtype=bool)
-        states = np.empty((WALK_BLOCK + 1, lanes), dtype=np.int64)  # row k: states at step start + k
+        # row k: every lane's state at step start + k
+        states = np.empty((WALK_BLOCK + 1, lanes), dtype=np.int64)
         states[0] = self.state
         for start in range(0, count, WALK_BLOCK):
             steps = min(WALK_BLOCK, count - start)

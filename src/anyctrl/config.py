@@ -18,7 +18,7 @@ from .availability import (AvailabilityModel, IidAvailability,
                            require_valid)
 from .controller import KINDS, ControllerKind
 from .errors import ConfigError
-from .plants import (BUILTIN_PLANTS, DISTURBANCE_KINDS, DisturbanceModel, PlantModel,
+from .plants import (BUILTIN_PLANTS, DISTURBANCE_KEYS, DisturbanceModel, PlantModel,
                      make_builtin_plant)
 from .simulation import SimConfig
 from .stability import CertificateInputs
@@ -29,9 +29,9 @@ SIM_KEYS = ("plant", "availability", "controller", "disturbance", "cost", "x0", 
 STABILITY_KEYS = ("rho", "alpha", "availability")
 SWEEP_KEYS = ("experiment", "grid", "seed", "runs", "horizon")
 CUSTOM_SWEEP_KEYS = SWEEP_KEYS + ("sweep", "base")
-# the keys, besides `kind`, that each kind of availability and disturbance section reads
+# the keys, besides `kind`, that each kind of availability section reads; a
+# disturbance section's are plants.DISTURBANCE_KEYS
 AVAILABILITY_KEYS = {"exec_time": ("tau",), "iid": ("p",), "markov": ("Q", "P", "initial_state")}
-DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
 
 
 def load_yaml(path) -> dict:
@@ -108,7 +108,8 @@ def parse_availability(section: dict) -> AvailabilityModel:
     section = _section(section, "availability")
     kind = _require(section, "kind", "availability")
     if not isinstance(kind, str) or kind not in AVAILABILITY_KEYS:
-        raise ConfigError(f"availability.kind must be iid, markov, or exec_time, got {kind!r}")
+        raise ConfigError(f"availability.kind must be one of {tuple(AVAILABILITY_KEYS)}, "
+                          f"got {kind!r}")
     _kind_keys(section, "availability", kind, AVAILABILITY_KEYS)
     if kind == "exec_time":
         tau = _float(_require(section, "tau", "availability"), "availability.tau")
@@ -150,7 +151,8 @@ def parse_disturbance(section: Optional[dict], plant: PlantModel) -> Disturbance
     section = _section(section, "disturbance")
     kind = section.get("kind", "none")
     if not isinstance(kind, str) or kind not in DISTURBANCE_KEYS:
-        raise ConfigError(f"disturbance.kind must be one of {DISTURBANCE_KINDS}, got {kind!r}")
+        raise ConfigError(f"disturbance.kind must be one of {tuple(DISTURBANCE_KEYS)}, "
+                          f"got {kind!r}")
     _kind_keys(section, "disturbance", kind, DISTURBANCE_KEYS)
     values = {key: _float(section.get(key, 0.0), f"disturbance.{key}")
               for key in DISTURBANCE_KEYS[kind]}

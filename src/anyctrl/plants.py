@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConfigError
 
 SQRT5 = np.sqrt(5.0)
-DISTURBANCE_KINDS = ("none", "uniform", "gaussian")
+# each disturbance kind and the DisturbanceModel fields it reads
+DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class DisturbanceModel:
     variance: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
+        if self.kind not in DISTURBANCE_KEYS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
         if self.kind == "uniform" and self.lo > self.hi:
             raise ConfigError("disturbance.lo must be <= disturbance.hi")

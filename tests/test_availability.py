@@ -1,10 +1,13 @@
 from dataclasses import replace
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from anyctrl import availability
 from anyctrl.availability import (WALK_BLOCK, IidAvailability, MarkovAvailability,
                                   from_execution_time, is_primitive,
                                   make_sampler, stationary_distribution,
@@ -308,19 +311,33 @@ def _with_both_initial_states(model):
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_lane_sampler_rows_equal_single_stream_samplers(drawn, streams, count, seed):
-    """Row r of a sampler on many streams, and its lane r state, are those of stream r alone."""
+    """Row r of a sampler on many streams, and its lane r state, are those of stream r alone.
+
+    Both walks run: one bisect per stream, and (LOCKSTEP_MIN_LANES lowered
+    to 1) the lockstep walk over every stream.
+    """
     rng = np.random.default_rng(seed)
-    for model in _with_both_initial_states(drawn):
+    for model, min_lanes in product(_with_both_initial_states(drawn),
+                                     (availability.LOCKSTEP_MIN_LANES, 1)):
         scripts = rng.random((streams, 2 * count + 1))
         special = rng.random(scripts.shape) < 0.5
         scripts[special] = rng.choice(near_the_top(model), int(special.sum()))
         seeds = rng.integers(2 ** 32, size=streams)
         for make_rng, keys in ((ScriptedRng, scripts), (np.random.default_rng, seeds)):
             lanes = make_sampler(model, [make_rng(key) for key in keys])
-            got = lanes.presample(count)
+            with mock.patch.object(availability, "LOCKSTEP_MIN_LANES", min_lanes):
+                got = lanes.presample(count)
             assert got.shape == (streams, count) and got.dtype == np.int64
             for r, key in enumerate(keys):
                 one = make_sampler(model, make_rng(key))
                 assert np.array_equal(got[r], one.presample(count))
                 if isinstance(model, MarkovAvailability):
                     assert lanes.state[r] == one.state
+
+
+@pytest.mark.parametrize("model", [IidAvailability([0.5, 0.5]),
+                                   MarkovAvailability([[1.0]], [[0.5, 0.5]])])
+def test_sample_needs_one_stream(model):
+    sampler = make_sampler(model, [np.random.default_rng(0), np.random.default_rng(1)])
+    with pytest.raises(TypeError, match="sample\\(\\) draws on one Generator"):
+        sampler.sample()
