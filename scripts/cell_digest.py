@@ -31,7 +31,8 @@ horizon).
 It imports the package from the `src/` next to it unless PYTHONPATH is
 set, so one copy of the script can check two versions of the package.
 Diff the outputs; an empty diff means every cost, row, trace, schedule,
-certificate and CLI file is bit-identical:
+certificate and CLI file is bit-identical (integer arrays equal in value,
+whatever type stores them):
 
     python scripts/cell_digest.py > after.txt
     PYTHONPATH=../other/src python scripts/cell_digest.py > before.txt
@@ -78,9 +79,16 @@ CHECKPOINTS = (0, 15, 16, 200, -1)
 
 
 def digest(*arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes; integer arrays by value, as int64.
+
+    A version that stores N schedules in a narrower integer type then gives
+    the same digest for the same values.
+    """
     h = hashlib.sha256()
     for a in arrays:
         a = np.ascontiguousarray(a)
+        if a.dtype.kind in "iu":
+            a = a.astype(np.int64)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
@@ -97,10 +105,8 @@ def trace_digest(config, runs) -> str:
 def checkpoint_digest(config) -> str:
     steps = sorted({k % config.horizon for k in CHECKPOINTS if k < config.horizon})
     n_all, w_all, x0 = presample(config)
-    cap = config.controller.buffer_cap
-    n_all = n_all if cap is None else np.minimum(n_all, cap)  # the schedule the engine runs
     rows, start = {}, 0
-    for states, _, _ in _blocks(config, n_all, w_all, x0):
+    for states, _, _ in _blocks(config, config.controller.capped(n_all), w_all, x0):
         for k in set(steps).intersection(range(start, start + len(states))):
             rows[k] = states[k - start]
         start += len(states)

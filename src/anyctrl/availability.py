@@ -11,7 +11,10 @@ A sampler (`make_sampler`) draws N(k) on one Generator, lanes `()`, or on
 a sequence of per-run Generators, lanes `(runs,)`; `presample(count)`
 returns `lanes + (count,)` lengths, and row r is bit for bit what a
 sampler on the r-th Generator alone draws. `sample()`, one draw, needs a
-sampler on one Generator.
+sampler on one Generator. Presampled lengths are stored in the narrowest
+unsigned type that holds Lambda (`length_dtype`): one byte per step up to
+Lambda = 255, two above. Code that adds step indices to them widens them
+to int64 first.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ WALK_BLOCK = 256
 # streams from which the lockstep walk (a few us per array step) beats one
 # bisect per stream and step (~0.2 us); both break even near 20 streams
 LOCKSTEP_MIN_LANES = 24
+
+
+def length_dtype(max_len: int) -> np.dtype:
+    """The storage type of presampled lengths in {0..max_len}: uint8 up to 255, uint16 above."""
+    return np.min_scalar_type(max_len)
 
 
 def _frozen(a) -> np.ndarray:
@@ -222,6 +230,7 @@ class IidSampler:
         self.model = model
         self.rng = rng
         self.lanes = _lanes(rng)
+        self.dtype = length_dtype(model.max_len)
         self._cum = _open_top(model.pmf)
 
     def sample(self) -> int:
@@ -230,10 +239,13 @@ class IidSampler:
         return int(np.searchsorted(self._cum, self.rng.random(), side="right"))
 
     def presample(self, count: int) -> np.ndarray:
-        """`count` lengths per lane, shape lanes + (count,); identical to `count` sample() calls."""
+        """`count` lengths per lane, shape lanes + (count,), as `self.dtype`.
+
+        Identical to `count` sample() calls.
+        """
         streams = self.rng if self.lanes else [self.rng]
-        # one lane at a time: no stacked uniforms beside the output
-        out = np.empty((len(streams), count), dtype=np.int64)
+        # one lane at a time: no stacked uniforms or int64 indices beside the output
+        out = np.empty((len(streams), count), dtype=self.dtype)
         for n, rng in zip(out, streams):
             n[:] = np.searchsorted(self._cum, rng.random(count), side="right")
         return out.reshape(self.lanes + (count,))
@@ -259,6 +271,7 @@ class MarkovSampler:
         self.model = model
         self.rng = rng
         self.lanes = _lanes(rng)
+        self.dtype = length_dtype(model.max_len)
         # column i is the cdf of row i, so row j holds entry j of every state's cdf
         self._cum_rows_cols = np.ascontiguousarray(_open_top(model.cond_pmfs).T)
         cum_trans = _open_top(model.transition)
@@ -287,24 +300,24 @@ class MarkovSampler:
 
         On a non-decreasing cdf that count is searchsorted(side="right").
         One cdf entry at a time keeps the temporaries the shape of `u`; the
-        +inf top entry is never <= u and is skipped.
+        +inf top entry is never <= u and is skipped. The counts are `self.dtype`.
         """
         states = np.asarray(states, dtype=np.int64)
-        n = np.zeros(states.shape, dtype=np.int64)
+        n = np.zeros(states.shape, dtype=self.dtype)
         for entry in self._cum_rows_cols[:-1]:
             n += entry.take(states) <= u
         return n
 
     def presample(self, count: int) -> np.ndarray:
-        """`count` lengths per lane, shape lanes + (count,); identical to `count` sample() calls.
+        """`count` lengths per lane, shape lanes + (count,), as `self.dtype`.
 
-        Only the chain walk is sequential. The lengths are then picked for
-        all steps at once.
+        Identical to `count` sample() calls. Only the chain walk is
+        sequential. The lengths are then picked for all steps at once.
         """
         if self.lanes and self.lanes[0] >= LOCKSTEP_MIN_LANES:
             return self._walk_lanes(count)
         streams = self.rng if self.lanes else [self.rng]
-        out = np.empty((len(streams), count), dtype=np.int64)
+        out = np.empty((len(streams), count), dtype=self.dtype)
         last = []
         for n, rng, state in zip(out, streams, np.atleast_1d(self.state).tolist()):
             n[:], state = self._walk_stream(rng, state, count)
@@ -332,7 +345,7 @@ class MarkovSampler:
         bisect_right on the row. Memory stays O(lanes x WALK_BLOCK).
         """
         lanes = len(self.rng)
-        out = np.empty((lanes, count), dtype=np.int64)
+        out = np.empty((lanes, count), dtype=self.dtype)
         rows = np.empty((self.model.num_states, lanes))
         hits = np.empty(rows.shape, dtype=bool)
         # row k: every lane's state at step start + k

@@ -23,7 +23,7 @@ drains. A failure therefore surfaces at the
 end of its block, with the fields it would have had at its own step.
 
 The input played at step k is one gather from the ring, at a source
-computed in closed form from the capped N schedule (`Ring.sources`).
+computed in closed form from the capped N schedule (`Ring.steps`).
 Variant two (a2) keeps the tail of older sequences: it plays the sequence
 started at k - d for the smallest d with N(k - d) > d. Variant one (a1)
 wipes older sequences on every recomputation: it plays the sequence of
@@ -75,12 +75,17 @@ class ControllerKind:
             raise ConfigError("buffer_cap must be >= 1")
 
     def capped(self, n_sched) -> np.ndarray:
-        """The N(k) schedule as int64, capped at `buffer_cap` when one is set.
+        """The N(k) schedule capped at `buffer_cap`, in the array's own type.
 
-        Without a cap an int64 schedule comes back as the same array.
+        A presampled schedule is stored in `availability.length_dtype`
+        (uint8 up to Lambda = 255); a sequence that is not an array becomes
+        int64. When no cap is set or the cap is at least the schedule's
+        largest entry, the schedule comes back as the same array. Otherwise
+        the cap is below that entry, so it fits the array's type.
         """
-        n = np.asarray(n_sched, dtype=np.int64)
-        return n if self.buffer_cap is None else np.minimum(n, self.buffer_cap)
+        n = n_sched if isinstance(n_sched, np.ndarray) else np.array(n_sched, dtype=np.int64)
+        cap = self.buffer_cap
+        return n if cap is None or cap >= int(n.max(initial=0)) else np.minimum(n, cap)
 
 
 class Ring:
@@ -113,18 +118,21 @@ class Ring:
         # step from a rollout step by its disturbance being a view
         self.w0 = np.zeros(plant.m)
 
-    def sources(self, kind: ControllerKind, n_sched) -> Iterator:
-        """Yield, for k = 0, 1, ..., the `inputs` row of u(k) on every lane.
+    def steps(self, kind: ControllerKind, n_sched) -> Iterator:
+        """Yield, for k = 0, 1, ..., N(k) and the `inputs` row of u(k) on every lane.
 
         `n_sched` is the capped `(..., horizon)` schedule of N(k)
-        (`ControllerKind.capped`). The map is built `block` steps at a time
-        from C - 1 steps of look-back; a step of no source maps to the
-        zero row. The baseline has no sources and gets None.
+        (`ControllerKind.capped`). For a1 and a2 the source map is built
+        `block` steps at a time from C - 1 steps of look-back, which are
+        copied into an int64 buffer once per block so that step indices add
+        to them; N(k) is that buffer's row, and a step of no source maps to
+        the zero row. The baseline has no sources: it gets N(k) as stored
+        and None.
         """
         n_sched = np.asarray(n_sched)
         horizon, c, lanes = n_sched.shape[-1], self.capacity, self.base.shape
         if kind.kind == "baseline":
-            yield from (None for _ in range(horizon))
+            yield from ((n_sched[..., k], None) for k in range(horizon))
             return
         for start in range(0, horizon, self.block):
             stop = min(start + self.block, horizon)
@@ -143,7 +151,8 @@ class Ring:
                 last = np.maximum.accumulate(np.where(n >= 1, t - t[0], 0), axis=0)[c - 1:]
                 t_src = t[0] + last
                 covered = np.take_along_axis(n, last, axis=0) > k - t_src
-            yield from np.where(covered, self.base + t_src % c, self.inputs.shape[0] - 1)
+            yield from zip(n[c - 1:], np.where(covered, self.base + t_src % c,
+                                                self.inputs.shape[0] - 1))
 
     def fail(self, ticks: np.ndarray, rows: np.ndarray) -> None:
         """Keep the earliest (start step, depth, run) among rows failing at the given ticks."""
@@ -236,11 +245,11 @@ def drain(plant: PlantModel, ring: Ring) -> None:
 def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, src) -> np.ndarray:
     """One controller update on every lane: returns the applied input u(k).
 
-    `n` is this step's entry of the capped schedule, at most the ring's
-    capacity, and `src` is this step's entry of `ring.sources`. The
-    baseline controller only uses the indicator n >= 1 and leaves the ring
-    alone. The decrease tests run at the end of each
-    block of `ring.block` steps; a failure drains the ring and raises (see
+    `n` and `src` are this step's N(k), at most the ring's capacity, and
+    source from `ring.steps`; the end step t + N(t) is added in int64
+    whatever the type of `n`. The baseline controller only uses the
+    indicator n >= 1 and leaves the ring alone. The decrease tests run at
+    the end of each block of `ring.block` steps; a failure drains the ring and raises (see
     `drain`). Every sequence started up to the failing step is then tested
     in full, and any started later has a later start step, so the
     violation names what it would have named at the failing step.
@@ -251,7 +260,8 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     longest = int(n.max())
     slot = ring.tick % ring.capacity  # its last sequence ended by now
     ring.chi[..., slot, :] = x
-    ring.end[..., slot] = ring.tick + n
+    # int64 in the same call: t + N(t) overflows a narrow schedule's type past its range
+    np.add(n, ring.tick, out=ring.end[..., slot], dtype=np.int64)
     ring.reach = max(ring.reach, ring.tick + longest)
     if ring.reach > ring.tick:
         tentative_sequence(plant, ring)
@@ -266,8 +276,8 @@ def effective_lengths(kind: ControllerKind, n_sched) -> np.ndarray:
 
     Closed forms of the recursions lambda = max(n, lambda - 1) (a2) and
     lambda = n if n >= 1 else max(lambda - 1, 0) (a1), from lambda = 0,
-    on the capped schedule (`ControllerKind.capped`). The baseline keeps no
-    buffer.
+    on the capped schedule (`ControllerKind.capped`), widened to int64
+    because step indices are added to it. The baseline keeps no buffer.
     """
     n = np.asarray(n_sched, dtype=np.int64)
     if kind.kind == "baseline":

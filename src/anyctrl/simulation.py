@@ -114,8 +114,8 @@ class SimTrace:
 
     x: np.ndarray  # (steps, n)
     u: np.ndarray  # (steps, p)
-    n_seq: np.ndarray  # (steps,)
-    lam: np.ndarray  # (steps,)
+    n_seq: np.ndarray  # (steps,), as drawn: availability.length_dtype, or int64 if forced
+    lam: np.ndarray  # (steps,), int64
     v: np.ndarray  # (steps,)
     diverged: bool
 
@@ -136,7 +136,8 @@ def run_episode(config: SimConfig, run_index: int,
     """Simulate one closed-loop episode; deterministic given (master_seed, run_index).
 
     `forced_n` replaces the availability draws with a fixed sequence-length
-    schedule (used for trace-level checks); disturbances and x0 are unchanged.
+    schedule, as int64 (used for trace-level checks); disturbances and x0
+    are unchanged.
     It stops at the step whose next state fails the overflow guard; an empty
     `forced_n` gives an empty trace. The trace records N(k) as drawn and
     lambda(k) of the capped schedule.
@@ -187,9 +188,12 @@ def presample(config: SimConfig):
     """Every run's streams stacked: (N schedules, disturbances, initial states).
 
     Shapes are (runs, horizon), (runs, horizon, m) and (runs, n); the arrays
-    are read-only. The block depends on the seed, run count, horizon,
-    availability, disturbance and initial-state settings but not on the
-    controller, so configs that differ only in their controller can share it.
+    are read-only. The N schedules are stored in the narrowest unsigned type
+    that holds Lambda (`availability.length_dtype`: one byte per step and
+    run up to Lambda = 255, two above), the rest as float64. The block
+    depends on the seed, run count, horizon, availability, disturbance and
+    initial-state settings but not on the controller, so configs that
+    differ only in their controller can share it.
     """
     return next(presample_each([config]))
 
@@ -243,7 +247,6 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
     Once all have diverged the loop stops; then the ring is drained.
     """
     plant, kind = config.plant, config.controller
-    horizon = n_sched.shape[-1]
     ring = Ring(plant, config.buffer_capacity, x0.shape[:-1], first_run)
     longest = int(n_sched.max(initial=0))
     if kind.kind != "baseline" and longest > ring.capacity:
@@ -255,8 +258,8 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
     x, xs, us = x0, [], []
     with np.errstate(over="ignore", invalid="ignore"):
         # a diverged lane's input is never read, so its sources need not know it diverged
-        for k, src in zip(range(horizon), ring.sources(kind, n_sched)):
-            n = np.where(alive, n_sched[..., k], 0) if diverged else n_sched[..., k]
+        for k, (n, src) in enumerate(ring.steps(kind, n_sched)):
+            n = np.where(alive, n, 0) if diverged else n
             u = controller_step(kind, plant, x, n, ring, src)
             xs.append(x)
             us.append(u)
@@ -286,7 +289,7 @@ def _batch_simulate(config: SimConfig, draws=None) -> np.ndarray:
     """Step all runs at once; returns the per-run costs.
 
     `draws` is `presample(config)`, drawn here when not given; its N
-    schedules are capped here, which copies them only when a cap is set.
+    schedules are capped here, which copies them only when the cap binds.
     Each block's stage costs are added by a running sum over the step axis,
     so a run's total is the same bit for bit as adding its trace's stage
     costs one step at a time.

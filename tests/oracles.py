@@ -268,7 +268,7 @@ def naive_closed_loop(kind, plant, x0, n_seq, cap, buffer_cap=None, w_seq=None):
     lam = 0
     x = np.array(x0, dtype=float)
     states, inputs, lams, buffers = [], [], [], []
-    for k, n in enumerate(n_seq):
+    for k, n in enumerate(map(int, n_seq)):  # Python ints, whatever the schedule's type
         if buffer_cap is not None:
             n = min(n, buffer_cap)
         if kind == "baseline":
@@ -478,8 +478,8 @@ def masked_batch_simulate(config, checkpoints=(), draws=None):
     x = np.empty((runs, plant.n))
     for r in range(runs):
         n_all[r], w_all[r], x[r] = presample_run(config, r)
-    if draws is not None:
-        n_all, w_all, x = (np.array(a) for a in draws)
+    if draws is not None:  # lengths widened to int64, as drawn here
+        n_all, w_all, x = (np.array(a, dtype=t) for a, t in zip(draws, (np.int64, float, float)))
     if kind.buffer_cap is not None:
         n_all = np.minimum(n_all, kind.buffer_cap)
 

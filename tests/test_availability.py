@@ -327,7 +327,8 @@ def test_lane_sampler_rows_equal_single_stream_samplers(drawn, streams, count, s
             lanes = make_sampler(model, [make_rng(key) for key in keys])
             with mock.patch.object(availability, "LOCKSTEP_MIN_LANES", min_lanes):
                 got = lanes.presample(count)
-            assert got.shape == (streams, count) and got.dtype == np.int64
+            # one byte per length up to Lambda = 255
+            assert got.shape == (streams, count) and got.dtype == np.min_scalar_type(model.max_len)
             for r, key in enumerate(keys):
                 one = make_sampler(model, make_rng(key))
                 assert np.array_equal(got[r], one.presample(count))

@@ -117,6 +117,68 @@ def test_presample_memory_stays_near_its_outputs():
     assert peak - start < outputs + PRESAMPLE_ALLOWANCE
 
 
+def linear_exec_time(tau, horizon, runs, buffer_cap=None):
+    return SimConfig(plant=make_builtin_plant("linear_scalar", a=1.1),
+                     availability=from_execution_time(tau),
+                     controller=ControllerKind("a2", buffer_cap=buffer_cap),
+                     disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                     horizon=horizon, runs=runs, master_seed=4, x0_box=(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("availability, itemsize", [
+    (from_execution_time(0.1), 1),  # Lambda 10
+    (IidAvailability(np.full(256, 1 / 256)), 1),  # Lambda 255
+    (MarkovAvailability(Q3, P3), 1),  # Lambda 4
+    (from_execution_time(1 / 300), 2),  # Lambda 300
+])
+@pytest.mark.parametrize("runs", [3, 30])  # both Markov walks
+def test_presampled_schedules_take_one_byte_per_step_up_to_lambda_255(availability, itemsize,
+                                                                      runs):
+    config = replace(linear_exec_time(0.1, 50, runs), availability=availability)
+    n_all = presample(config)[0]
+    assert n_all.dtype.kind == "u" and n_all.itemsize == itemsize
+    assert n_all.max() <= availability.max_len
+
+
+# a uint8 schedule past step 255, where t + N(t) leaves the type's range, and a
+# uint16 one (Lambda 300); the Markov case has enough runs for the lockstep walk
+NARROW = {
+    "uint8-markov-horizon300": replace(markov_sat_2d("a2", None), horizon=300, runs=30),
+    "uint8-tau0.3-horizon300": linear_exec_time(0.3, 300, 4),
+    "uint16-tau1/300": linear_exec_time(1 / 300, 40, 3),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", sorted(NARROW))
+def test_narrow_schedules_give_the_int64_results(case, kind):
+    """Costs and traces on the stored schedules equal those on int64 copies, bit for bit."""
+    config = replace(NARROW[case], controller=ControllerKind(kind))
+    draws = presample(config)
+    wide = draws[0].astype(np.int64)
+    assert draws[0].itemsize < wide.itemsize
+    np.testing.assert_array_equal(monte_carlo(config, draws).per_run_costs,
+                                  monte_carlo(config, (wide,) + draws[1:]).per_run_costs)
+    for r in range(2):
+        got, want = run_episode(config, r), run_episode(config, r, forced_n=wide[r])
+        assert got.n_seq.dtype == draws[0].dtype and got.diverged == want.diverged
+        for field in ("x", "u", "n_seq", "lam", "v"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_a_cap_above_the_schedule_type_changes_nothing():
+    """buffer_cap 1000 on a Lambda = 10 model: the uint8 schedule runs uncapped, uncopied."""
+    capped = linear_exec_time(0.1, 300, 4, buffer_cap=1000)
+    free = replace(capped, controller=ControllerKind("a2"))
+    draws = presample(capped)
+    assert capped.controller.capped(draws[0]) is draws[0]
+    np.testing.assert_array_equal(monte_carlo(capped, draws).per_run_costs,
+                                  monte_carlo(free, draws).per_run_costs)
+    got, want = run_episode(capped, 1), run_episode(free, 1)
+    for field in ("x", "u", "n_seq", "lam", "v"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
 def markov_a_sweep(seed, runs, horizon, grid):
     """A custom sweep of the linear plant's a under a Markov processor."""
     base = SimConfig(plant=make_builtin_plant("linear_scalar", a=0.9),

@@ -35,8 +35,8 @@ def kernel_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
     ring = Ring(plant, cap, lanes)
     w0 = np.zeros(plant.m)
     inputs = []
-    for k, src in zip(range(n_sched.shape[-1]), ring.sources(ctrl, n_sched)):
-        u = controller_step(ctrl, plant, x, n_sched[..., k], ring, src)
+    for n, src in ring.steps(ctrl, n_sched):
+        u = controller_step(ctrl, plant, x, n, ring, src)
         inputs.append(u)
         x = plant.f(x, u, w0)
     drain(plant, ring)
@@ -229,18 +229,22 @@ def test_effective_lengths_match_recursions(kind, n_seq, buffer_cap):
     assert got.dtype == np.int64 and got.tolist() == want
 
 
-@given(n=arrays(np.int64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+@given(n=arrays(st.sampled_from([np.uint8, np.uint16, np.int64]),
+                array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
                 elements=st.integers(min_value=0, max_value=9)),
-       buffer_cap=st.integers(min_value=1, max_value=5))
+       buffer_cap=st.one_of(st.integers(min_value=1, max_value=10),
+                            st.integers(min_value=256, max_value=70_000)))
 @settings(max_examples=80, deadline=None)
 def test_capped_is_the_minimum_applied_once(n, buffer_cap):
     n.flags.writeable = False  # the shared draws are read-only
     ctrl = ControllerKind("a2", buffer_cap=buffer_cap)
-    once = ctrl.capped(n)
-    assert once.dtype == np.int64
-    np.testing.assert_array_equal(once, np.minimum(n, buffer_cap))
+    once = ctrl.capped(n)  # a cap outside the type's range never reaches np.minimum
+    assert once.dtype == n.dtype
+    np.testing.assert_array_equal(once, np.minimum(n.astype(np.int64), buffer_cap))
+    # a cap that cannot bind copies nothing
+    assert (once is n) == (buffer_cap >= n.max(initial=0))
     np.testing.assert_array_equal(ctrl.capped(once), once)
-    # without a cap, an int64 schedule is itself and a list becomes an equal int64 array
+    # without a cap, a schedule is itself and a list becomes an equal int64 array
     free = ControllerKind("a2")
     assert free.capped(n) is n
     listed = free.capped(n.ravel().tolist())
