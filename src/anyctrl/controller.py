@@ -18,9 +18,12 @@ each float64 row is one `np.void` item; the plant's outputs are first
 cast to contiguous float64, as plain assignment casts them. The Lyapunov
 decrease tests of those depths are bookkeeping: the ring records each
 depth's states and runs one stacked V call and one test over a whole
-block of SOURCE_BLOCK steps (`check`), at each block's end and when it
-drains. A failure therefore surfaces at the
-end of its block, with the fields it would have had at its own step.
+block of `Ring.block` steps (`check`), at each block's end and when it
+drains. A failure therefore surfaces at the end of its block, with the
+fields it would have had at its own step. The block is sized by the
+ring's rows (lanes x C): BLOCK_ROWS // rows steps and at least
+SOURCE_BLOCK, so a ring of one run pays the block's fixed cost about
+once per BLOCK_ROWS row-steps, not every SOURCE_BLOCK steps.
 
 The input played at step k is one gather from the ring, at a source
 computed in closed form from the capped N schedule (`Ring.steps`).
@@ -55,8 +58,13 @@ DECREASE_SLACK = 1e-9
 DECREASE_CHECK_LIMIT = 1e4
 # steps per block: the source map is built (reading C - 1 steps of look-back),
 # the decrease tests run and the batch engine adds its stage costs once per
-# block, so none of them costs a call per step or memory per horizon step
+# block, so none of them costs a call per step or memory per horizon step.
+# A ring of lanes x C rows takes max(SOURCE_BLOCK, BLOCK_ROWS // rows) steps:
+# a one-lane ring of 4 slots runs 256, every ring of 64 rows or more runs 16.
+# Batch rings gained nothing from longer blocks and lost at 8 steps; one run's
+# ring gains nothing past about 256 steps, and holds a block's states meanwhile
 SOURCE_BLOCK = 16
+BLOCK_ROWS = 1024
 
 KINDS = ("baseline", "a1", "a2")
 
@@ -92,8 +100,9 @@ class Ring:
     """The tentative sequences in flight on every lane: slot t mod C for the one started at step t.
 
     `first_run` is the run index of the first lane; a certificate violation
-    names the run of the failing sequence. `block` is SOURCE_BLOCK when the
-    ring is built: the steps per source-map block and per decrease check.
+    names the run of the failing sequence. `block` is the steps per
+    source-map block and per decrease check, sized by the ring's rows when
+    it is built: max(SOURCE_BLOCK, BLOCK_ROWS // (lanes x C)).
     """
 
     def __init__(self, plant: PlantModel, capacity: int, lanes=(), first_run: int = 0):
@@ -101,7 +110,7 @@ class Ring:
         size = math.prod(lanes) * capacity
         self.capacity = capacity
         self.first_run = first_run
-        self.block = SOURCE_BLOCK
+        self.block = max(SOURCE_BLOCK, BLOCK_ROWS // size)
         self.tick = 0  # the step the next advance computes
         self.reach = 0  # the largest end step of any sequence started so far
         self.failure = None  # (start step, depth, run) of the earliest failed decrease test
@@ -134,12 +143,13 @@ class Ring:
         if kind.kind == "baseline":
             yield from ((n_sched[..., k], None) for k in range(horizon))
             return
+        time_major = (len(lanes),) + tuple(range(len(lanes)))  # the step axis first
         for start in range(0, horizon, self.block):
             stop = min(start + self.block, horizon)
             lo = max(start - (c - 1), 0)
             # time-major N(t) for t = start - (c - 1) .. stop - 1, zero before step 0
             n = np.zeros((stop - start + c - 1,) + lanes, dtype=np.int64)
-            n[c - 1 - (start - lo):] = np.moveaxis(n_sched[..., lo:stop], -1, 0)
+            n[c - 1 - (start - lo):] = n_sched[..., lo:stop].transpose(time_major)
             t = np.arange(start - (c - 1), stop).reshape((-1,) + (1,) * len(lanes))
             k = t[c - 1:]
             if kind.kind == "a2":  # t = k - d for the smallest d with N(k - d) > d
@@ -209,7 +219,8 @@ def check(plant: PlantModel, ring: Ring) -> None:
     ticks, rows, chis, nxts = zip(*ring.pending)
     ring.pending = []
     v = plant.lyapunov(np.concatenate(chis + nxts))
-    v_now, v_next = np.split(v, 2)
+    half = len(v) // 2
+    v_now, v_next = v[:half], v[half:]
     bad = v_next > plant.rho * v_now + DECREASE_SLACK * np.maximum(1.0, v_now)
     if bad.any():
         bad &= v_now <= DECREASE_CHECK_LIMIT
@@ -257,7 +268,7 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     n = np.asarray(n)
     if kind.kind == "baseline":
         return np.where((n >= 1)[..., None], plant.policy(x), 0.0)
-    longest = int(n.max())
+    longest = int(n.max()) if n.ndim else int(n)  # one lane: no reduction set-up
     slot = ring.tick % ring.capacity  # its last sequence ended by now
     ring.chi[..., slot, :] = x
     # int64 in the same call: t + N(t) overflows a narrow schedule's type past its range

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-SQRT5 = np.sqrt(5.0)
+SQRT5 = math.sqrt(5.0)
 # each disturbance kind and the DisturbanceModel fields it reads
 DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
 
@@ -165,18 +165,24 @@ def sat(mu):
 
 def _sat_2d() -> PlantModel:
     def f(x, u, w):
-        x1 = x[..., 0]
+        if x.ndim == u.ndim == w.ndim == 1 and x.dtype == u.dtype == w.dtype == np.float64:
+            # one lane, as a trace episode steps it: the same IEEE operations in the
+            # same order on Python floats, without a numpy call's set-up for each
+            (x1, x2), (u1, u2), (w1,) = x.tolist(), u.tolist(), w.tolist()
+            return np.array([x2 + u1 + math.sqrt(w1 * w1 + 5.0) - SQRT5,
+                             u2 - min(max(x1 + x2, -1.0), 1.0)])
         x2 = x[..., 1]
-        first = x2 + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0) - SQRT5  # x, u, w broadcast
+        first = x2 + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0)  # x, u, w broadcast
         out = np.empty(first.shape + (2,))
-        out[..., 0] = first
-        out[..., 1] = -sat(x1 + x2) + u[..., 1]
+        np.subtract(first, SQRT5, out[..., 0])
+        np.subtract(u[..., 1], sat(x[..., 0] + x2), out[..., 1])  # the bits of -sat(x1 + x2) + u2
         return out
 
     def kappa(x):
         out = np.empty(x.shape)
-        out[..., 0] = -x[..., 1]
-        out[..., 1] = 0.8 * sat(x[..., 0] + x[..., 1])
+        x2 = x[..., 1]
+        np.negative(x2, out[..., 0])
+        np.multiply(sat(x[..., 0] + x2), 0.8, out[..., 1])
         return out
 
     def v(x):

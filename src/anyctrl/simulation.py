@@ -21,13 +21,14 @@ finite; the guard first tests the whole next state's squared norm, one dot
 product, against GUARD_PRECHECK, and takes the per-lane norms only when
 that fails (NaN, inf and an overflowing sum all fail it) and on every step
 after the first divergence, so its outcome is the per-lane test's. The
-bookkeeping runs once per block of `Ring.block` steps: the ring tests the
-block's Lyapunov decreases in one stacked pass, and the loop hands the
-block's states and inputs to its consumer. `run_episode` joins the blocks
-into its trace; the engine evaluates each block's stage costs in one pass
-and adds them to each run's cost in step order, so a run's cost is the same
-bit for bit as the step-order sum over its trace. Every plant must
-broadcast over leading axes (see `plants.PlantModel`).
+bookkeeping runs once per block of `Ring.block` steps, which the ring
+sizes by its rows (16 from 64 rows up, 256 for one run at Lambda 4): the
+ring tests the block's Lyapunov decreases in one stacked pass, and the
+loop hands the block's states and inputs to its consumer. `run_episode`
+joins the blocks into its trace; the engine evaluates each block's stage
+costs in one pass and adds them to each run's cost in step order, so a
+run's cost is the same bit for bit as the step-order sum over its trace.
+Every plant must broadcast over leading axes (see `plants.PlantModel`).
 
 The batch engine reads every run's streams from one stacked block
 (`presample`). A sweep seeds each run's streams once (`presample_each`),

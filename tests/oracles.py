@@ -14,6 +14,8 @@ the buffer of tentative inputs explicit, so it is the per-lane reference
 for buffer contents, which the package no longer stores.
 `ring_advance_fancy` is the ring advance with numpy's row-subspace
 assignment, the reference for the package's whole-row scatters.
+`sat_2d_f` and `sat_2d_policy` are the sat_2d plant's formulas written
+out in their order of operations, the reference for its callables' bits.
 
 `seq_len_prob` and `gap_pmf_series` are the gap statistics that
 criteria 2 and 3 check, which no shipped code computes. `empirical_cost`
@@ -132,6 +134,22 @@ def empirical_cost(trace, q_x, r_u):
     for x, u in zip(trace.x.tolist(), trace.u.tolist()):
         total += q_x * sum(c * c for c in x) + r_u * sum(c * c for c in u)
     return total / trace.steps
+
+
+# --- the sat_2d plant, one formula per component ---
+
+def sat_2d_f(x, u, w):
+    """(((x2 + u1) + sqrt(w1^2 + 5)) - sqrt(5), -sat(x1 + x2) + u2), broadcast over leading axes."""
+    x1, x2, u1, u2, w1 = x[..., 0], x[..., 1], u[..., 0], u[..., 1], w[..., 0]
+    first = ((x2 + u1) + np.sqrt(w1 ** 2 + 5.0)) - np.sqrt(5.0)
+    second = -np.clip(x1 + x2, -1.0, 1.0) + u2
+    return np.stack(np.broadcast_arrays(first, second), axis=-1)
+
+
+def sat_2d_policy(x):
+    """(-x2, 0.8 * sat(x1 + x2)), broadcast over leading axes."""
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.stack((-x2, 0.8 * np.clip(x1 + x2, -1.0, 1.0)), axis=-1)
 
 
 # --- the certificate kernels as they were written before stacking ---

@@ -1,11 +1,13 @@
 """The per-block bookkeeping does not depend on the block length.
 
 Stage costs and Lyapunov decrease tests run once per block of
-`controller.SOURCE_BLOCK` steps. Every result must be the same at any
-block length, from one step per block to a single block longer than the
-horizon, and equal to the masked per-depth reference engine.
+`Ring.block` steps, which the ring sizes by its rows. Every result must be
+the same at any block length, from one step per block to a single block
+longer than the horizon, and equal to the masked per-depth reference
+engine.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from anyctrl import controller
 from anyctrl.availability import IidAvailability, MarkovAvailability
-from anyctrl.controller import KINDS, ControllerKind
+from anyctrl.controller import KINDS, ControllerKind, Ring
 from anyctrl.errors import CertificateViolation
 from anyctrl.experiments import _config_at, builtin_experiment
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
@@ -32,8 +34,19 @@ P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
 
 
 def block_lengths(horizon):
-    """One step per block, a length that divides nothing, the default, and one block."""
-    return (1, 3, 16, horizon + 5)
+    """One step per block, a length that divides nothing, the smallest default, one block,
+    and None for the package's own rule."""
+    return (1, 3, 16, horizon + 5, None)
+
+
+@contextmanager
+def forced_block(length):
+    """Every ring built inside runs `length` steps per block; None keeps the row-sized rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        if length is not None:
+            patch.setattr(controller, "SOURCE_BLOCK", length)
+            patch.setattr(controller, "BLOCK_ROWS", 0)
+        yield
 
 
 def fig1(tau, kind):
@@ -63,7 +76,7 @@ def outcome(run):
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
-def test_results_do_not_depend_on_block_length(monkeypatch, case):
+def test_results_do_not_depend_on_block_length(case):
     build, args = CONFIGS[case]
     cfg = build(*args)
     want, want_v = masked_batch_simulate(cfg, set(CHECKPOINTS))
@@ -71,12 +84,12 @@ def test_results_do_not_depend_on_block_length(monkeypatch, case):
         assert not np.isfinite(want).all()
     seen = []
     for length in block_lengths(cfg.horizon):
-        monkeypatch.setattr(controller, "SOURCE_BLOCK", length)
-        costs = _batch_simulate(cfg)
-        v_at = lyapunov_at(cfg, CHECKPOINTS)
+        with forced_block(length):
+            costs = _batch_simulate(cfg)
+            v_at = lyapunov_at(cfg, CHECKPOINTS)
+            traces = [run_episode(cfg, r) for r in range(TRACES)]
         np.testing.assert_array_equal(costs, want)
         np.testing.assert_array_equal(v_at, np.array([want_v[k] for k in CHECKPOINTS]))
-        traces = [run_episode(cfg, r) for r in range(TRACES)]
         for r, trace in enumerate(traces):
             assert empirical_cost(trace, cfg.q_x, cfg.r_u) == want[r]
         seen.append(traces)
@@ -146,7 +159,7 @@ VIOLATIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(VIOLATIONS))
-def test_violations_do_not_depend_on_block_length(monkeypatch, case):
+def test_violations_do_not_depend_on_block_length(case):
     horizon, make_draws, want = VIOLATIONS[case]
     draws = make_draws()
     cfg = liar_config(len(draws[0]), horizon)
@@ -154,11 +167,11 @@ def test_violations_do_not_depend_on_block_length(monkeypatch, case):
     n_all, w_all, x0 = draws
     run = want[2]
     for length in block_lengths(horizon):
-        monkeypatch.setattr(controller, "SOURCE_BLOCK", length)
-        assert outcome(lambda: _batch_simulate(cfg, draws=draws)) == want
-        if not w_all.any():  # run_episode draws its own disturbances, which are zero here
-            episode = replace(cfg, x0=x0[run])
-            assert outcome(lambda: run_episode(episode, run, forced_n=n_all[run])) == want
+        with forced_block(length):
+            assert outcome(lambda: _batch_simulate(cfg, draws=draws)) == want
+            if not w_all.any():  # run_episode draws its own disturbances, which are zero here
+                episode = replace(cfg, x0=x0[run])
+                assert outcome(lambda: run_episode(episode, run, forced_n=n_all[run])) == want
 
 
 LIARS = {
@@ -168,12 +181,41 @@ LIARS = {
 
 
 @pytest.mark.parametrize("case", sorted(LIARS))
-def test_violations_on_stock_draws_do_not_depend_on_block_length(monkeypatch, case):
+def test_violations_on_stock_draws_do_not_depend_on_block_length(case):
     build, args = LIARS[case]
     cfg = build(*args)
     cfg = replace(cfg, plant=replace(cfg.plant, rho=0.0))
     want = outcome(lambda: masked_batch_simulate(cfg))
     for length in block_lengths(cfg.horizon):
-        monkeypatch.setattr(controller, "SOURCE_BLOCK", length)
-        assert outcome(lambda: _batch_simulate(cfg)) == want
-        assert outcome(lambda: run_episode(cfg, want[2])) == want
+        with forced_block(length):
+            assert outcome(lambda: _batch_simulate(cfg)) == want
+            assert outcome(lambda: run_episode(cfg, want[2])) == want
+
+
+# --- the row-sized block rule ---
+
+SAT_2D = make_builtin_plant("sat_2d")
+CUBIC = make_builtin_plant("cubic_scalar")
+
+
+def test_block_is_sized_by_ring_rows():
+    assert Ring(SAT_2D, 4, ()).block == 256  # a trace episode at Lambda 4
+    assert Ring(CUBIC, 10, (200,)).block == 16  # a fig1 cell at tau 0.1
+    assert Ring(SAT_2D, 4, (100,)).block == 16  # the benchmark's Monte-Carlo call
+    with forced_block(7):
+        assert Ring(SAT_2D, 4, ()).block == 7
+
+
+def test_one_lane_episode_does_not_depend_on_its_block():
+    cfg = replace(markov_sat_2d("a2"), horizon=1000)
+    assert Ring(cfg.plant, cfg.buffer_capacity).block == 256
+    traces = []
+    for length in (None, 16, cfg.horizon):
+        with forced_block(length):
+            traces.append([run_episode(cfg, r) for r in range(TRACES)])
+    for forced in traces[1:]:
+        for trace, first in zip(forced, traces[0]):
+            for name in ("x", "u", "n_seq", "lam", "v"):
+                got, want = getattr(trace, name), getattr(first, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert trace.diverged == first.diverged

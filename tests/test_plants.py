@@ -8,7 +8,7 @@ from anyctrl.errors import ConfigError
 from anyctrl.plants import (DisturbanceModel, lqr_gain_scalar,
                             make_builtin_plant, norm, sat, sum_squares)
 
-from oracles import riccati_gain_loop
+from oracles import riccati_gain_loop, sat_2d_f, sat_2d_policy
 
 PLANT_NAMES = ["cubic_scalar", "linear_scalar", "sat_2d", "log_lyapunov"]
 # half-width of the box the contraction test samples states from
@@ -183,3 +183,29 @@ def test_sum_squares_is_the_reduction_bit_for_bit(x):
         got = sum_squares(x)
     assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == want.dtype
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def sat_2d_calls(draw):
+    """(x, u, w) on `()` lanes, on `(k,)` lanes, or on `(k,)` lanes with a rollout's zeros(1)."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    layout = draw(st.sampled_from(["()", "(k,)", "rollout"]))
+    lead = () if layout == "()" else (draw(st.integers(1, 6)),)
+    x = draw(arrays(np.float64, lead + (2,), elements=finite))
+    u = draw(arrays(np.float64, lead + (2,), elements=finite))
+    w = np.zeros(1) if layout == "rollout" else draw(arrays(np.float64, lead + (1,),
+                                                            elements=finite))
+    return x, u, w
+
+
+@given(sat_2d_calls())
+@settings(max_examples=300, deadline=None)
+def test_sat_2d_is_its_formulas_bit_for_bit(call):
+    plant = make_builtin_plant("sat_2d")
+    x, u, w = call
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(plant.f(x, u, w), sat_2d_f(x, u, w)),
+                 (plant.policy(x), sat_2d_policy(x))]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
