@@ -150,14 +150,16 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     Solves the balance equations pi Q = pi together with sum(pi) = 1 in the
     least-squares sense, which is exact for the primitive chains a valid
     model has. A reducible chain has many stationary vectors; it gets the
-    one of least norm instead of an error.
+    one of least norm instead of an error. Float residue can leave a zero
+    entry a few ulps below 0; it is set to 0, so the cdf never decreases
+    and every positive entry keeps its bits.
     """
     q = np.asarray(transition, dtype=float)
     g = q.shape[0]
     lhs = np.vstack([q.T - np.eye(g), np.ones((1, g))])
     rhs = np.zeros(g + 1)
     rhs[-1] = 1.0
-    return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    return np.maximum(np.linalg.lstsq(lhs, rhs, rcond=None)[0], 0.0)
 
 
 def validate(model: AvailabilityModel) -> List[str]:

@@ -117,6 +117,16 @@ def test_stationary_distribution_fixed_point():
     np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-9)
 
 
+def test_stationary_distribution_of_a_residue_chain_has_a_rising_cdf():
+    """A reducible chain whose first row ends 4 ulps above 1: the solve leaves -2.9e-16."""
+    model = MarkovAvailability([[1.0000000000000004, 0.0], [1.0, 0.0]], [[1.0], [1.0]])
+    assert model.stationary.tolist() == [1.0, 0.0]
+    assert np.all(np.diff(np.cumsum(model.stationary)) >= 0.0)
+    for u in near_the_top(model):
+        assert make_sampler(model, ScriptedRng([u])).state == 0
+        assert oracles.sample_loop(model, ScriptedRng([u]), 0) == ([], 0)
+
+
 @st.composite
 def primitive_chains(draw):
     """Row-stochastic G x G matrices, G = 1..16, with a self-loop and a ring edge per state."""
