@@ -6,16 +6,21 @@ markov_simulate) replays one run on one lane. Trims to its per-step work
 move its time by a few percent, which the benchmark's run-to-run noise
 hides; this script sizes them. For each round it starts one fresh process
 per tree, in turn, with PYTHONPATH set to that tree (the convention of
-`scripts/cell_digest.py`). Each process builds benchmark instance 3's
-markov_simulate config (`bench/workloads.markov_config`), runs one untimed
-episode, then times 15 episodes of runs 0 and 1 in turn. Each time is
-scaled to reference milliseconds by the benchmark's calibration kernel,
-run before and after it, as `bench/workloads.OpProbe` scales an
-operation. The script prints each tree's median over all its episodes and
-the median of each round:
+`scripts/cell_digest.py`) and the benchmark's environment (`bench/run.py`:
+BLAS and OpenMP pinned to one thread, PYTHONHASHSEED=0, no bytecode
+written). Each process builds benchmark instance 3's markov_simulate
+config (`bench/workloads.markov_config`), runs one untimed operation, then
+times 15 operations in turn. The operation is a trace episode of runs 0
+and 1 in turn, or with `--op monte_carlo` the config's 100-run
+`monte_carlo` call, the operation behind markov_simulate's `op_p99_ms`.
+Each time is scaled to reference milliseconds by the benchmark's
+calibration kernel, run before and after it, as `bench/workloads.OpProbe`
+scales an operation. The script prints each tree's median over all its
+operations and the median of each round:
 
     python scripts/time_episode.py ../parent/src src
     python scripts/time_episode.py ../parent/src src --rounds 6
+    python scripts/time_episode.py ../parent/src src --op monte_carlo
 
 It only reads `bench/`, and writes nothing.
 """
@@ -30,26 +35,36 @@ from statistics import median
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leaves no __pycache__ in bench/
+sys.path.append(str(ROOT / "bench"))
+from run import THREAD_VARS  # noqa: E402  (bench/ is not a package)
+
 INSTANCE = 3  # markov_simulate's input instance at the benchmark's seed 3
-REPEATS = 15  # timed episodes per process
+REPEATS = 15  # timed operations per process
+OPS = ("episode", "monte_carlo")
 
 
-def child() -> None:
-    """Print a JSON list of reference ms, one per timed episode of the package on PYTHONPATH."""
-    sys.path.append(str(ROOT / "bench"))
+def child(op: str) -> None:
+    """Print a JSON list of reference ms, one per timed `op` of the package on PYTHONPATH."""
     from anyctrl.config import parse_sim_config
-    from anyctrl.simulation import run_episode
+    from anyctrl.simulation import monte_carlo, run_episode
     from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, calibration_seconds,
                            markov_config)
 
     config = parse_sim_config(markov_config(INSTANCE, MARKOV_RUNS, MARKOV_HORIZON))
-    run_episode(config, 0)
+    if op == "monte_carlo":
+        def operation(i):
+            monte_carlo(config)
+    else:
+        def operation(i):
+            run_episode(config, i % 2)
+    operation(0)
     times = []
     closing = calibration_seconds()
     for i in range(REPEATS):
         opening = closing
         start = perf_counter()
-        run_episode(config, i % 2)
+        operation(i)
         seconds = perf_counter() - start
         closing = calibration_seconds()
         times.append(1e3 * seconds * 2.0 * CAL_REF_S / (opening + closing))
@@ -60,17 +75,23 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", help="src/ directories to compare")
     parser.add_argument("--rounds", type=int, default=4, help="fresh processes per tree")
+    parser.add_argument("--op", choices=OPS, default="episode",
+                        help="the timed operation (default: a trace episode)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, got {args.rounds}")
     if args.child:
-        child()
+        child(args.op)
         return
     trees = [str(Path(t).resolve()) for t in args.trees or [ROOT / "src"]]
-    command = [sys.executable, __file__, "--child"]
+    command = [sys.executable, __file__, "--child", "--op", args.op]
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"), PYTHONHASHSEED="0",
+               PYTHONDONTWRITEBYTECODE="1")
     rounds = {tree: [] for tree in trees}
     for _ in range(args.rounds):
         for tree in trees:
-            out = subprocess.run(command, env={**os.environ, "PYTHONPATH": tree},
+            out = subprocess.run(command, env={**env, "PYTHONPATH": tree},
                                  check=True, capture_output=True, text=True).stdout
             rounds[tree].append(json.loads(out))
     width = max(len(tree) for tree in trees)

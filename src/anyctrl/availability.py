@@ -163,29 +163,34 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
 
 
 def validate(model: AvailabilityModel) -> List[str]:
-    """Return every violated model invariant as a message; empty list means valid."""
+    """Return every violated model invariant as a message; empty list means valid.
+
+    Each test is written so that NaN fails it (NaN fails every comparison),
+    so a NaN entry is reported with the negative ones.
+    """
     problems: List[str] = []
     if isinstance(model, IidAvailability):
-        if np.any(model.pmf < 0):
-            problems.append("pmf has negative entries")
-        if abs(float(model.pmf.sum()) - 1.0) > _TOL:
-            problems.append(f"pmf sums to {float(model.pmf.sum())}, not 1")
+        if not (model.pmf >= 0).all():
+            problems.append("pmf has negative or NaN entries")
+        total = float(model.pmf.sum())
+        if not abs(total - 1.0) <= _TOL:
+            problems.append(f"pmf sums to {total}, not 1")
         if model.p0 >= 1.0 - _TOL:
             problems.append("p0 = 1: the processor is never available")
         return problems
 
     q = model.transition
-    q_negative = (q < 0).any()
-    if q_negative:
-        problems.append("transition matrix has negative entries")
+    q_signed = (q >= 0).all()
+    if not q_signed:
+        problems.append("transition matrix has negative or NaN entries")
     row_sums = q.sum(axis=1)
     bad = (np.abs(row_sums - 1.0) > _TOL).nonzero()[0]
     for i in bad:
         problems.append(f"transition row {i} sums to {row_sums[i]}, not 1")
-    if not bad.size and not q_negative and not is_primitive(q):
+    if not bad.size and q_signed and not is_primitive(q):
         problems.append("transition matrix is not irreducible and aperiodic")
-    if (model.cond_pmfs < 0).any():
-        problems.append("conditional pmfs have negative entries")
+    if not (model.cond_pmfs >= 0).all():
+        problems.append("conditional pmfs have negative or NaN entries")
     pmf_sums = model.cond_pmfs.sum(axis=1)
     for i in (np.abs(pmf_sums - 1.0) > _TOL).nonzero()[0]:
         problems.append(f"conditional pmf for state {i} sums to {pmf_sums[i]}, not 1")

@@ -64,6 +64,23 @@ def test_validate_markov():
     assert any("irreducible" in p for p in validate(reducible))
 
 
+NAN = float("nan")
+Q, PMFS = [[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.8, 0.2]]
+
+
+@pytest.mark.parametrize("model, field", [
+    (IidAvailability([NAN, 0.5, 0.5]), "pmf has"),
+    (IidAvailability([0.5, NAN]), "pmf has"),
+    (MarkovAvailability([[NAN, 1.0], [0.5, 0.5]], PMFS), "transition matrix has"),
+    (MarkovAvailability(Q, [[0.1, 0.9], [NAN, 0.2]]), "conditional pmfs have"),
+], ids=["iid-p0", "iid-last", "markov-Q", "markov-P"])
+def test_a_nan_entry_is_a_config_error_naming_its_field(model, field):
+    # NaN fails every comparison, so a guard written as `x < 0` lets it pass
+    assert any(field in p and "NaN" in p for p in validate(model))
+    with pytest.raises(ConfigError, match=field):
+        require_valid(model)
+
+
 def test_is_primitive():
     assert is_primitive(np.array([[0.5, 0.5], [0.5, 0.5]]))
     assert not is_primitive(np.eye(2))

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from anyctrl.controller import DECREASE_CHECK_LIMIT
 from anyctrl.errors import ConfigError
-from anyctrl.plants import (DisturbanceModel, lqr_gain_scalar,
+from anyctrl.plants import (ROW_CALL_MAX, DisturbanceModel, lqr_gain_scalar,
                             make_builtin_plant, norm, sat, sum_squares)
 
 from oracles import riccati_gain_loop, sat_2d_f, sat_2d_policy
@@ -162,6 +162,22 @@ def test_disturbance_models():
         DisturbanceModel(kind="uniform", dim=1, lo=1.0, hi=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build_model, field", [
+    (lambda: make_builtin_plant("cubic_scalar", alpha=NAN), "alpha"),
+    (lambda: DisturbanceModel(kind="uniform", dim=1, lo=NAN, hi=1.0), "disturbance.lo"),
+    (lambda: DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=NAN), "disturbance.hi"),
+    (lambda: DisturbanceModel(kind="gaussian", dim=1, variance=NAN), "disturbance.variance"),
+    (lambda: DisturbanceModel(kind="gaussian", dim=1, mean=NAN), "disturbance.mean"),
+], ids=["plant-alpha", "lo", "hi", "variance", "mean"])
+def test_a_nan_parameter_is_a_config_error_naming_it(build_model, field):
+    # NaN fails every comparison, so a guard written as `x < bound` lets it pass
+    with pytest.raises(ConfigError, match=field):
+        build_model()
+
+
 def test_norm_reduces_last_axis():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     np.testing.assert_allclose(norm(x), [5.0, 0.0])
@@ -186,15 +202,20 @@ def test_sum_squares_is_the_reduction_bit_for_bit(x):
 
 
 @st.composite
-def sat_2d_calls(draw):
-    """(x, u, w) on `()` lanes, on `(k,)` lanes, or on `(k,)` lanes with a rollout's zeros(1)."""
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+def sat_2d_calls(draw, elements=st.floats(allow_nan=False, allow_infinity=False),
+                 max_rows=2 * ROW_CALL_MAX):
+    """(x, u, w) on `()` lanes, on `(k,)` lanes, or on `(k,)` lanes with a rollout's zeros(1).
+
+    A `()` call is one row, so `policy(x)` is drawn 1-D too. Stacks hold 0
+    to `max_rows` rows: by default up to 2 ROW_CALL_MAX, on both sides of
+    where sat_2d leaves its Python row path for numpy.
+    """
     layout = draw(st.sampled_from(["()", "(k,)", "rollout"]))
-    lead = () if layout == "()" else (draw(st.integers(1, 6)),)
-    x = draw(arrays(np.float64, lead + (2,), elements=finite))
-    u = draw(arrays(np.float64, lead + (2,), elements=finite))
+    lead = () if layout == "()" else (draw(st.integers(0, max_rows)),)
+    x = draw(arrays(np.float64, lead + (2,), elements=elements))
+    u = draw(arrays(np.float64, lead + (2,), elements=elements))
     w = np.zeros(1) if layout == "rollout" else draw(arrays(np.float64, lead + (1,),
-                                                            elements=finite))
+                                                            elements=elements))
     return x, u, w
 
 
@@ -209,3 +230,40 @@ def test_sat_2d_is_its_formulas_bit_for_bit(call):
     for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def on_the_array_path(fn, *args):
+    """`fn` on the call's rows, stacked under zero rows to ROW_CALL_MAX + 1, which takes numpy.
+
+    A 1-D argument is one row, and then the result is too; a rollout's
+    zeros(1) disturbance stays every row's. Each result row is its input
+    row's alone, so the call's rows of the padded result are what the array
+    path gives on the call itself.
+    """
+    one_row = args[0].ndim == 1
+    rows = [a[None] if one_row else a for a in args]
+    count = len(rows[0])
+    padded = [np.concatenate([a, np.zeros((ROW_CALL_MAX + 1 - count, a.shape[-1]))])
+              if a.ndim == 2 else a for a in rows]
+    out = fn(*padded)[:count]
+    return out[0] if one_row else out
+
+
+# the states a diverging trace feeds the plant, and values near the saturation
+EDGE_VALUES = st.one_of(COMPONENT_VALUES, st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), 1.0, -1.0, 1.0 + 2 ** -52, -0.5, 0.5]))
+
+
+@given(sat_2d_calls(elements=EDGE_VALUES, max_rows=ROW_CALL_MAX))
+@settings(max_examples=300, deadline=None)
+def test_sat_2d_row_path_is_the_array_path(call):
+    plant = make_builtin_plant("sat_2d")
+    x, u, w = call
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(plant.f(x, u, w), on_the_array_path(plant.f, x, u, w)),
+                 (plant.policy(x), on_the_array_path(plant.policy, x))]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)  # NaN equals NaN here
+        numbers = ~np.isnan(want)  # and -0.0 is not 0.0
+        np.testing.assert_array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))

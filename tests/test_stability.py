@@ -323,6 +323,18 @@ def test_evaluate_markov_report():
     assert "a1" in report.verdicts
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("rho, alpha, pmf, field", [(NAN, 1.5, [0.5, 0.5], "^rho must"),
+                                                    (0.5, NAN, [0.5, 0.5], "^alpha must"),
+                                                    (0.5, 1.5, [0.5, NAN], "pmf has")])
+def test_certificate_inputs_reject_nan(rho, alpha, pmf, field):
+    # NaN fails every comparison, so a guard written as `alpha < 1.0` lets it pass
+    with pytest.raises(ConfigError, match=field):
+        CertificateInputs(rho=rho, alpha=alpha, availability=IidAvailability(pmf))
+
+
 def test_certificate_inputs_validation():
     with pytest.raises(ConfigError):
         CertificateInputs(rho=1.0, alpha=1.5,
