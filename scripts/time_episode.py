@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `run_episode` on the benchmark's Markov trace config under one or more `src/` trees.
+"""Time the benchmark's markov_simulate operations under one or more `src/` trees.
 
 A trace episode of `anyctrl simulate --traces K` (benchmark workload
 markov_simulate) replays one run on one lane. Trims to its per-step work
@@ -11,8 +11,12 @@ BLAS and OpenMP pinned to one thread, PYTHONHASHSEED=0, no bytecode
 written). Each process builds benchmark instance 3's markov_simulate
 config (`bench/workloads.markov_config`), runs one untimed operation, then
 times 15 operations in turn. The operation is a trace episode of runs 0
-and 1 in turn, or with `--op monte_carlo` the config's 100-run
-`monte_carlo` call, the operation behind markov_simulate's `op_p99_ms`.
+and 1 in turn; with `--op monte_carlo` the config's 100-run `monte_carlo`
+call, the operation behind markov_simulate's `op_p99_ms`; with `--op
+simulate` one whole markov_simulate pass (`bench/workloads.MarkovSimulate`:
+`cli.main(["simulate", ..., "--traces", "2"])` with its config, runs.csv,
+summary.txt and trace files in a temporary directory), the unit behind
+markov_simulate's `wall_s`.
 Each time is scaled to reference milliseconds by the benchmark's
 calibration kernel, run before and after it, as `bench/workloads.OpProbe`
 scales an operation. The script prints each tree's median over all its
@@ -21,15 +25,19 @@ operations and the median of each round:
     python scripts/time_episode.py ../parent/src src
     python scripts/time_episode.py ../parent/src src --rounds 6
     python scripts/time_episode.py ../parent/src src --op monte_carlo
+    python scripts/time_episode.py ../parent/src src --op simulate
 
-It only reads `bench/`, and writes nothing.
+It only reads `bench/`. Only `--op simulate` writes files, into a temporary
+directory that each process removes when it ends.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -41,33 +49,40 @@ from run import THREAD_VARS  # noqa: E402  (bench/ is not a package)
 
 INSTANCE = 3  # markov_simulate's input instance at the benchmark's seed 3
 REPEATS = 15  # timed operations per process
-OPS = ("episode", "monte_carlo")
+OPS = ("episode", "monte_carlo", "simulate")
 
 
 def child(op: str) -> None:
     """Print a JSON list of reference ms, one per timed `op` of the package on PYTHONPATH."""
     from anyctrl.config import parse_sim_config
     from anyctrl.simulation import monte_carlo, run_episode
-    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, calibration_seconds,
-                           markov_config)
+    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, MarkovSimulate,
+                           calibration_seconds, markov_config)
 
     config = parse_sim_config(markov_config(INSTANCE, MARKOV_RUNS, MARKOV_HORIZON))
-    if op == "monte_carlo":
-        def operation(i):
-            monte_carlo(config)
-    else:
-        def operation(i):
-            run_episode(config, i % 2)
-    operation(0)
-    times = []
-    closing = calibration_seconds()
-    for i in range(REPEATS):
-        opening = closing
-        start = perf_counter()
-        operation(i)
-        seconds = perf_counter() - start
+    with contextlib.ExitStack() as stack:
+        if op == "simulate":
+            workdir = stack.enter_context(tempfile.TemporaryDirectory())
+            simulate = MarkovSimulate(INSTANCE, Path(workdir))
+
+            def operation(i):
+                simulate.run_pass()
+        elif op == "monte_carlo":
+            def operation(i):
+                monte_carlo(config)
+        else:
+            def operation(i):
+                run_episode(config, i % 2)
+        operation(0)
+        times = []
         closing = calibration_seconds()
-        times.append(1e3 * seconds * 2.0 * CAL_REF_S / (opening + closing))
+        for i in range(REPEATS):
+            opening = closing
+            start = perf_counter()
+            operation(i)
+            seconds = perf_counter() - start
+            closing = calibration_seconds()
+            times.append(1e3 * seconds * 2.0 * CAL_REF_S / (opening + closing))
     print(json.dumps(times))
 
 

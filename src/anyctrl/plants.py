@@ -49,14 +49,15 @@ class DisturbanceModel:
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KEYS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
-        # each test fails on NaN, which fails every comparison
+        # a NaN or infinite parameter draws NaN or +-inf, and NaN passes no comparison
+        for key in DISTURBANCE_KEYS[self.kind]:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"disturbance.{key} must be finite, got {getattr(self, key)}")
         if self.kind == "uniform" and not self.lo <= self.hi:
             raise ConfigError(f"disturbance.lo must be <= disturbance.hi, got lo={self.lo}, "
                               f"hi={self.hi}")
         if self.kind == "gaussian" and not self.variance >= 0:
             raise ConfigError(f"disturbance.variance must be >= 0, got {self.variance}")
-        if self.kind == "gaussian" and math.isnan(self.mean):
-            raise ConfigError(f"disturbance.mean must be a number, got {self.mean}")
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw disturbances of the given leading shape, component axis last."""

@@ -22,10 +22,16 @@ criteria 2 and 3 check, which no shipped code computes. `empirical_cost`
 is the reference for the engine's per-run costs: it adds a trace's stage
 costs one step at a time, in python floats.
 
+`write_runs_csv` and `write_trace_csv` write the CLI's CSV files with the
+csv module, one `csv.writer` row at a time: the reference for the bytes of
+the package's bulk writers.
+
 `lyapunov_at` and `mean_lyapunov_at` are no references: they read V at
 given steps from the states the package's loop (`simulation._blocks`)
 yields, for the tests that check those states.
 """
+
+import csv
 
 import numpy as np
 
@@ -134,6 +140,29 @@ def empirical_cost(trace, q_x, r_u):
     for x, u in zip(trace.x.tolist(), trace.u.tolist()):
         total += q_x * sum(c * c for c in x) + r_u * sum(c * c for c in u)
     return total / trace.steps
+
+
+# --- the CLI's CSV files, written by the csv module ---
+
+def write_runs_csv(summary, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", "cost", "diverged"])
+        for r, c in enumerate(summary.per_run_costs):
+            writer.writerow([r, repr(float(c)), int(not np.isfinite(c))])
+
+
+def write_trace_csv(trace, path):
+    n, p = trace.x.shape[1], trace.u.shape[1]
+    header = (["k"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(p)]
+              + ["N", "lambda", "V"])
+    columns = [range(trace.steps),
+               *(map(repr, c) for c in np.concatenate((trace.x, trace.u), axis=1).T.tolist()),
+               trace.n_seq.tolist(), trace.lam.tolist(), map(repr, trace.v.tolist())]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 # --- the sat_2d plant, one formula per component ---

@@ -178,6 +178,17 @@ def test_a_nan_parameter_is_a_config_error_naming_it(build_model, field):
         build_model()
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf")], ids=["inf", "-inf"])
+@pytest.mark.parametrize("kind, field", [("uniform", "lo"), ("uniform", "hi"),
+                                         ("gaussian", "mean"), ("gaussian", "variance")])
+def test_an_infinite_disturbance_parameter_is_a_config_error_naming_it(kind, field, value):
+    # each would draw non-numbers: a uniform over (-inf, inf) draws NaN, a gaussian
+    # with an infinite mean or variance draws +-inf
+    params = {"lo": -1.0, "hi": 1.0} if kind == "uniform" else {"variance": 1.0}
+    with pytest.raises(ConfigError, match=f"disturbance.{field} must be finite"):
+        DisturbanceModel(kind=kind, dim=1, **{**params, field: value})
+
+
 def test_norm_reduces_last_axis():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     np.testing.assert_allclose(norm(x), [5.0, 0.0])

@@ -3,16 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anyctrl import controller, simulation
 from anyctrl.availability import IidAvailability, from_execution_time
 from anyctrl.controller import ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import DisturbanceModel, PlantModel, make_builtin_plant
-from anyctrl.simulation import (CostSummary, SimConfig, _batch_simulate,
-                                improvement_pct, monte_carlo, paired_diff,
-                                presample, run_episode, run_streams,
+from anyctrl.simulation import (CSV_CHUNK_ROWS, CostSummary, SimConfig, SimTrace,
+                                _batch_simulate, improvement_pct, monte_carlo,
+                                paired_diff, presample, run_episode, run_streams,
                                 write_runs_csv, write_trace_csv)
 
 import oracles
@@ -57,6 +58,22 @@ def test_run_streams_independent_of_each_other():
     # different run index gives different draws
     b1, _, _ = run_streams(0, 1)
     assert a1.random() != b1.random()
+
+
+@given(seed=st.integers(0, 2 ** 63 - 1), run_index=st.integers(0, 10 ** 6))
+@example(seed=0, run_index=0)
+@example(seed=2 ** 32 + 5, run_index=10 ** 6)
+@example(seed=2 ** 63 - 1, run_index=1)
+@example(seed=np.uint64(2 ** 63 - 1), run_index=10 ** 6)
+@example(seed=np.int64(7), run_index=np.int64(3))
+@settings(max_examples=60, deadline=None)
+def test_run_streams_are_the_spawned_children_of_the_run_seed(seed, run_index):
+    children = np.random.SeedSequence([seed, run_index]).spawn(3)
+    for got, child in zip(run_streams(seed, run_index), children, strict=True):
+        want = np.random.default_rng(child)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(2 ** 63, size=4).tolist() == want.integers(2 ** 63, size=4).tolist()
+        assert got.random(3).tolist() == want.random(3).tolist()
 
 
 def test_episode_deterministic():
@@ -252,6 +269,63 @@ def test_write_csvs(tmp_path):
     np.testing.assert_array_equal(table[:, 3], trace.n_seq)
     np.testing.assert_array_equal(table[:, 4], trace.lam)
     np.testing.assert_array_equal(table[:, 5], trace.v)
+
+
+# the cells that stress a float's repr, mixed with any other float
+CELL_FLOATS = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
+                                         5e-324, 1e300, 0.1]), st.floats())
+# empty, one row, and one row either side of a chunk boundary, or any count up to two chunks
+ROW_COUNTS = st.one_of(st.sampled_from([0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                        CSV_CHUNK_ROWS + 1]),
+                       st.integers(0, 2 * CSV_CHUNK_ROWS + 1))
+
+
+def assert_writes_oracle_bytes(write, oracle_write, table, directory):
+    ours, reference = directory / "ours.csv", directory / "reference.csv"
+    write(table, ours)
+    oracle_write(table, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+
+
+@st.composite
+def sim_traces(draw):
+    steps, n, p = draw(ROW_COUNTS), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    length_dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    return SimTrace(x=draw(arrays(np.float64, (steps, n), elements=CELL_FLOATS)),
+                    u=draw(arrays(np.float64, (steps, p), elements=CELL_FLOATS)),
+                    n_seq=draw(arrays(length_dtype, steps,
+                                      elements=st.integers(0, np.iinfo(length_dtype).max))),
+                    lam=draw(arrays(np.int64, steps, elements=st.integers(0, 2 ** 16))),
+                    v=draw(arrays(np.float64, steps, elements=CELL_FLOATS)),
+                    diverged=draw(st.booleans()))
+
+
+@given(trace=sim_traces())
+@settings(max_examples=60, deadline=None)
+def test_trace_writer_writes_the_csv_module_bytes(trace, tmp_path_factory):
+    assert_writes_oracle_bytes(write_trace_csv, oracles.write_trace_csv, trace,
+                               tmp_path_factory.mktemp("trace"))
+
+
+@given(costs=ROW_COUNTS.flatmap(lambda runs: arrays(np.float64, runs, elements=CELL_FLOATS)))
+@settings(max_examples=60, deadline=None)
+def test_runs_writer_writes_the_csv_module_bytes(costs, tmp_path_factory):
+    # the writers read only the per-run costs
+    summary = CostSummary(0.0, 0.0, (0.0, 0.0), costs, 0)
+    assert_writes_oracle_bytes(write_runs_csv, oracles.write_runs_csv, summary,
+                               tmp_path_factory.mktemp("runs"))
+
+
+@pytest.mark.parametrize("plant_name", ["linear_scalar", "sat_2d"])
+@pytest.mark.parametrize("steps", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_episode_trace_files_are_the_csv_module_bytes(plant_name, steps, tmp_path):
+    plant = LINEAR if plant_name == "linear_scalar" else make_builtin_plant("sat_2d")
+    cfg = make_config(plant=plant, horizon=CSV_CHUNK_ROWS + 1, x0_box=(-2.0, 2.0))
+    # a forced schedule (int64) of the given length, and the drawn one (availability's dtype)
+    forced = run_episode(cfg, 0, forced_n=[k % 4 for k in range(steps)])
+    assert forced.steps == steps
+    for trace in (forced, run_episode(cfg, 1)):
+        assert_writes_oracle_bytes(write_trace_csv, oracles.write_trace_csv, trace, tmp_path)
 
 
 @pytest.mark.parametrize("kind", ["baseline", "a1", "a2"])
