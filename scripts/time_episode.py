@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the benchmark's markov_simulate operations under one or more `src/` trees.
+"""Time the benchmark's markov_simulate and certify operations under one or more `src/` trees.
 
 A trace episode of `anyctrl simulate --traces K` (benchmark workload
 markov_simulate) replays one run on one lane. Trims to its per-step work
@@ -16,7 +16,11 @@ call, the operation behind markov_simulate's `op_p99_ms`; with `--op
 simulate` one whole markov_simulate pass (`bench/workloads.MarkovSimulate`:
 `cli.main(["simulate", ..., "--traces", "2"])` with its config, runs.csv,
 summary.txt and trace files in a temporary directory), the unit behind
-markov_simulate's `wall_s`.
+markov_simulate's `wall_s`; with `--op certify` one pass of benchmark
+workload certify at seed 3 (`bench/workloads.Certify`: `CertificateInputs`
+plus `stability.evaluate` and its report lines for each of 2048
+availability models), the unit behind certify's `wall_s`, and the median
+of that pass's operation times, the number behind certify's `op_p50_ms`.
 Each time is scaled to reference milliseconds by the benchmark's
 calibration kernel, run before and after it, as `bench/workloads.OpProbe`
 scales an operation. The script prints each tree's median over all its
@@ -26,6 +30,7 @@ operations and the median of each round:
     python scripts/time_episode.py ../parent/src src --rounds 6
     python scripts/time_episode.py ../parent/src src --op monte_carlo
     python scripts/time_episode.py ../parent/src src --op simulate
+    python scripts/time_episode.py ../parent/src src --op certify
 
 It only reads `bench/`. Only `--op simulate` writes files, into a temporary
 directory that each process removes when it ends.
@@ -47,21 +52,29 @@ sys.dont_write_bytecode = True  # leaves no __pycache__ in bench/
 sys.path.append(str(ROOT / "bench"))
 from run import THREAD_VARS  # noqa: E402  (bench/ is not a package)
 
-INSTANCE = 3  # markov_simulate's input instance at the benchmark's seed 3
+INSTANCE = 3  # markov_simulate's input instance and certify's batch at the benchmark's seed 3
 REPEATS = 15  # timed operations per process
-OPS = ("episode", "monte_carlo", "simulate")
+OPS = ("episode", "monte_carlo", "simulate", "certify")
+MEDIAN_OP = "certify median op"  # the second series of `--op certify`
 
 
 def child(op: str) -> None:
-    """Print a JSON list of reference ms, one per timed `op` of the package on PYTHONPATH."""
+    """Print JSON {series: reference ms of each timed `op`} for the package on PYTHONPATH."""
     from anyctrl.config import parse_sim_config
     from anyctrl.simulation import monte_carlo, run_episode
-    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, MarkovSimulate,
+    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, Certify, MarkovSimulate,
                            calibration_seconds, markov_config)
 
     config = parse_sim_config(markov_config(INSTANCE, MARKOV_RUNS, MARKOV_HORIZON))
+    times = {op: []}
     with contextlib.ExitStack() as stack:
-        if op == "simulate":
+        if op == "certify":
+            certify = Certify(INSTANCE, workdir=None)  # certify writes no files
+            times[MEDIAN_OP] = []
+
+            def operation(i):
+                certify.run_pass()
+        elif op == "simulate":
             workdir = stack.enter_context(tempfile.TemporaryDirectory())
             simulate = MarkovSimulate(INSTANCE, Path(workdir))
 
@@ -74,7 +87,6 @@ def child(op: str) -> None:
             def operation(i):
                 run_episode(config, i % 2)
         operation(0)
-        times = []
         closing = calibration_seconds()
         for i in range(REPEATS):
             opening = closing
@@ -82,7 +94,10 @@ def child(op: str) -> None:
             operation(i)
             seconds = perf_counter() - start
             closing = calibration_seconds()
-            times.append(1e3 * seconds * 2.0 * CAL_REF_S / (opening + closing))
+            ref_ms = 1e3 * 2.0 * CAL_REF_S / (opening + closing)
+            times[op].append(seconds * ref_ms)
+            if op == "certify":
+                times[MEDIAN_OP].append(median(certify.probe.latencies) * ref_ms)
     print(json.dumps(times))
 
 
@@ -110,10 +125,12 @@ def main():
                                  check=True, capture_output=True, text=True).stdout
             rounds[tree].append(json.loads(out))
     width = max(len(tree) for tree in trees)
-    print(f"{'tree':<{width}}  median ref ms  (median of each round)")
-    for tree, times in rounds.items():
-        per_round = " ".join(f"{median(t):.2f}" for t in times)
-        print(f"{tree:<{width}}  {median(sum(times, [])):13.2f}  ({per_round})")
+    for series in rounds[trees[0]][0]:
+        print(f"{series}\n{'tree':<{width}}  median ref ms  (median of each round)")
+        for tree, runs in rounds.items():
+            times = [run[series] for run in runs]
+            per_round = " ".join(f"{median(t):.4g}" for t in times)
+            print(f"{tree:<{width}}  {median(sum(times, [])):13.4g}  ({per_round})")
 
 
 if __name__ == "__main__":

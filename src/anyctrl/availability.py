@@ -165,12 +165,15 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
 def validate(model: AvailabilityModel) -> List[str]:
     """Return every violated model invariant as a message; empty list means valid.
 
-    Each test is written so that NaN fails it (NaN fails every comparison),
-    so a NaN entry is reported with the negative ones.
+    Each sign test is one reduction, `min(initial=...) >= bound`: min
+    propagates NaN and NaN fails every comparison, so a NaN entry is
+    reported with the negative ones, and `initial` gives an empty array the
+    answer of `.all()` on it. Row and pmf sums are tested as Python floats;
+    a NaN sum passes `abs(s - 1) > tol`, so only the sign test reports it.
     """
     problems: List[str] = []
     if isinstance(model, IidAvailability):
-        if not (model.pmf >= 0).all():
+        if not model.pmf.min(initial=0.0) >= 0:
             problems.append("pmf has negative or NaN entries")
         total = float(model.pmf.sum())
         if not abs(total - 1.0) <= _TOL:
@@ -179,22 +182,23 @@ def validate(model: AvailabilityModel) -> List[str]:
             problems.append("p0 = 1: the processor is never available")
         return problems
 
-    q = model.transition
-    q_signed = (q >= 0).all()
+    q, pmfs = model.transition, model.cond_pmfs
+    q_signed = q.min(initial=0.0) >= 0
     if not q_signed:
         problems.append("transition matrix has negative or NaN entries")
-    row_sums = q.sum(axis=1)
-    bad = (np.abs(row_sums - 1.0) > _TOL).nonzero()[0]
-    for i in bad:
-        problems.append(f"transition row {i} sums to {row_sums[i]}, not 1")
-    if not bad.size and q_signed and not is_primitive(q):
+    rows_ok = True
+    for i, total in enumerate(q.sum(axis=1).tolist()):
+        if abs(total - 1.0) > _TOL:
+            rows_ok = False
+            problems.append(f"transition row {i} sums to {total}, not 1")
+    if rows_ok and q_signed and not is_primitive(q):
         problems.append("transition matrix is not irreducible and aperiodic")
-    if not (model.cond_pmfs >= 0).all():
+    if not pmfs.min(initial=0.0) >= 0:
         problems.append("conditional pmfs have negative or NaN entries")
-    pmf_sums = model.cond_pmfs.sum(axis=1)
-    for i in (np.abs(pmf_sums - 1.0) > _TOL).nonzero()[0]:
-        problems.append(f"conditional pmf for state {i} sums to {pmf_sums[i]}, not 1")
-    if (model.p0_by_state >= 1.0 - _TOL).all():
+    for i, total in enumerate(pmfs.sum(axis=1).tolist()):
+        if abs(total - 1.0) > _TOL:
+            problems.append(f"conditional pmf for state {i} sums to {total}, not 1")
+    if model.p0_by_state.min(initial=np.inf) >= 1.0 - _TOL:
         problems.append("every state has p0 = 1: the processor is never available")
     return problems
 

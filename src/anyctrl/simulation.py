@@ -55,6 +55,9 @@ OVERFLOW_GUARD = 1e12
 # at most OVERFLOW_GUARD / 2, so its lanes pass the guard without testing each
 GUARD_PRECHECK = (OVERFLOW_GUARD / 2) ** 2
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
+# `_mean_stderr` scales a vector with an entry above MOMENT_SAFE in size by MOMENT_SCALE
+MOMENT_SAFE = 2.0 ** 500
+MOMENT_SCALE = 2.0 ** -600
 CSV_CHUNK_ROWS = 256  # rows formatted and written per write call
 
 
@@ -187,9 +190,28 @@ class CostSummary:
         diverged = int(costs.size - finite.size)
         if finite.size == 0:
             return cls(float("inf"), float("nan"), (float("nan"), float("nan")), costs, diverged)
-        mean = float(np.mean(finite))
-        stderr = float(np.std(finite, ddof=1) / np.sqrt(finite.size)) if finite.size > 1 else 0.0
+        mean, stderr = _mean_stderr(finite)
         return cls(mean, stderr, (mean - CI_Z * stderr, mean + CI_Z * stderr), costs, diverged)
+
+
+def _mean_stderr(values: np.ndarray) -> Tuple[float, float]:
+    """Mean and standard error (ddof 1; 0 for one value) of a nonempty finite vector.
+
+    A deviation above about 1e154 overflows when squared, and a sum above
+    about 1.8e308. A vector with an entry beyond MOMENT_SAFE in size is
+    summarised multiplied by MOMENT_SCALE, a power of two, and the results
+    are divided by it again; both steps are exact for normal numbers, so
+    only entries too small to move such moments lose bits. Any other
+    vector is summarised as it is, with the bits of plain `np.mean` and
+    `np.std`.
+    """
+    scale = 1.0 if np.abs(values).max() <= MOMENT_SAFE else MOMENT_SCALE
+    if scale != 1.0:
+        values = values * scale
+    mean = float(np.mean(values)) / scale
+    if values.size == 1:
+        return mean, 0.0
+    return mean, float(np.std(values, ddof=1) / np.sqrt(values.size)) / scale
 
 
 def presample(config: SimConfig):
@@ -349,8 +371,7 @@ def paired_diff(reference: CostSummary, candidate: CostSummary) -> Tuple[float, 
     d = ref[mask] - cand[mask]
     if d.size == 0:
         return float("nan"), float("nan")
-    se = float(np.std(d, ddof=1) / np.sqrt(d.size)) if d.size > 1 else 0.0
-    return float(np.mean(d)), se
+    return _mean_stderr(d)
 
 
 def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

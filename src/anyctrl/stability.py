@@ -6,6 +6,14 @@ a bare verdict. The Markov-model quantities operate on the thinned chain of
 computation instants: `upsilon` damps each transition by its state's idle
 probability, Q_bar = diag(p0|s) Q, and weights the end of a gap by the
 per-state computation probabilities p_bar = 1 - p0|s.
+
+`evaluate` on a Markov model works in this order: `CertificateInputs`
+validates the model (`availability.validate`); the worst-state bound
+alpha * p_hat0 < 1 is read from p_hat0, the largest p0|s, and only adds a
+note when it fails; `upsilon` then decides the sharp guard, the spectral
+radius of alpha * Q_bar against one, and only past it forms the stacked
+products: both inverses in one batched `inv` call, the powers of
+rho * Q_bar, and every live state's products as one stacked matmul.
 """
 
 from __future__ import annotations
@@ -95,8 +103,11 @@ def sigma(model: IidAvailability, rho: float, alpha: float) -> float:
 
 
 def a1_margin(model: IidAvailability, rho: float, alpha: float) -> float:
-    p0 = model.p0
-    return p0 * alpha + (1.0 - p0) * sigma(model, rho, alpha)
+    return _a1_from_sigma(model.p0, alpha, sigma(model, rho, alpha))
+
+
+def _a1_from_sigma(p0: float, alpha: float, sigma_value: float) -> float:
+    return p0 * alpha + (1.0 - p0) * sigma_value
 
 
 def omega(model: IidAvailability, rho: float, alpha: float) -> float:
@@ -188,37 +199,45 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     gives the same verdict as the full power iteration, often in far fewer
     steps: when alpha * p_hat0 is below one by more than BRACKET_MARGIN, so
     is every row sum of alpha * Q_bar, and the first product decides the
-    guard. Every state is evaluated in one stacked pass: the powers of
-    rho * Q_bar are formed once, and each state's matrix products run as
-    one batched matmul with the same per-state arithmetic as a loop over
-    states.
+    guard. Every state is evaluated in one stacked pass with the same
+    per-state arithmetic as a loop over states: rho * Q_bar and
+    alpha * Q_bar come from one product, I - rho * Q_bar and
+    I - alpha * Q_bar are inverted in one batched call, the powers of
+    rho * Q_bar are formed once, and each state's pmf-weighted sum of them
+    is added term by term in order of l, as a loop over l adds it.
     """
     g = model.num_states
     if g > MAX_CHAIN_STATES:
         raise ConfigError(f"chain has {g} states; dense certificate evaluation "
                           f"supports at most {MAX_CHAIN_STATES}")
     p0, q_bar = model.p0_by_state, model.transition
-    # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros
+    # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros;
+    # scaled[0] = rho * Q_bar and scaled[1] = alpha * Q_bar, each as one scalar product
     q_damped = p0[:, None] * q_bar
-    p_bar = 1.0 - p0
-    if spectral_radius(alpha * q_damped, bound=1.0) >= 1.0:
+    scaled = np.array((rho, alpha))[:, None, None] * q_damped
+    if spectral_radius(scaled[1], bound=1.0) >= 1.0:
         raise DivergenceError("spectral radius of alpha * Q_bar >= 1: series diverges")
     eye = np.eye(g)
-    inv_rho = np.linalg.inv(eye - rho * q_damped)
-    inv_alpha = np.linalg.inv(eye - alpha * q_damped)
-    rq = rho * q_damped
-    live = np.flatnonzero(p0 < 1.0)
+    inv_rho, inv_alpha = np.linalg.inv(eye - scaled)
+    rq = scaled[0]
+    live = (p0 < 1.0).nonzero()[0]
     pmfs = model.cond_pmfs[live]
+    # powers[l - 1] = (rho * Q_bar)^l, each the product of the one before with rho * Q_bar;
+    # the first is rho * Q_bar itself, which `eye @ rq` gives exactly for finite entries
+    powers = np.empty((model.max_len, g, g))
+    powers[:1] = rq
+    for l in range(1, model.max_len):
+        np.matmul(powers[l - 1], rq, out=powers[l])
+    # term l - 1 holds p_l|s * (rho * Q_bar)^l for every live s, added in order of l
+    # onto zeros; np.add.reduce would sum a one-state chain's terms pairwise instead
     weighted = np.zeros((live.size, g, g))
-    power = eye
-    for l in range(1, model.max_len + 1):
-        power = power @ rq
-        weighted += pmfs[:, l, None, None] * power
+    for term in pmfs.T[1:, :, None, None] * powers[:, None]:
+        weighted += term
     scale = (alpha - rho) / (1.0 - pmfs[:, 0])
     core = rho * eye + scale[:, None, None] * inv_alpha @ weighted
     # (k, 1, G) rows keep each state's vector-matrix products as in the 1-D case
     out = np.full(g, np.nan)
-    out[live] = (q_bar[live, None, :] @ inv_rho @ core @ p_bar)[:, 0]
+    out[live] = (q_bar[live, None, :] @ inv_rho @ core @ (1.0 - p0))[:, 0]
     return out
 
 
@@ -241,14 +260,14 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
             return report
         report.sigma = sigma(model, rho, alpha)
         report.omega = omega(model, rho, alpha)
-        report.a1_margin = a1_margin(model, rho, alpha)
+        report.a1_margin = _a1_from_sigma(model.p0, alpha, report.sigma)
         report.verdicts["a1"] = _verdict(report.a1_margin)
         report.verdicts["a2"] = report.verdicts["a1"]
         report.notes.append("the a1 certificate also certifies a2 (same margin)")
         return report
 
     # the baseline margin at the worst state's idle probability
-    p_hat0 = report.p_hat0 = float(np.max(model.p0_by_state))
+    p_hat0 = report.p_hat0 = float(model.p0_by_state.max())
     report.baseline_margin = baseline_margin(p_hat0, alpha, rho)
     report.verdicts["baseline"] = _verdict(report.baseline_margin)
     if p_hat0 * alpha >= 1.0:
@@ -260,6 +279,7 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
         report.notes.append("growth-bound assumption violated: spectral radius of "
                             "alpha*Q_bar >= 1, anytime certificate yields no verdict")
         return report
-    finite = report.upsilon_by_state[~np.isnan(report.upsilon_by_state)]
-    report.verdicts["a1"] = "stable" if np.all(finite < 1.0) else "not_certified"
+    # NaN (degenerate states) fails `>= 1`, so only the other states decide
+    report.verdicts["a1"] = ("not_certified" if (report.upsilon_by_state >= 1.0).any()
+                             else "stable")
     return report

@@ -26,6 +26,14 @@ costs one step at a time, in python floats.
 csv module, one `csv.writer` row at a time: the reference for the bytes of
 the package's bulk writers.
 
+`validate_elementwise` tests the availability invariants with
+elementwise masks (`(a >= 0).all()`, `np.abs(sums - 1) > tol`), and
+`upsilon_l_loop` is the stacked upsilon pass with one accumulation step
+per gap length l and one `inv` call per matrix: the references for the
+problem lists of `availability.validate` and the bits of
+`stability.upsilon`. Both take their verdicts on primitivity and on the
+spectral radius from the oracles here.
+
 `lyapunov_at` and `mean_lyapunov_at` are no references: they read V at
 given steps from the states the package's loop (`simulation._blocks`)
 yields, for the tests that check those states.
@@ -229,6 +237,69 @@ def upsilon_per_state(transition, cond_pmfs, rho, alpha):
         core = rho * eye + (alpha - rho) / (1.0 - p0s) * inv_alpha @ weighted
         out[s] = float(q_bar[s] @ inv_rho @ core @ p_bar)
     return out
+
+
+def upsilon_l_loop(transition, cond_pmfs, rho, alpha):
+    """Every live state's Upsilon in one stacked pass, accumulating over l one term at a time.
+
+    Returns None where the power-iteration guard reports that the series
+    diverges; degenerate states (p0|s = 1) are NaN.
+    """
+    q_bar = np.asarray(transition, dtype=float)
+    pmfs = np.asarray(cond_pmfs, dtype=float)
+    g = q_bar.shape[0]
+    p0 = pmfs[:, 0]
+    q_damped = p0[:, None] * q_bar
+    if spectral_radius_loop(alpha * q_damped) >= 1.0:
+        return None
+    eye = np.eye(g)
+    inv_rho = np.linalg.inv(eye - rho * q_damped)
+    inv_alpha = np.linalg.inv(eye - alpha * q_damped)
+    rq = rho * q_damped
+    live = np.flatnonzero(p0 < 1.0)
+    live_pmfs = pmfs[live]
+    weighted = np.zeros((live.size, g, g))
+    power = eye
+    for l in range(1, pmfs.shape[1]):
+        power = power @ rq
+        weighted += live_pmfs[:, l, None, None] * power
+    scale = (alpha - rho) / (1.0 - live_pmfs[:, 0])
+    core = rho * eye + scale[:, None, None] * inv_alpha @ weighted
+    out = np.full(g, np.nan)
+    out[live] = (q_bar[live, None, :] @ inv_rho @ core @ (1.0 - p0))[:, 0]
+    return out
+
+
+def validate_elementwise(model, tol=1e-12):
+    """The availability model's violated invariants, tested with elementwise masks."""
+    problems = []
+    if isinstance(model, IidAvailability):
+        if not (model.pmf >= 0).all():
+            problems.append("pmf has negative or NaN entries")
+        total = float(model.pmf.sum())
+        if not abs(total - 1.0) <= tol:
+            problems.append(f"pmf sums to {total}, not 1")
+        if model.p0 >= 1.0 - tol:
+            problems.append("p0 = 1: the processor is never available")
+        return problems
+    q = model.transition
+    q_signed = (q >= 0).all()
+    if not q_signed:
+        problems.append("transition matrix has negative or NaN entries")
+    row_sums = q.sum(axis=1)
+    bad = (np.abs(row_sums - 1.0) > tol).nonzero()[0]
+    for i in bad:
+        problems.append(f"transition row {i} sums to {row_sums[i]}, not 1")
+    if not bad.size and q_signed and not is_primitive_stepwise(q):
+        problems.append("transition matrix is not irreducible and aperiodic")
+    if not (model.cond_pmfs >= 0).all():
+        problems.append("conditional pmfs have negative or NaN entries")
+    pmf_sums = model.cond_pmfs.sum(axis=1)
+    for i in (np.abs(pmf_sums - 1.0) > tol).nonzero()[0]:
+        problems.append(f"conditional pmf for state {i} sums to {pmf_sums[i]}, not 1")
+    if (model.cond_pmfs[:, 0] >= 1.0 - tol).all():
+        problems.append("every state has p0 = 1: the processor is never available")
+    return problems
 
 
 def is_primitive_stepwise(mat):

@@ -81,6 +81,65 @@ def test_a_nan_entry_is_a_config_error_naming_its_field(model, field):
         require_valid(model)
 
 
+# entries that break an invariant, or sit on either side of its 1e-12 tolerance
+ODD_ENTRIES = (NAN, np.inf, -np.inf, -0.0, -1e-300, -0.25, 0.0, 1.0, 1.0 - 5e-13,
+               1.0 + 2e-12, 5e-13, 2e-12)
+# relative changes of a row: inside the tolerance, just outside it, far outside it
+ROW_NUDGES = (0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9, -0.5)
+
+
+def _weight_rows(draw, count, width):
+    """Integer weights 0..3 per row (zero entries, reducible and periodic chains), normalised."""
+    w = draw(arrays(np.int64, (count, width), elements=st.integers(0, 3))).astype(float)
+    w[:, :1][w.sum(axis=1) == 0] = 1.0  # no column to set in a 0 x 0 matrix
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _spoil(draw, mat):
+    """Nudge some rows' sums and overwrite some entries with ODD_ENTRIES."""
+    if not mat.size:
+        return mat
+    for _ in range(draw(st.integers(0, 2))):
+        mat[draw(st.integers(0, mat.shape[0] - 1))] *= 1.0 + draw(st.sampled_from(ROW_NUDGES))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, mat.shape[0] - 1)), draw(st.integers(0, mat.shape[1] - 1))
+        mat[i, j] = draw(st.sampled_from(ODD_ENTRIES))
+    return mat
+
+
+@st.composite
+def flawed_models(draw):
+    """i.i.d. pmfs and Markov models of 0..6 states with NaN, +-inf and negative entries,
+    sums off by about the tolerance, reducible or periodic chains and all-idle states."""
+    lam = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return IidAvailability(_spoil(draw, _weight_rows(draw, 1, lam + 1))[0])
+    g = draw(st.integers(0, 6))
+    if g and draw(st.booleans()):
+        transition = np.eye(g)[list(draw(st.permutations(range(g))))]
+    else:
+        transition = _weight_rows(draw, g, g)
+    pmfs = _weight_rows(draw, g, lam + 1)
+    idle = draw(arrays(np.bool_, g, elements=st.booleans()))
+    if draw(st.booleans()):
+        idle[:] = True
+    pmfs[idle] = np.eye(lam + 1)[0]
+    return MarkovAvailability(_spoil(draw, transition), _spoil(draw, pmfs))
+
+
+@given(flawed_models())
+@settings(max_examples=600, deadline=None)
+def test_validate_reports_what_the_elementwise_checks_report(model):
+    assert validate(model) == oracles.validate_elementwise(model)
+
+
+def test_validate_a_chain_of_no_states():
+    # min() of an empty array raises, while `.all()` of one holds: no state can compute
+    model = MarkovAvailability(np.zeros((0, 0)), np.zeros((0, 3)))
+    assert validate(model) == oracles.validate_elementwise(model) == [
+        "every state has p0 = 1: the processor is never available"]
+
+
 def test_is_primitive():
     assert is_primitive(np.array([[0.5, 0.5], [0.5, 0.5]]))
     assert not is_primitive(np.eye(2))

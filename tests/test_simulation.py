@@ -212,6 +212,28 @@ def test_cost_summary_with_divergences():
     assert allbad.diverged_count == 2
 
 
+def test_cost_summary_of_costs_whose_squares_overflow():
+    # deviations near 1e300 overflow when squared; the suite turns that warning into an error
+    summary = CostSummary.from_costs(np.array([0.0, 1e300, 1e300, np.inf]))
+    assert summary.mean == pytest.approx(2e300 / 3, rel=1e-15)
+    assert summary.stderr == pytest.approx(1e300 / 3, rel=1e-15)
+    assert summary.diverged_count == 1
+    mean, se = paired_diff(CostSummary.from_costs(np.array([1e300, -1e300, 5.0])),
+                           CostSummary.from_costs(np.array([-1e300, 1e300, 1.0])))
+    assert mean == pytest.approx(4.0 / 3, rel=1e-15)
+    assert se == pytest.approx(2e300 / np.sqrt(3), rel=1e-15)
+
+
+@given(arrays(float, st.integers(1, 40),
+              elements=st.floats(-2.0 ** 500, 2.0 ** 500, allow_nan=False)))
+@settings(max_examples=300, deadline=None)
+def test_cost_summary_keeps_the_bits_of_the_plain_moments(costs):
+    summary = CostSummary.from_costs(costs)
+    assert summary.mean == float(np.mean(costs))
+    want = float(np.std(costs, ddof=1) / np.sqrt(costs.size)) if costs.size > 1 else 0.0
+    assert summary.stderr == want
+
+
 def test_improvement_pct():
     ref = CostSummary.from_costs(np.array([2.0, 2.0]))
     cand = CostSummary.from_costs(np.array([1.5, 1.5]))

@@ -141,10 +141,11 @@ def _weight_rows(draw, count, width):
 
 
 @st.composite
-def certificate_chains(draw):
-    """A Markov model (G = 1..16, Lambda = 1..8) with zero entries and e_0 pmf rows, plus rho, alpha."""
-    g = draw(st.integers(1, 16))
-    lam = draw(st.integers(1, 8))
+def certificate_chains(draw, states=st.integers(1, 16), lams=st.integers(1, 8)):
+    """A Markov model (by default G = 1..16, Lambda = 1..8) with zero entries and e_0 pmf rows,
+    plus rho, alpha."""
+    g = draw(states)
+    lam = draw(lams)
     transition = _weight_rows(draw, g, g)
     pmfs = _weight_rows(draw, g, lam + 1)
     degenerate = draw(arrays(np.bool_, g, elements=st.booleans()))
@@ -161,18 +162,64 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@given(certificate_chains())
+@st.composite
+def slow_single_states(draw):
+    """One state with Lambda = 9..16 and p_l * (rho * p0)^l decaying slowly in l.
+
+    A reduce over l would add these terms pairwise, in another order than
+    one at a time, and slowly decaying terms make that order show in the bits.
+    """
+    lam = draw(st.integers(9, 16))
+    p0 = draw(st.floats(0.5, 0.95))
+    rest = draw(arrays(float, lam, elements=st.floats(0.1, 1.0)))
+    pmf = np.concatenate([[p0], (1.0 - p0) * rest / rest.sum()])
+    model = MarkovAvailability([[1.0]], [pmf])
+    return model, draw(st.floats(0.9, 0.99)), draw(st.floats(1.0, 1.0 / p0))
+
+
+@given(st.one_of(certificate_chains(),
+                 certificate_chains(states=st.just(1), lams=st.integers(9, 16)),
+                 slow_single_states()))
 @settings(max_examples=300, deadline=None)
 def test_upsilon_stacked_matches_per_state_loop(case):
     model, rho, alpha = case
-    want = _outcome(oracles.upsilon_per_state, model.transition, model.cond_pmfs, rho, alpha)
     got = _outcome(upsilon, model, rho, alpha)
-    if want is None:
-        assert got is DivergenceError
-    elif isinstance(want, type):
-        assert got is want
-    else:
-        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+    for oracle in (oracles.upsilon_per_state, oracles.upsilon_l_loop):
+        want = _outcome(oracle, model.transition, model.cond_pmfs, rho, alpha)
+        if want is None:
+            assert got is DivergenceError
+        elif isinstance(want, type):
+            assert got is want
+        else:
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def valid_chains(draw):
+    """A chain that `validate` accepts: positive transitions, some but not all states idle."""
+    g = draw(st.integers(1, 6))
+    lam = draw(st.integers(1, 6))
+    weights = draw(arrays(np.int64, (g, g), elements=st.integers(1, 3))).astype(float)
+    pmfs = _weight_rows(draw, g, lam + 1)
+    degenerate = draw(arrays(np.bool_, g, elements=st.booleans()))
+    degenerate[draw(st.integers(0, g - 1))] = False
+    pmfs[degenerate] = np.eye(lam + 1)[0]
+    pmfs[~degenerate, 1] += 0.5  # a state that is not degenerate computes with some probability
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    model = MarkovAvailability(weights / weights.sum(axis=1, keepdims=True), pmfs)
+    return model, draw(st.floats(0.0, 0.99)), draw(st.floats(1.0, 3.0))
+
+
+@given(valid_chains())
+@settings(max_examples=200, deadline=None)
+def test_markov_a1_verdict_ignores_only_degenerate_states(case):
+    model, rho, alpha = case
+    report = evaluate(CertificateInputs(rho, alpha, model))
+    if report.upsilon_by_state is None:
+        assert "a1" not in report.verdicts
+        return
+    finite = report.upsilon_by_state[~np.isnan(report.upsilon_by_state)]
+    assert report.verdicts["a1"] == ("stable" if np.all(finite < 1.0) else "not_certified")
 
 
 @given(certificate_chains())
