@@ -170,12 +170,15 @@ def validate(model: AvailabilityModel) -> List[str]:
     reported with the negative ones, and `initial` gives an empty array the
     answer of `.all()` on it. Row and pmf sums are tested as Python floats;
     a NaN sum passes `abs(s - 1) > tol`, so only the sign test reports it.
+    The sums are taken with numpy's invalid-value warning off: a row that
+    holds both +inf and -inf sums to NaN, which is reported, not raised.
     """
     problems: List[str] = []
     if isinstance(model, IidAvailability):
         if not model.pmf.min(initial=0.0) >= 0:
             problems.append("pmf has negative or NaN entries")
-        total = float(model.pmf.sum())
+        with np.errstate(invalid="ignore"):
+            total = float(model.pmf.sum())
         if not abs(total - 1.0) <= _TOL:
             problems.append(f"pmf sums to {total}, not 1")
         if model.p0 >= 1.0 - _TOL:
@@ -183,11 +186,13 @@ def validate(model: AvailabilityModel) -> List[str]:
         return problems
 
     q, pmfs = model.transition, model.cond_pmfs
+    with np.errstate(invalid="ignore"):
+        row_sums, pmf_sums = q.sum(axis=1).tolist(), pmfs.sum(axis=1).tolist()
     q_signed = q.min(initial=0.0) >= 0
     if not q_signed:
         problems.append("transition matrix has negative or NaN entries")
     rows_ok = True
-    for i, total in enumerate(q.sum(axis=1).tolist()):
+    for i, total in enumerate(row_sums):
         if abs(total - 1.0) > _TOL:
             rows_ok = False
             problems.append(f"transition row {i} sums to {total}, not 1")
@@ -195,7 +200,7 @@ def validate(model: AvailabilityModel) -> List[str]:
         problems.append("transition matrix is not irreducible and aperiodic")
     if not pmfs.min(initial=0.0) >= 0:
         problems.append("conditional pmfs have negative or NaN entries")
-    for i, total in enumerate(pmfs.sum(axis=1).tolist()):
+    for i, total in enumerate(pmf_sums):
         if abs(total - 1.0) > _TOL:
             problems.append(f"conditional pmf for state {i} sums to {total}, not 1")
     if model.p0_by_state.min(initial=np.inf) >= 1.0 - _TOL:

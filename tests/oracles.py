@@ -276,7 +276,8 @@ def validate_elementwise(model, tol=1e-12):
     if isinstance(model, IidAvailability):
         if not (model.pmf >= 0).all():
             problems.append("pmf has negative or NaN entries")
-        total = float(model.pmf.sum())
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one pmf sum to NaN
+            total = float(model.pmf.sum())
         if not abs(total - 1.0) <= tol:
             problems.append(f"pmf sums to {total}, not 1")
         if model.p0 >= 1.0 - tol:
@@ -286,7 +287,8 @@ def validate_elementwise(model, tol=1e-12):
     q_signed = (q >= 0).all()
     if not q_signed:
         problems.append("transition matrix has negative or NaN entries")
-    row_sums = q.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        row_sums, pmf_sums = q.sum(axis=1), model.cond_pmfs.sum(axis=1)
     bad = (np.abs(row_sums - 1.0) > tol).nonzero()[0]
     for i in bad:
         problems.append(f"transition row {i} sums to {row_sums[i]}, not 1")
@@ -294,7 +296,6 @@ def validate_elementwise(model, tol=1e-12):
         problems.append("transition matrix is not irreducible and aperiodic")
     if not (model.cond_pmfs >= 0).all():
         problems.append("conditional pmfs have negative or NaN entries")
-    pmf_sums = model.cond_pmfs.sum(axis=1)
     for i in (np.abs(pmf_sums - 1.0) > tol).nonzero()[0]:
         problems.append(f"conditional pmf for state {i} sums to {pmf_sums[i]}, not 1")
     if (model.cond_pmfs[:, 0] >= 1.0 - tol).all():

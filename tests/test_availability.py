@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anyctrl import availability
@@ -129,6 +129,10 @@ def flawed_models(draw):
 
 @given(flawed_models())
 @settings(max_examples=600, deadline=None)
+# +inf and -inf in one row sum to NaN, which is reported, not raised as a warning
+@example(IidAvailability(np.array([np.inf, -np.inf])))
+@example(MarkovAvailability(np.array([[1.0]]), np.array([[np.inf, -np.inf]])))
+@example(MarkovAvailability(np.array([[np.inf, -np.inf], [0.5, 0.5]]), np.eye(2)))
 def test_validate_reports_what_the_elementwise_checks_report(model):
     assert validate(model) == oracles.validate_elementwise(model)
 
