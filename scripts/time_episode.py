@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the benchmark's markov_simulate and certify operations under one or more `src/` trees.
+"""Time the benchmark's markov_simulate, certify and fig1_sweep operations under `src/` trees.
 
 A trace episode of `anyctrl simulate --traces K` (benchmark workload
 markov_simulate) replays one run on one lane. Trims to its per-step work
@@ -20,7 +20,12 @@ markov_simulate's `wall_s`; with `--op certify` one pass of benchmark
 workload certify at seed 3 (`bench/workloads.Certify`: `CertificateInputs`
 plus `stability.evaluate` and its report lines for each of 2048
 availability models), the unit behind certify's `wall_s`, and the median
-of that pass's operation times, the number behind certify's `op_p50_ms`.
+of that pass's operation times, the number behind certify's `op_p50_ms`;
+with `--op fig1` one pass of benchmark workload fig1_sweep at instance 3
+(`bench/workloads.Fig1Sweep`: `experiments.run_sweep` on the stock fig1
+protocol, 200 runs x 1000 steps), the unit behind fig1_sweep's `wall_s`,
+and the median of its 15 `monte_carlo` operations, the number behind
+fig1_sweep's `op_p50_ms`.
 Each time is scaled to reference milliseconds by the benchmark's
 calibration kernel, run before and after it, as `bench/workloads.OpProbe`
 scales an operation. The script prints each tree's median over all its
@@ -31,6 +36,7 @@ operations and the median of each round:
     python scripts/time_episode.py ../parent/src src --op monte_carlo
     python scripts/time_episode.py ../parent/src src --op simulate
     python scripts/time_episode.py ../parent/src src --op certify
+    python scripts/time_episode.py ../parent/src src --op fig1
 
 It only reads `bench/`. Only `--op simulate` writes files, into a temporary
 directory that each process removes when it ends.
@@ -52,28 +58,31 @@ sys.dont_write_bytecode = True  # leaves no __pycache__ in bench/
 sys.path.append(str(ROOT / "bench"))
 from run import THREAD_VARS  # noqa: E402  (bench/ is not a package)
 
-INSTANCE = 3  # markov_simulate's input instance and certify's batch at the benchmark's seed 3
+INSTANCE = 3  # the input instance (certify: the batch) of each workload at the benchmark's seed 3
 REPEATS = 15  # timed operations per process
-OPS = ("episode", "monte_carlo", "simulate", "certify")
-MEDIAN_OP = "certify median op"  # the second series of `--op certify`
+OPS = ("episode", "monte_carlo", "simulate", "certify", "fig1")
 
 
 def child(op: str) -> None:
     """Print JSON {series: reference ms of each timed `op`} for the package on PYTHONPATH."""
     from anyctrl.config import parse_sim_config
     from anyctrl.simulation import monte_carlo, run_episode
-    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, Certify, MarkovSimulate,
-                           calibration_seconds, markov_config)
+    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, Certify, Fig1Sweep,
+                           MarkovSimulate, calibration_seconds, markov_config, probed)
 
     config = parse_sim_config(markov_config(INSTANCE, MARKOV_RUNS, MARKOV_HORIZON))
     times = {op: []}
+    workload = None  # a whole-pass workload whose median operation is a second series
+    median_op = f"{op} median op"
     with contextlib.ExitStack() as stack:
-        if op == "certify":
-            certify = Certify(INSTANCE, workdir=None)  # certify writes no files
-            times[MEDIAN_OP] = []
+        if op in ("certify", "fig1"):
+            # neither writes files; fig1's operations are timed by its probe on monte_carlo
+            workload = (Certify if op == "certify" else Fig1Sweep)(INSTANCE, workdir=None)
+            stack.enter_context(probed(workload))
+            times[median_op] = []
 
             def operation(i):
-                certify.run_pass()
+                workload.run_pass()
         elif op == "simulate":
             workdir = stack.enter_context(tempfile.TemporaryDirectory())
             simulate = MarkovSimulate(INSTANCE, Path(workdir))
@@ -96,8 +105,8 @@ def child(op: str) -> None:
             closing = calibration_seconds()
             ref_ms = 1e3 * 2.0 * CAL_REF_S / (opening + closing)
             times[op].append(seconds * ref_ms)
-            if op == "certify":
-                times[MEDIAN_OP].append(median(certify.probe.latencies) * ref_ms)
+            if workload is not None:
+                times[median_op].append(median(workload.probe.latencies) * ref_ms)
     print(json.dumps(times))
 
 

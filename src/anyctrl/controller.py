@@ -9,10 +9,11 @@ step, and all of them advance together.
 
 A ring of C slots per lane (C the buffer capacity) holds the sequences in
 flight: slot t mod C holds the predicted state, the end step t + N(t) and
-the latest input of the sequence started at step t. Each step starts the
-new sequence and then advances every in-flight row one depth with one
-stacked policy / f call (`tentative_sequence`), and that is all the
-recursion needs. The advanced states and inputs are scattered back as
+the latest input of the sequence started at step t, in flight while
+`end > tick`. Each step starts the new sequence and then advances every
+in-flight row one depth with one stacked policy / f call
+(`tentative_sequence`), and that is all the recursion needs. The
+advanced states and inputs are scattered back as
 whole rows, through 1-D views of the ring (built once per ring) in which
 each float64 row is one `np.void` item; the plant's outputs are first
 cast to contiguous float64, as plain assignment casts them. The Lyapunov
@@ -112,11 +113,10 @@ class Ring:
         self.first_run = first_run
         self.block = max(SOURCE_BLOCK, BLOCK_ROWS // size)
         self.tick = 0  # the step the next advance computes
-        self.reach = 0  # the largest end step of any sequence started so far
         self.failure = None  # (start step, depth, run) of the earliest failed decrease test
         self.pending = []  # (tick, rows, states before, states after) of each untested depth
         self.chi = np.zeros(lanes + (capacity, plant.n))  # predicted states
-        self.end = np.zeros(lanes + (capacity,), dtype=np.int64)  # t + N(t)
+        self.end = np.zeros(lanes + (capacity,), dtype=np.int64)  # t + N(t), in flight if > tick
         # each slot's latest input, flat, with one last row of zeros for steps without a source
         self.inputs = np.zeros((size + 1, plant.p))
         # the same memory with one opaque item per state or input row, for 1-D scatters
@@ -164,6 +164,10 @@ class Ring:
             yield from zip(n[c - 1:], np.where(covered, self.base + t_src % c,
                                                 self.inputs.shape[0] - 1))
 
+    def in_flight(self) -> np.ndarray:
+        """The flat rows whose sequence is in flight at step `tick`: `end > tick`."""
+        return (self.end > self.tick).ravel().nonzero()[0]
+
     def fail(self, ticks: np.ndarray, rows: np.ndarray) -> None:
         """Keep the earliest (start step, depth, run) among rows failing at the given ticks."""
         lane, slot = np.divmod(rows, self.capacity)
@@ -174,18 +178,16 @@ class Ring:
         self.failure = found if self.failure is None else min(self.failure, found)
 
 
-def tentative_sequence(plant: PlantModel, ring: Ring) -> None:
-    """Advance every in-flight tentative sequence one depth, at step `ring.tick`.
+def tentative_sequence(plant: PlantModel, ring: Ring, rows: np.ndarray) -> None:
+    """Advance the in-flight tentative sequences one depth, at step `ring.tick`.
 
-    Every row whose sequence reaches this step takes one step of the
-    nominal model under the certified policy, with one stacked call each of
-    policy and f, and its input becomes its slot's latest input. The states
+    `rows` are the flat ring rows in flight, `end > tick` (`Ring.in_flight`),
+    at least one. Each takes one step of the nominal model under the
+    certified policy, with one stacked call each of policy and f, and its
+    input becomes its slot's latest input. The states
     before and after the step are recorded on the ring for `check`, which
     tests the certificate's per-step Lyapunov decrease on them.
     """
-    rows = (ring.end > ring.tick).ravel().nonzero()[0]
-    if rows.size == 0:
-        raise ConfigError(f"no tentative sequence in flight at step {ring.tick}")
     chi = ring.chi.reshape(-1, ring.chi.shape[-1]).take(rows, axis=0)
     u = plant.policy(chi)
     nxt = plant.f(chi, u, ring.w0)
@@ -237,15 +239,15 @@ def settle(plant: PlantModel, ring: Ring) -> None:
 
 
 def drain(plant: PlantModel, ring: Ring) -> None:
-    """Advance every in-flight sequence to its end, then raise the earliest failed test.
+    """Advance every in-flight sequence (`end > tick`) to its end, then raise the earliest failure.
 
     Afterwards every depth of every sequence started so far has been
     computed and tested, as if each had been rolled out in full at its
     start step. A CertificateViolation names the earliest start step with
     a failed test, its first failing depth and the lowest run failing there.
     """
-    while ring.reach > ring.tick:
-        tentative_sequence(plant, ring)
+    while (rows := ring.in_flight()).size:
+        tentative_sequence(plant, ring, rows)
         ring.tick += 1
     check(plant, ring)
     if ring.failure is not None:
@@ -259,7 +261,8 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     `n` and `src` are this step's N(k), at most the ring's capacity, and
     source from `ring.steps`; the end step t + N(t) is added in int64
     whatever the type of `n`. The baseline controller only uses the
-    indicator n >= 1 and leaves the ring alone. The decrease tests run at
+    indicator n >= 1 and leaves the ring alone. Any rows in flight after the
+    new sequence starts (`end > tick`) advance one depth. The decrease tests run at
     the end of each block of `ring.block` steps; a failure drains the ring and raises (see
     `drain`). Every sequence started up to the failing step is then tested
     in full, and any started later has a later start step, so the
@@ -268,14 +271,12 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     n = np.asarray(n)
     if kind.kind == "baseline":
         return np.where((n >= 1)[..., None], plant.policy(x), 0.0)
-    longest = int(n.max()) if n.ndim else int(n)  # one lane: no reduction set-up
-    slot = ring.tick % ring.capacity  # its last sequence ended by now
+    slot = ring.tick % ring.capacity  # its last sequence ended by now, as N <= C
     ring.chi[..., slot, :] = x
     # int64 in the same call: t + N(t) overflows a narrow schedule's type past its range
     np.add(n, ring.tick, out=ring.end[..., slot], dtype=np.int64)
-    ring.reach = max(ring.reach, ring.tick + longest)
-    if ring.reach > ring.tick:
-        tentative_sequence(plant, ring)
+    if (rows := ring.in_flight()).size:
+        tentative_sequence(plant, ring, rows)
     ring.tick += 1
     if ring.tick % ring.block == 0:
         settle(plant, ring)

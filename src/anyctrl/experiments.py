@@ -11,17 +11,18 @@ the linear plant parameter a, and an artificial buffer-size cap.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .availability import from_execution_time
 from .controller import KINDS, ControllerKind
 from .errors import ConfigError
 from .plants import DisturbanceModel, make_builtin_plant
-from .simulation import (CI_Z, SimConfig, improvement_pct, monte_carlo,
+from .simulation import (CI_Z, SimConfig, _write_csv, improvement_pct, monte_carlo,
                          paired_diff, presample_each)
 
 SWEEP_COLUMNS = [
@@ -140,8 +141,6 @@ def run_sweep(spec: ExperimentSpec) -> List[dict]:
 
 
 def write_sweep_csv(rows: List[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in SWEEP_COLUMNS})
+    """Write `run_sweep` rows under SWEEP_COLUMNS, each cell a Python number (`1` stays an int)."""
+    _write_csv(path, SWEEP_COLUMNS, [np.array([np.asarray(row[k]).item() for row in rows],
+                                              dtype=object) for k in SWEEP_COLUMNS])

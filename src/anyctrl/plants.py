@@ -245,9 +245,6 @@ def _sat_2d() -> PlantModel:
 
 
 def _log_lyapunov(rho: float) -> PlantModel:
-    if not (0.0 <= rho < 1.0):
-        raise ConfigError(f"log_lyapunov rho must lie in [0, 1), got {rho}")
-
     def f(x, u, w):
         return x ** 2 + u
 

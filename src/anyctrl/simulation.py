@@ -271,10 +271,11 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
     schedule (`(..., horizon)`, `ControllerKind.capped`) and of the
     disturbances (`(..., horizon, m)`): `()` for one run, `(runs,)` for the
     batch engine. For a1 and a2, a schedule longer than the buffer capacity
-    anywhere raises ConfigError before the first step. A block holds x(k)
-    and u(k) for `ring.block` steps, and `alive` the lanes not diverged by
-    its end. A diverged lane keeps its last state and starts no sequence.
-    Once all have diverged the loop stops; then the ring is drained.
+    anywhere raises ConfigError before the first step: with N <= C, the
+    ring's end steps alone tell what is in flight. A block holds x(k) and
+    u(k) for `ring.block` steps, and `alive` the lanes not diverged by its
+    end. A diverged lane keeps its last state and starts no sequence. Once
+    all have diverged the loop stops; then the ring is drained.
     """
     plant, kind = config.plant, config.controller
     ring = Ring(plant, config.buffer_capacity, x0.shape[:-1], first_run)
@@ -283,8 +284,6 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
         raise ConfigError(f"sequence length {longest} exceeds buffer capacity {ring.capacity}")
     alive = np.ones(x0.shape[:-1], dtype=bool)
     diverged = False  # whether any lane has; until then the masks below are identities
-    # on `()` lanes the guard gives a NumPy scalar, whose `all()` costs ~3 us a step
-    every = np.ndarray.all if alive.ndim else bool
     x, xs, us = x0, [], []
     with np.errstate(over="ignore", invalid="ignore"):
         # a diverged lane's input is never read, so its sources need not know it diverged
@@ -299,7 +298,7 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
             # non-finite states count as diverged
             if diverged or not flat.dot(flat) <= GUARD_PRECHECK:
                 finite = norm(x_next) <= OVERFLOW_GUARD
-                diverged = diverged or not every(finite)
+                diverged = diverged or not finite.all()
             if diverged:
                 alive = alive & finite
                 x = np.where(alive[..., None], x_next, x)
@@ -364,14 +363,17 @@ def paired_diff(reference: CostSummary, candidate: CostSummary) -> Tuple[float, 
     """Mean and standard error of per-run cost differences (reference - candidate).
 
     Exploits common random numbers: differences are computed run by run,
-    over runs where both controllers stayed finite.
+    over runs where both controllers stayed finite. Costs are subtracted
+    scaled as `_mean_stderr` scales, so no difference overflows.
     """
     ref, cand = reference.per_run_costs, candidate.per_run_costs
     mask = np.isfinite(ref) & np.isfinite(cand)
-    d = ref[mask] - cand[mask]
-    if d.size == 0:
+    if not mask.any():
         return float("nan"), float("nan")
-    return _mean_stderr(d)
+    ref, cand = ref[mask], cand[mask]
+    scale = 1.0 if max(np.abs(ref).max(), np.abs(cand).max()) <= MOMENT_SAFE else MOMENT_SCALE
+    mean, stderr = _mean_stderr(ref * scale - cand * scale)
+    return mean / scale, stderr / scale
 
 
 def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

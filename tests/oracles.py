@@ -22,9 +22,9 @@ criteria 2 and 3 check, which no shipped code computes. `empirical_cost`
 is the reference for the engine's per-run costs: it adds a trace's stage
 costs one step at a time, in python floats.
 
-`write_runs_csv` and `write_trace_csv` write the CLI's CSV files with the
-csv module, one `csv.writer` row at a time: the reference for the bytes of
-the package's bulk writers.
+`write_runs_csv`, `write_trace_csv` and `write_sweep_csv` write the CLI's
+CSV files with the csv module, one `csv.writer` or `csv.DictWriter` row at
+a time: the reference for the bytes of the package's bulk writers.
 
 `validate_elementwise` tests the availability invariants with
 elementwise masks (`(a >= 0).all()`, `np.abs(sums - 1) > tol`), and
@@ -46,6 +46,7 @@ import numpy as np
 from anyctrl.availability import IidAvailability, make_sampler
 from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
 from anyctrl.errors import CertificateViolation, ConfigError
+from anyctrl.experiments import SWEEP_COLUMNS
 from anyctrl.simulation import OVERFLOW_GUARD, _blocks, _run_draws, presample
 
 SERIES_TERMS = 500
@@ -171,6 +172,14 @@ def write_trace_csv(trace, path):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*columns))
+
+
+def write_sweep_csv(rows, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in SWEEP_COLUMNS})
 
 
 # --- the sat_2d plant, one formula per component ---
@@ -491,16 +500,13 @@ def controller_step(kind, plant, x, n, buf):
 
 # --- the ring advance with numpy's row-subspace scatters ---
 
-def ring_advance_fancy(plant, ring):
+def ring_advance_fancy(plant, ring, rows):
     """`controller.tentative_sequence` with numpy's row-subspace assignment for the scatters.
 
     The package scatters each ring row as one opaque item; this writes the
     same rows through `chis[rows] = nxt`, which casts and reorders as plain
     assignment does.
     """
-    rows = (ring.end > ring.tick).ravel().nonzero()[0]
-    if rows.size == 0:
-        raise ConfigError(f"no tentative sequence in flight at step {ring.tick}")
     chis = ring.chi.reshape(-1, ring.chi.shape[-1])
     chi = chis.take(rows, axis=0)
     u = plant.policy(chi)

@@ -302,6 +302,8 @@ def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):
     ({"plant": {"name": "linear_scalar", "params": {"a": 1.2, "r": -2.0}}}, "plant.params"),
     ({"plant": {"name": "linear_scalar", "params": {"a": 1.2, "r": 0}}}, "plant.params"),
     ({"plant": {"name": "linear_scalar", "params": {"a": 1.2, "q": -0.5}}}, "plant.params"),
+    ({"plant": {"name": "log_lyapunov", "params": {"rho": 1.0}}}, "plant.params"),
+    ({"plant": {"name": "log_lyapunov", "params": {"rho": -0.1}}}, "plant.params"),
 ])
 def test_parse_sim_config_rejects_bad_keys(change, key):
     with pytest.raises(ConfigError, match=key):

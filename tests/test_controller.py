@@ -99,21 +99,18 @@ def test_controller_kind_validation():
 
 def test_tentative_sequence_from_one():
     ring = Ring(CUBIC, 4)
-    ring.chi[0], ring.end[0], ring.reach = 1.0, 3, 3  # a sequence of three started at step 0
+    ring.chi[0], ring.end[0] = 1.0, 3  # a sequence of three started at step 0
     # the nominal states contract by 0.99 per step; each depth's input is kappa there
     for chi in [1.0, 0.99, 0.9801]:
-        tentative_sequence(CUBIC, ring)
+        rows = ring.in_flight()
+        assert rows.tolist() == [0]
+        tentative_sequence(CUBIC, ring, rows)
         np.testing.assert_allclose(ring.inputs[0], CUBIC.policy(np.array([chi])))
         ring.tick += 1
+    assert ring.in_flight().size == 0  # the sequence ended at its end step
     np.testing.assert_allclose(ring.chi[0], [0.99 ** 3])
     # slots without a sequence in flight are left alone, and so is the zero row
     assert not ring.chi[1:].any() and not ring.inputs[1:].any()
-
-
-def test_tentative_sequence_rejects_bad_length():
-    ring = Ring(CUBIC, 2)
-    with pytest.raises(ConfigError):  # no sequence in flight
-        tentative_sequence(CUBIC, ring)
 
 
 def test_certificate_violation_reports_step():
@@ -150,7 +147,7 @@ def test_baseline_ignores_buffer():
     np.testing.assert_allclose(u, LINEAR.policy(np.array([1.0])))
     u = controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 0, ring, None)
     np.testing.assert_array_equal(u, [0.0])
-    assert (ring.tick, ring.reach) == (0, 0) and not ring.end.any() and not ring.inputs.any()
+    assert ring.tick == 0 and not ring.end.any() and not ring.inputs.any()
     buf = np.array([[5.0], [6.0]])
     _, out = oracles.controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 2, buf)
     assert out is buf

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anyctrl.config import parse_scale
 from anyctrl.errors import ConfigError
@@ -8,6 +9,8 @@ from anyctrl.experiments import (SWEEP_COLUMNS, ExperimentSpec, _config_at,
                                  write_sweep_csv)
 from anyctrl.plants import lqr_gain_scalar, make_builtin_plant
 from anyctrl.simulation import SimConfig, monte_carlo
+
+import oracles
 
 
 def test_spec_validation():
@@ -61,6 +64,36 @@ def test_sweep_rows_and_csv(tmp_path):
     write_sweep_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(SWEEP_COLUMNS)
+
+
+# the cells that stress a float's repr, mixed with any other float
+CELL_FLOATS = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
+                                         5e-324, 1e300, 0.1]), st.floats())
+# Python and numpy integers and floats: integer grids, float grids and mixed custom grids
+GRID_VALUES = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 64).map(np.int64),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.floats(0.0, 1.0).map(np.float64))
+
+
+@st.composite
+def sweep_rows(draw):
+    grid = draw(st.lists(GRID_VALUES, min_size=1, max_size=6))
+    return [{"grid_value": value,
+             **{key: draw(st.integers(0, 10 ** 4) if key.startswith("diverged") else CELL_FLOATS)
+                for key in SWEEP_COLUMNS[1:]}} for value in grid]
+
+
+@given(rows=sweep_rows())
+@example(rows=[{"grid_value": cap, **dict.fromkeys(SWEEP_COLUMNS[1:], float("nan")),
+                "cost_baseline": float("inf"), "impr_a1_pct": -float("inf"),
+                "diverged_baseline": 200} for cap in (1, 2, 3, 4)])
+@settings(max_examples=60, deadline=None)
+def test_sweep_writer_writes_the_csv_module_bytes(rows, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("sweep")
+    ours, reference = directory / "ours.csv", directory / "reference.csv"
+    write_sweep_csv(rows, ours)
+    oracles.write_sweep_csv(rows, reference)
+    assert ours.read_bytes() == reference.read_bytes()
 
 
 def test_sweeps_use_common_random_numbers():

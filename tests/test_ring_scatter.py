@@ -71,7 +71,7 @@ def test_ring_after_each_advance_equals_fancy_assignment(layout, plant, lanes):
     for tick in range(cap):
         for ring, advance in zip(rings, (tentative_sequence, oracles.ring_advance_fancy)):
             ring.tick = tick
-            advance(plant, ring)
+            advance(plant, ring, ring.in_flight())
         got, want = rings
         np.testing.assert_array_equal(got.chi, want.chi)
         np.testing.assert_array_equal(got.inputs, want.inputs)

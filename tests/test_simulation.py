@@ -247,6 +247,25 @@ def test_improvement_pct():
     assert np.isnan(improvement_pct(cand, zero))
 
 
+def test_paired_diff_of_costs_whose_difference_overflows():
+    # 1e308 - (-1e308) overflows; the suite turns that warning into an error
+    mean, se = paired_diff(CostSummary.from_costs(np.array([1e308, -1e308, 5.0])),
+                           CostSummary.from_costs(np.array([-1e308, 1e308, 1.0])))
+    assert mean == pytest.approx(4.0 / 3, rel=1e-15)
+    assert se == pytest.approx(2.0 * (1e308 / np.sqrt(3)), rel=1e-15)
+
+
+@given(st.integers(1, 40).flatmap(lambda runs: st.tuples(*[arrays(
+    float, runs, elements=st.floats(-2.0 ** 499, 2.0 ** 499, allow_nan=False))] * 2)))
+@settings(max_examples=200, deadline=None)
+def test_paired_diff_keeps_the_bits_of_the_plain_moments(pair):
+    ref, cand = pair
+    d = ref - cand
+    want = float(np.std(d, ddof=1) / np.sqrt(d.size)) if d.size > 1 else 0.0
+    assert paired_diff(CostSummary.from_costs(ref), CostSummary.from_costs(cand)) == (
+        float(np.mean(d)), want)
+
+
 def test_paired_diff_skips_diverged_pairs():
     ref = CostSummary.from_costs(np.array([2.0, np.inf, 4.0]))
     cand = CostSummary.from_costs(np.array([1.0, 1.0, np.inf]))
@@ -422,6 +441,38 @@ def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_
         calls.update(step=0, rollout=0)
         trace = run_episode(cfg, r)
         assert calls == {"step": trace.steps, "rollout": computes * ticks_in_flight(n_all[r])}
+
+
+@pytest.mark.parametrize("kind", ["a1", "a2"])
+def test_diverged_lanes_start_no_sequence_but_finish_those_in_flight(monkeypatch, kind):
+    """On runs of which some diverge, controller.tentative_sequence runs once per step
+    with a sequence in flight on the schedule whose N is zeroed from the step after
+    each run's divergence, drain steps included, in run_episode and in monte_carlo.
+    It advances N(t) rows for the sequence started at step t on that schedule."""
+    calls = {"rollout": 0, "rows": 0}
+    rollout = controller.tentative_sequence
+
+    def counted(plant, ring, rows):
+        calls["rollout"] += 1
+        calls["rows"] += rows.size
+        return rollout(plant, ring, rows)
+
+    monkeypatch.setattr(controller, "tentative_sequence", counted)
+    # the cubic plant at tau 0.4 diverges in some runs within 300 steps and not in others
+    cfg = make_config(plant=CUBIC, availability=from_execution_time(0.4),
+                      controller=ControllerKind(kind), horizon=300, runs=8, master_seed=3,
+                      disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01))
+    n_all, _, _ = presample(cfg)
+    n_lived = np.array(n_all)
+    for r in range(cfg.runs):
+        calls.update(rollout=0, rows=0)
+        trace = run_episode(cfg, r)
+        n_lived[r, trace.steps:] = 0  # a trace stops at the step its next state diverges
+        assert calls == {"rollout": ticks_in_flight(n_lived[r]), "rows": n_lived[r].sum()}
+    calls.update(rollout=0, rows=0)
+    summary = monte_carlo(cfg)
+    assert 0 < summary.diverged_count < cfg.runs
+    assert calls == {"rollout": ticks_in_flight(n_lived), "rows": n_lived.sum()}
 
 
 # --- the divergence guard's one-dot pre-check ---
