@@ -115,6 +115,16 @@ def checkpoint_digest(config) -> str:
     return digest(np.array(steps), v_at)
 
 
+def cell_key(config) -> tuple:
+    """What tells a stock sweep's cells apart: controller, plant parameters and pmf.
+
+    A sweep may run a config once for several cells (fig3's baseline is one
+    config at every cap), so its summaries are looked up by this key.
+    """
+    return (config.controller, tuple(sorted(config.plant.params.items())),
+            config.availability.pmf.tobytes())
+
+
 def print_cell(cell, config, costs, traces: int, diverging: bool = False) -> None:
     print(f"{cell} costs {digest(costs)}")
     print(f"{cell} traces {trace_digest(config, range(traces))}")
@@ -253,22 +263,23 @@ def main():
     for name in ("fig1", "fig2", "fig3"):
         spec = experiments.builtin_experiment(name, seed=args.seed, runs=args.runs,
                                               horizon=args.horizon)
-        summaries = []
+        summaries = {}
 
         def recording(config, draws=None):
-            summaries.append(mc(config, draws))
-            return summaries[-1]
+            summary = summaries[cell_key(config)] = mc(config, draws)
+            return summary
 
         experiments.monte_carlo = recording
         try:
             rows = experiments.run_sweep(spec)
         finally:
             experiments.monte_carlo = mc
-        cells = [(value, kind) for value in spec.grid for kind in KINDS]
-        for (value, kind), summary in zip(cells, summaries):
-            print_cell(f"{name} {spec.sweep}={value:g} {kind}",
-                       experiments._config_at(spec, value, kind), summary.per_run_costs,
-                       args.traces, diverging=name == "fig1")
+        for value in spec.grid:
+            for kind in KINDS:
+                config = experiments._config_at(spec, value, kind)
+                print_cell(f"{name} {spec.sweep}={value:g} {kind}", config,
+                           summaries[cell_key(config)].per_run_costs, args.traces,
+                           diverging=name == "fig1")
         table = [[row[k] for k in experiments.SWEEP_COLUMNS] for row in rows]
         print(f"{name} rows {digest(np.array(table, dtype=float))}")
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the benchmark's markov_simulate, certify and fig1_sweep operations under `src/` trees.
+"""Time the benchmark's operations, and a fig3 sweep, under `src/` trees.
 
 A trace episode of `anyctrl simulate --traces K` (benchmark workload
 markov_simulate) replays one run on one lane. Trims to its per-step work
@@ -25,7 +25,9 @@ with `--op fig1` one pass of benchmark workload fig1_sweep at instance 3
 (`bench/workloads.Fig1Sweep`: `experiments.run_sweep` on the stock fig1
 protocol, 200 runs x 1000 steps), the unit behind fig1_sweep's `wall_s`,
 and the median of its 15 `monte_carlo` operations, the number behind
-fig1_sweep's `op_p50_ms`.
+fig1_sweep's `op_p50_ms`; with `--op fig3` one `experiments.run_sweep` of
+the stock fig3 protocol (`buffer_cap` 1..4) at fig1_sweep's seed and scale,
+200 runs x 1000 steps, which no benchmark workload times.
 Each time is scaled to reference milliseconds by the benchmark's
 calibration kernel, run before and after it, as `bench/workloads.OpProbe`
 scales an operation. The script prints each tree's median over all its
@@ -37,6 +39,7 @@ operations and the median of each round:
     python scripts/time_episode.py ../parent/src src --op simulate
     python scripts/time_episode.py ../parent/src src --op certify
     python scripts/time_episode.py ../parent/src src --op fig1
+    python scripts/time_episode.py ../parent/src src --op fig3
 
 It only reads `bench/`. Only `--op simulate` writes files, into a temporary
 directory that each process removes when it ends.
@@ -60,15 +63,17 @@ from run import THREAD_VARS  # noqa: E402  (bench/ is not a package)
 
 INSTANCE = 3  # the input instance (certify: the batch) of each workload at the benchmark's seed 3
 REPEATS = 15  # timed operations per process
-OPS = ("episode", "monte_carlo", "simulate", "certify", "fig1")
+OPS = ("episode", "monte_carlo", "simulate", "certify", "fig1", "fig3")
 
 
 def child(op: str) -> None:
     """Print JSON {series: reference ms of each timed `op`} for the package on PYTHONPATH."""
     from anyctrl.config import parse_sim_config
+    from anyctrl.experiments import builtin_experiment, run_sweep
     from anyctrl.simulation import monte_carlo, run_episode
-    from workloads import (CAL_REF_S, MARKOV_HORIZON, MARKOV_RUNS, Certify, Fig1Sweep,
-                           MarkovSimulate, calibration_seconds, markov_config, probed)
+    from workloads import (CAL_REF_S, FIG1_HORIZON, FIG1_RUNS, MARKOV_HORIZON, MARKOV_RUNS,
+                           Certify, Fig1Sweep, MarkovSimulate, calibration_seconds,
+                           markov_config, probed)
 
     config = parse_sim_config(markov_config(INSTANCE, MARKOV_RUNS, MARKOV_HORIZON))
     times = {op: []}
@@ -89,6 +94,11 @@ def child(op: str) -> None:
 
             def operation(i):
                 simulate.run_pass()
+        elif op == "fig3":
+            spec = builtin_experiment("fig3", seed=INSTANCE, runs=FIG1_RUNS, horizon=FIG1_HORIZON)
+
+            def operation(i):
+                run_sweep(spec)
         elif op == "monte_carlo":
             def operation(i):
                 monte_carlo(config)

@@ -7,11 +7,11 @@ control input into the induced pmf (uniform availability model).
 
 States of the Markov model are 0-indexed throughout.
 
-A sampler (`make_sampler`) draws N(k) on one Generator, lanes `()`, or on
-a sequence of per-run Generators, lanes `(runs,)`; `presample(count)`
-returns `lanes + (count,)` lengths, and row r is bit for bit what a
-sampler on the r-th Generator alone draws. `sample()`, one draw, needs a
-sampler on one Generator. Presampled lengths are stored in the narrowest
+A sampler (`make_sampler`) draws N(k) on a sequence of Generators, one
+per lane; `presample(count)` returns `(lanes, count)` lengths, and row r
+is bit for bit what a sampler on the r-th Generator alone draws. A single
+run is a one-lane sampler, and `sample()`, one draw, needs exactly one
+lane. Presampled lengths are stored in the narrowest
 unsigned type that holds Lambda (`length_dtype`): one byte per step up to
 Lambda = 255, two above. Code that adds step indices to them widens them
 to int64 first.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -228,43 +228,37 @@ def _open_top(pmfs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lanes(rng) -> tuple:
-    """() for one Generator, (len(rng),) for a sequence of them, one per lane."""
-    return () if hasattr(rng, "random") else (len(rng),)
-
-
-def _one_stream(sampler) -> None:
-    if sampler.lanes:
+def _one_stream(sampler):
+    """The Generator of a one-lane sampler; TypeError on any other."""
+    if len(sampler.rngs) != 1:
         raise TypeError(f"sample() draws on one Generator; this sampler has "
-                        f"{sampler.lanes[0]} lanes, use presample()")
+                        f"{len(sampler.rngs)} lanes, use presample()")
+    return sampler.rngs[0]
 
 
 class IidSampler:
     """Draws N(k) i.i.d. from the model pmf. One uniform per step and lane."""
 
-    def __init__(self, model: IidAvailability, rng):
+    def __init__(self, model: IidAvailability, rngs: Sequence):
         self.model = model
-        self.rng = rng
-        self.lanes = _lanes(rng)
+        self.rngs = rngs
         self.dtype = length_dtype(model.max_len)
         self._cum = _open_top(model.pmf)
 
     def sample(self) -> int:
-        """One draw on a single stream."""
-        _one_stream(self)
-        return int(np.searchsorted(self._cum, self.rng.random(), side="right"))
+        """One draw on a one-lane sampler."""
+        return int(np.searchsorted(self._cum, _one_stream(self).random(), side="right"))
 
     def presample(self, count: int) -> np.ndarray:
-        """`count` lengths per lane, shape lanes + (count,), as `self.dtype`.
+        """`count` lengths per lane, shape (lanes, count), as `self.dtype`.
 
-        Identical to `count` sample() calls.
+        On one lane, identical to `count` sample() calls.
         """
-        streams = self.rng if self.lanes else [self.rng]
         # one lane at a time: no stacked uniforms or int64 indices beside the output
-        out = np.empty((len(streams), count), dtype=self.dtype)
-        for n, rng in zip(out, streams):
+        out = np.empty((len(self.rngs), count), dtype=self.dtype)
+        for n, rng in zip(out, self.rngs):
             n[:] = np.searchsorted(self._cum, rng.random(count), side="right")
-        return out.reshape(self.lanes + (count,))
+        return out
 
 
 class MarkovSampler:
@@ -274,19 +268,17 @@ class MarkovSampler:
     draw when unset. Each step consumes two uniforms: one for N(k) given
     g(k), one for the transition to g(k+1).
 
-    On one Generator `state` is the chain state; on a sequence of
-    Generators, one per lane, it holds every lane's state. `presample`
+    `state` holds every lane's chain state, as int64. `presample`
     walks each stream's chain with one bisect per step (`_walk_stream`),
     which at ~0.2 us beats any numpy call, unless there are at least
     LOCKSTEP_MIN_LANES lanes: then it walks all lanes in lockstep, one
     array step per time step (`_walk_lanes`). Either way lane r gets the
-    lengths and final state that one Generator gives on stream r.
+    lengths and final state that a one-lane sampler gives on stream r.
     """
 
-    def __init__(self, model: MarkovAvailability, rng):
+    def __init__(self, model: MarkovAvailability, rngs: Sequence):
         self.model = model
-        self.rng = rng
-        self.lanes = _lanes(rng)
+        self.rngs = rngs
         self.dtype = length_dtype(model.max_len)
         # column i is the cdf of row i, so row j holds entry j of every state's cdf
         self._cum_rows_cols = np.ascontiguousarray(_open_top(model.cond_pmfs).T)
@@ -295,20 +287,18 @@ class MarkovSampler:
         # Python lists: the sequential chain walk bisects them, because a
         # scalar numpy call per step costs more than the search itself
         self._cum_trans = cum_trans.tolist()
-        streams = self.rng if self.lanes else [self.rng]
         if model.initial_state is None:
             stationary = _open_top(model.stationary).tolist()
-            first = [bisect_right(stationary, rng.random()) for rng in streams]
+            first = [bisect_right(stationary, rng.random()) for rng in rngs]
         else:
-            first = [model.initial_state] * len(streams)
-        self.state = np.array(first, dtype=np.int64) if self.lanes else first[0]
+            first = [model.initial_state] * len(rngs)
+        self.state = np.array(first, dtype=np.int64)
 
     def sample(self) -> int:
-        """One draw on a single stream."""
-        _one_stream(self)
-        n = int(np.searchsorted(self._cum_rows_cols[:, self.state], self.rng.random(),
-                                side="right"))
-        self.state = bisect_right(self._cum_trans[self.state], self.rng.random())
+        """One draw on a one-lane sampler."""
+        rng, state = _one_stream(self), int(self.state[0])
+        n = int(np.searchsorted(self._cum_rows_cols[:, state], rng.random(), side="right"))
+        self.state[0] = bisect_right(self._cum_trans[state], rng.random())
         return n
 
     def _pick(self, states, u) -> np.ndarray:
@@ -325,21 +315,17 @@ class MarkovSampler:
         return n
 
     def presample(self, count: int) -> np.ndarray:
-        """`count` lengths per lane, shape lanes + (count,), as `self.dtype`.
+        """`count` lengths per lane, shape (lanes, count), as `self.dtype`.
 
-        Identical to `count` sample() calls. Only the chain walk is
-        sequential. The lengths are then picked for all steps at once.
+        On one lane, identical to `count` sample() calls. Only the chain
+        walk is sequential. The lengths are then picked for all steps at once.
         """
-        if self.lanes and self.lanes[0] >= LOCKSTEP_MIN_LANES:
+        if len(self.rngs) >= LOCKSTEP_MIN_LANES:
             return self._walk_lanes(count)
-        streams = self.rng if self.lanes else [self.rng]
-        out = np.empty((len(streams), count), dtype=self.dtype)
-        last = []
-        for n, rng, state in zip(out, streams, np.atleast_1d(self.state).tolist()):
-            n[:], state = self._walk_stream(rng, state, count)
-            last.append(state)
-        self.state = np.array(last, dtype=np.int64) if self.lanes else last[0]
-        return out.reshape(self.lanes + (count,))
+        out = np.empty((len(self.rngs), count), dtype=self.dtype)
+        for r, (n, rng, state) in enumerate(zip(out, self.rngs, self.state.tolist())):
+            n[:], self.state[r] = self._walk_stream(rng, state, count)
+        return out
 
     def _walk_stream(self, rng, state: int, count: int):
         """One stream's lengths from `state` on, and its state after them."""
@@ -360,7 +346,7 @@ class MarkovSampler:
         it with the lane's uniform and count the entries <= u, which is
         bisect_right on the row. Memory stays O(lanes x WALK_BLOCK).
         """
-        lanes = len(self.rng)
+        lanes = len(self.rngs)
         out = np.empty((lanes, count), dtype=self.dtype)
         rows = np.empty((self.model.num_states, lanes))
         hits = np.empty(rows.shape, dtype=bool)
@@ -370,7 +356,7 @@ class MarkovSampler:
         for start in range(0, count, WALK_BLOCK):
             steps = min(WALK_BLOCK, count - start)
             us = np.empty((steps, 2, lanes))  # us[k, :, r]: lane r's two uniforms at step k
-            for r, rng in enumerate(self.rng):
+            for r, rng in enumerate(self.rngs):
                 us[:, :, r] = rng.random((steps, 2))
             for k in range(steps):
                 # mode="clip" skips take's buffered bounds check; every state is in range
@@ -386,8 +372,8 @@ class MarkovSampler:
 Sampler = Union[IidSampler, MarkovSampler]
 
 
-def make_sampler(model: AvailabilityModel, rng) -> Sampler:
-    """A sampler on one Generator (lanes `()`) or on a sequence of them (lanes `(len(rng),)`)."""
+def make_sampler(model: AvailabilityModel, rngs: Sequence) -> Sampler:
+    """A sampler on a sequence of Generators, one per lane: `(len(rngs),)` lanes."""
     if isinstance(model, IidAvailability):
-        return IidSampler(model, rng)
-    return MarkovSampler(model, rng)
+        return IidSampler(model, rngs)
+    return MarkovSampler(model, rngs)

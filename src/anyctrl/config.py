@@ -209,12 +209,6 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
         if not isinstance(x0_box, (list, tuple)) or len(x0_box) != 2:
             raise ConfigError("x0_box must be [lo, hi]")
         x0_box = (_float(x0_box[0], "x0_box"), _float(x0_box[1], "x0_box"))
-        if x0_box[0] > x0_box[1]:
-            raise ConfigError(f"x0_box must have lo <= hi, got {list(x0_box)}")
-    q_x, r_u = _float(cost.get("q_x", 0.2), "cost.q_x"), _float(cost.get("r_u", 2.0), "cost.r_u")
-    for key, value in (("q_x", q_x), ("r_u", r_u)):
-        if not value >= 0.0:
-            raise ConfigError(f"cost.{key} must be nonnegative, got {value}")
     sizes = parse_scale(data, seed=seed, runs=runs, horizon=horizon)
     return SimConfig(
         plant=plant,
@@ -226,8 +220,8 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
         master_seed=sizes["seed"],
         x0=None if x0 is None else _array(x0, "x0"),
         x0_box=x0_box,
-        q_x=q_x,
-        r_u=r_u,
+        q_x=_float(cost.get("q_x", 0.2), "cost.q_x"),
+        r_u=_float(cost.get("r_u", 2.0), "cost.r_u"),
     )
 
 

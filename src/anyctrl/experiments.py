@@ -116,15 +116,20 @@ def run_sweep(spec: ExperimentSpec) -> List[dict]:
     Each run's streams are seeded once for the whole sweep (see
     `simulation.presample_each`): its disturbances and initial state are
     drawn once, and its N schedule once per availability model, so only a
-    `tau` sweep draws new schedules at every grid point.
+    `tau` sweep draws new schedules at every grid point. A `buffer_cap`
+    sweep caps only a1 and a2, so its baseline is one config at every grid
+    point: it runs once, and every row reads that summary.
     """
     cells = [{kind: _config_at(spec, value, kind) for kind in KINDS} for value in spec.grid]
     blocks = presample_each([configs["baseline"] for configs in cells])
-    rows = []
+    rows, done = [], {}  # done: summaries that later grid points reuse
     for value, configs in zip(spec.grid, cells):
         # the three controllers share one read-only block of presampled streams
         draws = next(blocks)
-        summaries = {kind: monte_carlo(config, draws) for kind, config in configs.items()}
+        summaries = {kind: done[kind] if kind in done else monte_carlo(config, draws)
+                     for kind, config in configs.items()}
+        if spec.sweep == "buffer_cap":
+            done["baseline"] = summaries["baseline"]
         del draws  # freed before the next grid point's block is drawn
         row = {"grid_value": value}
         for kind, summary in summaries.items():

@@ -102,8 +102,8 @@ class PlantModel:
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.alpha is not None and not self.alpha >= 1.0:  # NaN fails it
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
+        if self.alpha is not None and not 1.0 <= self.alpha < math.inf:  # NaN fails it
+            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
 
 
 def sum_squares(x) -> np.ndarray:

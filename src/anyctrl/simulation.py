@@ -40,6 +40,7 @@ controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -82,14 +83,23 @@ class SimConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.master_seed < 0:  # messages name the config file's keys
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         require_valid(self.availability)
         if self.disturbance.dim != self.plant.m:
             raise ConfigError(
                 f"disturbance dim {self.disturbance.dim} != plant disturbance dim {self.plant.m}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-            if self.x0.shape != (self.plant.n,):
-                raise ConfigError(f"x0 must have shape ({self.plant.n},)")
+            if self.x0.shape != (self.plant.n,) or not np.isfinite(self.x0).all():
+                raise ConfigError(f"x0 must hold {self.plant.n} finite numbers, got {self.x0}")
+        # the chained comparisons fail on NaN and on infinities
+        if self.x0_box is not None and not -math.inf < self.x0_box[0] <= self.x0_box[1] < math.inf:
+            raise ConfigError(f"x0_box must be finite with lo <= hi, got {list(self.x0_box)}")
+        for key in ("q_x", "r_u"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"cost.{key} must be finite and nonnegative, "
+                                  f"got {getattr(self, key)}")
 
     @property
     def buffer_capacity(self) -> int:
@@ -154,7 +164,7 @@ def run_episode(config: SimConfig, run_index: int,
     lambda(k) of the capped schedule.
     """
     avail_rng, w_all, x0 = _run_draws(config, run_index)
-    n_sched = (make_sampler(config.availability, avail_rng).presample(config.horizon)
+    n_sched = (make_sampler(config.availability, [avail_rng]).presample(config.horizon)[0]
                if forced_n is None else np.array(forced_n, dtype=np.int64)[:config.horizon])
     capped = config.controller.capped(n_sched)
     xs, us, alive = [np.empty((0, config.plant.n))], [np.empty((0, config.plant.p))], True
@@ -237,9 +247,9 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
     by every block. The N schedules are drawn again whenever the
     availability model is not the previous config's (by identity): every
     run's availability generator is rewound to its state before its first
-    draw, and one lane-shaped sampler over all of them (`make_sampler` on
-    the list) draws every schedule in one `presample` call, row r the same
-    bits as a sampler on run r's generator alone. The last schedules are
+    draw, and one sampler over all of them draws every schedule in one
+    `presample` call, row r the same bits as the one-lane sampler on run
+    r's generator that `run_episode` draws with. The last schedules are
     released first, so a caller that drops each block before asking for
     the next holds one at a time.
     """

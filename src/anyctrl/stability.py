@@ -42,8 +42,8 @@ class CertificateInputs:
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if not self.alpha >= 1.0:  # NaN fails it
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
+        if not 1.0 <= self.alpha < math.inf:  # NaN fails it
+            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
         require_valid(self.availability)
 
 

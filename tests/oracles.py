@@ -3,9 +3,11 @@
 Everything in here is deliberately written in the most literal way
 possible (python loops, lists, truncated infinite sums) so that it shares
 no code with the production modules it is checking. The one exception is
-the masked batch engine at the end, which reads its per-run streams
-through the package's own `_run_draws` (`presample_run`): it is the
-reference for the batch engine's arithmetic, not for its draws.
+the masked batch engine at the end, which reads each run's disturbances
+and initial state through the package's own `_run_draws` (`presample_run`):
+it is the reference for the batch engine's arithmetic, not for those
+draws. Its N schedules come from `sample_loop`, one step at a time, so
+they check the package's sampler too.
 
 The shift-buffer controller (`tentative_sequence` and `controller_step`)
 is the kernel the package ran before it kept a ring of in-flight
@@ -43,7 +45,7 @@ import csv
 
 import numpy as np
 
-from anyctrl.availability import IidAvailability, make_sampler
+from anyctrl.availability import IidAvailability, length_dtype
 from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import SWEEP_COLUMNS
@@ -577,9 +579,14 @@ def riccati_gain_loop(a, q, r, tol=1e-12, max_iter=100000):
 # --- the batch engine with one masked rollout pass and decrease test per depth ---
 
 def presample_run(config, run_index):
-    """(N schedule, disturbance draws, x0) for one run, as `run_episode` draws them."""
+    """(N schedule, disturbance draws, x0) for one run, from the streams `run_episode` draws on.
+
+    The schedule is `sample_loop`'s on the run's availability stream, stored
+    as `availability.length_dtype`.
+    """
     avail_rng, w, x0 = _run_draws(config, run_index)
-    return make_sampler(config.availability, avail_rng).presample(config.horizon), w, x0
+    lengths, _ = sample_loop(config.availability, avail_rng, config.horizon)
+    return np.array(lengths, dtype=length_dtype(config.availability.max_len)), w, x0
 
 
 def masked_batch_simulate(config, checkpoints=(), draws=None):

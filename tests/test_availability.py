@@ -203,7 +203,7 @@ def test_stationary_distribution_of_a_residue_chain_has_a_rising_cdf():
     assert model.stationary.tolist() == [1.0, 0.0]
     assert np.all(np.diff(np.cumsum(model.stationary)) >= 0.0)
     for u in near_the_top(model):
-        assert make_sampler(model, ScriptedRng([u])).state == 0
+        assert make_sampler(model, [ScriptedRng([u])]).state.tolist() == [0]
         assert oracles.sample_loop(model, ScriptedRng([u]), 0) == ([], 0)
 
 
@@ -233,7 +233,7 @@ def test_stationary_distribution_solves_balance_equations(q):
 def test_iid_sampler_frequencies():
     model = from_execution_time(0.3)
     rng = np.random.default_rng(0)
-    draws = make_sampler(model, rng).presample(200_000)
+    draws = make_sampler(model, [rng]).presample(200_000)[0]
     freq = np.bincount(draws, minlength=4) / draws.size
     np.testing.assert_allclose(freq, model.pmf, atol=0.01)
 
@@ -243,10 +243,10 @@ def test_iid_sampler_frequencies():
 @settings(max_examples=50, deadline=None)
 def test_presample_matches_repeated_sample_iid(seed, count):
     model = IidAvailability([0.4, 0.3, 0.3])
-    a = make_sampler(model, np.random.default_rng(seed))
-    b = make_sampler(model, np.random.default_rng(seed))
+    a = make_sampler(model, [np.random.default_rng(seed)])
+    b = make_sampler(model, [np.random.default_rng(seed)])
     ones = [a.sample() for _ in range(count)]
-    assert np.array_equal(b.presample(count), ones)
+    assert np.array_equal(b.presample(count), [ones])
     assert ones == oracles.sample_loop(model, np.random.default_rng(seed), count)[0]
 
 
@@ -303,12 +303,12 @@ def test_presample_matches_repeated_sample_markov(model, seed, data):
                         st.sampled_from(sorted(set(cdf_values[cdf_values < 1.0].tolist()))))
     script = data.draw(st.lists(uniform, min_size=2 * count + 1, max_size=2 * count + 1))
     for make_rng in (lambda: ScriptedRng(script), lambda: np.random.default_rng(seed)):
-        a = make_sampler(model, make_rng())
-        b = make_sampler(model, make_rng())
+        a = make_sampler(model, [make_rng()])
+        b = make_sampler(model, [make_rng()])
         ones = [a.sample() for _ in range(count)]
-        assert np.array_equal(b.presample(count), ones)
-        assert a.state == b.state
-        assert (ones, a.state) == oracles.sample_loop(model, make_rng(), count)
+        assert np.array_equal(b.presample(count), [ones])
+        assert a.state.tolist() == b.state.tolist()
+        assert (ones, int(a.state[0])) == oracles.sample_loop(model, make_rng(), count)
 
 
 def test_markov_conditional_frequencies():
@@ -316,8 +316,8 @@ def test_markov_conditional_frequencies():
     model = MarkovAvailability([[0.5, 0.5], [0.5, 0.5]],
                                [[0.0, 0.2, 0.8], [0.9, 0.1, 0.0]],
                                initial_state=0)
-    sampler = make_sampler(model, np.random.default_rng(3))
-    draws = sampler.presample(200_000)
+    sampler = make_sampler(model, [np.random.default_rng(3)])
+    draws = sampler.presample(200_000)[0]
     # both states visited half the time under this symmetric chain
     freq = np.bincount(draws, minlength=3) / draws.size
     expected = 0.5 * model.cond_pmfs[0] + 0.5 * model.cond_pmfs[1]
@@ -374,12 +374,12 @@ def test_presample_equals_sample_loop_at_the_top_of_the_cdf(model, count, seed):
     script = rng.random(2 * count + 1)
     special = rng.random(script.size) < 0.5
     script[special] = rng.choice(near_the_top(model), int(special.sum()))
-    a = make_sampler(model, ScriptedRng(script))
-    b = make_sampler(model, ScriptedRng(script))
+    a = make_sampler(model, [ScriptedRng(script)])
+    b = make_sampler(model, [ScriptedRng(script)])
     ones = [a.sample() for _ in range(count)]
-    assert np.array_equal(b.presample(count), ones)
-    assert a.state == b.state
-    assert (ones, a.state) == oracles.sample_loop(model, ScriptedRng(script), count)
+    assert np.array_equal(b.presample(count), [ones])
+    assert a.state.tolist() == b.state.tolist()
+    assert (ones, int(a.state[0])) == oracles.sample_loop(model, ScriptedRng(script), count)
 
 
 @st.composite
@@ -401,7 +401,7 @@ def _with_both_initial_states(model):
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_lane_sampler_rows_equal_single_stream_samplers(drawn, streams, count, seed):
-    """Row r of a sampler on many streams, and its lane r state, are those of stream r alone.
+    """Row r of a many-stream sampler, and its lane r state, are a one-lane sampler's on stream r.
 
     Both walks run: one bisect per stream, and (LOCKSTEP_MIN_LANES lowered
     to 1) the lockstep walk over every stream.
@@ -420,10 +420,10 @@ def test_lane_sampler_rows_equal_single_stream_samplers(drawn, streams, count, s
             # one byte per length up to Lambda = 255
             assert got.shape == (streams, count) and got.dtype == np.min_scalar_type(model.max_len)
             for r, key in enumerate(keys):
-                one = make_sampler(model, make_rng(key))
-                assert np.array_equal(got[r], one.presample(count))
+                one = make_sampler(model, [make_rng(key)])
+                assert np.array_equal(got[r], one.presample(count)[0])
                 if isinstance(model, MarkovAvailability):
-                    assert lanes.state[r] == one.state
+                    assert lanes.state[r] == one.state[0]
 
 
 @pytest.mark.parametrize("model", [IidAvailability([0.5, 0.5]),

@@ -223,7 +223,10 @@ def check_sweep_against_monte_carlo(monkeypatch, spec):
     rows = run_sweep(spec)
     monkeypatch.undo()
 
-    assert len(blocks) == len(spec.grid) and len(results) == 3 * len(spec.grid)
+    # a buffer_cap sweep runs its baseline, one config at every cap, once
+    cells = [(value, kind) for value in spec.grid for kind in KINDS
+             if not (spec.sweep == "buffer_cap" and kind == "baseline" and value != spec.grid[0])]
+    assert len(blocks) == len(spec.grid) and len(results) == len(cells)
     assert seeded == list(range(spec.base.runs))
     for value, (block, copies) in zip(spec.grid, blocks):
         want = presample(_config_at(spec, value, "baseline"))
@@ -232,17 +235,24 @@ def check_sweep_against_monte_carlo(monkeypatch, spec):
             np.testing.assert_array_equal(array, copy)
             assert array.dtype == wanted.dtype
             np.testing.assert_array_equal(array, wanted)
-    cells = [(value, kind) for value in spec.grid for kind in KINDS]
-    for (value, kind), costs in zip(cells, results):
-        np.testing.assert_array_equal(costs, monte_carlo(_config_at(spec, value, kind)).per_run_costs)
+    want = {(value, kind): monte_carlo(_config_at(spec, value, kind))
+            for value in spec.grid for kind in KINDS}
+    for cell, costs in zip(cells, results):
+        np.testing.assert_array_equal(costs, want[cell].per_run_costs)
     assert [row["grid_value"] for row in rows] == list(spec.grid)
+    for value, row in zip(spec.grid, rows):
+        for kind in KINDS:
+            summary = want[value, kind]
+            assert (row[f"cost_{kind}"], row[f"diverged_{kind}"]) == (summary.mean,
+                                                                      summary.diverged_count)
 
 
 def test_run_sweep_equals_independent_monte_carlo(monkeypatch):
     """On a tau, an a, a buffer_cap and a Markov a sweep: each grid point's block is
     read-only, left unwritten and equal to `presample` of that grid point; the sweep
-    seeds each run's streams once; and every cell's costs equal an independent
-    `monte_carlo` call."""
+    seeds each run's streams once; every cell's costs equal an independent
+    `monte_carlo` call, and so does each row's cost, a buffer_cap sweep's one
+    baseline run included."""
     for name in sorted(SWEEPS):
         check_sweep_against_monte_carlo(monkeypatch, SWEEPS[name]())
 

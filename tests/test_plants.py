@@ -178,6 +178,11 @@ def test_a_nan_parameter_is_a_config_error_naming_it(build_model, field):
         build_model()
 
 
+def test_an_infinite_alpha_is_a_config_error():
+    with pytest.raises(ConfigError, match="^alpha must be finite"):
+        make_builtin_plant("cubic_scalar", alpha=float("inf"))
+
+
 @pytest.mark.parametrize("value", [float("inf"), -float("inf")], ids=["inf", "-inf"])
 @pytest.mark.parametrize("kind, field", [("uniform", "lo"), ("uniform", "hi"),
                                          ("gaussian", "mean"), ("gaussian", "variance")])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anyctrl import controller, simulation
-from anyctrl.availability import IidAvailability, from_execution_time
+from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
 from anyctrl.controller import ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import DisturbanceModel, PlantModel, make_builtin_plant
@@ -42,6 +42,25 @@ def test_config_validation():
         make_config(x0=np.array([1.0, 2.0]))
     with pytest.raises(ConfigError):
         make_config(disturbance=DisturbanceModel(kind="gaussian", dim=2, variance=0.1))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"q_x": -1.0}, "cost.q_x"),
+    ({"r_u": NAN}, "cost.r_u"),
+    ({"r_u": INF}, "cost.r_u"),
+    ({"x0": [NAN]}, "x0"),
+    ({"x0_box": (0.0, INF)}, "x0_box"),
+    ({"x0_box": (NAN, 1.0)}, "x0_box"),
+    ({"x0_box": (1.0, 0.0)}, "x0_box"),
+    ({"master_seed": -1}, "seed"),
+])
+def test_config_rejects_values_the_simulation_cannot_use(change, key):
+    """Each once gave a negative mean cost, diverged every run or raised a numpy error."""
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        make_config(**change)
 
 
 def test_buffer_capacity_respects_cap():
@@ -394,6 +413,18 @@ def test_episode_equals_naive_loop_on_its_own_streams(kind, plant_name, tau, buf
     else:
         assert trace.lam.tolist() == lams
     np.testing.assert_array_equal(trace.n_seq, n_sched[:trace.steps])
+
+
+@pytest.mark.parametrize("runs", [30, 5])
+def test_episode_schedules_are_the_rows_of_presample(runs):
+    """A one-lane draw gives run r's row of the lockstep walk (30 runs) and the stream walk (5)."""
+    markov = MarkovAvailability([[0.9, 0.1], [0.3, 0.7]], [[0.1, 0.3, 0.6], [0.6, 0.3, 0.1]])
+    cfg = make_config(availability=markov, horizon=300, runs=runs)
+    n_all = presample(cfg)[0]
+    for r in range(runs):
+        trace = run_episode(cfg, r)
+        assert trace.steps == cfg.horizon
+        np.testing.assert_array_equal(trace.n_seq, n_all[r])
 
 
 def ticks_in_flight(n_sched):

@@ -382,6 +382,13 @@ def test_certificate_inputs_reject_nan(rho, alpha, pmf, field):
         CertificateInputs(rho=rho, alpha=alpha, availability=IidAvailability(pmf))
 
 
+def test_an_infinite_alpha_is_a_config_error():
+    """An infinite alpha would give every margin as NaN with not_certified verdicts."""
+    with pytest.raises(ConfigError, match="^alpha must be finite"):
+        CertificateInputs(rho=0.5, alpha=float("inf"),
+                          availability=IidAvailability([0.0, 0.5, 0.5]))
+
+
 def test_certificate_inputs_validation():
     with pytest.raises(ConfigError):
         CertificateInputs(rho=1.0, alpha=1.5,
