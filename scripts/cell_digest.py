@@ -6,13 +6,18 @@ sweeps, run through `run_sweep`, it prints a digest of the per-run costs,
 one of the sweep rows, one over x, u, N, lambda and V of the first
 `--traces` `run_episode` traces of the cell's config, and one of the
 per-run V at the steps in CHECKPOINTS (those below the horizon), read from
-the states the engine's loop `_blocks` yields. A fig1 cell also gets a
-digest of the `run_episode` trace of its first diverging run, the trace
-that stops at the overflow guard. Two more configs (sat_2d under a 3-state
-Markov processor, and log_lyapunov) get the same cost, trace and V digests
-from `monte_carlo`, `run_episode` and `_blocks`. The N schedules that `presample` draws
-under a 16-state Markov processor, with its initial state set and unset,
-get one digest each, and so do those under the benchmark's 3-state chain
+the states the engine's loop `_blocks` yields, and one of every (before,
+after) pair of states that the Lyapunov decrease test (`controller.check`,
+wrapped here) receives from the cell's Monte-Carlo call and its traces,
+with the step and ring rows of each; these hold the rollout depths that
+are computed but never played. A fig1 cell also gets a digest of the
+`run_episode` trace of its first diverging run, the trace that stops at
+the overflow guard. Two more configs (sat_2d under a 3-state Markov
+processor, and log_lyapunov) get the same cost, trace, V and
+decrease-test digests from `monte_carlo`, `run_episode` and `_blocks`.
+The N schedules that `presample` draws under a 16-state Markov
+processor, with its initial state set and unset, get one digest each,
+and so do those under the benchmark's 3-state chain
 (`bench/workloads.markov_config`) at 1, 2 and `--runs` runs and an odd
 horizon, so that the last block of the lockstep chain walk is partial.
 The certificate lines (`evaluate(...).lines()`) of a seeded set of
@@ -57,7 +62,7 @@ sys.path.append(str(ROOT / "bench"))  # certify pool, Markov config; the package
 
 import numpy as np  # noqa: E402
 
-from anyctrl import experiments  # noqa: E402
+from anyctrl import controller, experiments  # noqa: E402
 from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
                                   from_execution_time)
 from anyctrl.cli import main as cli_main  # noqa: E402
@@ -78,20 +83,50 @@ P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
 CHECKPOINTS = (0, 15, 16, 200, -1)
 
 
-def digest(*arrays) -> str:
-    """sha256 over each array's dtype, shape and bytes; integer arrays by value, as int64.
-
-    A version that stores N schedules in a narrower integer type then gives
-    the same digest for the same values.
-    """
-    h = hashlib.sha256()
+def feed(h, *arrays) -> None:
+    """Add each array's dtype, shape and bytes to the hash `h`; integers by value, as int64."""
     for a in arrays:
         a = np.ascontiguousarray(a)
         if a.dtype.kind in "iu":
             a = a.astype(np.int64)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
+
+
+def digest(*arrays) -> str:
+    """sha256 over `feed` of the arrays.
+
+    A version that stores N schedules in a narrower integer type then gives
+    the same digest for the same values.
+    """
+    h = hashlib.sha256()
+    feed(h, *arrays)
     return h.hexdigest()
+
+
+class CheckRecorder:
+    """`controller.check` that first feeds what it tests to a hash, when one is set.
+
+    Each depth recorded on the ring gives its step, its ring rows and its
+    states before and after the rollout step.
+    """
+
+    def __init__(self, check):
+        self.check, self.sha = check, None
+
+    def __call__(self, plant, ring):
+        if self.sha is not None:
+            for tick, rows, before, after in ring.pending:
+                feed(self.sha, np.array([tick]), rows, before, after)
+        self.check(plant, ring)
+
+    def run(self, h, fn, *args):
+        """`fn(*args)`, with every decrease test it runs fed to the hash `h`."""
+        self.sha = h
+        try:
+            return fn(*args)
+        finally:
+            self.sha = None
 
 
 def trace_digest(config, runs) -> str:
@@ -125,9 +160,12 @@ def cell_key(config) -> tuple:
             config.availability.pmf.tobytes())
 
 
-def print_cell(cell, config, costs, traces: int, diverging: bool = False) -> None:
+def print_cell(cell, config, costs, checks, traces: int, diverging: bool = False) -> None:
+    """Print the cell's digests; `checks` holds the decrease tests of its Monte-Carlo call."""
+    checks = checks.copy()
     print(f"{cell} costs {digest(costs)}")
-    print(f"{cell} traces {trace_digest(config, range(traces))}")
+    print(f"{cell} traces {controller.check.run(checks, trace_digest, config, range(traces))}")
+    print(f"{cell} checked {checks.hexdigest()}")
     print(f"{cell} checkpoints {checkpoint_digest(config)}")
     if diverging:
         runs = np.flatnonzero(~np.isfinite(costs))[:1]
@@ -260,13 +298,16 @@ def main():
     args = parser.parse_args()
 
     mc = experiments.monte_carlo
+    controller.check = CheckRecorder(controller.check)
     for name in ("fig1", "fig2", "fig3"):
         spec = experiments.builtin_experiment(name, seed=args.seed, runs=args.runs,
                                               horizon=args.horizon)
-        summaries = {}
+        summaries, checks = {}, {}
 
         def recording(config, draws=None):
-            summary = summaries[cell_key(config)] = mc(config, draws)
+            key = cell_key(config)
+            checks[key] = hashlib.sha256()
+            summary = summaries[key] = controller.check.run(checks[key], mc, config, draws)
             return summary
 
         experiments.monte_carlo = recording
@@ -277,8 +318,9 @@ def main():
         for value in spec.grid:
             for kind in KINDS:
                 config = experiments._config_at(spec, value, kind)
+                key = cell_key(config)
                 print_cell(f"{name} {spec.sweep}={value:g} {kind}", config,
-                           summaries[cell_key(config)].per_run_costs, args.traces,
+                           summaries[key].per_run_costs, checks[key], args.traces,
                            diverging=name == "fig1")
         table = [[row[k] for k in experiments.SWEEP_COLUMNS] for row in rows]
         print(f"{name} rows {digest(np.array(table, dtype=float))}")
@@ -286,7 +328,9 @@ def main():
     for name, base in extra_configs(args.seed, args.runs, args.horizon).items():
         for kind in KINDS:
             config = replace(base, controller=ControllerKind(kind))
-            print_cell(f"{name} {kind}", config, monte_carlo(config).per_run_costs, args.traces)
+            checks = hashlib.sha256()
+            costs = controller.check.run(checks, monte_carlo, config).per_run_costs
+            print_cell(f"{name} {kind}", config, costs, checks, args.traces)
 
     print_schedules(args.seed, args.runs, args.horizon)
     print_certificates(args.seed)

@@ -11,12 +11,14 @@ A ring of C slots per lane (C the buffer capacity) holds the sequences in
 flight: slot t mod C holds the predicted state, the end step t + N(t) and
 the latest input of the sequence started at step t, in flight while
 `end > tick`. Each step starts the new sequence and then advances every
-in-flight row one depth with one stacked policy / f call
-(`tentative_sequence`), and that is all the recursion needs. The
-advanced states and inputs are scattered back as
-whole rows, through 1-D views of the ring (built once per ring) in which
-each float64 row is one `np.void` item; the plant's outputs are first
-cast to contiguous float64, as plain assignment casts them. The Lyapunov
+in-flight row one depth with one stacked step of the nominal closed loop
+(`tentative_sequence`): one call of the plant's closed-loop map, which
+gives each row's input and next state (`PlantModel.nominal_step`), and
+that is all the recursion needs. The rows are gathered through a 2-D view
+of the ring's states and the advanced states and inputs scattered back as
+whole rows, through 1-D views in which each float64 row is one `np.void`
+item, all built once per ring; the plant's outputs are first cast to
+contiguous float64, as plain assignment casts them. The Lyapunov
 decrease tests of those depths are bookkeeping: the ring records each
 depth's states and runs one stacked V call and one test over a whole
 block of `Ring.block` steps (`check`), at each block's end and when it
@@ -116,11 +118,12 @@ class Ring:
         self.failure = None  # (start step, depth, run) of the earliest failed decrease test
         self.pending = []  # (tick, rows, states before, states after) of each untested depth
         self.chi = np.zeros(lanes + (capacity, plant.n))  # predicted states
+        self.chi_flat = self.chi.reshape(size, plant.n)  # the same memory, one row per slot
         self.end = np.zeros(lanes + (capacity,), dtype=np.int64)  # t + N(t), in flight if > tick
         # each slot's latest input, flat, with one last row of zeros for steps without a source
         self.inputs = np.zeros((size + 1, plant.p))
         # the same memory with one opaque item per state or input row, for 1-D scatters
-        self.chi_rows = _row_items(self.chi.reshape(size, plant.n))
+        self.chi_rows = _row_items(self.chi_flat)
         self.input_rows = _row_items(self.inputs)
         self.base = np.arange(0, size, capacity).reshape(lanes)  # flat index of each lane's slot 0
         # a fresh array, never a view: bench/tracing.py tells the engine's plant
@@ -183,14 +186,13 @@ def tentative_sequence(plant: PlantModel, ring: Ring, rows: np.ndarray) -> None:
 
     `rows` are the flat ring rows in flight, `end > tick` (`Ring.in_flight`),
     at least one. Each takes one step of the nominal model under the
-    certified policy, with one stacked call each of policy and f, and its
-    input becomes its slot's latest input. The states
-    before and after the step are recorded on the ring for `check`, which
-    tests the certificate's per-step Lyapunov decrease on them.
+    certified policy, with one stacked `PlantModel.nominal_step` call, and
+    its input becomes its slot's latest input. The states before and after
+    the step are recorded on the ring for `check`, which tests the
+    certificate's per-step Lyapunov decrease on them.
     """
-    chi = ring.chi.reshape(-1, ring.chi.shape[-1]).take(rows, axis=0)
-    u = plant.policy(chi)
-    nxt = plant.f(chi, u, ring.w0)
+    chi = ring.chi_flat.take(rows, axis=0)
+    u, nxt = plant.nominal_step(chi, ring.w0)
     # a 1-D scatter of whole rows costs a quarter of numpy's row-subspace assignment
     ring.chi_rows[rows] = _as_rows(nxt, ring.chi_rows.dtype)
     ring.input_rows[rows] = _as_rows(u, ring.input_rows.dtype)
@@ -259,22 +261,21 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     """One controller update on every lane: returns the applied input u(k).
 
     `n` and `src` are this step's N(k), at most the ring's capacity, and
-    source from `ring.steps`; the end step t + N(t) is added in int64
-    whatever the type of `n`. The baseline controller only uses the
-    indicator n >= 1 and leaves the ring alone. Any rows in flight after the
-    new sequence starts (`end > tick`) advance one depth. The decrease tests run at
-    the end of each block of `ring.block` steps; a failure drains the ring and raises (see
+    source from `ring.steps`: for a1 and a2, `n` is an int64 row, so the
+    end step t + N(t) is written with a plain assignment. The baseline
+    controller only uses the indicator n >= 1 and leaves the ring alone.
+    Any rows in flight after the new sequence starts (`end > tick`) advance
+    one depth. The decrease tests run at the end of each block of
+    `ring.block` steps; a failure drains the ring and raises (see
     `drain`). Every sequence started up to the failing step is then tested
     in full, and any started later has a later start step, so the
     violation names what it would have named at the failing step.
     """
-    n = np.asarray(n)
     if kind.kind == "baseline":
-        return np.where((n >= 1)[..., None], plant.policy(x), 0.0)
+        return np.where((np.asarray(n) >= 1)[..., None], plant.policy(x), 0.0)
     slot = ring.tick % ring.capacity  # its last sequence ended by now, as N <= C
     ring.chi[..., slot, :] = x
-    # int64 in the same call: t + N(t) overflows a narrow schedule's type past its range
-    np.add(n, ring.tick, out=ring.end[..., slot], dtype=np.int64)
+    ring.end[..., slot] = n + ring.tick
     if (rows := ring.in_flight()).size:
         tentative_sequence(plant, ring, rows)
     ring.tick += 1

@@ -8,6 +8,9 @@ used by the stability certificates.
 Every plant broadcasts: ``f``, ``kappa`` and ``V`` accept arrays with the
 state/input/disturbance components on the last axis and broadcast over
 leading axes. The controller kernel and the simulation loop rely on it.
+A plant may also fuse one step of the nominal closed loop,
+``(kappa(x), f(x, kappa(x), w))``, into one call (``closed_loop``) that
+shares the work the two calls repeat; the controller's rollout takes it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +28,11 @@ SQRT5 = math.sqrt(5.0)
 # float64 arrays share this descriptor, so `dtype is FLOAT64` tests one cheaply; an
 # equal descriptor that is another object only sends a call to the array path
 FLOAT64 = np.dtype(np.float64)
-# sat_2d's f and policy compute a call of at most this many rows (a 1-D call is
-# one row) in Python floats, one row at a time. A rollout step (policy, then f)
-# costs about 9 us on the array path whatever the rows, and 2.3 us plus 0.9 us a
-# row on the row path: 0.88-0.99 of the array path's time at 8 rows, 0.91-1.08
-# at 9 (three interleaved runs; 2-core VM, Python 3.11.7, numpy 2.4.6)
+# sat_2d's closed-loop map computes a call of at most this many rows (a 1-D
+# call is one row) in Python floats, one row at a time. The map costs about
+# 10 us on the array path whatever the rows; the row path takes 0.3-0.4 of that
+# at 1 or 2 rows and 0.96-1.12 at 8 (three runs; 2-core VM, Python 3.11.7,
+# numpy 2.4.6)
 ROW_CALL_MAX = 8
 # each disturbance kind and the DisturbanceModel fields it reads
 DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
@@ -86,6 +89,13 @@ class PlantModel:
     where numpy's set-up per call would cost more than the rows: sat_2d does
     so up to ROW_CALL_MAX rows, with the same IEEE operations in the same
     order as its array path, so either path gives the same bits.
+
+    ``closed_loop``, if not None, maps states ``x`` and disturbances ``w``
+    to ``(policy(x), f(x, policy(x), w))`` in one call, bit for bit, shape
+    and dtype included, computing once what the two calls share. A plant
+    that supplies it must keep it equal to its ``policy`` and ``f``: a
+    ``dataclasses.replace`` of either must also replace ``closed_loop`` or
+    set it to None. `nominal_step` takes it, or the two calls without it.
     """
 
     name: str
@@ -98,12 +108,25 @@ class PlantModel:
     rho: float
     alpha: Optional[float] = None
     params: dict = field(default_factory=dict)
+    closed_loop: Optional[Callable[[np.ndarray, np.ndarray],
+                                   Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
         if self.alpha is not None and not 1.0 <= self.alpha < math.inf:  # NaN fails it
             raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
+
+    def nominal_step(self, x, w) -> Tuple[np.ndarray, np.ndarray]:
+        """One step of the nominal closed loop: ``(u, x_next)`` with u = policy(x).
+
+        The plant's ``closed_loop`` when it has one; else a policy call and
+        an f call.
+        """
+        if self.closed_loop is not None:
+            return self.closed_loop(x, w)
+        u = self.policy(x)
+        return u, self.f(x, u, w)
 
 
 def sum_squares(x) -> np.ndarray:
@@ -149,11 +172,17 @@ def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
     def kappa(x):
         return -x ** 3 - x
 
+    def closed_loop(x, w):  # kappa, then f, with the cube computed once
+        c = x ** 3
+        u = -c - x
+        return u, x + 0.01 * (c + u) + w
+
     return PlantModel(
         name="cubic_scalar", n=1, p=1, m=1,
         f=f, lyapunov=norm, policy=kappa,
         rho=0.99, alpha=alpha,
         params={} if alpha is None else {"alpha": alpha},
+        closed_loop=closed_loop,
     )
 
 
@@ -188,51 +217,60 @@ def _sat1(s: float) -> float:
 
 
 def _sat_2d() -> PlantModel:
-    # one row of f and of kappa in Python floats: the array path's IEEE operations
-    # in its order, so a call of at most ROW_CALL_MAX rows gets the same bits
-    def f_row(x1, x2, u1, u2, w1):
-        return x2 + u1 + math.sqrt(w1 * w1 + 5.0) - SQRT5, u2 - _sat1(x1 + x2)
+    # kappa(x) and f(x, kappa(x), w) of one row in Python floats: the array
+    # path's IEEE operations in its order, so a call of at most ROW_CALL_MAX rows
+    # gets the same bits
+    def step_row(x1, x2, w1):
+        s = _sat1(x1 + x2)
+        u1, u2 = -x2, 0.8 * s
+        return u1, u2, x2 + u1 + math.sqrt(w1 * w1 + 5.0) - SQRT5, u2 - s
 
-    def kappa_row(x1, x2):
-        return -x2, 0.8 * _sat1(x1 + x2)
+    # the array path, given s = sat(x1 + x2), which the closed-loop map computes once
+    def kappa_at(x, s):
+        out = np.empty(x.shape)
+        np.negative(x[..., 1], out[..., 0])
+        np.multiply(s, 0.8, out[..., 1])
+        return out
+
+    def f_at(x, u, w, s):
+        first = x[..., 1] + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0)  # x, u, w broadcast
+        out = np.empty(first.shape + (2,))
+        np.subtract(first, SQRT5, out[..., 0])
+        np.subtract(u[..., 1], s, out[..., 1])  # the bits of -sat(x1 + x2) + u2
+        return out
+
+    def f(x, u, w):
+        if x.ndim == u.ndim == w.ndim == 1 and x.dtype is u.dtype is w.dtype is FLOAT64:
+            (x1, x2), (u1, u2), (w1,) = x.tolist(), u.tolist(), w.tolist()
+            return np.array((x2 + u1 + math.sqrt(w1 * w1 + 5.0) - SQRT5, u2 - _sat1(x1 + x2)))
+        return f_at(x, u, w, sat(x[..., 0] + x[..., 1]))
+
+    def kappa(x):
+        if x.ndim == 1 and x.dtype is FLOAT64:
+            x1, x2 = x.tolist()
+            return np.array((-x2, 0.8 * _sat1(x1 + x2)))
+        return kappa_at(x, sat(x[..., 0] + x[..., 1]))
 
     # x.size first: a stack of more than ROW_CALL_MAX rows of two states leaves
     # for numpy after one test, so the Monte-Carlo calls pay little for the rows
-    def f(x, u, w):
-        if x.size <= 2 * ROW_CALL_MAX and x.dtype is u.dtype is w.dtype is FLOAT64:
+    def closed_loop(x, w):
+        if x.size <= 2 * ROW_CALL_MAX and x.dtype is w.dtype is FLOAT64:
             nd = x.ndim
-            if nd == 1 and u.ndim == w.ndim == 1:
-                return np.array(f_row(*x.tolist(), *u.tolist(), *w.tolist()))
-            if (nd == u.ndim == 2 and len(u) == len(x)
-                    and (w.ndim == 1 or w.ndim == 2 and len(w) == len(x))):
+            if nd == 1 and w.ndim == 1:
+                u1, u2, n1, n2 = step_row(*x.tolist(), *w.tolist())
+                return np.array((u1, u2)), np.array((n1, n2))
+            if nd == 2 and (w.ndim == 1 or w.ndim == 2 and len(w) == len(x)):
                 # a 1-D w is every row's, as a rollout's zeros(1)
                 ws = w.tolist() if w.ndim == 2 else repeat(w.tolist())
-                out = []
-                for (x1, x2), (u1, u2), (w1,) in zip(x.tolist(), u.tolist(), ws):
-                    out += f_row(x1, x2, u1, u2, w1)
-                return np.array(out).reshape(-1, 2)
-        x2 = x[..., 1]
-        first = x2 + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0)  # x, u, w broadcast
-        out = np.empty(first.shape + (2,))
-        np.subtract(first, SQRT5, out[..., 0])
-        np.subtract(u[..., 1], sat(x[..., 0] + x2), out[..., 1])  # the bits of -sat(x1 + x2) + u2
-        return out
-
-    def kappa(x):
-        if x.size <= 2 * ROW_CALL_MAX and x.dtype is FLOAT64:
-            nd = x.ndim
-            if nd == 1:
-                return np.array(kappa_row(*x.tolist()))
-            if nd == 2:
-                out = []
-                for x1, x2 in x.tolist():
-                    out += kappa_row(x1, x2)
-                return np.array(out).reshape(-1, 2)
-        out = np.empty(x.shape)
-        x2 = x[..., 1]
-        np.negative(x2, out[..., 0])
-        np.multiply(sat(x[..., 0] + x2), 0.8, out[..., 1])
-        return out
+                us, nxts = [], []
+                for (x1, x2), (w1,) in zip(x.tolist(), ws):
+                    u1, u2, n1, n2 = step_row(x1, x2, w1)
+                    us += (u1, u2)
+                    nxts += (n1, n2)
+                return np.array(us).reshape(-1, 2), np.array(nxts).reshape(-1, 2)
+        s = sat(x[..., 0] + x[..., 1])
+        u = kappa_at(x, s)
+        return u, f_at(x, u, w, s)
 
     def v(x):
         return 2.0 * norm(x)
@@ -240,7 +278,7 @@ def _sat_2d() -> PlantModel:
     return PlantModel(
         name="sat_2d", n=2, p=2, m=1,
         f=f, lyapunov=v, policy=kappa,
-        rho=0.5, alpha=1.618,
+        rho=0.5, alpha=1.618, closed_loop=closed_loop,
     )
 
 

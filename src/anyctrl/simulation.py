@@ -79,11 +79,16 @@ class SimConfig:
     r_u: float = 2.0
 
     def __post_init__(self):
+        # messages name the config file's keys; a float seed would seed as its floor
+        for key, field in (("horizon", "horizon"), ("runs", "runs"), ("seed", "master_seed")):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.master_seed < 0:  # messages name the config file's keys
+        if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         require_valid(self.availability)
         if self.disturbance.dim != self.plant.m:

@@ -605,13 +605,14 @@ def masked_batch_simulate(config, checkpoints=(), draws=None):
     kind = config.controller
     rho, slack = plant.rho, DECREASE_SLACK
 
-    n_all = np.empty((runs, horizon), dtype=np.int64)
-    w_all = np.empty((runs, horizon, plant.m))
-    x = np.empty((runs, plant.n))
-    for r in range(runs):
-        n_all[r], w_all[r], x[r] = presample_run(config, r)
-    if draws is not None:  # lengths widened to int64, as drawn here
+    if draws is not None:  # lengths widened to int64, as drawn below
         n_all, w_all, x = (np.array(a, dtype=t) for a, t in zip(draws, (np.int64, float, float)))
+    else:
+        n_all = np.empty((runs, horizon), dtype=np.int64)
+        w_all = np.empty((runs, horizon, plant.m))
+        x = np.empty((runs, plant.n))
+        for r in range(runs):
+            n_all[r], w_all[r], x[r] = presample_run(config, r)
     if kind.buffer_cap is not None:
         n_all = np.minimum(n_all, kind.buffer_cap)
 

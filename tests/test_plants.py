@@ -241,8 +241,10 @@ def test_sat_2d_is_its_formulas_bit_for_bit(call):
     plant = make_builtin_plant("sat_2d")
     x, u, w = call
     with np.errstate(over="ignore", invalid="ignore"):
+        u_want = sat_2d_policy(x)
         pairs = [(plant.f(x, u, w), sat_2d_f(x, u, w)),
-                 (plant.policy(x), sat_2d_policy(x))]
+                 (plant.policy(x), u_want),
+                 *zip(plant.closed_loop(x, w), (u_want, sat_2d_f(x, u_want, w)))]
     for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -254,15 +256,19 @@ def on_the_array_path(fn, *args):
     A 1-D argument is one row, and then the result is too; a rollout's
     zeros(1) disturbance stays every row's. Each result row is its input
     row's alone, so the call's rows of the padded result are what the array
-    path gives on the call itself.
+    path gives on the call itself. A closed-loop map's pair of results is
+    trimmed result by result.
     """
     one_row = args[0].ndim == 1
     rows = [a[None] if one_row else a for a in args]
     count = len(rows[0])
     padded = [np.concatenate([a, np.zeros((ROW_CALL_MAX + 1 - count, a.shape[-1]))])
               if a.ndim == 2 else a for a in rows]
-    out = fn(*padded)[:count]
-    return out[0] if one_row else out
+    out = fn(*padded)
+
+    def trim(a):
+        return a[0] if one_row else a[:count]
+    return tuple(map(trim, out)) if isinstance(out, tuple) else trim(out)
 
 
 # the states a diverging trace feeds the plant, and values near the saturation
@@ -273,13 +279,73 @@ EDGE_VALUES = st.one_of(COMPONENT_VALUES, st.sampled_from([
 @given(sat_2d_calls(elements=EDGE_VALUES, max_rows=ROW_CALL_MAX))
 @settings(max_examples=300, deadline=None)
 def test_sat_2d_row_path_is_the_array_path(call):
+    """The row paths: the closed-loop map's on 1-D calls and stacks, f's and policy's on 1-D
+    calls."""
     plant = make_builtin_plant("sat_2d")
     x, u, w = call
     with np.errstate(over="ignore", invalid="ignore"):
         pairs = [(plant.f(x, u, w), on_the_array_path(plant.f, x, u, w)),
-                 (plant.policy(x), on_the_array_path(plant.policy, x))]
+                 (plant.policy(x), on_the_array_path(plant.policy, x)),
+                 *zip(plant.closed_loop(x, w), on_the_array_path(plant.closed_loop, x, w))]
     for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)  # NaN equals NaN here
         numbers = ~np.isnan(want)  # and -0.0 is not 0.0
         np.testing.assert_array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+# what a closed-loop map must keep bit for bit: NaN, infinities, signed zeros,
+# values near the overflow guard, and arbitrary mantissas, whose cubes numpy's
+# SIMD pow rounds otherwise than x * x * x now and then
+CLOSED_LOOP_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e11, max_value=1e13).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e12, -1e12,
+                     1e12 * (1.0 + 2 ** -52), 1.0, -1.0, 1.0 + 2 ** -52]))
+
+
+@st.composite
+def closed_loop_calls(draw, plant):
+    """(x, w) for `plant.closed_loop`: a 1-D call or a stack of 1 to ROW_CALL_MAX + 2 rows.
+
+    A stack's w is one row per state row, or 1-D as a rollout's zeros. x and
+    w are float64 or float32 each.
+    """
+    rows = draw(st.integers(0, ROW_CALL_MAX + 2))  # 0 for a 1-D call
+    lead = (rows,) if rows else ()
+    x = draw(arrays(np.float64, lead + (plant.n,), elements=CLOSED_LOOP_VALUES))
+    w_lead = lead if lead and draw(st.booleans()) else ()
+    w = draw(st.one_of(st.just(np.zeros(w_lead + (plant.m,))),
+                       arrays(np.float64, w_lead + (plant.m,), elements=CLOSED_LOOP_VALUES)))
+    with np.errstate(over="ignore"):
+        return (x.astype(draw(st.sampled_from([np.float64, np.float32]))),
+                w.astype(draw(st.sampled_from([np.float64, np.float32]))))
+
+
+@pytest.mark.parametrize("name", ["cubic_scalar", "sat_2d"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_closed_loop_map_is_policy_then_f_bit_for_bit(name, data):
+    plant = make_builtin_plant(name)
+    x, w = data.draw(closed_loop_calls(plant))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = plant.closed_loop(x, w)
+        u = plant.policy(x)
+        want = (u, plant.f(x, u, w))
+    assert type(got) is tuple and len(got) == 2
+    for g, v in zip(got, want):
+        assert g.shape == v.shape and g.dtype == v.dtype
+        assert g.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("name", PLANT_NAMES)
+def test_nominal_step_is_policy_then_f(name):
+    plant = build(name)
+    x = np.random.default_rng(5).normal(size=(6, plant.n))
+    w = np.zeros(plant.m)
+    u = plant.policy(x)
+    got = plant.nominal_step(x, w)
+    for g, v in zip(got, (u, plant.f(x, u, w))):
+        assert g.tobytes() == v.tobytes()
+    assert (plant.closed_loop is None) == (name in ("linear_scalar", "log_lyapunov"))

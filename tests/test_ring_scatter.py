@@ -40,10 +40,13 @@ LAYOUTS = {
 
 
 def laid_out(plant, layout):
-    """`plant` whose policy and f return their values in the given memory layout or dtype."""
+    """`plant` whose policy and f return their values in the given memory layout or dtype.
+
+    Its closed-loop map is cleared, so the rollout takes the wrapped policy and f too.
+    """
     shape = LAYOUTS[layout]
     return replace(plant, policy=lambda x: shape(plant.policy(x)),
-                   f=lambda x, u, w: shape(plant.f(x, u, w)))
+                   f=lambda x, u, w: shape(plant.f(x, u, w)), closed_loop=None)
 
 
 def test_layouts_are_what_they_say():

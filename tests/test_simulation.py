@@ -56,11 +56,25 @@ NAN, INF = float("nan"), float("inf")
     ({"x0_box": (NAN, 1.0)}, "x0_box"),
     ({"x0_box": (1.0, 0.0)}, "x0_box"),
     ({"master_seed": -1}, "seed"),
+    ({"master_seed": 1.5}, "seed"),
+    ({"master_seed": True}, "seed"),
+    ({"runs": 2.5}, "runs"),
+    ({"runs": True}, "runs"),
+    ({"horizon": 50.5}, "horizon"),
+    ({"horizon": np.float64(50.0)}, "horizon"),
 ])
 def test_config_rejects_values_the_simulation_cannot_use(change, key):
-    """Each once gave a negative mean cost, diverged every run or raised a numpy error."""
+    """Each once gave a negative mean cost, diverged every run, raised a numpy or type
+    error, or (a float seed) ran as another seed."""
     with pytest.raises(ConfigError, match=f"^{key} must"):
         make_config(**change)
+
+
+def test_config_takes_numpy_integers():
+    config = make_config(runs=np.int64(2), horizon=np.int32(30), master_seed=np.uint8(7))
+    want = make_config(runs=2, horizon=30, master_seed=7)
+    np.testing.assert_array_equal(monte_carlo(config).per_run_costs,
+                                  monte_carlo(want).per_run_costs)
 
 
 def test_buffer_capacity_respects_cap():
