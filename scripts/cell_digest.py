@@ -20,6 +20,9 @@ processor, with its initial state set and unset, get one digest each,
 and so do those under the benchmark's 3-state chain
 (`bench/workloads.markov_config`) at 1, 2 and `--runs` runs and an odd
 horizon, so that the last block of the lockstep chain walk is partial.
+SAMPLE_DRAWS one-lane `sample()` calls get one digest per model, with the
+stream's next double: an execution-time model, and the benchmark's chain
+with its initial state unset and set.
 The certificate lines (`evaluate(...).lines()`) of a seeded set of
 inputs get one digest per kind of input: execution-time and
 random i.i.d. models, dense and slow ring Markov chains, chains with
@@ -64,7 +67,7 @@ import numpy as np  # noqa: E402
 
 from anyctrl import controller, experiments  # noqa: E402
 from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
-                                  from_execution_time)
+                                  from_execution_time, make_sampler)
 from anyctrl.cli import main as cli_main  # noqa: E402
 from anyctrl.config import parse_sim_config  # noqa: E402
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
@@ -81,6 +84,13 @@ P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
 # the first step, both sides of the first block boundary (16 steps), a later
 # step and the last step (-1 stands for horizon - 1)
 CHECKPOINTS = (0, 15, 16, 200, -1)
+SAMPLE_DRAWS = 5000
+
+
+def disturbance(kind: str, m: int, **params) -> DisturbanceModel:
+    """A disturbance of a plant with m components, on a version with or without `dim`."""
+    has_dim = "dim" in DisturbanceModel.__dataclass_fields__
+    return DisturbanceModel(kind=kind, **({"dim": m} if has_dim else {}), **params)
 
 
 def feed(h, *arrays) -> None:
@@ -177,12 +187,12 @@ def extra_configs(seed: int, runs: int, horizon: int):
     sat = SimConfig(plant=make_builtin_plant("sat_2d"),
                     availability=MarkovAvailability(Q3, P3),
                     controller=ControllerKind("baseline"),
-                    disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
+                    disturbance=disturbance("uniform", 1, lo=-0.05, hi=0.05),
                     horizon=horizon, runs=runs, master_seed=seed, x0_box=(-2.0, 2.0))
     log = SimConfig(plant=make_builtin_plant("log_lyapunov", rho=0.5),
                     availability=from_execution_time(0.2),
                     controller=ControllerKind("baseline"),
-                    disturbance=DisturbanceModel(kind="none", dim=0),
+                    disturbance=disturbance("none", 0),
                     horizon=horizon, runs=runs, master_seed=seed, x0_box=(-3.0, 3.0))
     return {"markov_sat_2d": sat, "log_lyapunov": log}
 
@@ -200,13 +210,26 @@ def print_schedules(seed: int, runs: int, horizon: int) -> None:
         config = SimConfig(plant=make_builtin_plant("sat_2d"),
                            availability=chain16(initial_state),
                            controller=ControllerKind("a2"),
-                           disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
+                           disturbance=disturbance("uniform", 1, lo=-0.05, hi=0.05),
                            horizon=horizon, runs=runs, master_seed=seed)
         print(f"markov16 initial_state={initial_state} schedules {digest(presample(config)[0])}")
     odd = horizon | 1
     for count in (1, 2, runs):
         config = parse_sim_config(markov_config(seed, count, odd))
         print(f"bench markov runs={count} horizon={odd} schedules {digest(presample(config)[0])}")
+
+
+def print_samples(seed: int) -> None:
+    """SAMPLE_DRAWS one-lane `sample()` draws per model, and the stream's next double."""
+    chain = parse_sim_config(markov_config(seed, 1, 1)).availability
+    models = {"exec_time tau=0.23": from_execution_time(0.23),
+              "bench markov initial_state=None": chain,
+              "bench markov initial_state=2": replace(chain, initial_state=2)}
+    for name, model in models.items():
+        rng = np.random.default_rng([seed, 23])
+        sampler = make_sampler(model, [rng])
+        draws = [sampler.sample() for _ in range(SAMPLE_DRAWS)]
+        print(f"sample {name} {digest(np.array(draws), np.array([rng.random()]))}")
 
 
 def _pmf_rows(rng, states: int, lam: int) -> np.ndarray:
@@ -333,6 +356,7 @@ def main():
             print_cell(f"{name} {kind}", config, costs, checks, args.traces)
 
     print_schedules(args.seed, args.runs, args.horizon)
+    print_samples(args.seed)
     print_certificates(args.seed)
 
     scale = ("--runs", str(args.runs), "--horizon", str(args.horizon))

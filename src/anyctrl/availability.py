@@ -10,8 +10,9 @@ States of the Markov model are 0-indexed throughout.
 A sampler (`make_sampler`) draws N(k) on a sequence of Generators, one
 per lane; `presample(count)` returns `(lanes, count)` lengths, and row r
 is bit for bit what a sampler on the r-th Generator alone draws. A single
-run is a one-lane sampler, and `sample()`, one draw, needs exactly one
-lane. Presampled lengths are stored in the narrowest
+run is a one-lane sampler. `presample` is the only draw code: `sample()`,
+one draw on a one-lane sampler, is `presample(1)`'s one length.
+Presampled lengths are stored in the narrowest
 unsigned type that holds Lambda (`length_dtype`): one byte per step up to
 Lambda = 255, two above. Code that adds step indices to them widens them
 to int64 first.
@@ -228,15 +229,18 @@ def _open_top(pmfs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_stream(sampler):
-    """The Generator of a one-lane sampler; TypeError on any other."""
-    if len(sampler.rngs) != 1:
-        raise TypeError(f"sample() draws on one Generator; this sampler has "
-                        f"{len(sampler.rngs)} lanes, use presample()")
-    return sampler.rngs[0]
+class _Sampler:
+    """What both samplers share: one draw on a one-lane sampler."""
+
+    def sample(self) -> int:
+        """`presample(1)`'s one length; TypeError on a sampler of more lanes."""
+        if len(self.rngs) != 1:
+            raise TypeError(f"sample() draws on one Generator; this sampler has "
+                            f"{len(self.rngs)} lanes, use presample()")
+        return int(self.presample(1)[0, 0])
 
 
-class IidSampler:
+class IidSampler(_Sampler):
     """Draws N(k) i.i.d. from the model pmf. One uniform per step and lane."""
 
     def __init__(self, model: IidAvailability, rngs: Sequence):
@@ -245,15 +249,8 @@ class IidSampler:
         self.dtype = length_dtype(model.max_len)
         self._cum = _open_top(model.pmf)
 
-    def sample(self) -> int:
-        """One draw on a one-lane sampler."""
-        return int(np.searchsorted(self._cum, _one_stream(self).random(), side="right"))
-
     def presample(self, count: int) -> np.ndarray:
-        """`count` lengths per lane, shape (lanes, count), as `self.dtype`.
-
-        On one lane, identical to `count` sample() calls.
-        """
+        """`count` lengths per lane, shape (lanes, count), as `self.dtype`."""
         # one lane at a time: no stacked uniforms or int64 indices beside the output
         out = np.empty((len(self.rngs), count), dtype=self.dtype)
         for n, rng in zip(out, self.rngs):
@@ -261,7 +258,7 @@ class IidSampler:
         return out
 
 
-class MarkovSampler:
+class MarkovSampler(_Sampler):
     """Draws N(k) from the conditional pmf of the current chain state.
 
     The state used for N(0) is the model's initial_state, or a stationary
@@ -294,13 +291,6 @@ class MarkovSampler:
             first = [model.initial_state] * len(rngs)
         self.state = np.array(first, dtype=np.int64)
 
-    def sample(self) -> int:
-        """One draw on a one-lane sampler."""
-        rng, state = _one_stream(self), int(self.state[0])
-        n = int(np.searchsorted(self._cum_rows_cols[:, state], rng.random(), side="right"))
-        self.state[0] = bisect_right(self._cum_trans[state], rng.random())
-        return n
-
     def _pick(self, states, u) -> np.ndarray:
         """N given each state: the count of its cdf entries <= u.
 
@@ -317,8 +307,8 @@ class MarkovSampler:
     def presample(self, count: int) -> np.ndarray:
         """`count` lengths per lane, shape (lanes, count), as `self.dtype`.
 
-        On one lane, identical to `count` sample() calls. Only the chain
-        walk is sequential. The lengths are then picked for all steps at once.
+        Only the chain walk is sequential. The lengths are then picked for
+        all steps at once.
         """
         if len(self.rngs) >= LOCKSTEP_MIN_LANES:
             return self._walk_lanes(count)

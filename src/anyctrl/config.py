@@ -16,7 +16,7 @@ import yaml
 from .availability import (AvailabilityModel, IidAvailability,
                            MarkovAvailability, from_execution_time,
                            require_valid)
-from .controller import KINDS, ControllerKind
+from .controller import ControllerKind
 from .errors import ConfigError
 from .plants import (BUILTIN_PLANTS, DISTURBANCE_KEYS, DisturbanceModel, PlantModel,
                      make_builtin_plant)
@@ -147,7 +147,7 @@ def parse_plant(section: dict) -> PlantModel:
         raise ConfigError(f"plant.params: {exc}") from None
 
 
-def parse_disturbance(section: Optional[dict], plant: PlantModel) -> DisturbanceModel:
+def parse_disturbance(section: Optional[dict]) -> DisturbanceModel:
     section = _section(section, "disturbance")
     kind = section.get("kind", "none")
     if not isinstance(kind, str) or kind not in DISTURBANCE_KEYS:
@@ -157,22 +157,16 @@ def parse_disturbance(section: Optional[dict], plant: PlantModel) -> Disturbance
     values = {key: _float(section.get(key, 0.0), f"disturbance.{key}")
               for key in DISTURBANCE_KEYS[kind]}
     try:
-        return DisturbanceModel(kind=kind, dim=plant.m, **values)
+        return DisturbanceModel(kind=kind, **values)
     except ConfigError as exc:
         raise ConfigError(f"disturbance: {exc}") from None
 
 
 def parse_controller(section: dict) -> ControllerKind:
+    """The controller section; `ControllerKind` checks its values."""
     section = _section(section, "controller", ("kind", "buffer_cap"))
-    kind = _require(section, "kind", "controller")
-    if kind not in KINDS:
-        raise ConfigError(f"controller.kind must be one of {KINDS}, got {kind!r}")
-    cap = section.get("buffer_cap")
-    if cap is not None:
-        cap = _int(cap, "controller.buffer_cap")
-        if cap < 1:
-            raise ConfigError(f"controller.buffer_cap must be >= 1, got {cap}")
-    return ControllerKind(kind=kind, buffer_cap=cap)
+    return ControllerKind(kind=_require(section, "kind", "controller"),
+                          buffer_cap=section.get("buffer_cap"))
 
 
 def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] = None,
@@ -201,7 +195,7 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
     plant = parse_plant(_require(data, "plant", ""))
     availability = parse_availability(_require(data, "availability", ""))
     controller = parse_controller(_require(data, "controller", ""))
-    disturbance = parse_disturbance(data.get("disturbance"), plant)
+    disturbance = parse_disturbance(data.get("disturbance"))
     cost = _section(data.get("cost"), "cost", ("q_x", "r_u"))
     x0 = data.get("x0")
     x0_box = data.get("x0_box")

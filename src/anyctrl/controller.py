@@ -74,16 +74,25 @@ KINDS = ("baseline", "a1", "a2")
 
 @dataclass(frozen=True)
 class ControllerKind:
-    """Which controller to run, with an optional artificial buffer-size cap."""
+    """Which controller to run, with an optional artificial buffer-size cap (an int >= 1).
+
+    The one check of a config's controller section: its messages name the keys.
+    """
 
     kind: str
     buffer_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown controller kind {self.kind!r}; choose from {KINDS}")
-        if self.buffer_cap is not None and self.buffer_cap < 1:
-            raise ConfigError("buffer_cap must be >= 1")
+            raise ConfigError(f"controller.kind must be one of {KINDS}, got {self.kind!r}")
+        cap = self.buffer_cap
+        if cap is None:
+            return
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+            raise ConfigError(f"controller.buffer_cap must be an integer, got {cap!r}")
+        if cap < 1:
+            raise ConfigError(f"controller.buffer_cap must be >= 1, got {cap}")
+        object.__setattr__(self, "buffer_cap", int(cap))
 
     def capped(self, n_sched) -> np.ndarray:
         """The N(k) schedule capped at `buffer_cap`, in the array's own type.
@@ -233,13 +242,6 @@ def check(plant: PlantModel, ring: Ring) -> None:
             ring.fail(np.repeat(ticks, sizes)[bad], np.concatenate(rows)[bad])
 
 
-def settle(plant: PlantModel, ring: Ring) -> None:
-    """Check the recorded depths; at a failure, drain the ring, which raises."""
-    check(plant, ring)
-    if ring.failure is not None:
-        drain(plant, ring)
-
-
 def drain(plant: PlantModel, ring: Ring) -> None:
     """Advance every in-flight sequence (`end > tick`) to its end, then raise the earliest failure.
 
@@ -280,7 +282,9 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
         tentative_sequence(plant, ring, rows)
     ring.tick += 1
     if ring.tick % ring.block == 0:
-        settle(plant, ring)
+        check(plant, ring)
+        if ring.failure is not None:
+            drain(plant, ring)
     return ring.inputs.take(src, axis=0)
 
 

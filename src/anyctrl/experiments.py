@@ -69,11 +69,11 @@ class ExperimentSpec:
 # and params, execution time tau (a tau sweep replaces it), disturbance.
 BUILTIN = {
     "fig1": ("tau", (0.1, 0.2, 0.3, 0.4, 0.5), "cubic_scalar", {}, 0.3,
-             DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01)),
+             DisturbanceModel(kind="uniform", lo=0.0, hi=0.01)),
     "fig2": ("a", (0.9, 1.1, 1.3, 1.5), "linear_scalar", {"a": 0.9}, 0.3,
-             DisturbanceModel(kind="gaussian", dim=1, variance=0.1)),
+             DisturbanceModel(kind="gaussian", variance=0.1)),
     "fig3": ("buffer_cap", (1, 2, 3, 4), "linear_scalar", {"a": 1.7}, 0.23,
-             DisturbanceModel(kind="gaussian", dim=1, variance=0.1)),
+             DisturbanceModel(kind="gaussian", variance=0.1)),
 }
 
 

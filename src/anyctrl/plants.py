@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -28,12 +27,14 @@ SQRT5 = math.sqrt(5.0)
 # float64 arrays share this descriptor, so `dtype is FLOAT64` tests one cheaply; an
 # equal descriptor that is another object only sends a call to the array path
 FLOAT64 = np.dtype(np.float64)
-# sat_2d's closed-loop map computes a call of at most this many rows (a 1-D
-# call is one row) in Python floats, one row at a time. The map costs about
+# sat_2d's closed-loop map computes a stack of at most this many rows in
+# Python floats, one row at a time. The map costs about
 # 10 us on the array path whatever the rows; the row path takes 0.3-0.4 of that
 # at 1 or 2 rows and 0.96-1.12 at 8 (three runs; 2-core VM, Python 3.11.7,
 # numpy 2.4.6)
 ROW_CALL_MAX = 8
+# the types a rate may have (`check_rates`); bool, an int subclass, is excluded there
+NUMBER_TYPES = (int, float, np.integer, np.floating)
 # each disturbance kind and the DisturbanceModel fields it reads
 DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
 
@@ -43,7 +44,6 @@ class DisturbanceModel:
     """Per-step additive disturbance: none, uniform(lo, hi) or gaussian(mean, variance)."""
 
     kind: str = "none"
-    dim: int = 0
     lo: float = 0.0
     hi: float = 0.0
     mean: float = 0.0
@@ -63,13 +63,12 @@ class DisturbanceModel:
             raise ConfigError(f"disturbance.variance must be >= 0, got {self.variance}")
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw disturbances of the given leading shape, component axis last."""
-        full = tuple(shape) + (self.dim,)
-        if self.kind == "none" or self.dim == 0:
-            return np.zeros(full)
+        """Draw disturbances of the given shape, whose last axis is the plant's m."""
+        if self.kind == "none":
+            return np.zeros(shape)
         if self.kind == "uniform":
-            return rng.random(full) * (self.hi - self.lo) + self.lo
-        return rng.standard_normal(full) * np.sqrt(self.variance) + self.mean
+            return rng.random(shape) * (self.hi - self.lo) + self.lo
+        return rng.standard_normal(shape) * np.sqrt(self.variance) + self.mean
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,11 @@ class PlantModel:
     ``(..., n)``, inputs ``(..., p)`` and disturbances ``(..., m)`` to
     ``(..., n)``, ``policy`` maps ``(..., n)`` to ``(..., p)`` and
     ``lyapunov`` maps ``(..., n)`` to ``(...)``. Row-by-row equality is what
-    lets a plant compute a small stack in Python floats, one row at a time,
+    lets a plant compute a small call in Python floats, one row at a time,
     where numpy's set-up per call would cost more than the rows: sat_2d does
-    so up to ROW_CALL_MAX rows, with the same IEEE operations in the same
-    order as its array path, so either path gives the same bits.
+    so for a rollout's stack of up to ROW_CALL_MAX rows and a 1-D ``f`` call,
+    with the same IEEE operations in the same order as its array path, so
+    either path gives the same bits.
 
     ``closed_loop``, if not None, maps states ``x`` and disturbances ``w``
     to ``(policy(x), f(x, policy(x), w))`` in one call, bit for bit, shape
@@ -112,10 +112,7 @@ class PlantModel:
                                    Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.alpha is not None and not 1.0 <= self.alpha < math.inf:  # NaN fails it
-            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
+        check_rates(self.rho, 1.0 if self.alpha is None else self.alpha)
 
     def nominal_step(self, x, w) -> Tuple[np.ndarray, np.ndarray]:
         """One step of the nominal closed loop: ``(u, x_next)`` with u = policy(x).
@@ -127,6 +124,21 @@ class PlantModel:
             return self.closed_loop(x, w)
         u = self.policy(x)
         return u, self.f(x, u, w)
+
+
+def check_rates(rho, alpha) -> None:
+    """The rule on the certificates' rates: rho in [0, 1), alpha finite and >= 1.
+
+    NaN fails the comparisons, and so does anything that is not a Python or
+    numpy number (None, a string, a bool): each is a ConfigError naming its
+    rate. It tests concrete types: an isinstance of `numbers.Real` took
+    about 1 us a call (2-core VM, Python 3.11.7), a cost per certificate.
+    """
+    if not (type(rho) is not bool and isinstance(rho, NUMBER_TYPES) and 0.0 <= rho < 1.0):
+        raise ConfigError(f"rho must lie in [0, 1), got {rho!r}")
+    if not (type(alpha) is not bool and isinstance(alpha, NUMBER_TYPES)
+            and 1.0 <= alpha < math.inf):
+        raise ConfigError(f"alpha must be finite and >= 1, got {alpha!r}")
 
 
 def sum_squares(x) -> np.ndarray:
@@ -218,7 +230,7 @@ def _sat1(s: float) -> float:
 
 def _sat_2d() -> PlantModel:
     # kappa(x) and f(x, kappa(x), w) of one row in Python floats: the array
-    # path's IEEE operations in its order, so a call of at most ROW_CALL_MAX rows
+    # path's IEEE operations in its order, so a stack of at most ROW_CALL_MAX rows
     # gets the same bits
     def step_row(x1, x2, w1):
         s = _sat1(x1 + x2)
@@ -246,28 +258,20 @@ def _sat_2d() -> PlantModel:
         return f_at(x, u, w, sat(x[..., 0] + x[..., 1]))
 
     def kappa(x):
-        if x.ndim == 1 and x.dtype is FLOAT64:
-            x1, x2 = x.tolist()
-            return np.array((-x2, 0.8 * _sat1(x1 + x2)))
         return kappa_at(x, sat(x[..., 0] + x[..., 1]))
 
     # x.size first: a stack of more than ROW_CALL_MAX rows of two states leaves
-    # for numpy after one test, so the Monte-Carlo calls pay little for the rows
+    # for numpy after one test, so the Monte-Carlo calls pay little for the rows.
+    # The row path takes a rollout's call: a stack, and one 1-D w for every row
     def closed_loop(x, w):
-        if x.size <= 2 * ROW_CALL_MAX and x.dtype is w.dtype is FLOAT64:
-            nd = x.ndim
-            if nd == 1 and w.ndim == 1:
-                u1, u2, n1, n2 = step_row(*x.tolist(), *w.tolist())
-                return np.array((u1, u2)), np.array((n1, n2))
-            if nd == 2 and (w.ndim == 1 or w.ndim == 2 and len(w) == len(x)):
-                # a 1-D w is every row's, as a rollout's zeros(1)
-                ws = w.tolist() if w.ndim == 2 else repeat(w.tolist())
-                us, nxts = [], []
-                for (x1, x2), (w1,) in zip(x.tolist(), ws):
-                    u1, u2, n1, n2 = step_row(x1, x2, w1)
-                    us += (u1, u2)
-                    nxts += (n1, n2)
-                return np.array(us).reshape(-1, 2), np.array(nxts).reshape(-1, 2)
+        if (x.size <= 2 * ROW_CALL_MAX and x.ndim == 2 and w.ndim == 1
+                and x.dtype is w.dtype is FLOAT64):
+            (w1,), us, nxts = w.tolist(), [], []
+            for x1, x2 in x.tolist():
+                u1, u2, n1, n2 = step_row(x1, x2, w1)
+                us += (u1, u2)
+                nxts += (n1, n2)
+            return np.array(us).reshape(-1, 2), np.array(nxts).reshape(-1, 2)
         s = sat(x[..., 0] + x[..., 1])
         u = kappa_at(x, s)
         return u, f_at(x, u, w, s)

@@ -74,7 +74,7 @@ class SimConfig:
     runs: int = 200
     master_seed: int = 0
     x0: Optional[np.ndarray] = None
-    x0_box: Optional[Tuple[float, float]] = None  # uniform box, overrides x0
+    x0_box: Optional[Tuple[float, float]] = None  # uniform box; excludes x0
     q_x: float = 0.2
     r_u: float = 2.0
 
@@ -91,16 +91,21 @@ class SimConfig:
         if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         require_valid(self.availability)
-        if self.disturbance.dim != self.plant.m:
-            raise ConfigError(
-                f"disturbance dim {self.disturbance.dim} != plant disturbance dim {self.plant.m}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
             if self.x0.shape != (self.plant.n,) or not np.isfinite(self.x0).all():
                 raise ConfigError(f"x0 must hold {self.plant.n} finite numbers, got {self.x0}")
-        # the chained comparisons fail on NaN and on infinities
-        if self.x0_box is not None and not -math.inf < self.x0_box[0] <= self.x0_box[1] < math.inf:
-            raise ConfigError(f"x0_box must be finite with lo <= hi, got {list(self.x0_box)}")
+        if self.x0_box is not None:
+            if self.x0 is not None:
+                raise ConfigError("x0_box must not be given with x0: the box would replace it")
+            try:
+                lo, hi = map(float, self.x0_box)
+            except (TypeError, ValueError):
+                raise ConfigError(f"x0_box must be a pair [lo, hi], got {self.x0_box!r}") from None
+            # the chained comparisons fail on NaN and on infinities
+            if not -math.inf < lo <= hi < math.inf:
+                raise ConfigError(f"x0_box must be finite with lo <= hi, got {[lo, hi]}")
+            object.__setattr__(self, "x0_box", (lo, hi))
         for key in ("q_x", "r_u"):
             if not 0.0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"cost.{key} must be finite and nonnegative, "
@@ -153,7 +158,7 @@ class SimTrace:
 def _run_draws(config: SimConfig, run_index: int):
     """(availability generator, disturbance draws, x0) for one run, from its three streams."""
     avail_rng, dist_rng, init_rng = run_streams(config.master_seed, run_index)
-    w = config.disturbance.draw(dist_rng, (config.horizon,))
+    w = config.disturbance.draw(dist_rng, (config.horizon, config.plant.m))
     return avail_rng, w, _initial_state(config, init_rng)
 
 
@@ -329,14 +334,16 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
         drain(plant, ring)
 
 
-def _batch_simulate(config: SimConfig, draws=None) -> np.ndarray:
-    """Step all runs at once; returns the per-run costs.
+def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
+    """Run all episodes on the batch engine, all runs at once, and aggregate.
 
-    `draws` is `presample(config)`, drawn here when not given; its N
-    schedules are capped here, which copies them only when the cap binds.
-    Each block's stage costs are added by a running sum over the step axis,
-    so a run's total is the same bit for bit as adding its trace's stage
-    costs one step at a time.
+    Independent of run order. `draws`, if given, is `presample` of this
+    config or of one that differs only in its controller, else it is drawn
+    here; the engine reads it and never writes it. Its N schedules are
+    capped here, which copies them only when the cap binds. Each block's
+    stage costs are added by a running sum over the step axis, so a run's
+    total, `per_run_costs`, is the same bit for bit as adding its trace's
+    stage costs one step at a time; a diverged run's is inf.
     """
     horizon, runs = config.horizon, config.runs
     n_all, w_all, x0 = presample(config) if draws is None else draws
@@ -348,16 +355,7 @@ def _batch_simulate(config: SimConfig, draws=None) -> np.ndarray:
         cost = np.add.accumulate(np.concatenate((cost[None], stage)), axis=0)[-1]
     costs = cost / horizon
     costs[~alive] = float("inf")
-    return costs
-
-
-def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
-    """Run all episodes on the batch engine and aggregate; independent of run order.
-
-    `draws`, if given, is `presample` of this config or of one that differs
-    only in its controller; the engine reads it and never writes it.
-    """
-    return CostSummary.from_costs(_batch_simulate(config, draws=draws))
+    return CostSummary.from_costs(costs)
 
 
 def improvement_pct(candidate: CostSummary, reference: CostSummary) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 from .availability import (AvailabilityModel, IidAvailability,
                            MarkovAvailability, require_valid)
 from .errors import ConfigError, DivergenceError
+from .plants import check_rates
 
 MAX_CHAIN_STATES = 16
 
@@ -40,10 +41,7 @@ class CertificateInputs:
     availability: AvailabilityModel
 
     def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if not 1.0 <= self.alpha < math.inf:  # NaN fails it
-            raise ConfigError(f"alpha must be finite and >= 1, got {self.alpha}")
+        check_rates(self.rho, self.alpha)
         require_valid(self.availability)
 
 

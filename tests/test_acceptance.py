@@ -328,7 +328,7 @@ def test_criterion_11_certificate_vs_simulation_decay():
     plant = make_builtin_plant("sat_2d")
     cfg = SimConfig(plant=plant, availability=model,
                     controller=ControllerKind("a1"),
-                    disturbance=DisturbanceModel(kind="none", dim=1),
+                    disturbance=DisturbanceModel(kind="none"),
                     horizon=10_001, runs=500, master_seed=7)
     checkpoints = [100, 1_000, 10_000]
     means, ses = oracles.mean_lyapunov_at(cfg, checkpoints)

@@ -432,3 +432,23 @@ def test_sample_needs_one_stream(model):
     sampler = make_sampler(model, [np.random.default_rng(0), np.random.default_rng(1)])
     with pytest.raises(TypeError, match="sample\\(\\) draws on one Generator"):
         sampler.sample()
+
+
+@given(st.one_of(markov_models(), iid_models()), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 300))
+@example(from_execution_time(0.23), 3, 300)
+@settings(max_examples=60, deadline=None)
+def test_one_lane_sample_draws_equal_sample_loop(drawn, seed, count):
+    """`count` sample() calls: the oracle's lengths and chain state, and its stream's next double.
+
+    A Markov model runs with its initial state unset and set.
+    """
+    for model in _with_both_initial_states(drawn):
+        sampler = make_sampler(model, [np.random.default_rng(seed)])
+        ones = [sampler.sample() for _ in range(count)]
+        rng = np.random.default_rng(seed)
+        want, state = oracles.sample_loop(model, rng, count)
+        assert ones == want and all(type(n) is int for n in ones)
+        if state is not None:
+            assert int(sampler.state[0]) == state
+        assert sampler.rngs[0].random() == rng.random()

@@ -13,7 +13,7 @@ from anyctrl.controller import KINDS, ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import _config_at, builtin_experiment, run_sweep
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import (SimConfig, _batch_simulate, monte_carlo, presample,
+from anyctrl.simulation import (SimConfig, monte_carlo, presample,
                                 presample_each, run_episode, run_streams)
 
 from oracles import (empirical_cost, lyapunov_at, masked_batch_simulate, mean_lyapunov_at,
@@ -35,7 +35,7 @@ def markov_sat_2d(kind, initial_state):
     return SimConfig(plant=make_builtin_plant("sat_2d"),
                      availability=MarkovAvailability(Q3, P3, initial_state=initial_state),
                      controller=ControllerKind(kind),
-                     disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
+                     disturbance=DisturbanceModel(kind="uniform", lo=-0.05, hi=0.05),
                      horizon=HORIZON, runs=RUNS, master_seed=5, x0_box=(-2.0, 2.0))
 
 
@@ -43,7 +43,7 @@ def log_lyapunov(kind):
     return SimConfig(plant=make_builtin_plant("log_lyapunov", rho=0.5),
                      availability=from_execution_time(0.2),
                      controller=ControllerKind(kind),
-                     disturbance=DisturbanceModel(kind="none", dim=0),
+                     disturbance=DisturbanceModel(kind="none"),
                      horizon=HORIZON, runs=RUNS, master_seed=1, x0_box=(-3.0, 3.0))
 
 
@@ -80,7 +80,7 @@ def test_mean_lyapunov_keeps_checkpoint_order():
     cfg = SimConfig(plant=make_builtin_plant("sat_2d"),
                     availability=from_execution_time(0.3),
                     controller=ControllerKind("a1"),
-                    disturbance=DisturbanceModel(kind="none", dim=1),
+                    disturbance=DisturbanceModel(kind="none"),
                     horizon=101, runs=30, master_seed=0)
     checkpoints = [100, 0, 100]
     v_at = lyapunov_at(cfg, checkpoints)
@@ -121,7 +121,7 @@ def linear_exec_time(tau, horizon, runs, buffer_cap=None):
     return SimConfig(plant=make_builtin_plant("linear_scalar", a=1.1),
                      availability=from_execution_time(tau),
                      controller=ControllerKind("a2", buffer_cap=buffer_cap),
-                     disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                     disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
                      horizon=horizon, runs=runs, master_seed=4, x0_box=(-2.0, 2.0))
 
 
@@ -184,7 +184,7 @@ def markov_a_sweep(seed, runs, horizon, grid):
     base = SimConfig(plant=make_builtin_plant("linear_scalar", a=0.9),
                      availability=MarkovAvailability(Q3, P3),
                      controller=ControllerKind("baseline"),
-                     disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                     disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
                      horizon=horizon, runs=runs, master_seed=seed, x0_box=(-1.0, 1.0))
     return experiments.ExperimentSpec("a", grid, base)
 
@@ -268,7 +268,7 @@ def test_a_diverged_run_keeps_its_last_state(kind):
     draws = (n_all, w_all, x0)
     checkpoints = [4, 5, 6, 10, 19]
     want_costs, want_v = masked_batch_simulate(cfg, set(checkpoints), draws=draws)
-    costs = _batch_simulate(cfg, draws=draws)
+    costs = monte_carlo(cfg, draws=draws).per_run_costs
     v_at = lyapunov_at(cfg, checkpoints, draws=draws)
     np.testing.assert_array_equal(costs, want_costs)
     np.testing.assert_array_equal(v_at, np.array([want_v[k] for k in checkpoints]))
@@ -287,7 +287,7 @@ def violating_config(runs=1, horizon=1, x0=None):
     return SimConfig(plant=replace(LINEAR, rho=0.0),
                      availability=IidAvailability([0.0, 0.0, 0.0, 0.0, 1.0]),
                      controller=ControllerKind("a2"),
-                     disturbance=DisturbanceModel(kind="none", dim=1),
+                     disturbance=DisturbanceModel(kind="none"),
                      horizon=horizon, runs=runs, master_seed=0, x0=x0)
 
 
@@ -369,7 +369,7 @@ def forced_cases(draw):
                     availability=IidAvailability(np.full(capacity + 1, 1.0 / (capacity + 1))),
                     controller=ControllerKind(draw(st.sampled_from(KINDS)), buffer_cap=draw(
                         st.one_of(st.none(), st.integers(min_value=1, max_value=capacity)))),
-                    disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.1, hi=0.1),
+                    disturbance=DisturbanceModel(kind="uniform", lo=-0.1, hi=0.1),
                     horizon=draw(st.integers(min_value=1, max_value=8)),
                     runs=draw(st.integers(min_value=1, max_value=5)),
                     master_seed=draw(st.integers(min_value=0, max_value=2 ** 16)),

@@ -19,7 +19,7 @@ from anyctrl.controller import KINDS, ControllerKind, Ring
 from anyctrl.errors import CertificateViolation
 from anyctrl.experiments import _config_at, builtin_experiment
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, _batch_simulate, run_episode
+from anyctrl.simulation import SimConfig, monte_carlo, run_episode
 
 from oracles import empirical_cost, lyapunov_at, masked_batch_simulate
 
@@ -57,7 +57,7 @@ def markov_sat_2d(kind):
     return SimConfig(plant=make_builtin_plant("sat_2d"),
                      availability=MarkovAvailability(Q3, P3),
                      controller=ControllerKind(kind),
-                     disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
+                     disturbance=DisturbanceModel(kind="uniform", lo=-0.05, hi=0.05),
                      horizon=HORIZON, runs=RUNS, master_seed=5, x0_box=(-2.0, 2.0))
 
 
@@ -85,7 +85,7 @@ def test_results_do_not_depend_on_block_length(case):
     seen = []
     for length in block_lengths(cfg.horizon):
         with forced_block(length):
-            costs = _batch_simulate(cfg)
+            costs = monte_carlo(cfg).per_run_costs
             v_at = lyapunov_at(cfg, CHECKPOINTS)
             traces = [run_episode(cfg, r) for r in range(TRACES)]
         np.testing.assert_array_equal(costs, want)
@@ -131,7 +131,7 @@ def liar_config(runs, horizon):
     return SimConfig(plant=replace(LINEAR, rho=0.0),
                      availability=IidAvailability([0.0, 0.0, 0.0, 0.0, 1.0]),
                      controller=ControllerKind("a2"),
-                     disturbance=DisturbanceModel(kind="none", dim=1),
+                     disturbance=DisturbanceModel(kind="none"),
                      horizon=horizon, runs=runs, master_seed=0)
 
 
@@ -168,7 +168,7 @@ def test_violations_do_not_depend_on_block_length(case):
     run = want[2]
     for length in block_lengths(horizon):
         with forced_block(length):
-            assert outcome(lambda: _batch_simulate(cfg, draws=draws)) == want
+            assert outcome(lambda: monte_carlo(cfg, draws=draws).per_run_costs) == want
             if not w_all.any():  # run_episode draws its own disturbances, which are zero here
                 episode = replace(cfg, x0=x0[run])
                 assert outcome(lambda: run_episode(episode, run, forced_n=n_all[run])) == want
@@ -188,7 +188,7 @@ def test_violations_on_stock_draws_do_not_depend_on_block_length(case):
     want = outcome(lambda: masked_batch_simulate(cfg))
     for length in block_lengths(cfg.horizon):
         with forced_block(length):
-            assert outcome(lambda: _batch_simulate(cfg)) == want
+            assert outcome(lambda: monte_carlo(cfg).per_run_costs) == want
             assert outcome(lambda: run_episode(cfg, want[2])) == want
 
 

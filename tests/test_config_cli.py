@@ -12,7 +12,6 @@ from anyctrl.config import (load_yaml, parse_availability, parse_certificate_inp
                             parse_disturbance, parse_sim_config)
 from anyctrl.errors import ConfigError
 from anyctrl.experiments import builtin_experiment, run_sweep, write_sweep_csv
-from anyctrl.plants import make_builtin_plant
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -77,12 +76,11 @@ def test_keys_of_another_kind_are_named():
         parse_availability({"kind": "iid", "p": [0.5, 0.5], "tau": 0.3})
     with pytest.raises(ConfigError, match="unknown key availability.Q for kind exec_time"):
         parse_availability({"kind": "exec_time", "tau": 0.3, "Q": [[1]]})
-    plant = make_builtin_plant("sat_2d")
     with pytest.raises(ConfigError, match="unknown key disturbance.lo for kind gaussian"):
-        parse_disturbance({"kind": "gaussian", "variance": 0.1, "lo": -5, "hi": 5}, plant)
+        parse_disturbance({"kind": "gaussian", "variance": 0.1, "lo": -5, "hi": 5})
     # the kind defaults to none, which reads no other key
     with pytest.raises(ConfigError, match="unknown key disturbance.lo for kind none"):
-        parse_disturbance({"lo": -1, "hi": 1}, plant)
+        parse_disturbance({"lo": -1, "hi": 1})
 
 
 def test_parse_sim_config_and_overrides():
@@ -293,6 +291,7 @@ def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):
     ({"x0_box": [1.0, -1.0]}, "x0_box"),
     ({"x0_box": 5}, "x0_box"),
     ({"x0_box": [0.0, "one"]}, "x0_box"),
+    ({"x0": [0.5], "x0_box": [-1.0, 1.0]}, "x0_box"),
     ({"cost": {"q_x": "abc"}}, "cost.q_x"),
     ({"cost": {"q_x": -0.1}}, "cost.q_x"),
     ({"cost": {"r_u": -2.0}}, "cost.r_u"),
@@ -337,6 +336,7 @@ STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time
     ("simulate", {"plant": "linear_scalar"}, "plant"),
     ("simulate", {"cost": [0.2]}, "cost"),
     ("simulate", {"x0": ["one"]}, "x0"),
+    ("simulate", {"x0": [0.5], "x0_box": [-1, 1]}, "x0_box"),
     ("stability", {"rho": "x"}, "rho"),
     ("stability", {"rho": None}, "rho"),
     ("stability", {"alpha": [1.0]}, "alpha"),

@@ -141,6 +141,11 @@ def sim_mutations(doc):
                       [0, 1, 2]]]
     n = STATE_DIM[plant["name"]]
     out += [(("x0",), v, "x0") for v in ["x", [["a"]], 5.0, [0.1] * (n + 1), [NAN] * n]]
+    # the box would replace x0: a document gives one or the other
+    if "x0_box" in doc:
+        out += [(("x0",), [0.5] * n, "x0_box")]
+    if "x0" in doc:
+        out += [(("x0_box",), [-1.0, 1.0], "x0_box")]
     # a misspelt key in each section and at the top level
     out += [(("plant", "param"), {"a": 1.2}, "plant.param"),
             (("controller", "bufer_cap"), 1, "controller.bufer_cap"),

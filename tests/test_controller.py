@@ -91,10 +91,22 @@ def played_rollout(plant, x, n):
 
 
 def test_controller_kind_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^controller.kind must"):
         ControllerKind("a3")
-    with pytest.raises(ConfigError):
-        ControllerKind("a1", buffer_cap=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "3", 0, -1, np.float64(2.0)])
+def test_controller_kind_rejects_a_cap_that_is_no_integer_from_one(cap):
+    """A float, a bool or a string cap once raised a TypeError inside the ring, `range` or `<`."""
+    with pytest.raises(ConfigError, match="^controller.buffer_cap must"):
+        ControllerKind("a1", buffer_cap=cap)
+
+
+def test_controller_kind_takes_a_numpy_integer_cap_as_an_int():
+    kind = ControllerKind("a2", buffer_cap=np.int64(2))
+    assert type(kind.buffer_cap) is int and kind == ControllerKind("a2", buffer_cap=2)
+    # a Python int cap keeps a uint8 schedule's type, where an int64 scalar would widen it
+    assert kind.capped(np.array([0, 3, 1], dtype=np.uint8)).dtype == np.uint8
 
 
 def test_tentative_sequence_from_one():
@@ -166,7 +178,7 @@ def test_sequence_longer_than_buffer_rejected():
     base = SimConfig(plant=replace(LINEAR, f=counted_f),
                      availability=IidAvailability([0.5, 0.3, 0.2]),  # capacity 2
                      controller=ControllerKind("a1"),
-                     disturbance=DisturbanceModel(kind="none", dim=1), horizon=3, runs=2)
+                     disturbance=DisturbanceModel(kind="none"), horizon=3, runs=2)
     # lane 1 asks for three inputs at step 1, after lane 0's first sequence
     n_sched, w, x0 = np.array([[1, 0, 0], [0, 3, 0]]), np.zeros((2, 3, 1)), np.ones((2, 1))
     for kind in KINDS:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,19 +149,19 @@ def test_vectorized_matches_scalar(name):
 def test_disturbance_models():
     rng = np.random.default_rng(0)
     none = DisturbanceModel()
-    assert none.draw(rng, (5,)).shape == (5, 0)
-    uni = DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01)
-    draws = uni.draw(rng, (10_000,))
+    assert none.draw(rng, (5, 0)).shape == (5, 0)
+    uni = DisturbanceModel(kind="uniform", lo=0.0, hi=0.01)
+    draws = uni.draw(rng, (10_000, 1))
     assert draws.shape == (10_000, 1)
     assert draws.min() >= 0.0 and draws.max() <= 0.01
-    gau = DisturbanceModel(kind="gaussian", dim=2, variance=0.1)
-    draws = gau.draw(rng, (50_000,))
+    gau = DisturbanceModel(kind="gaussian", variance=0.1)
+    draws = gau.draw(rng, (50_000, 2))
     np.testing.assert_allclose(draws.mean(), 0.0, atol=0.01)
     np.testing.assert_allclose(draws.var(), 0.1, atol=0.01)
     with pytest.raises(ConfigError):
-        DisturbanceModel(kind="poisson", dim=1)
+        DisturbanceModel(kind="poisson")
     with pytest.raises(ConfigError):
-        DisturbanceModel(kind="uniform", dim=1, lo=1.0, hi=0.0)
+        DisturbanceModel(kind="uniform", lo=1.0, hi=0.0)
 
 
 NAN = float("nan")
@@ -167,15 +169,24 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("build_model, field", [
     (lambda: make_builtin_plant("cubic_scalar", alpha=NAN), "alpha"),
-    (lambda: DisturbanceModel(kind="uniform", dim=1, lo=NAN, hi=1.0), "disturbance.lo"),
-    (lambda: DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=NAN), "disturbance.hi"),
-    (lambda: DisturbanceModel(kind="gaussian", dim=1, variance=NAN), "disturbance.variance"),
-    (lambda: DisturbanceModel(kind="gaussian", dim=1, mean=NAN), "disturbance.mean"),
+    (lambda: DisturbanceModel(kind="uniform", lo=NAN, hi=1.0), "disturbance.lo"),
+    (lambda: DisturbanceModel(kind="uniform", lo=0.0, hi=NAN), "disturbance.hi"),
+    (lambda: DisturbanceModel(kind="gaussian", variance=NAN), "disturbance.variance"),
+    (lambda: DisturbanceModel(kind="gaussian", mean=NAN), "disturbance.mean"),
 ], ids=["plant-alpha", "lo", "hi", "variance", "mean"])
 def test_a_nan_parameter_is_a_config_error_naming_it(build_model, field):
     # NaN fails every comparison, so a guard written as `x < bound` lets it pass
     with pytest.raises(ConfigError, match=field):
         build_model()
+
+
+@pytest.mark.parametrize("change", [{"rho": None}, {"rho": "0.5"}, {"alpha": "1.5"},
+                                    {"alpha": True}])
+def test_a_plant_rate_that_is_no_number_is_a_config_error(change):
+    # the certificates' rule (`check_rates`), with alpha None allowed for a plant
+    with pytest.raises(ConfigError, match=f"^{next(iter(change))} must"):
+        replace(make_builtin_plant("sat_2d"), **change)
+    assert replace(make_builtin_plant("sat_2d"), alpha=None).alpha is None
 
 
 def test_an_infinite_alpha_is_a_config_error():
@@ -191,7 +202,7 @@ def test_an_infinite_disturbance_parameter_is_a_config_error_naming_it(kind, fie
     # with an infinite mean or variance draws +-inf
     params = {"lo": -1.0, "hi": 1.0} if kind == "uniform" else {"variance": 1.0}
     with pytest.raises(ConfigError, match=f"disturbance.{field} must be finite"):
-        DisturbanceModel(kind=kind, dim=1, **{**params, field: value})
+        DisturbanceModel(kind=kind, **{**params, field: value})
 
 
 def test_norm_reduces_last_axis():
@@ -219,14 +230,14 @@ def test_sum_squares_is_the_reduction_bit_for_bit(x):
 
 @st.composite
 def sat_2d_calls(draw, elements=st.floats(allow_nan=False, allow_infinity=False),
-                 max_rows=2 * ROW_CALL_MAX):
+                 max_rows=2 * ROW_CALL_MAX, layouts=("()", "(k,)", "rollout")):
     """(x, u, w) on `()` lanes, on `(k,)` lanes, or on `(k,)` lanes with a rollout's zeros(1).
 
     A `()` call is one row, so `policy(x)` is drawn 1-D too. Stacks hold 0
     to `max_rows` rows: by default up to 2 ROW_CALL_MAX, on both sides of
     where sat_2d leaves its Python row path for numpy.
     """
-    layout = draw(st.sampled_from(["()", "(k,)", "rollout"]))
+    layout = draw(st.sampled_from(layouts))
     lead = () if layout == "()" else (draw(st.integers(0, max_rows)),)
     x = draw(arrays(np.float64, lead + (2,), elements=elements))
     u = draw(arrays(np.float64, lead + (2,), elements=elements))
@@ -276,17 +287,17 @@ EDGE_VALUES = st.one_of(COMPONENT_VALUES, st.sampled_from([
     float("nan"), float("inf"), -float("inf"), 1.0, -1.0, 1.0 + 2 ** -52, -0.5, 0.5]))
 
 
-@given(sat_2d_calls(elements=EDGE_VALUES, max_rows=ROW_CALL_MAX))
+@given(sat_2d_calls(elements=EDGE_VALUES, max_rows=ROW_CALL_MAX, layouts=("()", "rollout")))
 @settings(max_examples=300, deadline=None)
 def test_sat_2d_row_path_is_the_array_path(call):
-    """The row paths: the closed-loop map's on 1-D calls and stacks, f's and policy's on 1-D
-    calls."""
+    """The row paths: f's on a 1-D call, the closed-loop map's on a rollout's stack."""
     plant = make_builtin_plant("sat_2d")
     x, u, w = call
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs = [(plant.f(x, u, w), on_the_array_path(plant.f, x, u, w)),
-                 (plant.policy(x), on_the_array_path(plant.policy, x)),
-                 *zip(plant.closed_loop(x, w), on_the_array_path(plant.closed_loop, x, w))]
+        if x.ndim == 1:
+            pairs = [(plant.f(x, u, w), on_the_array_path(plant.f, x, u, w))]
+        else:
+            pairs = zip(plant.closed_loop(x, w), on_the_array_path(plant.closed_loop, x, w))
     for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)  # NaN equals NaN here

@@ -17,7 +17,7 @@ from anyctrl import controller
 from anyctrl.availability import MarkovAvailability
 from anyctrl.controller import KINDS, ControllerKind, Ring, tentative_sequence
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, _batch_simulate, run_episode
+from anyctrl.simulation import SimConfig, monte_carlo, run_episode
 
 import oracles
 
@@ -89,7 +89,7 @@ def test_ring_after_each_advance_equals_fancy_assignment(layout, plant, lanes):
 def markov_sat_2d(plant, kind):
     return SimConfig(plant=plant, availability=MarkovAvailability(Q3, P3),
                      controller=ControllerKind(kind),
-                     disturbance=DisturbanceModel(kind="uniform", dim=1, lo=-0.05, hi=0.05),
+                     disturbance=DisturbanceModel(kind="uniform", lo=-0.05, hi=0.05),
                      horizon=120, runs=12, master_seed=9, x0_box=(-2.0, 2.0))
 
 
@@ -97,13 +97,13 @@ def markov_sat_2d(plant, kind):
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
     config = markov_sat_2d(laid_out(SAT_2D, layout), kind)
-    costs = _batch_simulate(config)
+    costs = monte_carlo(config).per_run_costs
     traces = [run_episode(config, r) for r in range(2)]
     # the engine's `(runs,)` lanes and one run's `()` lanes cost the plant's output alike
     np.testing.assert_array_equal(costs[:2], [oracles.empirical_cost(trace, config.q_x, config.r_u)
                                               for trace in traces])
     monkeypatch.setattr(controller, "tentative_sequence", oracles.ring_advance_fancy)
-    want = _batch_simulate(config)
+    want = monte_carlo(config).per_run_costs
     np.testing.assert_array_equal(costs, want)
     for r, trace in enumerate(traces):
         expected = run_episode(config, r)

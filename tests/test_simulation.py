@@ -12,7 +12,7 @@ from anyctrl.controller import ControllerKind
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.plants import DisturbanceModel, PlantModel, make_builtin_plant
 from anyctrl.simulation import (CSV_CHUNK_ROWS, CostSummary, SimConfig, SimTrace,
-                                _batch_simulate, improvement_pct, monte_carlo,
+                                improvement_pct, monte_carlo,
                                 paired_diff, presample, run_episode, run_streams,
                                 write_runs_csv, write_trace_csv)
 
@@ -25,7 +25,7 @@ LINEAR = make_builtin_plant("linear_scalar", a=1.2)
 def make_config(**overrides):
     base = dict(plant=LINEAR, availability=from_execution_time(0.3),
                 controller=ControllerKind("a2"),
-                disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
                 horizon=500, runs=20, master_seed=42)
     base.update(overrides)
     return SimConfig(**base)
@@ -40,8 +40,6 @@ def test_config_validation():
         make_config(availability=IidAvailability([1.0, 0.0]))
     with pytest.raises(ConfigError):
         make_config(x0=np.array([1.0, 2.0]))
-    with pytest.raises(ConfigError):
-        make_config(disturbance=DisturbanceModel(kind="gaussian", dim=2, variance=0.1))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -55,6 +53,10 @@ NAN, INF = float("nan"), float("inf")
     ({"x0_box": (0.0, INF)}, "x0_box"),
     ({"x0_box": (NAN, 1.0)}, "x0_box"),
     ({"x0_box": (1.0, 0.0)}, "x0_box"),
+    ({"x0_box": (0, 1, 2)}, "x0_box"),
+    ({"x0_box": (0,)}, "x0_box"),
+    ({"x0_box": 5}, "x0_box"),
+    ({"x0": [0.5], "x0_box": (-1.0, 1.0)}, "x0_box"),
     ({"master_seed": -1}, "seed"),
     ({"master_seed": 1.5}, "seed"),
     ({"master_seed": True}, "seed"),
@@ -68,6 +70,16 @@ def test_config_rejects_values_the_simulation_cannot_use(change, key):
     error, or (a float seed) ran as another seed."""
     with pytest.raises(ConfigError, match=f"^{key} must"):
         make_config(**change)
+
+
+@pytest.mark.parametrize("name", ["cubic_scalar", "linear_scalar", "sat_2d", "log_lyapunov"])
+def test_config_needs_no_disturbance_for_any_builtin_plant(name):
+    """The default disturbance draws zeros of the plant's disturbance dimension m."""
+    plant = make_builtin_plant(name, **{"linear_scalar": {"a": 1.2},
+                                        "log_lyapunov": {"rho": 0.5}}.get(name, {}))
+    config = SimConfig(plant, from_execution_time(0.3), ControllerKind("a2"), horizon=20, runs=2)
+    w_all = presample(config)[1]
+    assert w_all.shape == (2, 20, plant.m) and not w_all.any()
 
 
 def test_config_takes_numpy_integers():
@@ -122,7 +134,7 @@ def test_full_availability_baseline_contracts():
     """Always-available processor, no noise: pure 0.99 contraction."""
     cfg = SimConfig(plant=CUBIC, availability=IidAvailability([0.0, 1.0]),
                     controller=ControllerKind("baseline"),
-                    disturbance=DisturbanceModel(kind="none", dim=1),
+                    disturbance=DisturbanceModel(kind="none"),
                     horizon=50, runs=1, master_seed=0)
     trace = run_episode(cfg, 0)
     np.testing.assert_allclose(trace.x[:, 0], 0.99 ** np.arange(50), atol=1e-12)
@@ -133,7 +145,7 @@ def test_full_availability_makes_controllers_identical():
     for kind in ("baseline", "a1", "a2"):
         cfg = SimConfig(plant=LINEAR, availability=IidAvailability([0.0, 0.5, 0.5]),
                         controller=ControllerKind(kind),
-                        disturbance=DisturbanceModel(kind="none", dim=1),
+                        disturbance=DisturbanceModel(kind="none"),
                         horizon=200, runs=4, master_seed=1)
         summary = monte_carlo(cfg)
         if kind == "baseline":
@@ -146,7 +158,7 @@ def test_divergence_truncates_and_costs_inf():
     # open loop: the cubic plant escapes from x0 = 2 without control
     cfg = SimConfig(plant=CUBIC, availability=IidAvailability([0.999, 0.001]),
                     controller=ControllerKind("baseline"),
-                    disturbance=DisturbanceModel(kind="none", dim=1),
+                    disturbance=DisturbanceModel(kind="none"),
                     horizon=5000, runs=1, master_seed=0, x0=np.array([2.0]))
     trace = run_episode(cfg, 0)
     assert trace.diverged
@@ -188,7 +200,7 @@ def test_batch_engine_matches_reference_loop_2d():
     cfg = SimConfig(plant=make_builtin_plant("sat_2d"),
                     availability=from_execution_time(0.23),
                     controller=ControllerKind("a1"),
-                    disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                    disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
                     horizon=300, runs=8, master_seed=9)
     batch = monte_carlo(cfg).per_run_costs
     loop = np.array([oracles.empirical_cost(run_episode(cfg, r), cfg.q_x, cfg.r_u)
@@ -201,11 +213,11 @@ def test_batch_engine_stops_when_every_run_diverged(kind):
     # a starved processor lets the cubic plant escape from x0 = 2 in every run
     cfg = SimConfig(plant=CUBIC, availability=IidAvailability([0.99, 0.01]),
                     controller=ControllerKind(kind),
-                    disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01),
+                    disturbance=DisturbanceModel(kind="uniform", lo=0.0, hi=0.01),
                     horizon=3000, runs=6, master_seed=0, x0=np.array([2.0]))
     traces = [run_episode(cfg, r) for r in range(cfg.runs)]
     assert all(t.diverged and t.steps < cfg.horizon // 2 for t in traces)
-    stopped = _batch_simulate(cfg)
+    stopped = monte_carlo(cfg).per_run_costs
     # the reference steps every run for the whole horizon
     stepped, _ = oracles.masked_batch_simulate(cfg)
     np.testing.assert_array_equal(stopped, stepped)
@@ -311,7 +323,7 @@ def test_mean_lyapunov_checkpoints():
     cfg = SimConfig(plant=make_builtin_plant("sat_2d"),
                     availability=from_execution_time(0.3),
                     controller=ControllerKind("a1"),
-                    disturbance=DisturbanceModel(kind="none", dim=1),
+                    disturbance=DisturbanceModel(kind="none"),
                     horizon=101, runs=30, master_seed=0)
     means, ses = oracles.mean_lyapunov_at(cfg, [0, 10, 100])
     assert means.shape == (3,) and ses.shape == (3,)
@@ -414,7 +426,7 @@ def test_episode_equals_naive_loop_on_its_own_streams(kind, plant_name, tau, buf
     plant = LINEAR if plant_name == "linear_scalar" else make_builtin_plant("sat_2d")
     cfg = SimConfig(plant=plant, availability=from_execution_time(tau),
                     controller=ControllerKind(kind, buffer_cap=buffer_cap),
-                    disturbance=DisturbanceModel(kind="gaussian", dim=1, variance=0.1),
+                    disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
                     horizon=40, runs=1, master_seed=seed, x0_box=(-2.0, 2.0))
     trace = run_episode(cfg, run_index)
     n_sched, w, x0 = oracles.presample_run(cfg, run_index)
@@ -506,7 +518,7 @@ def test_diverged_lanes_start_no_sequence_but_finish_those_in_flight(monkeypatch
     # the cubic plant at tau 0.4 diverges in some runs within 300 steps and not in others
     cfg = make_config(plant=CUBIC, availability=from_execution_time(0.4),
                       controller=ControllerKind(kind), horizon=300, runs=8, master_seed=3,
-                      disturbance=DisturbanceModel(kind="uniform", dim=1, lo=0.0, hi=0.01))
+                      disturbance=DisturbanceModel(kind="uniform", lo=0.0, hi=0.01))
     n_all, _, _ = presample(cfg)
     n_lived = np.array(n_all)
     for r in range(cfg.runs):
@@ -552,7 +564,7 @@ def stepped(kind, x0, n_sched, w):
     """The states and last `alive` that `_blocks` yields."""
     config = SimConfig(plant=ECHO, availability=IidAvailability([0.5, 0.3, 0.2]),
                        controller=ControllerKind(kind),
-                       disturbance=DisturbanceModel(kind="none", dim=2),
+                       disturbance=DisturbanceModel(kind="none"),
                        horizon=GUARD_HORIZON)
     states, alive = [], None
     for xs, _, alive in simulation._blocks(config, n_sched, w, x0):

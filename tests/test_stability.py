@@ -382,6 +382,17 @@ def test_certificate_inputs_reject_nan(rho, alpha, pmf, field):
         CertificateInputs(rho=rho, alpha=alpha, availability=IidAvailability(pmf))
 
 
+@pytest.mark.parametrize("rho, alpha, field", [(0.5, None, "^alpha must"),
+                                               (0.5, "1.5", "^alpha must"),
+                                               (0.5, True, "^alpha must"),
+                                               (None, 1.5, "^rho must"),
+                                               ("0.5", 1.5, "^rho must")])
+def test_certificate_inputs_reject_rates_that_are_no_numbers(rho, alpha, field):
+    # None and strings once raised a TypeError from a comparison; a bool is no rate either
+    with pytest.raises(ConfigError, match=field):
+        CertificateInputs(rho, alpha, IidAvailability([0.5, 0.5]))
+
+
 def test_an_infinite_alpha_is_a_config_error():
     """An infinite alpha would give every margin as NaN with not_certified verdicts."""
     with pytest.raises(ConfigError, match="^alpha must be finite"):
