@@ -35,6 +35,13 @@ one per output file on configs/stability.yaml and
 configs/stability_markov.yaml, and `anyctrl sweep` one per output file on
 each configs/sweep_fig*.yaml (at the file's seed and the script's runs and
 horizon).
+The objects the config parser builds get one digest per document, over
+each field's name, type and value, plant callables left out: every
+configs/*.yaml, the benchmark's Markov config, the sat_2d Markov config,
+a simulate and a stability document of integers where floats are
+expected, and one custom sweep. A sweep document's spec is the one
+`anyctrl sweep` hands to `run_sweep` (at the script's runs and horizon),
+caught there, so the parse layer of either version can be compared.
 
 It imports the package from the `src/` next to it unless PYTHONPATH is
 set, so one copy of the script can check two versions of the package.
@@ -49,6 +56,7 @@ whatever type stores them):
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -65,11 +73,12 @@ sys.path.append(str(ROOT / "bench"))  # certify pool, Markov config; the package
 
 import numpy as np  # noqa: E402
 
-from anyctrl import controller, experiments  # noqa: E402
+from anyctrl import cli, controller, experiments  # noqa: E402
 from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
                                   from_execution_time, make_sampler)
 from anyctrl.cli import main as cli_main  # noqa: E402
-from anyctrl.config import parse_sim_config  # noqa: E402
+from anyctrl.config import (load_yaml, parse_certificate_inputs,  # noqa: E402
+                            parse_sim_config)
 from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
 from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
 from anyctrl.simulation import (SimConfig, _blocks, monte_carlo, presample,  # noqa: E402
@@ -312,6 +321,71 @@ def print_cli(name: str, command: str, config: Path, *flags) -> None:
         print(f"{name} {file} {sha}")
 
 
+# documents of integers where the schema reads floats, and a custom sweep
+INT_SIMULATE = {"plant": {"name": "linear_scalar", "params": {"a": 1, "q": 1, "r": 2}},
+                "availability": {"kind": "markov", "Q": [[0.5, 0.5], [1, 0]],
+                                 "P": [[0, 1], [1, 0]], "initial_state": 1},
+                "controller": {"kind": "a1", "buffer_cap": 1},
+                "disturbance": {"kind": "uniform", "lo": -1, "hi": 1},
+                "cost": {"q_x": 1, "r_u": 0}, "x0": [2], "seed": 4, "runs": 3, "horizon": 9}
+INT_STABILITY = {"rho": 0, "alpha": 2, "availability": {"kind": "iid", "p": [0, 1]}}
+CUSTOM_SWEEP = {"experiment": "custom", "sweep": "a", "grid": [0.9, 1, 1.1], "seed": 2,
+                "base": {"plant": {"name": "linear_scalar", "params": {"a": 1.2, "q": 0.5}},
+                         "availability": {"kind": "iid", "p": [0.2, 0.3, 0.5]},
+                         "controller": {"kind": "a2", "buffer_cap": 2},
+                         "disturbance": {"kind": "gaussian", "mean": 0.1, "variance": 0.2},
+                         "x0_box": [-1, 2], "runs": 5}}
+
+
+def describe(value) -> str:
+    """Each field's name, type and value, recursively; callables are left out."""
+    if dataclasses.is_dataclass(value):
+        fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+        return f"{type(value).__name__}(" + ", ".join(
+            f"{name}={describe(v)}" for name, v in fields if not callable(v)) + ")"
+    if isinstance(value, np.ndarray):
+        return f"ndarray[{value.dtype.str}{value.shape}]({value.tobytes().hex()})"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k!r}: {describe(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return f"{type(value).__name__}[" + ", ".join(map(describe, value)) + "]"
+    return f"{type(value).__name__}({value!r})"
+
+
+def parsed_sweep(path: Path, *flags):
+    """The spec that `anyctrl sweep` builds from the file at `path`, caught at `run_sweep`."""
+    specs = []
+    run_sweep, cli.run_sweep = cli.run_sweep, lambda spec: specs.append(spec) or []
+    try:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["sweep", "--config", str(path), "--out", out, *flags])
+    finally:
+        cli.run_sweep = run_sweep
+    return specs[0] if code == 0 else f"exit {code}"
+
+
+def print_parsed(seed: int, runs: int, horizon: int) -> None:
+    scale = ("--runs", str(runs), "--horizon", str(horizon))
+    docs = {path.name: path for path in sorted((ROOT / "configs").glob("*.yaml"))}
+    docs.update({"bench markov": markov_config(seed, runs, horizon),
+                 "sat_2d markov": markov_simulate_doc(seed), "integer simulate": INT_SIMULATE,
+                 "integer stability": INT_STABILITY, "custom sweep": CUSTOM_SWEEP})
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            if isinstance(doc, dict):
+                path = Path(tmp) / "doc.yaml"
+                path.write_text(json.dumps(doc))  # JSON is YAML
+                doc = path
+            data = load_yaml(doc)
+            if "experiment" in data:
+                built = parsed_sweep(doc, *scale)
+            elif "rho" in data:
+                built = parse_certificate_inputs(data)
+            else:
+                built = parse_sim_config(data)
+            print(f"parsed {name} {hashlib.sha256(describe(built).encode()).hexdigest()}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -358,6 +432,7 @@ def main():
     print_schedules(args.seed, args.runs, args.horizon)
     print_samples(args.seed)
     print_certificates(args.seed)
+    print_parsed(args.seed, args.runs, args.horizon)
 
     scale = ("--runs", str(args.runs), "--horizon", str(args.horizon))
     print_cli("cli simulate", "simulate", ROOT / "configs" / "simulate.yaml", *scale,

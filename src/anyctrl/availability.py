@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer, real
 
 _TOL = 1e-12
 # time steps per block of the lockstep chain walk on many streams; a block
@@ -58,7 +58,7 @@ class IidAvailability:
     def __post_init__(self):
         object.__setattr__(self, "pmf", _frozen(self.pmf))
         if self.pmf.ndim != 1 or self.pmf.size < 1:
-            raise ConfigError("availability pmf must be a nonempty vector")
+            raise ConfigError(f"availability.p must be a nonempty vector, got {self.pmf.tolist()}")
 
     @property
     def max_len(self) -> int:
@@ -86,11 +86,15 @@ class MarkovAvailability:
         object.__setattr__(self, "transition", _frozen(self.transition))
         object.__setattr__(self, "cond_pmfs", _frozen(self.cond_pmfs))
         if self.transition.ndim != 2 or self.transition.shape[0] != self.transition.shape[1]:
-            raise ConfigError("transition matrix must be square")
+            raise ConfigError("availability.Q, the transition matrix, must be square")
         if self.cond_pmfs.ndim != 2 or self.cond_pmfs.shape[0] != self.transition.shape[0]:
-            raise ConfigError("conditional pmfs must have one row per chain state")
-        if self.initial_state is not None and not (0 <= self.initial_state < self.num_states):
-            raise ConfigError(f"initial_state {self.initial_state} out of range")
+            raise ConfigError("availability.P must hold one pmf row per chain state")
+        if self.initial_state is not None:
+            state = integer(self.initial_state, "availability.initial_state")
+            if not 0 <= state < self.num_states:
+                raise ConfigError("availability.initial_state must lie in "
+                                  f"0..{self.num_states - 1}, got {state}")
+            object.__setattr__(self, "initial_state", state)
 
     @property
     def num_states(self) -> int:
@@ -119,8 +123,9 @@ def from_execution_time(tau: float) -> IidAvailability:
     Lambda = floor(1/tau), with a 1e-9 snap so that integer 1/tau is stable
     under float rounding. A zero last entry is kept rather than shrunk.
     """
-    if not (0.0 < tau < 1.0):
-        raise ConfigError(f"execution time tau must lie in (0, 1), got {tau}")
+    tau = real(tau, "availability.tau")
+    if not 0.0 < tau < 1.0:
+        raise ConfigError(f"availability.tau must lie in (0, 1), got {tau}")
     lam = int(np.floor(1.0 / tau + 1e-9))
     pmf = np.full(lam + 1, tau)
     pmf[lam] = max(0.0, 1.0 - lam * tau)

@@ -1,4 +1,8 @@
-"""Command-line front end: simulate, stability, and sweep subcommands."""
+"""Command-line front end: simulate, stability, and sweep subcommands.
+
+Each loads its YAML file, parses it with `config`, runs and writes; a
+ConfigError, which names its key, exits with status 2.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (CUSTOM_SWEEP_KEYS, SWEEP_KEYS, _section, load_yaml,
-                     parse_certificate_inputs, parse_scale, parse_sim_config)
+from .config import load_yaml, parse_certificate_inputs, parse_sim_config, parse_sweep
 from .errors import ConfigError
-from .experiments import (BUILTIN, ExperimentSpec, builtin_experiment, run_sweep,
-                          write_sweep_csv)
+from .experiments import run_sweep, write_sweep_csv
 from .simulation import (monte_carlo, run_episode, write_runs_csv,
                          write_trace_csv)
 from .stability import evaluate
@@ -65,42 +67,9 @@ def cmd_stability(args) -> int:
     return 0
 
 
-def _custom_spec(data: dict, grid: list, overrides: dict) -> ExperimentSpec:
-    """A custom sweep whose variable the base config can actually vary."""
-    base_doc = _section(data.get("base"), "base")
-    try:
-        base = parse_sim_config(base_doc, **overrides)
-    except ConfigError as exc:
-        raise ConfigError(f"base: {exc}") from None
-    sweep = data.get("sweep")
-    if sweep is None:
-        raise ConfigError("missing key sweep (tau | a | buffer_cap) for custom experiment")
-    if grid is None:
-        raise ConfigError("missing key grid for custom experiment")
-    kind = base_doc["availability"]["kind"]
-    if sweep == "tau" and kind != "exec_time":
-        raise ConfigError(f"sweeping tau needs base.availability.kind exec_time, got {kind!r}")
-    return ExperimentSpec(sweep, tuple(grid), base)
-
-
 def cmd_sweep(args) -> int:
     data = load_yaml(args.config)
-    name = data.get("experiment", "custom")
-    scale = parse_scale(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
-    # a value neither the top level nor a flag gives stays the base's (or the built-in default)
-    overrides = {key: value for key, value in scale.items()
-                 if key in data or getattr(args, key) is not None}
-    grid = data.get("grid")
-    if grid is not None and not isinstance(grid, list):
-        raise ConfigError(f"grid must be a list, got {grid!r}")
-    if isinstance(name, str) and name in BUILTIN:  # a list is unhashable: test it is a str first
-        spec = builtin_experiment(name, grid=grid, **overrides)
-    elif name == "custom":
-        spec = _custom_spec(data, grid, overrides)
-    else:
-        raise ConfigError(f"experiment must be one of {', '.join(BUILTIN)}, custom; "
-                          f"got {name!r}")
-    _section(data, "", CUSTOM_SWEEP_KEYS if name == "custom" else SWEEP_KEYS)
+    name, spec = parse_sweep(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
     rows = run_sweep(spec)
     out = _out_dir(args)
     path = out / f"sweep_{name}.csv"

@@ -1,26 +1,29 @@
 """YAML config parsing for simulations, certificate checks, and sweeps.
 
 The config is one nested key-value file; see README for the full schema.
-Every parse error names the offending key, and a key the schema does not
-know is an error too. Numbers must be finite: NaN and infinities are
-config errors, not values to simulate with.
+This module reads documents: it rejects missing keys, unknown keys (a key
+of another kind included) and sections that are not mappings, and passes
+each value as written to the object that holds it, whose constructor is
+the value's one check (by the rules in `errors`) and names its key. Only
+the availability arrays are checked here, as the models hold NaN for
+`availability.validate` to report, and the bag of `plant.params`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-import numpy as np
 import yaml
 
 from .availability import (AvailabilityModel, IidAvailability,
                            MarkovAvailability, from_execution_time,
                            require_valid)
 from .controller import ControllerKind
-from .errors import ConfigError
+from .errors import ConfigError, real, reals
+from .experiments import BUILTIN, ExperimentSpec, builtin_experiment
 from .plants import (BUILTIN_PLANTS, DISTURBANCE_KEYS, DisturbanceModel, PlantModel,
                      make_builtin_plant)
-from .simulation import SimConfig
+from .simulation import SimConfig, check_scale
 from .stability import CertificateInputs
 
 # the top-level keys of each kind of document
@@ -75,35 +78,6 @@ def _kind_keys(section: dict, key: str, kind: str, known: dict) -> None:
         raise ConfigError(f"unknown key {key}.{stray[0]} for kind {kind}")
 
 
-def _float(value, key: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not np.isfinite(out):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return out
-
-
-def _int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _array(value, key: str) -> np.ndarray:
-    """A float array from nested lists of finite numbers."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must hold numbers in a rectangular list, got {value!r}") from None
-    if not np.isfinite(out).all():
-        raise ConfigError(f"{key} must hold finite numbers, got {value!r}")
-    return out
-
-
 def parse_availability(section: dict) -> AvailabilityModel:
     section = _section(section, "availability")
     kind = _require(section, "kind", "availability")
@@ -112,24 +86,18 @@ def parse_availability(section: dict) -> AvailabilityModel:
                           f"got {kind!r}")
     _kind_keys(section, "availability", kind, AVAILABILITY_KEYS)
     if kind == "exec_time":
-        tau = _float(_require(section, "tau", "availability"), "availability.tau")
-        try:
-            return from_execution_time(tau)
-        except ConfigError as exc:
-            raise ConfigError(f"availability.tau: {exc}") from None
+        return from_execution_time(_require(section, "tau", "availability"))
     if kind == "iid":
-        pmf = _array(_require(section, "p", "availability"), "availability.p")
-        where, build = "availability.p", lambda: IidAvailability(pmf)
+        where = "availability.p"
+        model = IidAvailability(reals(_require(section, "p", "availability"), where))
     else:
-        q = _array(_require(section, "Q", "availability"), "availability.Q")
-        p = _array(_require(section, "P", "availability"), "availability.P")
-        initial = section.get("initial_state")
-        if initial is not None:
-            initial = _int(initial, "availability.initial_state")
         # the invariants tie Q, P and initial_state together
-        where, build = "availability", lambda: MarkovAvailability(q, p, initial_state=initial)
+        where = "availability"
+        model = MarkovAvailability(reals(_require(section, "Q", where), "availability.Q"),
+                                   reals(_require(section, "P", where), "availability.P"),
+                                   initial_state=section.get("initial_state"))
     try:
-        return require_valid(build())
+        return require_valid(model)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -139,7 +107,7 @@ def parse_plant(section: dict) -> PlantModel:
     name = _require(section, "name", "plant")
     if not isinstance(name, str) or name not in BUILTIN_PLANTS:
         raise ConfigError(f"plant.name must be one of {list(BUILTIN_PLANTS)}, got {name!r}")
-    params = {str(key): _float(value, f"plant.params.{key}")
+    params = {str(key): real(value, f"plant.params.{key}")
               for key, value in _section(section.get("params"), "plant.params").items()}
     try:
         return make_builtin_plant(name, **params)
@@ -154,12 +122,7 @@ def parse_disturbance(section: Optional[dict]) -> DisturbanceModel:
         raise ConfigError(f"disturbance.kind must be one of {tuple(DISTURBANCE_KEYS)}, "
                           f"got {kind!r}")
     _kind_keys(section, "disturbance", kind, DISTURBANCE_KEYS)
-    values = {key: _float(section.get(key, 0.0), f"disturbance.{key}")
-              for key in DISTURBANCE_KEYS[kind]}
-    try:
-        return DisturbanceModel(kind=kind, **values)
-    except ConfigError as exc:
-        raise ConfigError(f"disturbance: {exc}") from None
+    return DisturbanceModel(kind=kind, **{key: section[key] for key in section if key != "kind"})
 
 
 def parse_controller(section: dict) -> ControllerKind:
@@ -173,18 +136,16 @@ def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] =
                 horizon: Optional[int] = None) -> dict:
     """seed, runs and horizon from the file, with keyword overrides winning.
 
-    A value neither gives is the SimConfig default. The file's values are
-    checked even where an override replaces them.
+    A value neither gives is the SimConfig default. Every value is held to
+    `simulation.check_scale`, the file's too where an override replaces it.
     """
     given = {"seed": seed, "runs": runs, "horizon": horizon}
     out = {}
-    for key, default, least in (("seed", SimConfig.master_seed, 0), ("runs", SimConfig.runs, 1),
-                                ("horizon", SimConfig.horizon, 1)):
-        override = [] if given[key] is None else [given[key]]
-        for value in [data.get(key, default)] + override:
-            out[key] = _int(value, key)
-            if out[key] < least:
-                raise ConfigError(f"{key} must be >= {least}, got {value}")
+    for key, default in (("seed", SimConfig.master_seed), ("runs", SimConfig.runs),
+                         ("horizon", SimConfig.horizon)):
+        out[key] = check_scale(key, data.get(key, default))
+        if given[key] is not None:
+            out[key] = check_scale(key, given[key])
     return out
 
 
@@ -197,31 +158,53 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
     controller = parse_controller(_require(data, "controller", ""))
     disturbance = parse_disturbance(data.get("disturbance"))
     cost = _section(data.get("cost"), "cost", ("q_x", "r_u"))
-    x0 = data.get("x0")
-    x0_box = data.get("x0_box")
-    if x0_box is not None:
-        if not isinstance(x0_box, (list, tuple)) or len(x0_box) != 2:
-            raise ConfigError("x0_box must be [lo, hi]")
-        x0_box = (_float(x0_box[0], "x0_box"), _float(x0_box[1], "x0_box"))
     sizes = parse_scale(data, seed=seed, runs=runs, horizon=horizon)
-    return SimConfig(
-        plant=plant,
-        availability=availability,
-        controller=controller,
-        disturbance=disturbance,
-        horizon=sizes["horizon"],
-        runs=sizes["runs"],
-        master_seed=sizes["seed"],
-        x0=None if x0 is None else _array(x0, "x0"),
-        x0_box=x0_box,
-        q_x=_float(cost.get("q_x", 0.2), "cost.q_x"),
-        r_u=_float(cost.get("r_u", 2.0), "cost.r_u"),
-    )
+    return SimConfig(plant=plant, availability=availability, controller=controller,
+                     disturbance=disturbance, horizon=sizes["horizon"], runs=sizes["runs"],
+                     master_seed=sizes["seed"], x0=data.get("x0"), x0_box=data.get("x0_box"),
+                     **cost)
 
 
 def parse_certificate_inputs(data: dict) -> CertificateInputs:
     _section(data, "", STABILITY_KEYS)
-    rho = _float(_require(data, "rho", ""), "rho")
-    alpha = _float(_require(data, "alpha", ""), "alpha")
-    availability = parse_availability(_require(data, "availability", ""))
-    return CertificateInputs(rho=rho, alpha=alpha, availability=availability)
+    return CertificateInputs(rho=_require(data, "rho", ""), alpha=_require(data, "alpha", ""),
+                             availability=parse_availability(_require(data, "availability", "")))
+
+
+def parse_sweep(data: dict, *, seed: Optional[int] = None, runs: Optional[int] = None,
+                horizon: Optional[int] = None) -> Tuple[str, ExperimentSpec]:
+    """The experiment's name and sweep; keyword overrides win over file values.
+
+    A stock experiment takes the file's grid, if given, for its default. A
+    custom one's `base:` keeps its scale unless the top level or an override
+    gives one, and its errors are prefixed `base:`.
+    """
+    name = data.get("experiment", "custom")
+    if name != "custom" and not (isinstance(name, str) and name in BUILTIN):
+        raise ConfigError(f"experiment must be one of {', '.join(BUILTIN)}, custom; "
+                          f"got {name!r}")
+    scale = parse_scale(data, seed=seed, runs=runs, horizon=horizon)
+    given = {"seed": seed, "runs": runs, "horizon": horizon}
+    # a value neither the top level nor an override gives stays the base's (or the default)
+    overrides = {key: value for key, value in scale.items()
+                 if key in data or given[key] is not None}
+    grid = data.get("grid")
+    if grid is not None and not isinstance(grid, list):
+        raise ConfigError(f"grid must be a list, got {grid!r}")
+    if name != "custom":
+        spec = builtin_experiment(name, grid=grid, **overrides)
+        _section(data, "", SWEEP_KEYS)
+        return name, spec
+    base_doc = _section(data.get("base"), "base")
+    try:
+        base = parse_sim_config(base_doc, **overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"base: {exc}") from None
+    sweep, grid = _require(data, "sweep", ""), _require(data, "grid", "")
+    # the base must be one the sweep can vary; ExperimentSpec checks a sweep over `a`
+    kind = base_doc["availability"]["kind"]
+    if sweep == "tau" and kind != "exec_time":
+        raise ConfigError(f"sweeping tau needs base.availability.kind exec_time, got {kind!r}")
+    spec = ExperimentSpec(sweep, tuple(grid), base)
+    _section(data, "", CUSTOM_SWEEP_KEYS)
+    return name, spec

@@ -51,7 +51,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CertificateViolation, ConfigError
+from .errors import CertificateViolation, ConfigError, integer
 from .plants import PlantModel
 
 DECREASE_SLACK = 1e-9
@@ -85,14 +85,12 @@ class ControllerKind:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"controller.kind must be one of {KINDS}, got {self.kind!r}")
-        cap = self.buffer_cap
-        if cap is None:
+        if self.buffer_cap is None:
             return
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
-            raise ConfigError(f"controller.buffer_cap must be an integer, got {cap!r}")
+        cap = integer(self.buffer_cap, "controller.buffer_cap")
         if cap < 1:
             raise ConfigError(f"controller.buffer_cap must be >= 1, got {cap}")
-        object.__setattr__(self, "buffer_cap", int(cap))
+        object.__setattr__(self, "buffer_cap", cap)
 
     def capped(self, n_sched) -> np.ndarray:
         """The N(k) schedule capped at `buffer_cap`, in the array's own type.

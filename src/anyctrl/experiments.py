@@ -11,16 +11,14 @@ the linear plant parameter a, and an artificial buffer-size cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .availability import from_execution_time
 from .controller import KINDS, ControllerKind
-from .errors import ConfigError
+from .errors import ConfigError, integer, reals
 from .plants import DisturbanceModel, make_builtin_plant
 from .simulation import (CI_Z, SimConfig, _write_csv, improvement_pct, monte_carlo,
                          paired_diff, presample_each)
@@ -50,17 +48,14 @@ class ExperimentSpec:
         if self.sweep == "a" and self.base.plant.name != "linear_scalar":
             raise ConfigError("sweeping a needs base.plant.name linear_scalar, "
                               f"got {self.base.plant.name!r}")
-        if len(self.grid) == 0:
-            raise ConfigError("sweep grid must be nonempty")
-        if any(isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v)
-               for v in self.grid):
-            raise ConfigError(f"sweep grid must hold finite numbers, got {list(self.grid)!r}")
+        values = reals(self.grid, "grid")
+        if values.ndim != 1 or values.size == 0:
+            raise ConfigError(f"sweep grid must be a nonempty list of numbers, got {self.grid!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         if self.sweep == "tau" and any(not 0.0 < v < 1.0 for v in self.grid):
             raise ConfigError(f"sweep grid over tau must lie in (0, 1), got {list(self.grid)!r}")
-        if self.sweep == "buffer_cap" and any(not isinstance(v, Integral) or v < 1
-                                              for v in self.grid):
+        if self.sweep == "buffer_cap" and any(integer(v, "grid") < 1 for v in self.grid):
             raise ConfigError(f"sweep grid over buffer_cap must hold integers >= 1, "
                               f"got {list(self.grid)!r}")
 
@@ -100,12 +95,12 @@ def _config_at(spec: ExperimentSpec, value: float, kind: str) -> SimConfig:
     base = spec.base
     cap = None
     if spec.sweep == "tau":
-        base = replace(base, availability=from_execution_time(float(value)))
+        base = replace(base, availability=from_execution_time(value))
     elif spec.sweep == "a":  # the base plant's LQR weights carry over
         weights = {key: base.plant.params[key] for key in ("q", "r")}
         base = replace(base, plant=make_builtin_plant("linear_scalar", a=float(value), **weights))
     else:
-        cap = int(value)
+        cap = value
     controller = ControllerKind(kind, buffer_cap=cap if kind != "baseline" else None)
     return replace(base, controller=controller)
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real
 
 SQRT5 = math.sqrt(5.0)
 # float64 arrays share this descriptor, so `dtype is FLOAT64` tests one cheaply; an
@@ -33,8 +33,6 @@ FLOAT64 = np.dtype(np.float64)
 # at 1 or 2 rows and 0.96-1.12 at 8 (three runs; 2-core VM, Python 3.11.7,
 # numpy 2.4.6)
 ROW_CALL_MAX = 8
-# the types a rate may have (`check_rates`); bool, an int subclass, is excluded there
-NUMBER_TYPES = (int, float, np.integer, np.floating)
 # each disturbance kind and the DisturbanceModel fields it reads
 DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
 
@@ -52,10 +50,9 @@ class DisturbanceModel:
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KEYS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
-        # a NaN or infinite parameter draws NaN or +-inf, and NaN passes no comparison
+        # a NaN or infinite parameter would draw NaN or +-inf
         for key in DISTURBANCE_KEYS[self.kind]:
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"disturbance.{key} must be finite, got {getattr(self, key)}")
+            object.__setattr__(self, key, real(getattr(self, key), f"disturbance.{key}"))
         if self.kind == "uniform" and not self.lo <= self.hi:
             raise ConfigError(f"disturbance.lo must be <= disturbance.hi, got lo={self.lo}, "
                               f"hi={self.hi}")
@@ -126,19 +123,19 @@ class PlantModel:
         return u, self.f(x, u, w)
 
 
-def check_rates(rho, alpha) -> None:
-    """The rule on the certificates' rates: rho in [0, 1), alpha finite and >= 1.
+def check_rates(rho, alpha) -> Tuple[float, float]:
+    """The rule on the certificates' rates: rho in [0, 1), alpha >= 1, both numbers.
 
-    NaN fails the comparisons, and so does anything that is not a Python or
-    numpy number (None, a string, a bool): each is a ConfigError naming its
-    rate. It tests concrete types: an isinstance of `numbers.Real` took
-    about 1 us a call (2-core VM, Python 3.11.7), a cost per certificate.
+    Each must be a finite number (`errors.real`: a Python or numpy number,
+    no bool or str); the failures are ConfigErrors naming the rate. Returns
+    both as floats.
     """
-    if not (type(rho) is not bool and isinstance(rho, NUMBER_TYPES) and 0.0 <= rho < 1.0):
+    rho, alpha = real(rho, "rho"), real(alpha, "alpha")
+    if not 0.0 <= rho < 1.0:
         raise ConfigError(f"rho must lie in [0, 1), got {rho!r}")
-    if not (type(alpha) is not bool and isinstance(alpha, NUMBER_TYPES)
-            and 1.0 <= alpha < math.inf):
-        raise ConfigError(f"alpha must be finite and >= 1, got {alpha!r}")
+    if not 1.0 <= alpha:
+        raise ConfigError(f"alpha must be >= 1, got {alpha!r}")
+    return rho, alpha
 
 
 def sum_squares(x) -> np.ndarray:

@@ -40,7 +40,6 @@ controller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from .availability import AvailabilityModel, make_sampler, require_valid
 from .controller import ControllerKind, Ring, controller_step, drain, effective_lengths
-from .errors import ConfigError
+from .errors import ConfigError, integer, real, reals
 from .plants import DisturbanceModel, PlantModel, norm, sum_squares
 
 OVERFLOW_GUARD = 1e12
@@ -81,40 +80,41 @@ class SimConfig:
     def __post_init__(self):
         # messages name the config file's keys; a float seed would seed as its floor
         for key, field in (("horizon", "horizon"), ("runs", "runs"), ("seed", "master_seed")):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.master_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
+            object.__setattr__(self, field, check_scale(key, getattr(self, field)))
         require_valid(self.availability)
         if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-            if self.x0.shape != (self.plant.n,) or not np.isfinite(self.x0).all():
-                raise ConfigError(f"x0 must hold {self.plant.n} finite numbers, got {self.x0}")
+            object.__setattr__(self, "x0", reals(self.x0, "x0"))
+            if self.x0.shape != (self.plant.n,):
+                raise ConfigError(f"x0 must hold {self.plant.n} numbers, got {self.x0}")
         if self.x0_box is not None:
             if self.x0 is not None:
                 raise ConfigError("x0_box must not be given with x0: the box would replace it")
             try:
-                lo, hi = map(float, self.x0_box)
+                lo, hi = self.x0_box
             except (TypeError, ValueError):
                 raise ConfigError(f"x0_box must be a pair [lo, hi], got {self.x0_box!r}") from None
-            # the chained comparisons fail on NaN and on infinities
-            if not -math.inf < lo <= hi < math.inf:
-                raise ConfigError(f"x0_box must be finite with lo <= hi, got {[lo, hi]}")
+            lo, hi = real(lo, "x0_box"), real(hi, "x0_box")
+            if not lo <= hi:
+                raise ConfigError(f"x0_box must have lo <= hi, got {[lo, hi]}")
             object.__setattr__(self, "x0_box", (lo, hi))
         for key in ("q_x", "r_u"):
-            if not 0.0 <= getattr(self, key) < math.inf:
-                raise ConfigError(f"cost.{key} must be finite and nonnegative, "
-                                  f"got {getattr(self, key)}")
+            weight = real(getattr(self, key), f"cost.{key}")
+            if not weight >= 0.0:
+                raise ConfigError(f"cost.{key} must be nonnegative, got {weight}")
+            object.__setattr__(self, key, weight)
 
     @property
     def buffer_capacity(self) -> int:
         cap = self.controller.buffer_cap
         return self.availability.max_len if cap is None else min(self.availability.max_len, cap)
+
+
+def check_scale(key: str, value) -> int:
+    """The rule on a config's seed, runs and horizon: an integer, at least 0 for seed, else 1."""
+    out, least = integer(value, key), 0 if key == "seed" else 1
+    if out < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return out
 
 
 def run_streams(master_seed: int, run_index: int):

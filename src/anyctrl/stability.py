@@ -41,7 +41,9 @@ class CertificateInputs:
     availability: AvailabilityModel
 
     def __post_init__(self):
-        check_rates(self.rho, self.alpha)
+        rho, alpha = check_rates(self.rho, self.alpha)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "alpha", alpha)
         require_valid(self.availability)
 
 

@@ -6,12 +6,16 @@ import pytest
 import yaml
 
 from anyctrl import cli
-from anyctrl.availability import IidAvailability, MarkovAvailability
+from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
 from anyctrl.cli import main
 from anyctrl.config import (load_yaml, parse_availability, parse_certificate_inputs,
                             parse_disturbance, parse_sim_config)
+from anyctrl.controller import ControllerKind
 from anyctrl.errors import ConfigError
 from anyctrl.experiments import builtin_experiment, run_sweep, write_sweep_csv
+from anyctrl.plants import DisturbanceModel, make_builtin_plant
+from anyctrl.simulation import SimConfig
+from anyctrl.stability import CertificateInputs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -309,6 +313,40 @@ def test_parse_sim_config_rejects_bad_keys(change, key):
         parse_sim_config({**SIM_DOC, **change})
 
 
+def _sim_config(**change):
+    return SimConfig(make_builtin_plant("linear_scalar", a=1.2), from_execution_time(0.3),
+                     ControllerKind("a2"), **change)
+
+
+MARKOV_MODEL = ([[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: DisturbanceModel("uniform", lo="0"), "disturbance.lo"),
+    (lambda: DisturbanceModel("gaussian", variance=True), "disturbance.variance"),
+    (lambda: from_execution_time("0.3"), "availability.tau"),
+    (lambda: from_execution_time(True), "availability.tau"),
+    (lambda: _sim_config(q_x="0.2"), "cost.q_x"),
+    (lambda: _sim_config(q_x=True), "cost.q_x"),
+    (lambda: _sim_config(r_u=10 ** 400), "cost.r_u"),
+    (lambda: _sim_config(x0=[[1], [1, 2]]), "x0"),
+    (lambda: _sim_config(x0=["0.5"]), "x0"),
+    (lambda: _sim_config(x0_box=(False, True)), "x0_box"),
+    (lambda: _sim_config(x0_box=("-1", "1")), "x0_box"),
+    (lambda: MarkovAvailability(*MARKOV_MODEL, initial_state=1.5), "availability.initial_state"),
+    (lambda: MarkovAvailability(*MARKOV_MODEL, initial_state=True),
+     "availability.initial_state"),
+    (lambda: CertificateInputs(0.5, 10 ** 400, IidAvailability([0.5, 0.5])), "alpha"),
+], ids=["lo-str", "variance-bool", "tau-str", "tau-bool", "q_x-str", "q_x-bool", "r_u-huge",
+        "x0-ragged", "x0-str", "x0_box-bools", "x0_box-strs", "initial_state-float",
+        "initial_state-bool", "alpha-huge"])
+def test_constructors_name_the_key_of_a_value_that_is_no_finite_number(build, key):
+    """Each once raised a TypeError, ValueError or OverflowError, or was accepted
+    (a bool as a number, a float initial state as its floor)."""
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        build()
+
+
 def test_parse_sim_config_accepts_boundary_values():
     cfg = parse_sim_config({**SIM_DOC, "x0_box": [0.5, 0.5], "cost": {"q_x": 0.0, "r_u": 0},
                             "controller": {"kind": "a2", "buffer_cap": 2}})
@@ -340,6 +378,18 @@ STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time
     ("stability", {"rho": "x"}, "rho"),
     ("stability", {"rho": None}, "rho"),
     ("stability", {"alpha": [1.0]}, "alpha"),
+    # a quoted number is a string, and an integer too large for a float is not finite
+    ("simulate", {"plant": {"name": "linear_scalar", "params": {"a": "1.2"}}}, "plant.params.a"),
+    ("simulate", {"availability": {"kind": "exec_time", "tau": "0.3"}}, "availability.tau"),
+    ("simulate", {"availability": {"kind": "iid", "p": ["0.5", "0.5"]}}, "availability.p"),
+    ("simulate", {"availability": {**MARKOV_AVAILABILITY, "Q": [["0.9", "0.1"], [0.2, 0.8]]}},
+     "availability.Q"),
+    ("simulate", {"cost": {"q_x": "0.2"}}, "cost.q_x"),
+    ("simulate", {"cost": {"q_x": 10 ** 400}}, "cost.q_x"),
+    ("simulate", {"x0": ["0.5"]}, "x0"),
+    ("simulate", {"x0_box": ["-1", "1"]}, "x0_box"),
+    ("stability", {"rho": "0.5"}, "rho"),
+    ("stability", {"alpha": 10 ** 400}, "alpha"),
     ("sweep", {"experiment": "fig2", "seed": "x"}, "seed"),
     ("sweep", {"experiment": "custom", "sweep": "tau", "grid": [0.2], "base": [1]}, "base"),
 ])

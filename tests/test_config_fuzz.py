@@ -2,8 +2,9 @@
 
 The strategy builds a valid `simulate`, `stability` or `sweep` document,
 then breaks exactly one key: it drops a required key, gives a value of
-the wrong type, puts a number out of its range (including NaN and
-infinities), adds a misspelt key that the schema does not know, or adds
+the wrong type (a quoted number included), puts a number out of its
+range (including NaN, infinities and an integer too large for a float),
+adds a misspelt key that the schema does not know, or adds
 a key that only another kind of its section reads. The
 CLI must exit with status 2 and name the key on stderr, without a
 traceback and without running anything.
@@ -22,7 +23,8 @@ from anyctrl.cli import main
 
 DROP = object()
 NAN, INF = float("nan"), float("inf")
-WRONG_NUMBERS = ["x", [1.5], {"k": 1}, True]
+# a quoted number is a string, and an integer too large for a float is not finite
+WRONG_NUMBERS = ["x", [1.5], {"k": 1}, True, "0.5", 10 ** 400]
 NON_FINITE = [NAN, INF, -INF]
 WRONG_SECTIONS = ["x", [1], 5, True]
 
@@ -78,17 +80,21 @@ def availability_mutations(section):
     elif kind == "iid":
         out += [(("p",), v, "availability.p")
                 for v in [DROP, "x", {"k": 1}, True, [["a"]], [0.5, 0.6], [-0.1, 1.1], [1.0],
-                          [], [[0.5, 0.5]], [0.5, NAN], [INF, 0.0]]]
+                          [], [[0.5, 0.5]], [0.5, NAN], [INF, 0.0], ["0.5", "0.5"],
+                          [0.5, True], [10 ** 400, 0.0]]]
     else:
         out += [(("Q",), v, "availability.Q")
-                for v in [DROP, "x", [[0.9, "q"], [0.2, 0.8]], [[NAN, 0.5], [0.2, 0.8]]]]
+                for v in [DROP, "x", [[0.9, "q"], [0.2, 0.8]], [[NAN, 0.5], [0.2, 0.8]],
+                          [["0.9", "0.1"], ["0.2", "0.8"]], [[0.9, 0.1], [0.2]]]]
         out += [(("Q",), v, "availability")
                 for v in [[[0.9, 0.2], [0.2, 0.8]], [[1.0]], [[-0.1, 1.1], [0.2, 0.8]],
                           [[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]]]
-        out += [(("P",), v, "availability.P") for v in [DROP, "x", [[0.1, INF], [0.6, 0.4]]]]
+        out += [(("P",), v, "availability.P")
+                for v in [DROP, "x", [[0.1, INF], [0.6, 0.4]], [["0.1", "0.9"], ["0.6", "0.4"]]]]
         out += [(("P",), v, "availability")
                 for v in [[[0.1, 0.9]], [[0.1, 0.8], [0.6, 0.4]], [[1.0, 0.0], [1.0, 0.0]]]]
-        out += [(("initial_state",), v, "availability.initial_state") for v in ["x", 1.5, True]]
+        out += [(("initial_state",), v, "availability.initial_state")
+                for v in ["x", 1.5, True, "1"]]
         out += [(("initial_state",), v, "availability") for v in [-1, 2]]
     return [(("availability",) + path, value, key) for path, value, key in out]
 
@@ -138,9 +144,10 @@ def sim_mutations(doc):
              "none": (("disturbance", "hi"), 1.0, "disturbance.hi")}[dist["kind"]]]
     out += [(("x0_box",), v, "x0_box")
             for v in ["x", 5, [1.0], [0.0, "one"], [1.0, -1.0], [NAN, 1.0], [0.0, INF],
-                      [0, 1, 2]]]
+                      [0, 1, 2], ["-1", "1"], [False, True], [0.0, 10 ** 400]]]
     n = STATE_DIM[plant["name"]]
-    out += [(("x0",), v, "x0") for v in ["x", [["a"]], 5.0, [0.1] * (n + 1), [NAN] * n]]
+    out += [(("x0",), v, "x0") for v in ["x", [["a"]], 5.0, [0.1] * (n + 1), [NAN] * n,
+                                         ["0.5"] * n, [True] * n, [[0.5], [0.5, 0.5]]]]
     # the box would replace x0: a document gives one or the other
     if "x0_box" in doc:
         out += [(("x0",), [0.5] * n, "x0_box")]
