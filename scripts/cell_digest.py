@@ -28,7 +28,9 @@ inputs get one digest per kind of input: execution-time and
 random i.i.d. models, dense and slow ring Markov chains, chains with
 degenerate (p0|s = 1) states, and chains with alpha * p_hat0 within 1e-3 of
 one, and those of every input in the benchmark's certify pool
-(`bench/workloads.certificate_pool`) get one digest together.
+(`bench/workloads.certificate_pool`) get one digest together. Each model
+is built inside the same try as its evaluation, so a model its
+constructor rejects is digested as that error.
 `anyctrl simulate --traces 2` gets one digest per output file, on
 configs/simulate.yaml and on the sat_2d Markov config, `anyctrl stability`
 one per output file on configs/stability.yaml and
@@ -42,6 +44,12 @@ a simulate and a stability document of integers where floats are
 expected, and one custom sweep. A sweep document's spec is the one
 `anyctrl sweep` hands to `run_sweep` (at the script's runs and horizon),
 caught there, so the parse layer of either version can be compared.
+The exit code and stderr of `anyctrl simulate` on each of a fixed set of
+broken availability sections (BROKEN_AVAILABILITY: a pmf that does not
+sum to 1, a negative, NaN or quoted entry, reducible, periodic and
+all-idle chains, an initial state out of range, and two execution times
+whose pmf no array holds) get one digest each; an exception that escapes
+`cli.main` is digested as its type and message.
 
 It imports the package from the `src/` next to it unless PYTHONPATH is
 set, so one copy of the script can check two versions of the package.
@@ -64,6 +72,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +81,7 @@ if not os.environ.get("PYTHONPATH"):
 sys.path.append(str(ROOT / "bench"))  # certify pool, Markov config; the package comes from above
 
 import numpy as np  # noqa: E402
+import yaml  # noqa: E402
 
 from anyctrl import cli, controller, experiments  # noqa: E402
 from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
@@ -260,15 +270,19 @@ def _chain(rng, kind: str, states: int) -> np.ndarray:
 
 
 def certificate_cases(seed: int, count: int = 64):
-    """Seeded (kind, rho, alpha, model) certificate inputs, `count` of each kind."""
+    """Seeded (kind, rho, alpha, build) certificate inputs, `count` of each kind.
+
+    `build()` makes the availability model, so that `certificate_lines` can
+    digest a model its constructor rejects as that error.
+    """
     rng = np.random.default_rng([seed, 11])
     for kind in ("exec_time", "iid", "dense", "ring", "degenerate", "near_one"):
         for i in range(count):
             rho, alpha = float(rng.uniform(0.0, 0.98)), float(1.0 + rng.exponential(0.8))
             if kind == "exec_time":
-                model = from_execution_time((i % 63 + 1) / 64.0)
+                build = partial(from_execution_time, (i % 63 + 1) / 64.0)
             elif kind == "iid":
-                model = IidAvailability(_pmf_rows(rng, 1, int(rng.integers(1, 13)))[0])
+                build = partial(IidAvailability, _pmf_rows(rng, 1, int(rng.integers(1, 13)))[0])
             else:
                 states = int(rng.integers(2, 17))
                 pmfs = _pmf_rows(rng, states, int(rng.integers(1, 7)))
@@ -277,27 +291,29 @@ def certificate_cases(seed: int, count: int = 64):
                     idle[rng.integers(states)] = False
                     pmfs[idle] = np.eye(pmfs.shape[1])[0]
                 q = _chain(rng, "ring" if kind == "ring" or i % 2 else "dense", states)
-                model = MarkovAvailability(q, pmfs)
+                build = partial(MarkovAvailability, q, pmfs)
                 if kind == "near_one":
                     gap = rng.choice([1e-12, 1e-9, 1e-6, 1e-3]) * rng.choice([-1.0, 1.0])
                     alpha = max(1.0, (1.0 + gap) / float(pmfs[:, 0].max()))
-            yield kind, rho, alpha, model
+            yield kind, rho, alpha, build
 
 
-def certificate_lines(rho, alpha, model) -> list:
+def certificate_lines(rho, alpha, build) -> list:
+    """The report lines of the model `build()` makes, or the error of building or evaluating."""
     try:
-        return evaluate(CertificateInputs(rho, alpha, model)).lines()
+        return evaluate(CertificateInputs(rho, alpha, build())).lines()
     except Exception as exc:  # a raising evaluation is part of the result
         return [f"raised {type(exc).__name__}: {exc}"]
 
 
 def print_certificates(seed: int) -> None:
     lines = {}
-    for kind, rho, alpha, model in certificate_cases(seed):
-        lines.setdefault(kind, []).extend(certificate_lines(rho, alpha, model) + [""])
+    for kind, rho, alpha, build in certificate_cases(seed):
+        lines.setdefault(kind, []).extend(certificate_lines(rho, alpha, build) + [""])
     pool = certificate_pool()
-    lines[f"pool of {len(pool)}"] = [line for _, rho, alpha, model in pool
-                                     for line in certificate_lines(rho, alpha, model) + [""]]
+    lines[f"pool of {len(pool)}"] = [
+        line for _, rho, alpha, model in pool
+        for line in certificate_lines(rho, alpha, lambda: model) + [""]]
     for kind, text in lines.items():
         sha = hashlib.sha256("\n".join(text).encode()).hexdigest()
         print(f"certificates {kind} {sha}")
@@ -309,6 +325,43 @@ def markov_simulate_doc(seed: int) -> dict:
             "controller": {"kind": "a2"},
             "disturbance": {"kind": "uniform", "lo": -0.05, "hi": 0.05},
             "seed": seed, "x0_box": [-2.0, 2.0]}
+
+
+# availability sections that no valid model has; each should end `anyctrl simulate` with exit 2
+BROKEN_AVAILABILITY = {
+    "sum off": {"kind": "iid", "p": [0.5, 0.6]},
+    "negative": {"kind": "iid", "p": [1.2, -0.2]},
+    "nan": {"kind": "iid", "p": [float("nan"), 0.5]},
+    "quoted entry": {"kind": "iid", "p": ["0.5", "0.5"]},
+    "reducible": {"kind": "markov", "Q": [[1.0, 0.0], [0.0, 1.0]], "P": [[0.5, 0.5]] * 2},
+    "periodic": {"kind": "markov", "Q": [[0.0, 1.0], [1.0, 0.0]], "P": [[0.5, 0.5]] * 2},
+    "all idle": {"kind": "markov", "Q": [[0.5, 0.5]] * 2, "P": [[1.0, 0.0]] * 2},
+    "initial_state": {"kind": "markov", "Q": [[0.5, 0.5]] * 2, "P": [[0.5, 0.5]] * 2,
+                      "initial_state": 2},
+    "tau 1e-300": {"kind": "exec_time", "tau": 1e-300},  # Lambda 1e300: no array that long
+    "tau 1e-15": {"kind": "exec_time", "tau": 1e-15},  # Lambda 1e15: 7 PiB of floats
+}
+
+
+def print_cli_errors() -> None:
+    """One digest per BROKEN_AVAILABILITY document: `simulate`'s exit code and stderr.
+
+    An exception that escapes `cli.main` is digested as its type and message.
+    """
+    doc = {"plant": {"name": "linear_scalar", "params": {"a": 1.2}},
+           "controller": {"kind": "a1"}, "runs": 2, "horizon": 5}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, section in BROKEN_AVAILABILITY.items():
+            config = Path(tmp) / "broken.yaml"
+            config.write_text(yaml.safe_dump({**doc, "availability": section}))
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli_main(["simulate", "--config", str(config), "--out", tmp])
+                text = f"exit {code}\n{err.getvalue()}"
+            except Exception as exc:  # an uncaught error is part of the result
+                text = f"raised {type(exc).__name__}: {exc}"
+            print(f"cli error {name} {hashlib.sha256(text.encode()).hexdigest()}")
 
 
 def print_cli(name: str, command: str, config: Path, *flags) -> None:
@@ -445,6 +498,7 @@ def main():
         print_cli(f"cli stability {config}", "stability", ROOT / "configs" / config)
     for config in sorted((ROOT / "configs").glob("sweep_fig*.yaml")):
         print_cli(f"cli sweep {config.name}", "sweep", config, *scale)
+    print_cli_errors()
 
 
 if __name__ == "__main__":

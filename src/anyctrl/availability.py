@@ -3,7 +3,8 @@
 Two models are supported: i.i.d. draws from a pmf over {0, .., Lambda},
 and a hidden Markov processor state g(k) with per-state conditional pmfs.
 The execution-time construction maps the time tau needed to compute one
-control input into the induced pmf (uniform availability model).
+control input into the induced pmf (uniform availability model). A model
+is valid from construction: its constructor is the one call of `validate`.
 
 States of the Markov model are 0-indexed throughout.
 
@@ -14,8 +15,8 @@ run is a one-lane sampler. `presample` is the only draw code: `sample()`,
 one draw on a one-lane sampler, is `presample(1)`'s one length.
 Presampled lengths are stored in the narrowest
 unsigned type that holds Lambda (`length_dtype`): one byte per step up to
-Lambda = 255, two above. Code that adds step indices to them widens them
-to int64 first.
+Lambda = 255, two up to 65535, four above. Code that adds step indices to
+them widens them to int64 first.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, integer, real
+from .errors import ConfigError, integer, real, reals
 
 _TOL = 1e-12
+TAU_MAX_LEN = np.iinfo(np.uint16).max  # the largest Lambda of an execution-time model
 # time steps per block of the lockstep chain walk on many streams; a block
 # holds every stream's uniforms and picks, O(streams x WALK_BLOCK) memory
 WALK_BLOCK = 256
@@ -39,14 +41,8 @@ LOCKSTEP_MIN_LANES = 24
 
 
 def length_dtype(max_len: int) -> np.dtype:
-    """The storage type of presampled lengths in {0..max_len}: uint8 up to 255, uint16 above."""
+    """The storage type of lengths in {0..max_len}: uint8 to 255, uint16 to 65535, else uint32."""
     return np.min_scalar_type(max_len)
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -56,9 +52,13 @@ class IidAvailability:
     pmf: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pmf", _frozen(self.pmf))
+        object.__setattr__(self, "pmf", reals(self.pmf, "availability.p"))
+        self.pmf.setflags(write=False)
         if self.pmf.ndim != 1 or self.pmf.size < 1:
             raise ConfigError(f"availability.p must be a nonempty vector, got {self.pmf.tolist()}")
+        problems = validate(self)
+        if problems:
+            raise ConfigError("availability.p: invalid availability model: " + "; ".join(problems))
 
     @property
     def max_len(self) -> int:
@@ -83,8 +83,10 @@ class MarkovAvailability:
     initial_state: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "transition", _frozen(self.transition))
-        object.__setattr__(self, "cond_pmfs", _frozen(self.cond_pmfs))
+        object.__setattr__(self, "transition", reals(self.transition, "availability.Q"))
+        object.__setattr__(self, "cond_pmfs", reals(self.cond_pmfs, "availability.P"))
+        self.transition.setflags(write=False)
+        self.cond_pmfs.setflags(write=False)
         if self.transition.ndim != 2 or self.transition.shape[0] != self.transition.shape[1]:
             raise ConfigError("availability.Q, the transition matrix, must be square")
         if self.cond_pmfs.ndim != 2 or self.cond_pmfs.shape[0] != self.transition.shape[0]:
@@ -95,6 +97,9 @@ class MarkovAvailability:
                 raise ConfigError("availability.initial_state must lie in "
                                   f"0..{self.num_states - 1}, got {state}")
             object.__setattr__(self, "initial_state", state)
+        problems = validate(self)
+        if problems:
+            raise ConfigError("availability: invalid availability model: " + "; ".join(problems))
 
     @property
     def num_states(self) -> int:
@@ -111,7 +116,9 @@ class MarkovAvailability:
     @cached_property
     def stationary(self) -> np.ndarray:
         """Stationary distribution of the chain, computed once per model."""
-        return _frozen(stationary_distribution(self.transition))
+        out = stationary_distribution(self.transition)
+        out.setflags(write=False)
+        return out
 
 
 AvailabilityModel = Union[IidAvailability, MarkovAvailability]
@@ -120,15 +127,18 @@ AvailabilityModel = Union[IidAvailability, MarkovAvailability]
 def from_execution_time(tau: float) -> IidAvailability:
     """Uniform execution-time model: p_l = tau for l < Lambda, p_Lambda = 1 - Lambda*tau.
 
-    Lambda = floor(1/tau), with a 1e-9 snap so that integer 1/tau is stable
-    under float rounding. A zero last entry is kept rather than shrunk.
+    Lambda = floor(1/tau) <= TAU_MAX_LEN, checked before the pmf is built, with a 1e-9
+    snap so that integer 1/tau is stable under float rounding. A zero last entry is kept.
     """
     tau = real(tau, "availability.tau")
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"availability.tau must lie in (0, 1), got {tau}")
-    lam = int(np.floor(1.0 / tau + 1e-9))
-    pmf = np.full(lam + 1, tau)
-    pmf[lam] = max(0.0, 1.0 - lam * tau)
+    lam = np.floor(1.0 / tau + 1e-9)  # +inf for the smallest subnormals
+    if lam > TAU_MAX_LEN:
+        raise ConfigError(f"availability.tau must give Lambda = floor(1/tau) <= {TAU_MAX_LEN}, "
+                          f"got {tau}")
+    pmf = np.full(int(lam) + 1, tau)
+    pmf[-1] = max(0.0, 1.0 - lam * tau)
     return IidAvailability(pmf)
 
 
@@ -142,7 +152,7 @@ def is_primitive(mat: np.ndarray) -> bool:
     g = mat.shape[0]
     power = mat > 0
     exponent = 1
-    while not power.all():
+    while np.count_nonzero(power) < power.size:  # a third of the time `.all()` takes
         if exponent > g * g:
             return False
         power = power @ power
@@ -160,9 +170,8 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     entry a few ulps below 0; it is set to 0, so the cdf never decreases
     and every positive entry keeps its bits.
     """
-    q = np.asarray(transition, dtype=float)
-    g = q.shape[0]
-    lhs = np.vstack([q.T - np.eye(g), np.ones((1, g))])
+    g = transition.shape[0]
+    lhs = np.vstack([transition.T - np.eye(g), np.ones((1, g))])
     rhs = np.zeros(g + 1)
     rhs[-1] = 1.0
     return np.maximum(np.linalg.lstsq(lhs, rhs, rcond=None)[0], 0.0)
@@ -176,14 +185,14 @@ def validate(model: AvailabilityModel) -> List[str]:
     reported with the negative ones, and `initial` gives an empty array the
     answer of `.all()` on it. Row and pmf sums are tested as Python floats;
     a NaN sum passes `abs(s - 1) > tol`, so only the sign test reports it.
-    The sums are taken with numpy's invalid-value warning off: a row that
-    holds both +inf and -inf sums to NaN, which is reported, not raised.
+    The sums are taken with numpy's overflow and invalid warnings off: entries
+    near 1e308 can sum to inf, or to NaN, which is reported, not raised.
     """
     problems: List[str] = []
     if isinstance(model, IidAvailability):
         if not model.pmf.min(initial=0.0) >= 0:
             problems.append("pmf has negative or NaN entries")
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             total = float(model.pmf.sum())
         if not abs(total - 1.0) <= _TOL:
             problems.append(f"pmf sums to {total}, not 1")
@@ -192,33 +201,23 @@ def validate(model: AvailabilityModel) -> List[str]:
         return problems
 
     q, pmfs = model.transition, model.cond_pmfs
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         row_sums, pmf_sums = q.sum(axis=1).tolist(), pmfs.sum(axis=1).tolist()
     q_signed = q.min(initial=0.0) >= 0
     if not q_signed:
         problems.append("transition matrix has negative or NaN entries")
-    rows_ok = True
-    for i, total in enumerate(row_sums):
-        if abs(total - 1.0) > _TOL:
-            rows_ok = False
-            problems.append(f"transition row {i} sums to {total}, not 1")
-    if rows_ok and q_signed and not is_primitive(q):
+    bad_rows = [f"transition row {i} sums to {total}, not 1"
+                for i, total in enumerate(row_sums) if abs(total - 1.0) > _TOL]
+    problems += bad_rows
+    if not bad_rows and q_signed and not is_primitive(q):
         problems.append("transition matrix is not irreducible and aperiodic")
     if not pmfs.min(initial=0.0) >= 0:
         problems.append("conditional pmfs have negative or NaN entries")
-    for i, total in enumerate(pmf_sums):
-        if abs(total - 1.0) > _TOL:
-            problems.append(f"conditional pmf for state {i} sums to {total}, not 1")
+    problems += [f"conditional pmf for state {i} sums to {total}, not 1"
+                 for i, total in enumerate(pmf_sums) if abs(total - 1.0) > _TOL]
     if model.p0_by_state.min(initial=np.inf) >= 1.0 - _TOL:
         problems.append("every state has p0 = 1: the processor is never available")
     return problems
-
-
-def require_valid(model: AvailabilityModel) -> AvailabilityModel:
-    problems = validate(model)
-    if problems:
-        raise ConfigError("invalid availability model: " + "; ".join(problems))
-    return model
 
 
 def _open_top(pmfs: np.ndarray) -> np.ndarray:

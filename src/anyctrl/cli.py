@@ -24,9 +24,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _common_flags(sub):
+def _common_flags(sub, scale: bool = False):
     sub.add_argument("--config", required=True, help="path to the YAML config file")
     sub.add_argument("--out", default=".", help="output directory for artifacts")
+    if scale:  # simulate and sweep: overrides of the config file's scale
+        for flag, what in (("--seed", "master seed"), ("--runs", "number of runs"),
+                           ("--horizon", "steps per run")):
+            sub.add_argument(flag, type=int, default=None, help=f"{what} (overrides config)")
 
 
 def cmd_simulate(args) -> int:
@@ -89,10 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one Monte-Carlo study")
-    _common_flags(sim)
-    sim.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    sim.add_argument("--runs", type=int, default=None, help="number of runs (overrides config)")
-    sim.add_argument("--horizon", type=int, default=None, help="steps per run (overrides config)")
+    _common_flags(sim, scale=True)
     sim.add_argument("--traces", type=int, default=0,
                      help="write per-step CSVs for the first K runs, 0 <= K <= runs")
     sim.set_defaults(func=cmd_simulate)
@@ -102,10 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     stab.set_defaults(func=cmd_stability)
 
     swp = sub.add_parser("sweep", help="run a controller-comparison sweep")
-    _common_flags(swp)
-    swp.add_argument("--seed", type=int, default=None)
-    swp.add_argument("--runs", type=int, default=None)
-    swp.add_argument("--horizon", type=int, default=None)
+    _common_flags(swp, scale=True)
     swp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -5,8 +5,8 @@ This module reads documents: it rejects missing keys, unknown keys (a key
 of another kind included) and sections that are not mappings, and passes
 each value as written to the object that holds it, whose constructor is
 the value's one check (by the rules in `errors`) and names its key. Only
-the availability arrays are checked here, as the models hold NaN for
-`availability.validate` to report, and the bag of `plant.params`.
+the values under `plant.params` are checked here, before they become the
+plant builder's keywords.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from typing import Optional, Tuple
 import yaml
 
 from .availability import (AvailabilityModel, IidAvailability,
-                           MarkovAvailability, from_execution_time,
-                           require_valid)
+                           MarkovAvailability, from_execution_time)
 from .controller import ControllerKind
-from .errors import ConfigError, real, reals
+from .errors import ConfigError, real
 from .experiments import BUILTIN, ExperimentSpec, builtin_experiment
 from .plants import (BUILTIN_PLANTS, DISTURBANCE_KEYS, DisturbanceModel, PlantModel,
                      make_builtin_plant)
@@ -88,18 +87,10 @@ def parse_availability(section: dict) -> AvailabilityModel:
     if kind == "exec_time":
         return from_execution_time(_require(section, "tau", "availability"))
     if kind == "iid":
-        where = "availability.p"
-        model = IidAvailability(reals(_require(section, "p", "availability"), where))
-    else:
-        # the invariants tie Q, P and initial_state together
-        where = "availability"
-        model = MarkovAvailability(reals(_require(section, "Q", where), "availability.Q"),
-                                   reals(_require(section, "P", where), "availability.P"),
-                                   initial_state=section.get("initial_state"))
-    try:
-        return require_valid(model)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return IidAvailability(_require(section, "p", "availability"))
+    return MarkovAvailability(_require(section, "Q", "availability"),
+                              _require(section, "P", "availability"),
+                              initial_state=section.get("initial_state"))
 
 
 def parse_plant(section: dict) -> PlantModel:

@@ -40,8 +40,13 @@ def integer(value, key: str) -> int:
 def reals(value, key: str) -> np.ndarray:
     """A float array from nested lists, or an array, whose every entry `real` takes.
 
-    A ragged list's rows are entries too, and no numbers.
+    A ragged list's rows are entries too, and no numbers. A numeric array holds no
+    bool or str: it is walked only if a count of its finite entries falls short.
     """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        out = value.astype(float)
+        if np.count_nonzero(np.isfinite(out)) == out.size:
+            return out
     entries = np.array(value, dtype=object)
     for entry in entries.flat:
         real(entry, key)

@@ -45,7 +45,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .availability import AvailabilityModel, make_sampler, require_valid
+from .availability import AvailabilityModel, make_sampler
 from .controller import ControllerKind, Ring, controller_step, drain, effective_lengths
 from .errors import ConfigError, integer, real, reals
 from .plants import DisturbanceModel, PlantModel, norm, sum_squares
@@ -63,7 +63,11 @@ CSV_CHUNK_ROWS = 256  # rows formatted and written per write call
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one Monte-Carlo study needs, including the seeding policy."""
+    """Everything one Monte-Carlo study needs, including the seeding policy.
+
+    Each value is checked here and named by its config key; the availability
+    model was checked when it was built.
+    """
 
     plant: PlantModel
     availability: AvailabilityModel
@@ -81,7 +85,10 @@ class SimConfig:
         # messages name the config file's keys; a float seed would seed as its floor
         for key, field in (("horizon", "horizon"), ("runs", "runs"), ("seed", "master_seed")):
             object.__setattr__(self, field, check_scale(key, getattr(self, field)))
-        require_valid(self.availability)
+        # numpy's largest array holds intp-max bytes; the disturbances take runs x horizon x m
+        if self.runs * self.horizon * max(self.plant.m, 1) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"runs x horizon = {self.runs} x {self.horizon} steps is more than "
+                              "one numpy array holds")
         if self.x0 is not None:
             object.__setattr__(self, "x0", reals(self.x0, "x0"))
             if self.x0.shape != (self.plant.n,):
@@ -239,8 +246,7 @@ def presample(config: SimConfig):
 
     Shapes are (runs, horizon), (runs, horizon, m) and (runs, n); the arrays
     are read-only. The N schedules are stored in the narrowest unsigned type
-    that holds Lambda (`availability.length_dtype`: one byte per step and
-    run up to Lambda = 255, two above), the rest as float64. The block
+    that holds Lambda (`availability.length_dtype`), the rest as float64. The block
     depends on the seed, run count, horizon, availability, disturbance and
     initial-state settings but not on the controller, so configs that
     differ only in their controller can share it.

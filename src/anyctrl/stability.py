@@ -7,8 +7,8 @@ computation instants: `upsilon` damps each transition by its state's idle
 probability, Q_bar = diag(p0|s) Q, and weights the end of a gap by the
 per-state computation probabilities p_bar = 1 - p0|s.
 
-`evaluate` on a Markov model works in this order: `CertificateInputs`
-validates the model (`availability.validate`); the worst-state bound
+`evaluate` on a Markov model works in this order (the model was
+validated when it was built, by its constructor); the worst-state bound
 alpha * p_hat0 < 1 is read from p_hat0, the largest p0|s, and only adds a
 note when it fails; `upsilon` then decides the sharp guard, the spectral
 radius of alpha * Q_bar against one, and only past it forms the stacked
@@ -24,8 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .availability import (AvailabilityModel, IidAvailability,
-                           MarkovAvailability, require_valid)
+from .availability import AvailabilityModel, IidAvailability, MarkovAvailability
 from .errors import ConfigError, DivergenceError
 from .plants import check_rates
 
@@ -44,7 +43,6 @@ class CertificateInputs:
         rho, alpha = check_rates(self.rho, self.alpha)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "alpha", alpha)
-        require_valid(self.availability)
 
 
 @dataclass

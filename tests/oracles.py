@@ -28,13 +28,15 @@ costs one step at a time, in python floats.
 CSV files with the csv module, one `csv.writer` or `csv.DictWriter` row at
 a time: the reference for the bytes of the package's bulk writers.
 
-`validate_elementwise` tests the availability invariants with
-elementwise masks (`(a >= 0).all()`, `np.abs(sums - 1) > tol`), and
-`upsilon_l_loop` is the stacked upsilon pass with one accumulation step
-per gap length l and one `inv` call per matrix: the references for the
-problem lists of `availability.validate` and the bits of
-`stability.upsilon`. Both take their verdicts on primitivity and on the
-spectral radius from the oracles here.
+`validate_elementwise` tests the availability invariants of a model's
+arrays with elementwise masks (`(a >= 0).all()`, `np.abs(sums - 1) > tol`),
+and `model_error` turns them into the message a model's constructor
+raises; `upsilon_l_loop` is the stacked upsilon pass with one
+accumulation step per gap length l and one `inv` call per matrix: the
+references for the models' constructors (which call
+`availability.validate`) and the bits of `stability.upsilon`. Both take
+their verdicts on primitivity and on the spectral radius from the
+oracles here.
 
 `lyapunov_at` and `mean_lyapunov_at` are no references: they read V at
 given steps from the states the package's loop (`simulation._blocks`)
@@ -281,37 +283,57 @@ def upsilon_l_loop(transition, cond_pmfs, rho, alpha):
     return out
 
 
-def validate_elementwise(model, tol=1e-12):
-    """The availability model's violated invariants, tested with elementwise masks."""
+def validate_elementwise(*arrays, tol=1e-12):
+    """The violated invariants of a pmf, or of a (transition, cond_pmfs) pair, by elementwise masks."""
     problems = []
-    if isinstance(model, IidAvailability):
-        if not (model.pmf >= 0).all():
+    if len(arrays) == 1:
+        pmf = np.asarray(arrays[0], dtype=float)
+        if not (pmf >= 0).all():
             problems.append("pmf has negative or NaN entries")
-        with np.errstate(invalid="ignore"):  # +inf and -inf in one pmf sum to NaN
-            total = float(model.pmf.sum())
+        # finite entries near 1e308 sum to inf, or to NaN where partial sums of both signs overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(pmf.sum())
         if not abs(total - 1.0) <= tol:
             problems.append(f"pmf sums to {total}, not 1")
-        if model.p0 >= 1.0 - tol:
+        if pmf[0] >= 1.0 - tol:
             problems.append("p0 = 1: the processor is never available")
         return problems
-    q = model.transition
+    q, pmfs = (np.asarray(a, dtype=float) for a in arrays)
     q_signed = (q >= 0).all()
     if not q_signed:
         problems.append("transition matrix has negative or NaN entries")
-    with np.errstate(invalid="ignore"):
-        row_sums, pmf_sums = q.sum(axis=1), model.cond_pmfs.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums, pmf_sums = q.sum(axis=1), pmfs.sum(axis=1)
     bad = (np.abs(row_sums - 1.0) > tol).nonzero()[0]
     for i in bad:
         problems.append(f"transition row {i} sums to {row_sums[i]}, not 1")
     if not bad.size and q_signed and not is_primitive_stepwise(q):
         problems.append("transition matrix is not irreducible and aperiodic")
-    if not (model.cond_pmfs >= 0).all():
+    if not (pmfs >= 0).all():
         problems.append("conditional pmfs have negative or NaN entries")
     for i in (np.abs(pmf_sums - 1.0) > tol).nonzero()[0]:
         problems.append(f"conditional pmf for state {i} sums to {pmf_sums[i]}, not 1")
-    if (model.cond_pmfs[:, 0] >= 1.0 - tol).all():
+    if (pmfs[:, 0] >= 1.0 - tol).all():
         problems.append("every state has p0 = 1: the processor is never available")
     return problems
+
+
+def model_error(*arrays):
+    """The message an availability model's constructor raises on `arrays`, or None if it builds.
+
+    `arrays` is a pmf, or a (transition, cond_pmfs) pair; an array's first
+    non-finite entry (in C order) is named by its key before any invariant.
+    """
+    keys = ("availability.p",) if len(arrays) == 1 else ("availability.Q", "availability.P")
+    for key, a in zip(keys, arrays):
+        bad = np.asarray(a, dtype=float)[~np.isfinite(a)].tolist()
+        if bad:
+            return f"{key} must be finite, got {bad[0]!r}"
+    problems = validate_elementwise(*arrays)
+    if not problems:
+        return None
+    where = "availability.p" if len(arrays) == 1 else "availability"
+    return f"{where}: invalid availability model: " + "; ".join(problems)
 
 
 def is_primitive_stepwise(mat):

@@ -4,14 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anyctrl import availability
 from anyctrl.availability import (WALK_BLOCK, IidAvailability, MarkovAvailability,
-                                  from_execution_time, is_primitive,
+                                  from_execution_time, is_primitive, length_dtype,
                                   make_sampler, stationary_distribution,
-                                  validate, require_valid)
+                                  validate)
 from anyctrl.errors import ConfigError
 
 import oracles
@@ -38,52 +38,65 @@ def test_exec_time_is_a_distribution(tau):
     assert validate(m) == []
 
 
-@pytest.mark.parametrize("tau", [0.0, 1.0, -0.2, 1.5])
+# the last four: a Lambda above 65535, checked before the pmf of floor(1/tau) + 1 floats
+# is allocated (8 GB at tau 1e-9)
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.2, 1.5, 1e-300, 1e-15, 1.0 / 65536, 5e-324])
 def test_exec_time_rejects_bad_tau(tau):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^availability.tau must"):
         from_execution_time(tau)
+
+
+def rejected(*arrays) -> str:
+    """The ConfigError message of building the model of `arrays` (a pmf, or Q and P)."""
+    build = IidAvailability if len(arrays) == 1 else MarkovAvailability
+    with pytest.raises(ConfigError) as info:
+        build(*arrays)
+    return str(info.value)
+
+
+def test_exec_time_takes_the_largest_two_byte_lambda():
+    model = from_execution_time(1.0 / 65535)
+    assert model.max_len == 65535 and length_dtype(model.max_len) == np.uint16
+    assert length_dtype(65536) == np.uint32  # what an i.i.d. pmf of more entries is stored as
 
 
 def test_validate_iid():
     assert validate(IidAvailability([0.5, 0.5])) == []
-    assert any("sums" in p for p in validate(IidAvailability([0.5, 0.6])))
-    assert any("negative" in p for p in validate(IidAvailability([1.2, -0.2])))
-    # processor never available
-    assert any("p0" in p for p in validate(IidAvailability([1.0, 0.0])))
-    with pytest.raises(ConfigError):
-        require_valid(IidAvailability([1.0, 0.0]))
+    for pmf, problem in (([0.5, 0.6], "sums"), ([1.2, -0.2], "negative"),
+                         ([1.0, 0.0], "p0")):  # the last: processor never available
+        message = rejected(pmf)
+        assert message == oracles.model_error(pmf) and problem in message
 
 
 def test_validate_markov():
     q = [[0.9, 0.1], [0.2, 0.8]]
     pmfs = [[0.1, 0.9], [0.8, 0.2]]
     assert validate(MarkovAvailability(q, pmfs)) == []
-    bad_rows = MarkovAvailability([[0.9, 0.2], [0.2, 0.8]], pmfs)
-    assert any("row 0" in p for p in validate(bad_rows))
-    reducible = MarkovAvailability([[1.0, 0.0], [0.0, 1.0]], pmfs)
-    assert any("irreducible" in p for p in validate(reducible))
+    for bad_q, problem in (([[0.9, 0.2], [0.2, 0.8]], "row 0"),
+                           ([[1.0, 0.0], [0.0, 1.0]], "irreducible")):
+        message = rejected(bad_q, pmfs)
+        assert message == oracles.model_error(bad_q, pmfs) and problem in message
 
 
 NAN = float("nan")
 Q, PMFS = [[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.8, 0.2]]
 
 
-@pytest.mark.parametrize("model, field", [
-    (IidAvailability([NAN, 0.5, 0.5]), "pmf has"),
-    (IidAvailability([0.5, NAN]), "pmf has"),
-    (MarkovAvailability([[NAN, 1.0], [0.5, 0.5]], PMFS), "transition matrix has"),
-    (MarkovAvailability(Q, [[0.1, 0.9], [NAN, 0.2]]), "conditional pmfs have"),
+@pytest.mark.parametrize("arrays, field", [
+    (([NAN, 0.5, 0.5],), "availability.p"),
+    (([0.5, NAN],), "availability.p"),
+    (([[NAN, 1.0], [0.5, 0.5]], PMFS), "availability.Q"),
+    ((Q, [[0.1, 0.9], [NAN, 0.2]]), "availability.P"),
 ], ids=["iid-p0", "iid-last", "markov-Q", "markov-P"])
-def test_a_nan_entry_is_a_config_error_naming_its_field(model, field):
+def test_a_nan_entry_is_a_config_error_naming_its_field(arrays, field):
     # NaN fails every comparison, so a guard written as `x < 0` lets it pass
-    assert any(field in p and "NaN" in p for p in validate(model))
-    with pytest.raises(ConfigError, match=field):
-        require_valid(model)
+    assert rejected(*arrays) == f"{field} must be finite, got nan"
 
 
-# entries that break an invariant, or sit on either side of its 1e-12 tolerance
+# entries that break an invariant, or sit on either side of its 1e-12 tolerance, or
+# overflow a sum
 ODD_ENTRIES = (NAN, np.inf, -np.inf, -0.0, -1e-300, -0.25, 0.0, 1.0, 1.0 - 5e-13,
-               1.0 + 2e-12, 5e-13, 2e-12)
+               1.0 + 2e-12, 5e-13, 2e-12, 1e308, -1e308)
 # relative changes of a row: inside the tolerance, just outside it, far outside it
 ROW_NUDGES = (0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9, -0.5)
 
@@ -108,12 +121,13 @@ def _spoil(draw, mat):
 
 
 @st.composite
-def flawed_models(draw):
-    """i.i.d. pmfs and Markov models of 0..6 states with NaN, +-inf and negative entries,
-    sums off by about the tolerance, reducible or periodic chains and all-idle states."""
+def flawed_arrays(draw):
+    """The arrays of i.i.d. pmfs and Markov models of 0..6 states with NaN, +-inf and
+    negative entries, sums off by about the tolerance or overflowing, reducible or periodic
+    chains and all-idle states: a pmf, or a (transition, cond_pmfs) pair."""
     lam = draw(st.integers(0, 4))
     if draw(st.booleans()):
-        return IidAvailability(_spoil(draw, _weight_rows(draw, 1, lam + 1))[0])
+        return (_spoil(draw, _weight_rows(draw, 1, lam + 1))[0],)
     g = draw(st.integers(0, 6))
     if g and draw(st.booleans()):
         transition = np.eye(g)[list(draw(st.permutations(range(g))))]
@@ -124,24 +138,35 @@ def flawed_models(draw):
     if draw(st.booleans()):
         idle[:] = True
     pmfs[idle] = np.eye(lam + 1)[0]
-    return MarkovAvailability(_spoil(draw, transition), _spoil(draw, pmfs))
+    return _spoil(draw, transition), _spoil(draw, pmfs)
 
 
-@given(flawed_models())
+@given(flawed_arrays())
 @settings(max_examples=600, deadline=None)
-# +inf and -inf in one row sum to NaN, which is reported, not raised as a warning
-@example(IidAvailability(np.array([np.inf, -np.inf])))
-@example(MarkovAvailability(np.array([[1.0]]), np.array([[np.inf, -np.inf]])))
-@example(MarkovAvailability(np.array([[np.inf, -np.inf], [0.5, 0.5]]), np.eye(2)))
-def test_validate_reports_what_the_elementwise_checks_report(model):
-    assert validate(model) == oracles.validate_elementwise(model)
+# +inf and -inf are no finite entries, named before any invariant is tested
+@example((np.array([np.inf, -np.inf]),))
+@example((np.array([[1.0]]), np.array([[np.inf, -np.inf]])))
+@example((np.array([[np.inf, -np.inf], [0.5, 0.5]]), np.eye(2)))
+# finite entries can sum to inf, and to NaN where numpy's eight partial sums (one per lane,
+# then added in pairs) overflow to +inf and -inf: reported, not raised as a warning
+@example((np.array([0.0, 1e308, 1e308]),))
+@example((np.array([0.0, 1e308, 1e308, 0.0, -1e308, -1e308, 0.0, 1.0]),))
+@example((np.array([[1.0]]), np.array([[0.0, 1e308, 1e308, 0.0, -1e308, -1e308, 0.0, 1.0]])))
+def test_constructors_reject_what_the_elementwise_checks_report(arrays):
+    want = oracles.model_error(*arrays)
+    if want is not None:
+        assert rejected(*arrays) == want
+        return
+    model = (IidAvailability if len(arrays) == 1 else MarkovAvailability)(*arrays)
+    assert validate(model) == oracles.validate_elementwise(*arrays) == []
 
 
 def test_validate_a_chain_of_no_states():
     # min() of an empty array raises, while `.all()` of one holds: no state can compute
-    model = MarkovAvailability(np.zeros((0, 0)), np.zeros((0, 3)))
-    assert validate(model) == oracles.validate_elementwise(model) == [
+    arrays = np.zeros((0, 0)), np.zeros((0, 3))
+    assert oracles.validate_elementwise(*arrays) == [
         "every state has p0 = 1: the processor is never available"]
+    assert rejected(*arrays) == oracles.model_error(*arrays)
 
 
 def test_is_primitive():
@@ -198,8 +223,10 @@ def test_stationary_distribution_fixed_point():
 
 
 def test_stationary_distribution_of_a_residue_chain_has_a_rising_cdf():
-    """A reducible chain whose first row ends 4 ulps above 1: the solve leaves -2.9e-16."""
-    model = MarkovAvailability([[1.0000000000000004, 0.0], [1.0, 0.0]], [[1.0], [1.0]])
+    """A chain whose first row ends 4 ulps above 1 and barely leaves state 0: the solve
+    leaves -2.9e-16 for state 1."""
+    model = MarkovAvailability([[1.0000000000000004, 5e-324], [1.0, 0.0]],
+                               [[0.5, 0.5], [1.0, 0.0]])
     assert model.stationary.tolist() == [1.0, 0.0]
     assert np.all(np.diff(np.cumsum(model.stationary)) >= 0.0)
     for u in near_the_top(model):
@@ -267,14 +294,22 @@ def _stochastic_rows(draw, count, width, self_loops):
     return np.array(rows)
 
 
+def accepted(*arrays, initial_state=None):
+    """The model of `arrays` (a pmf, or Q and P); a draw the constructor would reject is
+    rejected, by the reference checks, so strategies draw only models that build."""
+    assume(oracles.model_error(*arrays) is None)
+    if len(arrays) == 1:
+        return IidAvailability(*arrays)
+    return MarkovAvailability(*arrays, initial_state=initial_state)
+
+
 @st.composite
 def markov_models(draw):
     states = draw(st.integers(min_value=2, max_value=16))
     max_len = draw(st.integers(min_value=1, max_value=8))
-    return MarkovAvailability(
-        _stochastic_rows(draw, states, states, self_loops=True),
-        _stochastic_rows(draw, states, max_len + 1, self_loops=False),
-        initial_state=draw(st.one_of(st.none(), st.integers(0, states - 1))))
+    return accepted(_stochastic_rows(draw, states, states, self_loops=True),
+                    _stochastic_rows(draw, states, max_len + 1, self_loops=False),
+                    initial_state=draw(st.one_of(st.none(), st.integers(0, states - 1))))
 
 
 class ScriptedRng:
@@ -332,7 +367,7 @@ def residue_chains(draw):
     float residue of its cumulative sum lands on both sides of 1.
     """
     states = draw(st.integers(min_value=1, max_value=16))
-    max_len = draw(st.integers(min_value=0, max_value=8))
+    max_len = draw(st.integers(min_value=1, max_value=8))  # at Lambda 0 every state is idle
 
     def rows(width):
         out = []
@@ -349,7 +384,7 @@ def residue_chains(draw):
         return np.array(out)
 
     initial = draw(st.one_of(st.none(), st.integers(0, states - 1)))
-    return MarkovAvailability(rows(states), rows(max_len + 1), initial_state=initial)
+    return accepted(rows(states), rows(max_len + 1), initial_state=initial)
 
 
 def near_the_top(model):
@@ -384,8 +419,8 @@ def test_presample_equals_sample_loop_at_the_top_of_the_cdf(model, count, seed):
 
 @st.composite
 def iid_models(draw):
-    width = draw(st.integers(min_value=1, max_value=9))
-    return IidAvailability(_stochastic_rows(draw, 1, width, self_loops=False)[0])
+    width = draw(st.integers(min_value=2, max_value=9))  # a pmf of one entry is always idle
+    return accepted(_stochastic_rows(draw, 1, width, self_loops=False)[0])
 
 
 def _with_both_initial_states(model):

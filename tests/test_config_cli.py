@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from anyctrl import cli
+from anyctrl import availability, cli
 from anyctrl.availability import IidAvailability, MarkovAvailability, from_execution_time
 from anyctrl.cli import main
 from anyctrl.config import (load_yaml, parse_availability, parse_certificate_inputs,
@@ -93,6 +93,15 @@ def test_parse_sim_config_and_overrides():
     assert cfg.plant.name == "linear_scalar"
     cfg = parse_sim_config(dict(SIM_DOC), seed=11, runs=2, horizon=50)
     assert (cfg.master_seed, cfg.runs, cfg.horizon) == (11, 2, 50)
+
+
+def test_parse_sim_config_validates_a_markov_model_once(monkeypatch):
+    calls = []
+    validate = availability.validate
+    monkeypatch.setattr(availability, "validate", lambda model: calls.append(model) or
+                        validate(model))
+    config = parse_sim_config({**SIM_DOC, "availability": MARKOV_AVAILABILITY})
+    assert len(calls) == 1 and calls[0] is config.availability
 
 
 def test_parse_sim_config_missing_sections():
@@ -337,12 +346,20 @@ MARKOV_MODEL = ([[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.6, 0.4]])
     (lambda: MarkovAvailability(*MARKOV_MODEL, initial_state=True),
      "availability.initial_state"),
     (lambda: CertificateInputs(0.5, 10 ** 400, IidAvailability([0.5, 0.5])), "alpha"),
+    (lambda: IidAvailability(["0.5", "0.5"]), "availability.p"),
+    (lambda: IidAvailability([0.5, True]), "availability.p"),
+    (lambda: IidAvailability(np.array(["0.5", "0.5"])), "availability.p"),
+    (lambda: MarkovAvailability([["1.0"]], [[0.5, 0.5]]), "availability.Q"),
+    (lambda: MarkovAvailability([[0.5, 0.5], [1.0]], MARKOV_MODEL[1]), "availability.Q"),
+    (lambda: MarkovAvailability(MARKOV_MODEL[0], [[0.1, 0.9], ["0.6", 0.4]]), "availability.P"),
+    (lambda: MarkovAvailability(MARKOV_MODEL[0], [[0.1, 0.9], [0.6, False]]), "availability.P"),
 ], ids=["lo-str", "variance-bool", "tau-str", "tau-bool", "q_x-str", "q_x-bool", "r_u-huge",
         "x0-ragged", "x0-str", "x0_box-bools", "x0_box-strs", "initial_state-float",
-        "initial_state-bool", "alpha-huge"])
+        "initial_state-bool", "alpha-huge", "p-str", "p-bool", "p-str-array", "Q-str",
+        "Q-ragged", "P-str", "P-bool"])
 def test_constructors_name_the_key_of_a_value_that_is_no_finite_number(build, key):
     """Each once raised a TypeError, ValueError or OverflowError, or was accepted
-    (a bool as a number, a float initial state as its floor)."""
+    (a bool as a number, a float initial state as its floor, a quoted pmf entry)."""
     with pytest.raises(ConfigError, match=f"^{key} must"):
         build()
 
@@ -391,6 +408,13 @@ STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time
     ("stability", {"rho": "0.5"}, "rho"),
     ("stability", {"alpha": 10 ** 400}, "alpha"),
     ("sweep", {"experiment": "fig2", "seed": "x"}, "seed"),
+    # a scale numpy cannot hold in one array, and a tau whose pmf would not fit in memory;
+    # each is rejected before anything is allocated
+    ("simulate", {"runs": 10 ** 20}, "runs"),
+    ("simulate", {"horizon": 10 ** 20}, "horizon"),
+    ("sweep", {"experiment": "fig2", "runs": 10 ** 20}, "runs"),
+    ("simulate", {"availability": {"kind": "exec_time", "tau": 1e-300}}, "availability.tau"),
+    ("simulate", {"availability": {"kind": "exec_time", "tau": 1e-15}}, "availability.tau"),
     ("sweep", {"experiment": "custom", "sweep": "tau", "grid": [0.2], "base": [1]}, "base"),
 ])
 def test_cli_bad_values_name_their_key(tmp_path, capsys, command, change, key):

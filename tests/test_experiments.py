@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from anyctrl import availability
 from anyctrl.config import parse_scale
 from anyctrl.errors import ConfigError
+from anyctrl.controller import KINDS
 from anyctrl.experiments import (SWEEP_COLUMNS, ExperimentSpec, _config_at,
                                  builtin_experiment, run_sweep,
                                  write_sweep_csv)
@@ -120,3 +122,16 @@ def test_a_sweep_keeps_the_base_lqr_weights():
                               "gain": lqr_gain_scalar(value, 1.0, 0.5)}
     # the default weights (q 0.2, r 2.0) would give 0.194
     assert abs(_config_at(spec, 0.9, "a1").plant.params["gain"] - 0.649) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_a_sweep_validates_only_the_models_it_builds(monkeypatch, name):
+    """A model is checked once, when it is built: a tau sweep builds one per grid value and
+    controller, and an `a` or `buffer_cap` sweep builds none, whatever configs it derives."""
+    spec = builtin_experiment(name, runs=2, horizon=20)
+    calls = []
+    validate = availability.validate
+    monkeypatch.setattr(availability, "validate", lambda model: calls.append(model) or
+                        validate(model))
+    run_sweep(spec)
+    assert len(calls) == (len(spec.grid) * len(KINDS) if spec.sweep == "tau" else 0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anyctrl.availability import (IidAvailability, MarkovAvailability,
@@ -143,7 +143,8 @@ def _weight_rows(draw, count, width):
 @st.composite
 def certificate_chains(draw, states=st.integers(1, 16), lams=st.integers(1, 8)):
     """A Markov model (by default G = 1..16, Lambda = 1..8) with zero entries and e_0 pmf rows,
-    plus rho, alpha."""
+    plus rho, alpha. Only models that build are drawn: a reducible or periodic chain, or one
+    whose every state is idle, is rejected by the reference checks."""
     g = draw(states)
     lam = draw(lams)
     transition = _weight_rows(draw, g, g)
@@ -152,6 +153,7 @@ def certificate_chains(draw, states=st.integers(1, 16), lams=st.integers(1, 8)):
     pmfs[degenerate] = np.eye(lam + 1)[0]
     rho = draw(st.floats(0.0, 0.99))
     alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+    assume(oracles.model_error(transition, pmfs) is None)
     return MarkovAvailability(transition, pmfs), rho, alpha
 
 
@@ -375,7 +377,8 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("rho, alpha, pmf, field", [(NAN, 1.5, [0.5, 0.5], "^rho must"),
                                                     (0.5, NAN, [0.5, 0.5], "^alpha must"),
-                                                    (0.5, 1.5, [0.5, NAN], "pmf has")])
+                                                    (0.5, 1.5, [0.5, NAN],
+                                                     "^availability.p must be finite")])
 def test_certificate_inputs_reject_nan(rho, alpha, pmf, field):
     # NaN fails every comparison, so a guard written as `alpha < 1.0` lets it pass
     with pytest.raises(ConfigError, match=field):
