@@ -151,9 +151,9 @@ def certificate_chains(draw, states=st.integers(1, 16), lams=st.integers(1, 8)):
     pmfs = _weight_rows(draw, g, lam + 1)
     degenerate = draw(arrays(np.bool_, g, elements=st.booleans()))
     pmfs[degenerate] = np.eye(lam + 1)[0]
+    assume(oracles.model_error(transition, pmfs) is None)
     rho = draw(st.floats(0.0, 0.99))
     alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
-    assume(oracles.model_error(transition, pmfs) is None)
     return MarkovAvailability(transition, pmfs), rho, alpha
 
 
