@@ -5,10 +5,9 @@ A trace episode of `anyctrl simulate --traces K` (benchmark workload
 markov_simulate) replays one run on one lane. Trims to its per-step work
 move its time by a few percent, which the benchmark's run-to-run noise
 hides; this script sizes them. For each round it starts one fresh process
-per tree, in turn, with PYTHONPATH set to that tree (the convention of
-`scripts/cell_digest.py`) and the benchmark's environment (`bench/run.py`:
-BLAS and OpenMP pinned to one thread, PYTHONHASHSEED=0, no bytecode
-written). Each process builds benchmark instance 3's markov_simulate
+per tree, in turn, with PYTHONPATH set to that tree and the benchmark's
+environment (`bench/run.py`: BLAS and OpenMP pinned to one thread,
+PYTHONHASHSEED=0, no bytecode written). Each process builds benchmark instance 3's markov_simulate
 config (`bench/workloads.markov_config`), runs one untimed operation, then
 times 15 operations in turn. The operation is a trace episode of runs 0
 and 1 in turn; with `--op monte_carlo` the config's 100-run `monte_carlo`

@@ -53,8 +53,12 @@ class ExperimentSpec:
             raise ConfigError(f"sweep grid must be a nonempty list of numbers, got {self.grid!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
-        if self.sweep == "tau" and any(not 0.0 < v < 1.0 for v in self.grid):
-            raise ConfigError(f"sweep grid over tau must lie in (0, 1), got {list(self.grid)!r}")
+        for value in self.grid if self.sweep == "tau" else ():
+            try:  # the model's own rule on tau, named after the grid
+                from_execution_time(value)
+            except ConfigError as exc:
+                raise ConfigError("sweep grid over tau"
+                                  + str(exc).removeprefix("availability.tau")) from None
         if self.sweep == "buffer_cap" and any(integer(v, "grid") < 1 for v in self.grid):
             raise ConfigError(f"sweep grid over buffer_cap must hold integers >= 1, "
                               f"got {list(self.grid)!r}")

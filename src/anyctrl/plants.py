@@ -276,10 +276,12 @@ def _sat_2d() -> PlantModel:
     def v(x):
         return 2.0 * norm(x)
 
+    # alpha: with u = w = 0, |f(x)|^2 = x'[[1, 1], [1, 2]]x where |x1 + x2| <= 1, whose
+    # largest eigenvalue is phi^2, reached along x ~ (1, phi); so sup V(f) / V = phi
     return PlantModel(
         name="sat_2d", n=2, p=2, m=1,
         f=f, lyapunov=v, policy=kappa,
-        rho=0.5, alpha=1.618, closed_loop=closed_loop,
+        rho=0.5, alpha=(1.0 + SQRT5) / 2.0, closed_loop=closed_loop,
     )
 
 

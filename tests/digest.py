@@ -1,101 +1,59 @@
 #!/usr/bin/env python3
-"""Print one sha256 per simulation cell, to prove two versions give the same bits.
+"""One sha256 per simulation cell and output file: the record that results keep their bits.
 
-For every cell (grid value x controller kind) of the fig1, fig2 and fig3
-sweeps, run through `run_sweep`, it prints a digest of the per-run costs,
-one of the sweep rows, one over x, u, N, lambda and V of the first
-`--traces` `run_episode` traces of the cell's config, and one of the
-per-run V at the steps in CHECKPOINTS (those below the horizon), read from
-the states the engine's loop `_blocks` yields, and one of every (before,
-after) pair of states that the Lyapunov decrease test (`controller.check`,
-wrapped here) receives from the cell's Monte-Carlo call and its traces,
-with the step and ring rows of each; these hold the rollout depths that
-are computed but never played. A fig1 cell also gets a digest of the
-`run_episode` trace of its first diverging run, the trace that stops at
-the overflow guard. Two more configs (sat_2d under a 3-state Markov
-processor, and log_lyapunov) get the same cost, trace, V and
-decrease-test digests from `monte_carlo`, `run_episode` and `_blocks`.
-The N schedules that `presample` draws under a 16-state Markov
-processor, with its initial state set and unset, get one digest each,
-and so do those under the benchmark's 3-state chain
-(`bench/workloads.markov_config`) at 1, 2 and `--runs` runs and an odd
-horizon, so that the last block of the lockstep chain walk is partial.
-SAMPLE_DRAWS one-lane `sample()` calls get one digest per model, with the
-stream's next double: an execution-time model, and the benchmark's chain
-with its initial state unset and set.
-The certificate lines (`evaluate(...).lines()`) of a seeded set of
-inputs get one digest per kind of input: execution-time and
-random i.i.d. models, dense and slow ring Markov chains, chains with
-degenerate (p0|s = 1) states, and chains with alpha * p_hat0 within 1e-3 of
-one, and those of every input in the benchmark's certify pool
-(`bench/workloads.certificate_pool`) get one digest together. Each model
-is built inside the same try as its evaluation, so a model its
-constructor rejects is digested as that error.
-`anyctrl simulate --traces 2` gets one digest per output file, on
-configs/simulate.yaml and on the sat_2d Markov config, `anyctrl stability`
-one per output file on configs/stability.yaml and
-configs/stability_markov.yaml, and `anyctrl sweep` one per output file on
-each configs/sweep_fig*.yaml (at the file's seed and the script's runs and
-horizon).
-The objects the config parser builds get one digest per document, over
-each field's name, type and value, plant callables left out: every
-configs/*.yaml, the benchmark's Markov config, the sat_2d Markov config,
-a simulate and a stability document of integers where floats are
-expected, and one custom sweep. A sweep document's spec is the one
-`anyctrl sweep` hands to `run_sweep` (at the script's runs and horizon),
-caught there, so the parse layer of either version can be compared.
-The exit code and stderr of `anyctrl simulate` on each of a fixed set of
-broken availability sections (BROKEN_AVAILABILITY: a pmf that does not
-sum to 1, a negative, NaN or quoted entry, reducible, periodic and
-all-idle chains, an initial state out of range, and two execution times
-whose pmf no array holds) get one digest each; an exception that escapes
-`cli.main` is digested as its type and message.
+`lines()` digests, at one fixed scale (seed SEED, RUNS runs x HORIZON
+steps, TRACES traces per config): every cell of the fig1, fig2 and fig3
+sweeps and of two more configs (its per-run costs, traces, V at
+CHECKPOINTS, and the states the Lyapunov decrease test receives), the
+sweep rows, Markov N schedules and `sample()` draws, certificate lines, the
+objects the config parser builds, the CLI's output files, and its errors on
+BROKEN_AVAILABILITY. The certify pool and the benchmark's Markov config
+come from `bench/workloads`.
 
-It imports the package from the `src/` next to it unless PYTHONPATH is
-set, so one copy of the script can check two versions of the package.
-Diff the outputs; an empty diff means every cost, row, trace, schedule,
-certificate and CLI file is bit-identical (integer arrays equal in value,
-whatever type stores them):
+tests/test_golden_digest.py compares `lines()` with the committed
+tests/golden/cell_digest.txt, whose header (`header()`) names the
+environment, since numpy's SIMD kernels set float bits. A change that
+moves bits on purpose regenerates the file in the same commit, with
 
-    python scripts/cell_digest.py > after.txt
-    PYTHONPATH=../other/src python scripts/cell_digest.py > before.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python tests/digest.py > tests/golden/cell_digest.txt
 """
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
-import os
+import platform
 import sys
 import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import yaml
+
+from anyctrl import cli, controller, experiments
+from anyctrl.availability import (IidAvailability, MarkovAvailability, from_execution_time,
+                                  make_sampler)
+from anyctrl.config import load_yaml, parse_certificate_inputs, parse_sim_config
+from anyctrl.controller import KINDS, ControllerKind
+from anyctrl.plants import DisturbanceModel, make_builtin_plant
+from anyctrl.simulation import SimConfig, _blocks, monte_carlo, presample, run_episode
+from anyctrl.stability import CertificateInputs, evaluate
 
 ROOT = Path(__file__).resolve().parent.parent
-if not os.environ.get("PYTHONPATH"):
-    sys.path.insert(0, str(ROOT / "src"))
-sys.path.append(str(ROOT / "bench"))  # certify pool, Markov config; the package comes from above
-
-import numpy as np  # noqa: E402
-import yaml  # noqa: E402
-
-from anyctrl import cli, controller, experiments  # noqa: E402
-from anyctrl.availability import (IidAvailability, MarkovAvailability,  # noqa: E402
-                                  from_execution_time, make_sampler)
-from anyctrl.cli import main as cli_main  # noqa: E402
-from anyctrl.config import (load_yaml, parse_certificate_inputs,  # noqa: E402
-                            parse_sim_config)
-from anyctrl.controller import KINDS, ControllerKind  # noqa: E402
-from anyctrl.plants import DisturbanceModel, make_builtin_plant  # noqa: E402
-from anyctrl.simulation import (SimConfig, _blocks, monte_carlo, presample,  # noqa: E402
-                                run_episode)
-from anyctrl.stability import CertificateInputs, evaluate  # noqa: E402
+sys.path.append(str(ROOT / "bench"))  # the certify pool and the benchmark's Markov config
 from workloads import certificate_pool, markov_config  # noqa: E402
 
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+
+SEED, RUNS, HORIZON, TRACES = 3, 40, 300, 2  # RUNS >= 24 covers the lockstep Markov walk
+SCALE = ("--runs", str(RUNS), "--horizon", str(HORIZON))
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
       [0.30, 0.30, 0.20, 0.10, 0.10],
@@ -106,10 +64,13 @@ CHECKPOINTS = (0, 15, 16, 200, -1)
 SAMPLE_DRAWS = 5000
 
 
-def disturbance(kind: str, m: int, **params) -> DisturbanceModel:
-    """A disturbance of a plant with m components, on a version with or without `dim`."""
-    has_dim = "dim" in DisturbanceModel.__dataclass_fields__
-    return DisturbanceModel(kind=kind, **({"dim": m} if has_dim else {}), **params)
+def header() -> list:
+    """The environment the digests hold for: Python, numpy and the SIMD code numpy runs."""
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return [f"# python {platform.python_version()}",
+            f"# numpy {np.__version__}",
+            f"# numpy SIMD baseline {' '.join(umath.__cpu_baseline__)}",
+            f"# numpy SIMD dispatch {' '.join(dispatch)}"]
 
 
 def feed(h, *arrays) -> None:
@@ -123,14 +84,13 @@ def feed(h, *arrays) -> None:
 
 
 def digest(*arrays) -> str:
-    """sha256 over `feed` of the arrays.
-
-    A version that stores N schedules in a narrower integer type then gives
-    the same digest for the same values.
-    """
     h = hashlib.sha256()
     feed(h, *arrays)
     return h.hexdigest()
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class CheckRecorder:
@@ -189,31 +149,60 @@ def cell_key(config) -> tuple:
             config.availability.pmf.tobytes())
 
 
-def print_cell(cell, config, costs, checks, traces: int, diverging: bool = False) -> None:
-    """Print the cell's digests; `checks` holds the decrease tests of its Monte-Carlo call."""
+def cell_lines(recorder, cell, config, costs, checks, diverging=False):
+    """The cell's digests; `checks` holds the decrease tests of its Monte-Carlo call."""
     checks = checks.copy()
-    print(f"{cell} costs {digest(costs)}")
-    print(f"{cell} traces {controller.check.run(checks, trace_digest, config, range(traces))}")
-    print(f"{cell} checked {checks.hexdigest()}")
-    print(f"{cell} checkpoints {checkpoint_digest(config)}")
+    yield f"{cell} costs {digest(costs)}"
+    yield f"{cell} traces {recorder.run(checks, trace_digest, config, range(TRACES))}"
+    yield f"{cell} checked {checks.hexdigest()}"
+    yield f"{cell} checkpoints {checkpoint_digest(config)}"
     if diverging:
         runs = np.flatnonzero(~np.isfinite(costs))[:1]
         first = f"run {runs[0]} {trace_digest(config, runs)}" if runs.size else "none"
-        print(f"{cell} first diverging {first}")
+        yield f"{cell} first diverging {first}"
 
 
-def extra_configs(seed: int, runs: int, horizon: int):
+def sweep_lines(recorder):
+    for name in ("fig1", "fig2", "fig3"):
+        spec = experiments.builtin_experiment(name, seed=SEED, runs=RUNS, horizon=HORIZON)
+        summaries, checks = {}, {}
+
+        def recording(config, draws=None):
+            key = cell_key(config)
+            checks[key] = hashlib.sha256()
+            summaries[key] = recorder.run(checks[key], monte_carlo, config, draws)
+            return summaries[key]
+
+        with mock.patch.object(experiments, "monte_carlo", recording):
+            rows = experiments.run_sweep(spec)
+        for value in spec.grid:
+            for kind in KINDS:
+                config = experiments._config_at(spec, value, kind)
+                key = cell_key(config)
+                yield from cell_lines(recorder, f"{name} {spec.sweep}={value:g} {kind}", config,
+                                      summaries[key].per_run_costs, checks[key],
+                                      diverging=name == "fig1")
+        table = [[row[k] for k in experiments.SWEEP_COLUMNS] for row in rows]
+        yield f"{name} rows {digest(np.array(table, dtype=float))}"
+
+
+def extra_lines(recorder):
+    """Cell digests of sat_2d under a 3-state Markov processor, and of log_lyapunov."""
     sat = SimConfig(plant=make_builtin_plant("sat_2d"),
                     availability=MarkovAvailability(Q3, P3),
                     controller=ControllerKind("baseline"),
-                    disturbance=disturbance("uniform", 1, lo=-0.05, hi=0.05),
-                    horizon=horizon, runs=runs, master_seed=seed, x0_box=(-2.0, 2.0))
+                    disturbance=DisturbanceModel("uniform", lo=-0.05, hi=0.05),
+                    horizon=HORIZON, runs=RUNS, master_seed=SEED, x0_box=(-2.0, 2.0))
     log = SimConfig(plant=make_builtin_plant("log_lyapunov", rho=0.5),
                     availability=from_execution_time(0.2),
                     controller=ControllerKind("baseline"),
-                    disturbance=disturbance("none", 0),
-                    horizon=horizon, runs=runs, master_seed=seed, x0_box=(-3.0, 3.0))
-    return {"markov_sat_2d": sat, "log_lyapunov": log}
+                    horizon=HORIZON, runs=RUNS, master_seed=SEED, x0_box=(-3.0, 3.0))
+    for name, base in {"markov_sat_2d": sat, "log_lyapunov": log}.items():
+        for kind in KINDS:
+            config = replace(base, controller=ControllerKind(kind))
+            checks = hashlib.sha256()
+            costs = recorder.run(checks, monte_carlo, config).per_run_costs
+            yield from cell_lines(recorder, f"{name} {kind}", config, costs, checks)
 
 
 def chain16(initial_state):
@@ -224,31 +213,31 @@ def chain16(initial_state):
     return MarkovAvailability(q, p, initial_state=initial_state)
 
 
-def print_schedules(seed: int, runs: int, horizon: int) -> None:
+def schedule_lines():
     for initial_state in (None, 5):
         config = SimConfig(plant=make_builtin_plant("sat_2d"),
                            availability=chain16(initial_state),
                            controller=ControllerKind("a2"),
-                           disturbance=disturbance("uniform", 1, lo=-0.05, hi=0.05),
-                           horizon=horizon, runs=runs, master_seed=seed)
-        print(f"markov16 initial_state={initial_state} schedules {digest(presample(config)[0])}")
-    odd = horizon | 1
-    for count in (1, 2, runs):
-        config = parse_sim_config(markov_config(seed, count, odd))
-        print(f"bench markov runs={count} horizon={odd} schedules {digest(presample(config)[0])}")
+                           disturbance=DisturbanceModel("uniform", lo=-0.05, hi=0.05),
+                           horizon=HORIZON, runs=RUNS, master_seed=SEED)
+        yield f"markov16 initial_state={initial_state} schedules {digest(presample(config)[0])}"
+    odd = HORIZON | 1
+    for count in (1, 2, RUNS):
+        config = parse_sim_config(markov_config(SEED, count, odd))
+        yield f"bench markov runs={count} horizon={odd} schedules {digest(presample(config)[0])}"
 
 
-def print_samples(seed: int) -> None:
+def sample_lines():
     """SAMPLE_DRAWS one-lane `sample()` draws per model, and the stream's next double."""
-    chain = parse_sim_config(markov_config(seed, 1, 1)).availability
+    chain = parse_sim_config(markov_config(SEED, 1, 1)).availability
     models = {"exec_time tau=0.23": from_execution_time(0.23),
               "bench markov initial_state=None": chain,
               "bench markov initial_state=2": replace(chain, initial_state=2)}
     for name, model in models.items():
-        rng = np.random.default_rng([seed, 23])
+        rng = np.random.default_rng([SEED, 23])
         sampler = make_sampler(model, [rng])
         draws = [sampler.sample() for _ in range(SAMPLE_DRAWS)]
-        print(f"sample {name} {digest(np.array(draws), np.array([rng.random()]))}")
+        yield f"sample {name} {digest(np.array(draws), np.array([rng.random()]))}"
 
 
 def _pmf_rows(rng, states: int, lam: int) -> np.ndarray:
@@ -269,13 +258,13 @@ def _chain(rng, kind: str, states: int) -> np.ndarray:
     return rng.dirichlet(np.full(states, rng.choice([0.3, 1.0, 5.0])), size=states)
 
 
-def certificate_cases(seed: int, count: int = 64):
+def certificate_cases(count: int = 64):
     """Seeded (kind, rho, alpha, build) certificate inputs, `count` of each kind.
 
     `build()` makes the availability model, so that `certificate_lines` can
     digest a model its constructor rejects as that error.
     """
-    rng = np.random.default_rng([seed, 11])
+    rng = np.random.default_rng([SEED, 11])
     for kind in ("exec_time", "iid", "dense", "ring", "degenerate", "near_one"):
         for i in range(count):
             rho, alpha = float(rng.uniform(0.0, 0.98)), float(1.0 + rng.exponential(0.8))
@@ -306,25 +295,25 @@ def certificate_lines(rho, alpha, build) -> list:
         return [f"raised {type(exc).__name__}: {exc}"]
 
 
-def print_certificates(seed: int) -> None:
+def certificate_digest_lines():
     lines = {}
-    for kind, rho, alpha, build in certificate_cases(seed):
+    for kind, rho, alpha, build in certificate_cases():
         lines.setdefault(kind, []).extend(certificate_lines(rho, alpha, build) + [""])
     pool = certificate_pool()
     lines[f"pool of {len(pool)}"] = [
         line for _, rho, alpha, model in pool
         for line in certificate_lines(rho, alpha, lambda: model) + [""]]
     for kind, text in lines.items():
-        sha = hashlib.sha256("\n".join(text).encode()).hexdigest()
-        print(f"certificates {kind} {sha}")
+        sha = text_digest("\n".join(text))
+        yield f"certificates {kind} {sha}"
 
 
-def markov_simulate_doc(seed: int) -> dict:
+def markov_simulate_doc() -> dict:
     return {"plant": {"name": "sat_2d"},
             "availability": {"kind": "markov", "Q": Q3, "P": P3},
             "controller": {"kind": "a2"},
             "disturbance": {"kind": "uniform", "lo": -0.05, "hi": 0.05},
-            "seed": seed, "x0_box": [-2.0, 2.0]}
+            "seed": SEED, "x0_box": [-2.0, 2.0]}
 
 
 # availability sections that no valid model has; each should end `anyctrl simulate` with exit 2
@@ -343,7 +332,7 @@ BROKEN_AVAILABILITY = {
 }
 
 
-def print_cli_errors() -> None:
+def cli_error_lines():
     """One digest per BROKEN_AVAILABILITY document: `simulate`'s exit code and stderr.
 
     An exception that escapes `cli.main` is digested as its type and message.
@@ -357,21 +346,35 @@ def print_cli_errors() -> None:
             err = io.StringIO()
             try:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = cli_main(["simulate", "--config", str(config), "--out", tmp])
+                    code = cli.main(["simulate", "--config", str(config), "--out", tmp])
                 text = f"exit {code}\n{err.getvalue()}"
             except Exception as exc:  # an uncaught error is part of the result
                 text = f"raised {type(exc).__name__}: {exc}"
-            print(f"cli error {name} {hashlib.sha256(text.encode()).hexdigest()}")
+            yield f"cli error {name} {text_digest(text)}"
 
 
-def print_cli(name: str, command: str, config: Path, *flags) -> None:
+def cli_lines(name: str, command: str, config: Path, *flags):
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main([command, "--config", str(config), "--out", out, *flags])
+        code = cli.main([command, "--config", str(config), "--out", out, *flags])
         files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                  for path in sorted(Path(out).iterdir())}
-    print(f"{name} exit {code}")
+    yield f"{name} exit {code}"
     for file, sha in files.items():
-        print(f"{name} {file} {sha}")
+        yield f"{name} {file} {sha}"
+
+
+def all_cli_lines():
+    yield from cli_lines("cli simulate", "simulate", ROOT / "configs" / "simulate.yaml", *SCALE,
+                         "--traces", "2")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "markov.yaml"
+        config.write_text(json.dumps(markov_simulate_doc()))  # JSON is YAML
+        yield from cli_lines("cli simulate markov", "simulate", config, *SCALE, "--traces", "2")
+    for config in ("stability.yaml", "stability_markov.yaml"):
+        yield from cli_lines(f"cli stability {config}", "stability", ROOT / "configs" / config)
+    for config in sorted((ROOT / "configs").glob("sweep_fig*.yaml")):
+        yield from cli_lines(f"cli sweep {config.name}", "sweep", config, *SCALE)
+    yield from cli_error_lines()
 
 
 # documents of integers where the schema reads floats, and a custom sweep
@@ -405,23 +408,19 @@ def describe(value) -> str:
     return f"{type(value).__name__}({value!r})"
 
 
-def parsed_sweep(path: Path, *flags):
+def parsed_sweep(path: Path):
     """The spec that `anyctrl sweep` builds from the file at `path`, caught at `run_sweep`."""
     specs = []
-    run_sweep, cli.run_sweep = cli.run_sweep, lambda spec: specs.append(spec) or []
-    try:
-        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["sweep", "--config", str(path), "--out", out, *flags])
-    finally:
-        cli.run_sweep = run_sweep
+    with mock.patch.object(cli, "run_sweep", lambda spec: specs.append(spec) or []), \
+            tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["sweep", "--config", str(path), "--out", out, *SCALE])
     return specs[0] if code == 0 else f"exit {code}"
 
 
-def print_parsed(seed: int, runs: int, horizon: int) -> None:
-    scale = ("--runs", str(runs), "--horizon", str(horizon))
+def parsed_lines():
     docs = {path.name: path for path in sorted((ROOT / "configs").glob("*.yaml"))}
-    docs.update({"bench markov": markov_config(seed, runs, horizon),
-                 "sat_2d markov": markov_simulate_doc(seed), "integer simulate": INT_SIMULATE,
+    docs.update({"bench markov": markov_config(SEED, RUNS, HORIZON),
+                 "sat_2d markov": markov_simulate_doc(), "integer simulate": INT_SIMULATE,
                  "integer stability": INT_STABILITY, "custom sweep": CUSTOM_SWEEP})
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
@@ -431,75 +430,21 @@ def print_parsed(seed: int, runs: int, horizon: int) -> None:
                 doc = path
             data = load_yaml(doc)
             if "experiment" in data:
-                built = parsed_sweep(doc, *scale)
+                built = parsed_sweep(doc)
             elif "rho" in data:
                 built = parse_certificate_inputs(data)
             else:
                 built = parse_sim_config(data)
-            print(f"parsed {name} {hashlib.sha256(describe(built).encode()).hexdigest()}")
+            yield f"parsed {name} {text_digest(describe(built))}"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--runs", type=int, default=200)
-    parser.add_argument("--horizon", type=int, default=1000)
-    parser.add_argument("--traces", type=int, default=2, help="run_episode traces per config")
-    args = parser.parse_args()
-
-    mc = experiments.monte_carlo
-    controller.check = CheckRecorder(controller.check)
-    for name in ("fig1", "fig2", "fig3"):
-        spec = experiments.builtin_experiment(name, seed=args.seed, runs=args.runs,
-                                              horizon=args.horizon)
-        summaries, checks = {}, {}
-
-        def recording(config, draws=None):
-            key = cell_key(config)
-            checks[key] = hashlib.sha256()
-            summary = summaries[key] = controller.check.run(checks[key], mc, config, draws)
-            return summary
-
-        experiments.monte_carlo = recording
-        try:
-            rows = experiments.run_sweep(spec)
-        finally:
-            experiments.monte_carlo = mc
-        for value in spec.grid:
-            for kind in KINDS:
-                config = experiments._config_at(spec, value, kind)
-                key = cell_key(config)
-                print_cell(f"{name} {spec.sweep}={value:g} {kind}", config,
-                           summaries[key].per_run_costs, checks[key], args.traces,
-                           diverging=name == "fig1")
-        table = [[row[k] for k in experiments.SWEEP_COLUMNS] for row in rows]
-        print(f"{name} rows {digest(np.array(table, dtype=float))}")
-
-    for name, base in extra_configs(args.seed, args.runs, args.horizon).items():
-        for kind in KINDS:
-            config = replace(base, controller=ControllerKind(kind))
-            checks = hashlib.sha256()
-            costs = controller.check.run(checks, monte_carlo, config).per_run_costs
-            print_cell(f"{name} {kind}", config, costs, checks, args.traces)
-
-    print_schedules(args.seed, args.runs, args.horizon)
-    print_samples(args.seed)
-    print_certificates(args.seed)
-    print_parsed(args.seed, args.runs, args.horizon)
-
-    scale = ("--runs", str(args.runs), "--horizon", str(args.horizon))
-    print_cli("cli simulate", "simulate", ROOT / "configs" / "simulate.yaml", *scale,
-              "--traces", "2")
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "markov.yaml"
-        config.write_text(json.dumps(markov_simulate_doc(args.seed)))  # JSON is YAML
-        print_cli("cli simulate markov", "simulate", config, *scale, "--traces", "2")
-    for config in ("stability.yaml", "stability_markov.yaml"):
-        print_cli(f"cli stability {config}", "stability", ROOT / "configs" / config)
-    for config in sorted((ROOT / "configs").glob("sweep_fig*.yaml")):
-        print_cli(f"cli sweep {config.name}", "sweep", config, *scale)
-    print_cli_errors()
+def lines() -> list:
+    """Every digest line, in the committed file's order."""
+    recorder = CheckRecorder(controller.check)
+    with mock.patch.object(controller, "check", recorder):
+        return [*sweep_lines(recorder), *extra_lines(recorder), *schedule_lines(),
+                *sample_lines(), *certificate_digest_lines(), *parsed_lines(), *all_cli_lines()]
 
 
 if __name__ == "__main__":
-    main()
+    print("\n".join(header() + lines()))

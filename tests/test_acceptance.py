@@ -323,9 +323,8 @@ def test_criterion_10_variants_identical_for_small_buffers():
 
 def test_criterion_11_certificate_vs_simulation_decay():
     model = from_execution_time(0.23)
-    rho, alpha = 0.5, 1.618
-    assert a1_margin(model, rho, alpha) < 1.0
     plant = make_builtin_plant("sat_2d")
+    assert a1_margin(model, plant.rho, plant.alpha) < 1.0
     cfg = SimConfig(plant=plant, availability=model,
                     controller=ControllerKind("a1"),
                     disturbance=DisturbanceModel(kind="none"),

@@ -257,6 +257,24 @@ def test_run_sweep_equals_independent_monte_carlo(monkeypatch):
         check_sweep_against_monte_carlo(monkeypatch, SWEEPS[name]())
 
 
+@pytest.mark.parametrize("name, value", [("fig1", 0.2), ("fig1", 0.4), ("fig2", 1.3),
+                                         ("fig3", 3)])
+def test_costs_do_not_depend_on_how_runs_are_batched(name, value):
+    """A 60-run batch split into batches of 1, 16 and 43 runs, each given its slice of the
+    draws, gives every run's cost bit for bit, for every controller."""
+    spec = builtin_experiment(name, seed=3, runs=60, horizon=300)
+    for kind in KINDS:
+        config = _config_at(spec, value, kind)
+        draws = presample(config)
+        parts, start = [], 0
+        for size in (1, 16, 43):
+            part = tuple(a[start:start + size] for a in draws)
+            parts.append(monte_carlo(replace(config, runs=size), part).per_run_costs)
+            start += size
+        whole = monte_carlo(config, draws).per_run_costs
+        np.testing.assert_array_equal(np.concatenate(parts).view(np.int64), whole.view(np.int64))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_diverged_run_keeps_its_last_state(kind):
     # one disturbance spike throws run 0 past the overflow guard at step 5; from its

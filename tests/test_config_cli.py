@@ -287,6 +287,10 @@ MARKOV_AVAILABILITY = {"kind": "markov", "Q": [[0.9, 0.1], [0.2, 0.8]],
     ({"grid": "0.2"}, "grid"),
     ({"grid": [0.2, "0.3"]}, "grid"),
     ({"experiment": "fig3", "grid": [1, 2.5]}, "grid"),
+    # a tau grid is checked by the model's own rule on tau, named after the grid
+    ({"grid": [0.000001, 0.2]}, "sweep grid over tau must give Lambda = floor(1/tau) <= 65535"),
+    ({"grid": [0.0, 0.2]}, "sweep grid over tau must lie in (0, 1), got 0.0"),
+    ({"grid": [0.2, 1.0]}, "sweep grid over tau must lie in (0, 1), got 1.0"),
     ({"base": {**SIM_DOC, "horizon": 0}}, "base: horizon"),
 ])
 def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):

@@ -15,6 +15,7 @@ from oracles import riccati_gain_loop, sat_2d_f, sat_2d_policy
 PLANT_NAMES = ["cubic_scalar", "linear_scalar", "sat_2d", "log_lyapunov"]
 # half-width of the box the contraction test samples states from
 SAMPLE_BOX = {"cubic_scalar": 10.0, "linear_scalar": 10.0, "sat_2d": 10.0, "log_lyapunov": 100.0}
+PHI = (1.0 + 5.0 ** 0.5) / 2.0  # sat_2d's growth factor, along the direction (1, PHI)
 
 
 def build(name):
@@ -119,6 +120,28 @@ def test_closed_loop_contraction(name, data):
         return
     nxt = plant.f(x, plant.policy(x), np.zeros(plant.m))
     assert float(plant.lyapunov(nxt)) <= plant.rho * v + 1e-9 * max(1.0, v)
+
+
+@pytest.mark.parametrize("name", [name for name in PLANT_NAMES if build(name).alpha is not None])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_open_loop_growth(name, data):
+    """V(f(x, 0, 0)) <= alpha V(x) up to float slack, sampled in the box.
+
+    Half the draws of a two-state plant lie on sat_2d's worst direction, x ~ (1, phi),
+    inside the band |x1 + x2| <= 1 where its map is linear.
+    """
+    plant = build(name)
+    box = SAMPLE_BOX[name]
+    x = np.array([data.draw(st.floats(min_value=-box, max_value=box,
+                                      allow_nan=False)) for _ in range(plant.n)])
+    if plant.n == 2 and data.draw(st.booleans()):
+        band = 1.0 / PHI ** 2
+        x = data.draw(st.floats(min_value=-band, max_value=band)) * np.array([1.0, PHI])
+    v = float(plant.lyapunov(x))
+    nxt = plant.f(x, np.zeros(plant.p), np.zeros(plant.m))
+    # sat_2d's f adds and subtracts sqrt(5), which rounds x2 to a multiple of 4.4e-16
+    assert float(plant.lyapunov(nxt)) <= plant.alpha * v * (1.0 + 1e-12) + 1e-14
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
