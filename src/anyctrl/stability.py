@@ -10,9 +10,11 @@ per-state computation probabilities p_bar = 1 - p0|s.
 `evaluate` on a Markov model works in this order (the model was
 validated when it was built, by its constructor); the worst-state bound
 alpha * p_hat0 < 1 is read from p_hat0, the largest p0|s, and only adds a
-note when it fails; `upsilon` then decides the sharp guard, the spectral
-radius of alpha * Q_bar against one, and only past it forms the stacked
-products: both inverses in one batched `inv` call, the powers of
+note when it fails; `upsilon` then forms alpha * Q_bar, decides the sharp
+guard, its spectral radius against one (a Collatz-Wielandt bracket tested
+at power-iteration steps 0, 1, 2 and then 4, 8, ..., 128 often decides
+it early), and only past it forms the stacked products: rho * Q_bar beside
+alpha * Q_bar, both inverses in one batched `inv` call, the powers of
 rho * Q_bar, and every live state's products as one stacked matmul.
 """
 
@@ -109,9 +111,17 @@ def _a1_from_sigma(p0: float, alpha: float, sigma_value: float) -> float:
 
 
 def omega(model: IidAvailability, rho: float, alpha: float) -> float:
-    """Pmf-weighted gap contraction: sum of p_l * Omega_l over l >= 1."""
-    return float(sum(model.pmf[l] * omega_l(l, model.p0, rho, alpha)
-                     for l in range(1, model.max_len + 1)))
+    """Pmf-weighted gap contraction: sum of p_l * Omega_l over l >= 1.
+
+    The terms are added one at a time in Python floats, in order of l and
+    onto 0.0, which `tests/oracles.py` `omega_sum` pins bit for bit. The
+    loop is explicit because `sum()` of floats is compensated from Python
+    3.12 on.
+    """
+    p0, total = model.p0, 0.0
+    for l, p in enumerate(model.pmf.tolist()[1:], 1):
+        total += p * omega_l(l, p0, rho, alpha)
+    return total
 
 
 # --- Markov processor-state model ---
@@ -121,7 +131,7 @@ def omega(model: IidAvailability, rho: float, alpha: float) -> float:
 POWER_ITERATIONS = 200
 POWER_TOL = 1e-12
 # power-iteration steps at which `spectral_radius` tests its Collatz-Wielandt bracket
-BRACKET_CHECKPOINTS = (0, 4, 8, 16, 32, 64, 128)
+BRACKET_CHECKPOINTS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 # relative distance from `bound` that a bracket must clear; covers rounding drift
 BRACKET_MARGIN = 1e-9
 
@@ -152,14 +162,16 @@ def spectral_radius(mat: np.ndarray, bound: float) -> float:
     rounding drift between the computed and the exact iterates, about
     400 * G * eps (below 1.4e-12) over 200 steps. The norm of w, which the
     loop takes anyway, shows which end can hold, so only that one is
-    tested, and the checkpoints double in spacing, so a matrix that the
-    bracket never decides pays for seven tests. At step 0, v is the
-    all-ones vector and the test reads the row sums, so a matrix whose row
-    sums all lie below `lo` is decided with one product. The lower end also
-    bounds the true root, and the upper end does where v > 0, so the
-    bracket mends no misjudged matrix: the 22 misjudged ring chains of the
-    certify pool are never decided by it and still get the iteration's own
-    value; only an exact eigen-solve mends them.
+    tested. A decision at step s costs s + 1 products. The test runs at
+    step 0, where v is the all-ones vector and it reads the row sums, so a
+    matrix whose row sums all lie below `lo` is decided with one product;
+    at steps 1 and 2, which decide over half of the certify pool's chains
+    whose row sums straddle `bound`; and then at spacings that double up
+    to step 128, so a matrix that the bracket never decides pays for nine
+    tests. The lower end also bounds the true root, and the upper end does
+    where v > 0, so the bracket mends no misjudged matrix: the 22 misjudged
+    ring chains of the certify pool are never decided by it and still get
+    the iteration's own value; only an exact eigen-solve mends them.
     """
     v = np.ones(mat.shape[0])
     radius, v_norm = 0.0, math.sqrt(v.size)
@@ -197,24 +209,32 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     gives the same verdict as the full power iteration, often in far fewer
     steps: when alpha * p_hat0 is below one by more than BRACKET_MARGIN, so
     is every row sum of alpha * Q_bar, and the first product decides the
-    guard. Every state is evaluated in one stacked pass with the same
-    per-state arithmetic as a loop over states: rho * Q_bar and
-    alpha * Q_bar come from one product, I - rho * Q_bar and
-    I - alpha * Q_bar are inverted in one batched call, the powers of
-    rho * Q_bar are formed once, and each state's pmf-weighted sum of them
-    is added term by term in order of l, as a loop over l adds it.
+    guard; over half of the other chains of the certify pool are decided by
+    the second or third. The guard runs on alpha * Q_bar before
+    rho * Q_bar is formed, so a chain that fails it forms nothing else.
+    Every state is evaluated in one stacked pass with the same per-state
+    arithmetic as a loop over states: rho * Q_bar and alpha * Q_bar share
+    one (2, G, G) stack, I - rho * Q_bar and I - alpha * Q_bar are inverted
+    in one batched call, the powers of rho * Q_bar are formed once, and each
+    state's pmf-weighted sum of them is added term by term in order of l,
+    as a loop over l adds it.
     """
     g = model.num_states
     if g > MAX_CHAIN_STATES:
         raise ConfigError(f"chain has {g} states; dense certificate evaluation "
                           f"supports at most {MAX_CHAIN_STATES}")
     p0, q_bar = model.p0_by_state, model.transition
-    # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros;
-    # scaled[0] = rho * Q_bar and scaled[1] = alpha * Q_bar, each as one scalar product
+    # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros
     q_damped = p0[:, None] * q_bar
-    scaled = np.array((rho, alpha))[:, None, None] * q_damped
+    # scaled[1] = alpha * Q_bar is filled and guarded first, scaled[0] = rho * Q_bar only
+    # past the guard; each is one scalar product. The guard iterates on the stack's slab:
+    # on a separate alpha * Q_bar array the slow ring chains of the certify benchmark ran
+    # 3-5% slower per power-iteration step.
+    scaled = np.empty((2, g, g))
+    np.multiply(alpha, q_damped, out=scaled[1])
     if spectral_radius(scaled[1], bound=1.0) >= 1.0:
         raise DivergenceError("spectral radius of alpha * Q_bar >= 1: series diverges")
+    np.multiply(rho, q_damped, out=scaled[0])
     eye = np.eye(g)
     inv_rho, inv_alpha = np.linalg.inv(eye - scaled)
     rq = scaled[0]

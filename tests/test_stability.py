@@ -60,6 +60,28 @@ def test_omega_closed_form_vs_series():
         assert omega(model, rho, alpha) == pytest.approx(want, abs=1e-9)
 
 
+@st.composite
+def omega_instances(draw):
+    """A pmf with zero entries or a `from_execution_time` pmf (Lambda <= 64), with p0*alpha < 1."""
+    if draw(st.booleans()):
+        model = from_execution_time(draw(st.floats(1.0 / 64, 0.99)))
+    else:
+        pmf = _weight_rows(draw, 1, draw(st.integers(2, 65)))[0]
+        assume(pmf[0] < 1.0)
+        model = IidAvailability(pmf)
+    rho = draw(st.floats(0.0, 0.99))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+    assume(model.p0 * alpha < 1.0)
+    return model, rho, alpha
+
+
+@given(omega_instances())
+@settings(max_examples=300, deadline=None)
+def test_omega_float_loop_matches_the_numpy_sum_bit_for_bit(case):
+    got, want = omega(*case), oracles.omega_sum(*case)
+    assert type(got) is float and got.hex() == want.hex()
+
+
 def test_omega_sigma_identity():
     for seed in range(100):
         rng = np.random.default_rng(200 + seed)
@@ -279,12 +301,24 @@ def scaled_stochastic(draw):
     return mat * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * gap)
 
 
+def _rank_one(root):
+    """x y^T scaled to the Perron root `root`: the first iterate is already its Perron vector."""
+    x, y = np.array([0.3, 0.9]), np.array([0.5, 0.2])
+    return np.outer(x, y) * (root / (y @ x))
+
+
 @given(st.one_of(
     st.tuples(nonnegative_matrices(), st.one_of(st.just(1.0), st.floats(0.05, 3.0))),
     st.tuples(damped_chains(), st.just(1.0)),
     st.tuples(scaled_stochastic(), st.just(1.0))))
 @example((np.diag([1.5, 0.1, 0.1, 0.1]), 1.0))  # one row sum above, three below
 @example((np.array([[0.0, 3.0], [0.0, 0.0]]), 1.0))  # nilpotent, one row sum of 3
+@example((np.array([[0.75, 0.5], [0.0, 0.0]]), 1.0))  # decided below at step 1
+@example((np.array([[0.5, 0.75], [1.0, 0.0]]), 1.0))  # decided above at step 1
+@example((np.array([[0.5, 1.0], [0.25, 0.0]]), 1.0))  # decided below at step 2
+@example((np.array([[1.0, 0.25], [0.25, 0.5]]), 1.0))  # decided above at step 2
+@example((_rank_one(1.0 - 1e-9), 1.0))  # near-tie, decided below at step 1
+@example((_rank_one(1.0 + 1e-9), 1.0))  # near-tie, decided above at step 2
 @settings(max_examples=600, deadline=None)
 def test_bracketed_spectral_radius_keeps_the_verdict(case):
     mat, bound = case
@@ -320,6 +354,17 @@ def test_guard_below_the_worst_state_bound_takes_one_product():
     # alpha * p_hat0 >= 1 with a root below one needs the later checkpoints
     value, products = guard_products(1.4 * q_damped)  # alpha * p_hat0 = 1.05
     assert products > 1 and value < 1.0 and oracles.spectral_radius_loop(1.4 * q_damped) < 1.0
+
+
+def test_dense_chain_decided_at_step_one_takes_two_products():
+    model = MarkovAvailability([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.3, 0.3, 0.4]],
+                               [[0.8, 0.2], [0.2, 0.8], [0.4, 0.6]])
+    q_damped = np.diag(model.p0_by_state) @ model.transition
+    # alpha * p0|s straddles one at both alphas, so step 0 decides neither; step 1 does
+    assert guard_products(1.5 * q_damped) == (1.0 - BRACKET_MARGIN, 2)
+    assert oracles.spectral_radius_loop(1.5 * q_damped) < 1.0
+    assert guard_products(3.0 * q_damped) == (1.0 + BRACKET_MARGIN, 2)
+    assert oracles.spectral_radius_loop(3.0 * q_damped) >= 1.0
 
 
 def test_upsilon_single_state_reduces_to_iid():
