@@ -2,19 +2,24 @@
 """Time the benchmark's operations, and a fig3 sweep, under `src/` trees.
 
 A trace episode of `anyctrl simulate --traces K` (benchmark workload
-markov_simulate) replays one run on one lane. Trims to its per-step work
-move its time by a few percent, which the benchmark's run-to-run noise
-hides; this script sizes them. For each round it starts one fresh process
-per tree, in turn, with PYTHONPATH set to that tree and the benchmark's
-environment (`bench/run.py`: BLAS and OpenMP pinned to one thread,
-PYTHONHASHSEED=0, no bytecode written). Each process builds benchmark instance 3's markov_simulate
-config (`bench/workloads.markov_config`), runs one untimed operation, then
+markov_simulate) replays one run of the Monte-Carlo block on one lane.
+Trims to its per-step work move its time by a few percent, which the
+benchmark's run-to-run noise hides; this script sizes them. For each
+round it starts one fresh process per tree, in turn, with PYTHONPATH set
+to that tree and the benchmark's environment (`bench/run.py`: BLAS and
+OpenMP pinned to one thread, PYTHONHASHSEED=0, no bytecode written). Each
+process builds benchmark instance 3's markov_simulate config
+(`bench/workloads.markov_config`), runs one untimed operation, then
 times 15 operations in turn. The operation is a trace episode of runs 0
 and 1 in turn; with `--op monte_carlo` the config's 100-run `monte_carlo`
-call, the operation behind markov_simulate's `op_p99_ms`; with `--op
-simulate` one whole markov_simulate pass (`bench/workloads.MarkovSimulate`:
-`cli.main(["simulate", ..., "--traces", "2"])` with its config, runs.csv,
-summary.txt and trace files in a temporary directory), the unit behind
+call, the operation behind markov_simulate's `op_p99_ms`. Both read one
+`presample` of the config, drawn once per process before any timing, as
+`anyctrl simulate` draws one block for its study and traces; a tree whose
+`run_episode` takes no `draws` draws each episode's run by itself. With
+`--op simulate` one whole markov_simulate pass
+(`bench/workloads.MarkovSimulate`: `cli.main(["simulate", ..., "--traces",
+"2"])` with its config, runs.csv, summary.txt and trace files in a
+temporary directory), the unit behind
 markov_simulate's `wall_s`; with `--op certify` one pass of benchmark
 workload certify at seed 3 (`bench/workloads.Certify`: `CertificateInputs`
 plus `stability.evaluate` and its report lines for each of 2048
@@ -46,6 +51,7 @@ directory that each process removes when it ends.
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import subprocess
@@ -69,12 +75,13 @@ def child(op: str) -> None:
     """Print JSON {series: reference ms of each timed `op`} for the package on PYTHONPATH."""
     from anyctrl.config import parse_sim_config
     from anyctrl.experiments import builtin_experiment, run_sweep
-    from anyctrl.simulation import monte_carlo, run_episode
+    from anyctrl.simulation import monte_carlo, presample, run_episode
     from workloads import (CAL_REF_S, FIG1_HORIZON, FIG1_RUNS, MARKOV_HORIZON, MARKOV_RUNS,
                            Certify, Fig1Sweep, MarkovSimulate, calibration_seconds,
                            markov_config, probed)
 
     config = parse_sim_config(markov_config(INSTANCE, MARKOV_RUNS, MARKOV_HORIZON))
+    draws = presample(config)
     times = {op: []}
     workload = None  # a whole-pass workload whose median operation is a second series
     median_op = f"{op} median op"
@@ -100,10 +107,12 @@ def child(op: str) -> None:
                 run_sweep(spec)
         elif op == "monte_carlo":
             def operation(i):
-                monte_carlo(config)
+                monte_carlo(config, draws)
         else:
+            block = (draws,) if "draws" in inspect.signature(run_episode).parameters else ()
+
             def operation(i):
-                run_episode(config, i % 2)
+                run_episode(config, i % 2, *block)
         operation(0)
         closing = calibration_seconds()
         for i in range(REPEATS):

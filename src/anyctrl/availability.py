@@ -10,9 +10,10 @@ States of the Markov model are 0-indexed throughout.
 
 A sampler (`make_sampler`) draws N(k) on a sequence of Generators, one
 per lane; `presample(count)` returns `(lanes, count)` lengths, and row r
-is bit for bit what a sampler on the r-th Generator alone draws. A single
-run is a one-lane sampler. `presample` is the only draw code: `sample()`,
-one draw on a one-lane sampler, is `presample(1)`'s one length.
+is bit for bit what a sampler on the r-th Generator alone draws. The
+simulation draws every run's schedule on one sampler over all runs
+(`simulation.presample_each`). `presample` is the only draw code:
+`sample()`, one draw on a one-lane sampler, is `presample(1)`'s one length.
 Presampled lengths are stored in the narrowest
 unsigned type that holds Lambda (`length_dtype`): one byte per step up to
 Lambda = 255, two up to 65535, four above. Code that adds step indices to
@@ -32,12 +33,9 @@ from .errors import ConfigError, integer, real, reals
 
 _TOL = 1e-12
 TAU_MAX_LEN = np.iinfo(np.uint16).max  # the largest Lambda of an execution-time model
-# time steps per block of the lockstep chain walk on many streams; a block
-# holds every stream's uniforms and picks, O(streams x WALK_BLOCK) memory
+# time steps per block of the lockstep chain walk; a block holds every
+# stream's uniforms and picks, O(streams x WALK_BLOCK) memory
 WALK_BLOCK = 256
-# streams from which the lockstep walk (a few us per array step) beats one
-# bisect per stream and step (~0.2 us); both break even near 20 streams
-LOCKSTEP_MIN_LANES = 24
 
 
 def length_dtype(max_len: int) -> np.dtype:
@@ -269,12 +267,11 @@ class MarkovSampler(_Sampler):
     draw when unset. Each step consumes two uniforms: one for N(k) given
     g(k), one for the transition to g(k+1).
 
-    `state` holds every lane's chain state, as int64. `presample`
-    walks each stream's chain with one bisect per step (`_walk_stream`),
-    which at ~0.2 us beats any numpy call, unless there are at least
-    LOCKSTEP_MIN_LANES lanes: then it walks all lanes in lockstep, one
-    array step per time step (`_walk_lanes`). Either way lane r gets the
-    lengths and final state that a one-lane sampler gives on stream r.
+    `state` holds every lane's chain state, as int64. `presample` walks
+    all lanes in lockstep, one array step per time step, so lane r gets
+    the lengths and final state that a one-lane sampler gives on stream r.
+    A one-lane walk costs a few us per step; the simulation draws one
+    sampler over all runs, never one per run.
     """
 
     def __init__(self, model: MarkovAvailability, rngs: Sequence):
@@ -283,11 +280,7 @@ class MarkovSampler(_Sampler):
         self.dtype = length_dtype(model.max_len)
         # column i is the cdf of row i, so row j holds entry j of every state's cdf
         self._cum_rows_cols = np.ascontiguousarray(_open_top(model.cond_pmfs).T)
-        cum_trans = _open_top(model.transition)
-        self._cum_trans_cols = np.ascontiguousarray(cum_trans.T)
-        # Python lists: the sequential chain walk bisects them, because a
-        # scalar numpy call per step costs more than the search itself
-        self._cum_trans = cum_trans.tolist()
+        self._cum_trans_cols = np.ascontiguousarray(_open_top(model.transition).T)
         if model.initial_state is None:
             stationary = _open_top(model.stationary).tolist()
             first = [bisect_right(stationary, rng.random()) for rng in rngs]
@@ -302,7 +295,6 @@ class MarkovSampler(_Sampler):
         One cdf entry at a time keeps the temporaries the shape of `u`; the
         +inf top entry is never <= u and is skipped. The counts are `self.dtype`.
         """
-        states = np.asarray(states, dtype=np.int64)
         n = np.zeros(states.shape, dtype=self.dtype)
         for entry in self._cum_rows_cols[:-1]:
             n += entry.take(states) <= u
@@ -311,34 +303,13 @@ class MarkovSampler(_Sampler):
     def presample(self, count: int) -> np.ndarray:
         """`count` lengths per lane, shape (lanes, count), as `self.dtype`.
 
-        Only the chain walk is sequential. The lengths are then picked for
-        all steps at once.
-        """
-        if len(self.rngs) >= LOCKSTEP_MIN_LANES:
-            return self._walk_lanes(count)
-        out = np.empty((len(self.rngs), count), dtype=self.dtype)
-        for r, (n, rng, state) in enumerate(zip(out, self.rngs, self.state.tolist())):
-            n[:], self.state[r] = self._walk_stream(rng, state, count)
-        return out
-
-    def _walk_stream(self, rng, state: int, count: int):
-        """One stream's lengths from `state` on, and its state after them."""
-        us = rng.random((count, 2))
-        cum_trans = self._cum_trans
-        states = []
-        for u in us[:, 1].tolist():
-            states.append(state)
-            state = bisect_right(cum_trans[state], u)
-        return self._pick(states, us[:, 0]), state
-
-    def _walk_lanes(self, count: int) -> np.ndarray:
-        """Every lane's chain, WALK_BLOCK steps at a time.
-
-        Each block draws each stream's (steps, 2) uniforms, which continues
-        the stream in the order one (count, 2) draw takes it, then moves all
-        lanes one step per array step: gather each lane's cdf row, compare
-        it with the lane's uniform and count the entries <= u, which is
-        bisect_right on the row. Memory stays O(lanes x WALK_BLOCK).
+        Every lane's chain, WALK_BLOCK steps at a time. Each block draws
+        each stream's (steps, 2) uniforms, which continues the stream in
+        the order one (count, 2) draw takes it, then moves all lanes one
+        step per array step: gather each lane's cdf row, compare it with
+        the lane's uniform and count the entries <= u, which is
+        bisect_right on the row. The lengths of the block are then picked
+        for all its steps at once. Memory stays O(lanes x WALK_BLOCK).
         """
         lanes = len(self.rngs)
         out = np.empty((lanes, count), dtype=self.dtype)

@@ -13,8 +13,7 @@ from pathlib import Path
 from .config import load_yaml, parse_certificate_inputs, parse_sim_config, parse_sweep
 from .errors import ConfigError
 from .experiments import run_sweep, write_sweep_csv
-from .simulation import (monte_carlo, run_episode, write_runs_csv,
-                         write_trace_csv)
+from .simulation import monte_carlo, presample, run_episode, write_runs_csv, write_trace_csv
 from .stability import evaluate
 
 
@@ -39,7 +38,8 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.traces <= config.runs:
         raise ConfigError(f"--traces must lie in 0..{config.runs} (the number of runs), "
                           f"got {args.traces}")
-    summary = monte_carlo(config)
+    draws = presample(config)  # one block: the traces are its first runs
+    summary = monte_carlo(config, draws)
     out = _out_dir(args)
     write_runs_csv(summary, out / "runs.csv")
     with open(out / "summary.txt", "w") as fh:
@@ -52,7 +52,7 @@ def cmd_simulate(args) -> int:
         fh.write(f"horizon={config.horizon}\n")
         fh.write(f"seed={config.master_seed}\n")
     for r in range(args.traces):
-        write_trace_csv(run_episode(config, r), out / f"trace_{r}.csv")
+        write_trace_csv(run_episode(config, r, draws), out / f"trace_{r}.csv")
     print(f"mean cost {summary.mean:.6g} +/- {summary.stderr:.3g} "
           f"({summary.diverged_count} diverged); artifacts in {out}")
     return 0

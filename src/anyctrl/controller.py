@@ -92,18 +92,19 @@ class ControllerKind:
             raise ConfigError(f"controller.buffer_cap must be >= 1, got {cap}")
         object.__setattr__(self, "buffer_cap", cap)
 
-    def capped(self, n_sched) -> np.ndarray:
-        """The N(k) schedule capped at `buffer_cap`, in the array's own type.
+    def capped(self, n_sched: np.ndarray) -> np.ndarray:
+        """The N(k) array capped at `buffer_cap`, in the array's own type.
 
         A presampled schedule is stored in `availability.length_dtype`
-        (uint8 up to Lambda = 255); a sequence that is not an array becomes
-        int64. When no cap is set or the cap is at least the schedule's
-        largest entry, the schedule comes back as the same array. Otherwise
-        the cap is below that entry, so it fits the array's type.
+        (uint8 up to Lambda = 255). When no cap is set or the cap is at
+        least the schedule's largest entry, the schedule comes back as the
+        same array. Otherwise the cap is below that entry, so it fits the
+        array's type.
         """
-        n = n_sched if isinstance(n_sched, np.ndarray) else np.array(n_sched, dtype=np.int64)
         cap = self.buffer_cap
-        return n if cap is None or cap >= int(n.max(initial=0)) else np.minimum(n, cap)
+        if cap is None or cap >= int(n_sched.max(initial=0)):
+            return n_sched
+        return np.minimum(n_sched, cap)
 
 
 class Ring:

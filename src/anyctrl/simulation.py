@@ -9,7 +9,8 @@ One loop over time steps (`_blocks`) drives the one controller kernel
 (`controller.controller_step`) on any leading lane shape: `run_episode`
 steps a single run on `()` lanes and records its full trace, and the batch
 engine behind `monte_carlo` steps all runs at once on `(runs,)` lanes. Both
-draw the same per-run streams (`_run_draws`). The loop keeps a
+read the same stacked draws (`presample`): an episode is one row of the
+Monte-Carlo block, not a second draw of its run. The loop keeps a
 `controller.Ring` of in-flight tentative sequences, reads every step's
 input source from the ring's closed-form source map, and drains the ring
 once it stops stepping, so every computed depth is tested.
@@ -30,12 +31,12 @@ costs in one pass and adds them to each run's cost in step order, so a
 run's cost is the same bit for bit as the step-order sum over its trace.
 Every plant must broadcast over leading axes (see `plants.PlantModel`).
 
-The batch engine reads every run's streams from one stacked block
-(`presample`). A sweep seeds each run's streams once (`presample_each`),
-draws the disturbances and initial states once, and redraws only the N
-schedules when the availability model changes; each grid point's block
-is handed to the baseline, a1 and a2 calls, which differ only in their
-controller.
+Only `presample_each` seeds run streams, behind `presample`; `anyctrl
+simulate` draws one block and hands it to `monte_carlo` and to each
+trace's `run_episode`. A sweep seeds each run's streams once, draws the
+disturbances and initial states once, and redraws only the N schedules
+when the availability model changes; each grid point's block is handed
+to the baseline, a1 and a2 calls, which differ only in their controller.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class SimTrace:
 
     x: np.ndarray  # (steps, n)
     u: np.ndarray  # (steps, p)
-    n_seq: np.ndarray  # (steps,), as drawn: availability.length_dtype, or int64 if forced
+    n_seq: np.ndarray  # (steps,), the block's row as stored: availability.length_dtype if drawn
     lam: np.ndarray  # (steps,), int64
     v: np.ndarray  # (steps,)
     diverged: bool
@@ -169,23 +170,26 @@ def _run_draws(config: SimConfig, run_index: int):
     return avail_rng, w, _initial_state(config, init_rng)
 
 
-def run_episode(config: SimConfig, run_index: int,
-                forced_n: Optional[Sequence[int]] = None) -> SimTrace:
-    """Simulate one closed-loop episode; deterministic given (master_seed, run_index).
+def run_episode(config: SimConfig, run_index: int, draws=None) -> SimTrace:
+    """Simulate run `run_index` of the study, 0 <= run_index < runs, and record its trace.
 
-    `forced_n` replaces the availability draws with a fixed sequence-length
-    schedule, as int64 (used for trace-level checks); disturbances and x0
-    are unchanged.
-    It stops at the step whose next state fails the overflow guard; an empty
-    `forced_n` gives an empty trace. The trace records N(k) as drawn and
+    The episode reads row `run_index` of `draws`, which is as in
+    `monte_carlo`: `presample` of this config or of one that differs only
+    in its controller, else drawn here. So the trace is that run of the
+    Monte-Carlo study: `monte_carlo`'s cost of the run is the trace's
+    stage costs added in step order, divided by the horizon (inf if the
+    run diverged). It stops at the step whose next state fails the
+    overflow guard. The trace records N(k) as the block stores it and
     lambda(k) of the capped schedule.
     """
-    avail_rng, w_all, x0 = _run_draws(config, run_index)
-    n_sched = (make_sampler(config.availability, [avail_rng]).presample(config.horizon)[0]
-               if forced_n is None else np.array(forced_n, dtype=np.int64)[:config.horizon])
+    if not 0 <= run_index < config.runs:
+        raise IndexError(f"run_index must lie in 0..{config.runs - 1}, got {run_index}")
+    n_all, w_all, x0 = _checked_draws(config, draws)
+    n_sched = n_all[run_index]
     capped = config.controller.capped(n_sched)
     xs, us, alive = [np.empty((0, config.plant.n))], [np.empty((0, config.plant.p))], True
-    for states, inputs, alive in _blocks(config, capped, w_all, x0, first_run=run_index):
+    for states, inputs, alive in _blocks(config, capped, w_all[run_index], x0[run_index],
+                                         first_run=run_index):
         xs.append(states)
         us.append(inputs)
     xs = np.concatenate(xs)
@@ -264,10 +268,9 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
     availability model is not the previous config's (by identity): every
     run's availability generator is rewound to its state before its first
     draw, and one sampler over all of them draws every schedule in one
-    `presample` call, row r the same bits as the one-lane sampler on run
-    r's generator that `run_episode` draws with. The last schedules are
-    released first, so a caller that drops each block before asking for
-    the next holds one at a time.
+    `presample` call, row r the same bits as a one-lane sampler on run r's
+    generator draws. The last schedules are released first, so a caller
+    that drops each block before asking for the next holds one at a time.
     """
     first = configs[0]
     runs, horizon, plant = first.runs, first.horizon, first.plant
@@ -288,6 +291,15 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
             n_all = make_sampler(availability, rngs).presample(horizon)
             n_all.flags.writeable = False
         yield n_all, w_all, x0
+
+
+def _checked_draws(config: SimConfig, draws):
+    """`draws`, or `presample(config)` if None; ConfigError if its shapes are not the config's."""
+    n_all, w_all, x0 = presample(config) if draws is None else draws
+    if (n_all.shape != (config.runs, config.horizon)
+            or x0.shape != (config.runs, config.plant.n)):
+        raise ConfigError("presampled draws do not match the config's runs, horizon and state")
+    return n_all, w_all, x0
 
 
 def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
@@ -351,15 +363,12 @@ def monte_carlo(config: SimConfig, draws=None) -> CostSummary:
     total, `per_run_costs`, is the same bit for bit as adding its trace's
     stage costs one step at a time; a diverged run's is inf.
     """
-    horizon, runs = config.horizon, config.runs
-    n_all, w_all, x0 = presample(config) if draws is None else draws
-    if n_all.shape != (runs, horizon) or x0.shape != (runs, config.plant.n):
-        raise ConfigError("presampled draws do not match the config's runs, horizon and state")
-    cost = np.zeros(runs)
+    n_all, w_all, x0 = _checked_draws(config, draws)
+    cost = np.zeros(config.runs)
     for states, inputs, alive in _blocks(config, config.controller.capped(n_all), w_all, x0):
         stage = _stage_costs(states, inputs, config.q_x, config.r_u)
         cost = np.add.accumulate(np.concatenate((cost[None], stage)), axis=0)[-1]
-    costs = cost / horizon
+    costs = cost / config.horizon
     costs[~alive] = float("inf")
     return CostSummary.from_costs(costs)
 

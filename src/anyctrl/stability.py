@@ -77,7 +77,10 @@ class StabilityReport:
 
 
 def baseline_margin(p0: float, alpha: float, rho: float) -> float:
-    """Expected one-step contraction under the always-recompute controller."""
+    """Expected one-step contraction under the always-recompute controller.
+
+    With sigma in place of rho it is the a1 margin (`a1_margin`).
+    """
     return p0 * alpha + (1.0 - p0) * rho
 
 
@@ -103,11 +106,7 @@ def sigma(model: IidAvailability, rho: float, alpha: float) -> float:
 
 
 def a1_margin(model: IidAvailability, rho: float, alpha: float) -> float:
-    return _a1_from_sigma(model.p0, alpha, sigma(model, rho, alpha))
-
-
-def _a1_from_sigma(p0: float, alpha: float, sigma_value: float) -> float:
-    return p0 * alpha + (1.0 - p0) * sigma_value
+    return baseline_margin(model.p0, alpha, sigma(model, rho, alpha))
 
 
 def omega(model: IidAvailability, rho: float, alpha: float) -> float:
@@ -278,7 +277,7 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
             return report
         report.sigma = sigma(model, rho, alpha)
         report.omega = omega(model, rho, alpha)
-        report.a1_margin = _a1_from_sigma(model.p0, alpha, report.sigma)
+        report.a1_margin = baseline_margin(model.p0, alpha, report.sigma)
         report.verdicts["a1"] = _verdict(report.a1_margin)
         report.verdicts["a2"] = report.verdicts["a1"]
         report.notes.append("the a1 certificate also certifies a2 (same margin)")

@@ -52,7 +52,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath as umath
 
-SEED, RUNS, HORIZON, TRACES = 3, 40, 300, 2  # RUNS >= 24 covers the lockstep Markov walk
+SEED, RUNS, HORIZON, TRACES = 3, 40, 300, 2
 SCALE = ("--runs", str(RUNS), "--horizon", str(HORIZON))
 Q3 = [[0.85, 0.10, 0.05], [0.15, 0.70, 0.15], [0.05, 0.15, 0.80]]
 P3 = [[0.05, 0.10, 0.15, 0.30, 0.40],
@@ -119,9 +119,9 @@ class CheckRecorder:
 
 
 def trace_digest(config, runs) -> str:
-    parts = []
+    parts, draws = [], presample(config)
     for r in runs:
-        t = run_episode(config, r)
+        t = run_episode(config, r, draws)
         parts += [t.x, t.u, t.n_seq, t.lam, t.v, np.array([t.diverged])]
     return digest(*parts)
 

@@ -85,8 +85,9 @@ def test_mean_lyapunov_keeps_checkpoint_order():
     checkpoints = [100, 0, 100]
     v_at = lyapunov_at(cfg, checkpoints)
     # contiguous like the engine's rows, so both sum over runs in one order
+    draws = presample(cfg)
     per_run = np.ascontiguousarray(
-        np.array([run_episode(cfg, r).v[checkpoints] for r in range(cfg.runs)]).T)
+        np.array([run_episode(cfg, r, draws).v[checkpoints] for r in range(cfg.runs)]).T)
     np.testing.assert_array_equal(v_at, per_run)
     means, ses = mean_lyapunov_at(cfg, checkpoints)
     # equal V per run, laid out alike, so the means and SEs agree exactly
@@ -131,7 +132,7 @@ def linear_exec_time(tau, horizon, runs, buffer_cap=None):
     (MarkovAvailability(Q3, P3), 1),  # Lambda 4
     (from_execution_time(1 / 300), 2),  # Lambda 300
 ])
-@pytest.mark.parametrize("runs", [3, 30])  # both Markov walks
+@pytest.mark.parametrize("runs", [3, 30])
 def test_presampled_schedules_take_one_byte_per_step_up_to_lambda_255(availability, itemsize,
                                                                       runs):
     config = replace(linear_exec_time(0.1, 50, runs), availability=availability)
@@ -141,7 +142,7 @@ def test_presampled_schedules_take_one_byte_per_step_up_to_lambda_255(availabili
 
 
 # a uint8 schedule past step 255, where t + N(t) leaves the type's range, and a
-# uint16 one (Lambda 300); the Markov case has enough runs for the lockstep walk
+# uint16 one (Lambda 300)
 NARROW = {
     "uint8-markov-horizon300": replace(markov_sat_2d("a2", None), horizon=300, runs=30),
     "uint8-tau0.3-horizon300": linear_exec_time(0.3, 300, 4),
@@ -160,7 +161,7 @@ def test_narrow_schedules_give_the_int64_results(case, kind):
     np.testing.assert_array_equal(monte_carlo(config, draws).per_run_costs,
                                   monte_carlo(config, (wide,) + draws[1:]).per_run_costs)
     for r in range(2):
-        got, want = run_episode(config, r), run_episode(config, r, forced_n=wide[r])
+        got, want = run_episode(config, r, draws), run_episode(config, r, (wide,) + draws[1:])
         assert got.n_seq.dtype == draws[0].dtype and got.diverged == want.diverged
         for field in ("x", "u", "n_seq", "lam", "v"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -174,7 +175,7 @@ def test_a_cap_above_the_schedule_type_changes_nothing():
     assert capped.controller.capped(draws[0]) is draws[0]
     np.testing.assert_array_equal(monte_carlo(capped, draws).per_run_costs,
                                   monte_carlo(free, draws).per_run_costs)
-    got, want = run_episode(capped, 1), run_episode(free, 1)
+    got, want = run_episode(capped, 1, draws), run_episode(free, 1, draws)
     for field in ("x", "u", "n_seq", "lam", "v"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
@@ -353,6 +354,7 @@ def test_violation_reports_start_step_and_run():
     for n in ([[2], [3]], [[3], [3]]):
         draws = (np.array(n), np.zeros((2, 1, 1)), x0)
         assert violation_of(lambda: monte_carlo(cfg, draws)) == (3, 0, 1)
+        assert violation_of(lambda: run_episode(cfg, 1, draws)) == (3, 0, 1)
         assert violation_of(lambda: masked_batch_simulate(cfg, draws=draws)) == (3, 0, 1)
 
 
@@ -367,6 +369,7 @@ def test_violation_reports_the_earliest_start_step():
 
 
 # --- the engine and run_episode against both oracles on random forced schedules ---
+# a forced schedule is a block whose N rows the test wrote: (N, w, x0) with presample's w and x0
 
 CUBIC = make_builtin_plant("cubic_scalar")
 SAT_2D = make_builtin_plant("sat_2d")
@@ -410,11 +413,11 @@ def test_engine_and_episode_equal_oracles_on_forced_schedules(case):
         # the same violation on (runs,) and () lanes: earliest step, first depth, lowest run
         found = (exc.step_index, exc.start_step, exc.run)
         assert violation_of(lambda: monte_carlo(cfg, draws)) == found
-        assert violation_of(lambda: run_episode(cfg, found[2], forced_n=n_all[found[2]])) == found
+        assert violation_of(lambda: run_episode(cfg, found[2], draws)) == found
         return
     np.testing.assert_array_equal(monte_carlo(cfg, draws).per_run_costs, want)
     for r in range(cfg.runs):
-        trace = run_episode(cfg, r, forced_n=n_all[r])
+        trace = run_episode(cfg, r, draws)
         assert empirical_cost(trace, cfg.q_x, cfg.r_u) == want[r]
         assert trace.diverged == (not np.isfinite(want[r]))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -19,7 +19,7 @@ from anyctrl.controller import KINDS, ControllerKind, Ring
 from anyctrl.errors import CertificateViolation
 from anyctrl.experiments import _config_at, builtin_experiment
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, monte_carlo, run_episode
+from anyctrl.simulation import SimConfig, monte_carlo, presample, run_episode
 
 from oracles import empirical_cost, lyapunov_at, masked_batch_simulate
 
@@ -82,12 +82,12 @@ def test_results_do_not_depend_on_block_length(case):
     want, want_v = masked_batch_simulate(cfg, set(CHECKPOINTS))
     if case.startswith("fig1-tau0.4"):
         assert not np.isfinite(want).all()
-    seen = []
+    seen, draws = [], presample(cfg)
     for length in block_lengths(cfg.horizon):
         with forced_block(length):
             costs = monte_carlo(cfg).per_run_costs
             v_at = lyapunov_at(cfg, CHECKPOINTS)
-            traces = [run_episode(cfg, r) for r in range(TRACES)]
+            traces = [run_episode(cfg, r, draws) for r in range(TRACES)]
         np.testing.assert_array_equal(costs, want)
         np.testing.assert_array_equal(v_at, np.array([want_v[k] for k in CHECKPOINTS]))
         for r, trace in enumerate(traces):
@@ -164,14 +164,10 @@ def test_violations_do_not_depend_on_block_length(case):
     draws = make_draws()
     cfg = liar_config(len(draws[0]), horizon)
     assert outcome(lambda: masked_batch_simulate(cfg, draws=draws)) == want
-    n_all, w_all, x0 = draws
-    run = want[2]
     for length in block_lengths(horizon):
         with forced_block(length):
             assert outcome(lambda: monte_carlo(cfg, draws=draws).per_run_costs) == want
-            if not w_all.any():  # run_episode draws its own disturbances, which are zero here
-                episode = replace(cfg, x0=x0[run])
-                assert outcome(lambda: run_episode(episode, run, forced_n=n_all[run])) == want
+            assert outcome(lambda: run_episode(cfg, want[2], draws)) == want
 
 
 LIARS = {
@@ -185,11 +181,11 @@ def test_violations_on_stock_draws_do_not_depend_on_block_length(case):
     build, args = LIARS[case]
     cfg = build(*args)
     cfg = replace(cfg, plant=replace(cfg.plant, rho=0.0))
-    want = outcome(lambda: masked_batch_simulate(cfg))
+    want, draws = outcome(lambda: masked_batch_simulate(cfg)), presample(cfg)
     for length in block_lengths(cfg.horizon):
         with forced_block(length):
             assert outcome(lambda: monte_carlo(cfg).per_run_costs) == want
-            assert outcome(lambda: run_episode(cfg, want[2])) == want
+            assert outcome(lambda: run_episode(cfg, want[2], draws)) == want
 
 
 # --- the row-sized block rule ---
@@ -209,10 +205,10 @@ def test_block_is_sized_by_ring_rows():
 def test_one_lane_episode_does_not_depend_on_its_block():
     cfg = replace(markov_sat_2d("a2"), horizon=1000)
     assert Ring(cfg.plant, cfg.buffer_capacity).block == 256
-    traces = []
+    traces, draws = [], presample(cfg)
     for length in (None, 16, cfg.horizon):
         with forced_block(length):
-            traces.append([run_episode(cfg, r) for r in range(TRACES)])
+            traces.append([run_episode(cfg, r, draws) for r in range(TRACES)])
     for forced in traces[1:]:
         for trace, first in zip(forced, traces[0]):
             for name in ("x", "u", "n_seq", "lam", "v"):

@@ -157,6 +157,45 @@ def test_cli_simulate_writes_a_trace_for_every_run(tmp_path):
     assert sorted(p.name for p in out.glob("trace_*.csv")) == [f"trace_{r}.csv" for r in range(3)]
 
 
+def test_cli_simulate_draws_one_block_for_its_runs_and_traces(tmp_path, monkeypatch):
+    """The Monte-Carlo call and both traces read one presample of the three runs."""
+    lanes, presample = [], availability.MarkovSampler.presample
+
+    def counted(sampler, count):
+        lanes.append(len(sampler.rngs))
+        return presample(sampler, count)
+
+    monkeypatch.setattr(availability.MarkovSampler, "presample", counted)
+    path = write_config(tmp_path, {**SIM_DOC, "availability": MARKOV_AVAILABILITY})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--runs", "3", "--horizon", "20", "--traces", "2"]) == 0
+    assert lanes == [3]
+
+
+@pytest.mark.parametrize("plant", ["linear_scalar", "sat_2d"])
+def test_cli_trace_costs_add_up_to_the_runs_csv_costs(tmp_path, plant):
+    """Each trace's stage costs, added in step order, give its runs.csv cost bit for bit."""
+    doc = {**SIM_DOC, "x0_box": [-2.0, 2.0]}
+    if plant == "sat_2d":  # the benchmark's simulate study: a Markov processor on sat_2d
+        doc.update(plant={"name": "sat_2d"}, availability=MARKOV_AVAILABILITY)
+    path, out, runs, horizon = write_config(tmp_path, doc), tmp_path / "out", 4, 300
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--runs", str(runs),
+                 "--horizon", str(horizon), "--traces", str(runs)]) == 0
+    with open(out / "runs.csv", newline="") as fh:
+        costs = [float(row["cost"]) for row in csv.DictReader(fh)]
+    config = parse_sim_config(doc)
+    for r, cost in enumerate(costs):
+        with open(out / f"trace_{r}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == horizon
+        total = 0.0
+        for row in rows:
+            x = [float(v) for k, v in row.items() if k[0] == "x"]
+            u = [float(v) for k, v in row.items() if k[0] == "u"]
+            total += config.q_x * sum(c * c for c in x) + config.r_u * sum(c * c for c in u)
+        assert total / horizon == cost
+
+
 def test_cli_simulate_reports_bad_tau(tmp_path, capsys):
     doc = dict(SIM_DOC)
     doc["availability"] = {"kind": "exec_time", "tau": 1.5}

@@ -29,7 +29,7 @@ def kernel_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
     the sequences still in flight are drained, so every depth is tested.
     """
     ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
-    n_sched = ctrl.capped(n_sched)
+    n_sched = ctrl.capped(np.asarray(n_sched))
     lanes = n_sched.shape[:-1]
     x = np.ones(lanes + (plant.n,)) if x0 is None else np.asarray(x0, dtype=float)
     ring = Ring(plant, cap, lanes)
@@ -72,7 +72,7 @@ def run_loop(kind, plant, n_seq, cap, buffer_cap=None):
     np.testing.assert_array_equal(inputs, want)
     np.testing.assert_array_equal(x, x_want)
     ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
-    lams = (effective_lengths(ctrl, ctrl.capped(n_seq)).tolist()
+    lams = (effective_lengths(ctrl, ctrl.capped(np.asarray(n_seq))).tolist()
             if np.ndim(n_seq) == 1 else None)
     return list(inputs), lams, buffers, x
 
@@ -184,7 +184,7 @@ def test_sequence_longer_than_buffer_rejected():
     for kind in KINDS:
         cfg = replace(base, controller=ControllerKind(kind))
         assert cfg.buffer_capacity == 2
-        for run in (lambda: run_episode(cfg, 0, forced_n=[3, 0, 0]),
+        for run in (lambda: run_episode(cfg, 1, (n_sched, w, x0)),
                     lambda: list(_blocks(cfg, n_sched, w, x0))):
             f_calls.clear()
             if kind == "baseline":
@@ -231,7 +231,7 @@ def test_lambda_recursion(kind, n_seq):
 @settings(max_examples=80, deadline=None)
 def test_effective_lengths_match_recursions(kind, n_seq, buffer_cap):
     ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
-    got = effective_lengths(ctrl, ctrl.capped(n_seq))
+    got = effective_lengths(ctrl, ctrl.capped(np.array(n_seq, dtype=np.int64)))
     capped = [n if buffer_cap is None else min(n, buffer_cap) for n in n_seq]
     want = {"baseline": lambda ns: [0] * len(ns), "a1": oracles.lam_sequence_a1,
             "a2": oracles.lam_sequence_a2}[kind](capped)
@@ -253,12 +253,8 @@ def test_capped_is_the_minimum_applied_once(n, buffer_cap):
     # a cap that cannot bind copies nothing
     assert (once is n) == (buffer_cap >= n.max(initial=0))
     np.testing.assert_array_equal(ctrl.capped(once), once)
-    # without a cap, a schedule is itself and a list becomes an equal int64 array
-    free = ControllerKind("a2")
-    assert free.capped(n) is n
-    listed = free.capped(n.ravel().tolist())
-    assert listed.dtype == np.int64
-    np.testing.assert_array_equal(listed, n.ravel())
+    # without a cap, a schedule is itself
+    assert ControllerKind("a2").capped(n) is n
 
 
 @given(n_seq=st.lists(st.integers(min_value=0, max_value=2),

@@ -17,7 +17,7 @@ from anyctrl import controller
 from anyctrl.availability import MarkovAvailability
 from anyctrl.controller import KINDS, ControllerKind, Ring, tentative_sequence
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
-from anyctrl.simulation import SimConfig, monte_carlo, run_episode
+from anyctrl.simulation import SimConfig, monte_carlo, presample, run_episode
 
 import oracles
 
@@ -98,7 +98,8 @@ def markov_sat_2d(plant, kind):
 def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
     config = markov_sat_2d(laid_out(SAT_2D, layout), kind)
     costs = monte_carlo(config).per_run_costs
-    traces = [run_episode(config, r) for r in range(2)]
+    draws = presample(config)
+    traces = [run_episode(config, r, draws) for r in range(2)]
     # the engine's `(runs,)` lanes and one run's `()` lanes cost the plant's output alike
     np.testing.assert_array_equal(costs[:2], [oracles.empirical_cost(trace, config.q_x, config.r_u)
                                               for trace in traces])
@@ -106,7 +107,7 @@ def test_costs_equal_fancy_assignment_kernel(monkeypatch, layout, kind):
     want = monte_carlo(config).per_run_costs
     np.testing.assert_array_equal(costs, want)
     for r, trace in enumerate(traces):
-        expected = run_episode(config, r)
+        expected = run_episode(config, r, draws)
         np.testing.assert_array_equal(trace.x, expected.x)
         np.testing.assert_array_equal(trace.u, expected.u)
         np.testing.assert_array_equal(trace.v, expected.v)

@@ -189,8 +189,8 @@ def test_doubling_runs_keeps_prefix():
 @pytest.mark.parametrize("kind", ["baseline", "a1", "a2"])
 def test_batch_engine_matches_reference_loop(kind):
     cfg = make_config(controller=ControllerKind(kind), runs=8, horizon=300)
-    batch = monte_carlo(cfg).per_run_costs
-    loop = np.array([oracles.empirical_cost(run_episode(cfg, r), cfg.q_x, cfg.r_u)
+    batch, draws = monte_carlo(cfg).per_run_costs, presample(cfg)
+    loop = np.array([oracles.empirical_cost(run_episode(cfg, r, draws), cfg.q_x, cfg.r_u)
                      for r in range(cfg.runs)])
     # one kernel, the same draws and the same order of the cost sum
     np.testing.assert_array_equal(batch, loop)
@@ -202,8 +202,8 @@ def test_batch_engine_matches_reference_loop_2d():
                     controller=ControllerKind("a1"),
                     disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
                     horizon=300, runs=8, master_seed=9)
-    batch = monte_carlo(cfg).per_run_costs
-    loop = np.array([oracles.empirical_cost(run_episode(cfg, r), cfg.q_x, cfg.r_u)
+    batch, draws = monte_carlo(cfg).per_run_costs, presample(cfg)
+    loop = np.array([oracles.empirical_cost(run_episode(cfg, r, draws), cfg.q_x, cfg.r_u)
                      for r in range(cfg.runs)])
     np.testing.assert_array_equal(batch, loop)
 
@@ -215,14 +215,15 @@ def test_batch_engine_stops_when_every_run_diverged(kind):
                     controller=ControllerKind(kind),
                     disturbance=DisturbanceModel(kind="uniform", lo=0.0, hi=0.01),
                     horizon=3000, runs=6, master_seed=0, x0=np.array([2.0]))
-    traces = [run_episode(cfg, r) for r in range(cfg.runs)]
+    draws = presample(cfg)
+    traces = [run_episode(cfg, r, draws) for r in range(cfg.runs)]
     assert all(t.diverged and t.steps < cfg.horizon // 2 for t in traces)
     stopped = monte_carlo(cfg).per_run_costs
     # the reference steps every run for the whole horizon
     stepped, _ = oracles.masked_batch_simulate(cfg)
     np.testing.assert_array_equal(stopped, stepped)
     np.testing.assert_array_equal(stopped, np.full(cfg.runs, np.inf))
-    steps = sum(len(states) for states, _, _ in simulation._blocks(cfg, *presample(cfg)))
+    steps = sum(len(states) for states, _, _ in simulation._blocks(cfg, *draws))
     assert steps < cfg.horizon // 2
 
 
@@ -243,8 +244,9 @@ def test_monte_carlo_repeatable():
 
 def test_x0_box_sampling():
     cfg = make_config(x0_box=(-2.0, -1.0), runs=6)
+    draws = presample(cfg)
     for r in range(6):
-        x0 = run_episode(cfg, r).x[0]
+        x0 = run_episode(cfg, r, draws).x[0]
         assert -2.0 <= x0[0] <= -1.0
 
 
@@ -406,11 +408,18 @@ def test_runs_writer_writes_the_csv_module_bytes(costs, tmp_path_factory):
 @pytest.mark.parametrize("steps", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
 def test_episode_trace_files_are_the_csv_module_bytes(plant_name, steps, tmp_path):
     plant = LINEAR if plant_name == "linear_scalar" else make_builtin_plant("sat_2d")
-    cfg = make_config(plant=plant, horizon=CSV_CHUNK_ROWS + 1, x0_box=(-2.0, 2.0))
-    # a forced schedule (int64) of the given length, and the drawn one (availability's dtype)
-    forced = run_episode(cfg, 0, forced_n=[k % 4 for k in range(steps)])
-    assert forced.steps == steps
-    for trace in (forced, run_episode(cfg, 1)):
+    if steps == 0:  # an episode has at least one step, so the empty trace is built by hand
+        empty = np.empty(0, dtype=np.int64)
+        traces = [SimTrace(np.empty((0, plant.n)), np.empty((0, plant.p)), empty, empty,
+                           np.empty(0), False)]
+    else:
+        cfg = make_config(plant=plant, horizon=steps, runs=2, x0_box=(-2.0, 2.0))
+        draws = presample(cfg)
+        # a forced schedule (int64) and the drawn one (availability's dtype)
+        forced = (np.arange(2 * steps).reshape(2, steps) % 4, *draws[1:])
+        traces = [run_episode(cfg, 0, forced), run_episode(cfg, 1, draws)]
+        assert [t.steps for t in traces] == [steps, steps]
+    for trace in traces:
         assert_writes_oracle_bytes(write_trace_csv, oracles.write_trace_csv, trace, tmp_path)
 
 
@@ -427,7 +436,7 @@ def test_episode_equals_naive_loop_on_its_own_streams(kind, plant_name, tau, buf
     cfg = SimConfig(plant=plant, availability=from_execution_time(tau),
                     controller=ControllerKind(kind, buffer_cap=buffer_cap),
                     disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
-                    horizon=40, runs=1, master_seed=seed, x0_box=(-2.0, 2.0))
+                    horizon=40, runs=run_index + 1, master_seed=seed, x0_box=(-2.0, 2.0))
     trace = run_episode(cfg, run_index)
     n_sched, w, x0 = oracles.presample_run(cfg, run_index)
     states, inputs, lams, _ = oracles.naive_closed_loop(
@@ -443,7 +452,7 @@ def test_episode_equals_naive_loop_on_its_own_streams(kind, plant_name, tau, buf
 
 @pytest.mark.parametrize("runs", [30, 5])
 def test_episode_schedules_are_the_rows_of_presample(runs):
-    """A one-lane draw gives run r's row of the lockstep walk (30 runs) and the stream walk (5)."""
+    """An episode drawn by itself reads run r's row of presample, which is its stream's schedule."""
     markov = MarkovAvailability([[0.9, 0.1], [0.3, 0.7]], [[0.1, 0.3, 0.6], [0.6, 0.3, 0.1]])
     cfg = make_config(availability=markov, horizon=300, runs=runs)
     n_all = presample(cfg)[0]
@@ -451,6 +460,24 @@ def test_episode_schedules_are_the_rows_of_presample(runs):
         trace = run_episode(cfg, r)
         assert trace.steps == cfg.horizon
         np.testing.assert_array_equal(trace.n_seq, n_all[r])
+        np.testing.assert_array_equal(trace.n_seq, oracles.presample_run(cfg, r)[0])
+
+
+@pytest.mark.parametrize("run_index", [-1, 3])
+def test_episode_rejects_a_run_outside_the_study(run_index):
+    """-1 does not wrap to the last run, and `runs` is one past it."""
+    cfg = make_config(runs=3, horizon=10)
+    with pytest.raises(IndexError, match=f"run_index must lie in 0..2, got {run_index}"):
+        run_episode(cfg, run_index, presample(cfg))
+    with pytest.raises(IndexError):
+        run_episode(cfg, run_index)
+
+
+def test_episode_rejects_draws_of_another_config():
+    cfg = make_config(runs=3, horizon=10)
+    for other in (replace(cfg, runs=4), replace(cfg, horizon=11)):
+        with pytest.raises(ConfigError, match="presampled draws do not match"):
+            run_episode(cfg, 0, presample(other))
 
 
 def ticks_in_flight(n_sched):
@@ -486,8 +513,8 @@ def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_
                         counted("rollout", controller.tentative_sequence))
     cfg = make_config(controller=ControllerKind(kind, buffer_cap=buffer_cap),
                       runs=6, horizon=120)
-    n_all, _, _ = presample(cfg)
-    n_all = n_all if buffer_cap is None else np.minimum(n_all, buffer_cap)
+    draws = presample(cfg)
+    n_all = draws[0] if buffer_cap is None else np.minimum(draws[0], buffer_cap)
     computes = kind != "baseline"
 
     summary = monte_carlo(cfg)
@@ -496,7 +523,7 @@ def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_
 
     for r in range(2):
         calls.update(step=0, rollout=0)
-        trace = run_episode(cfg, r)
+        trace = run_episode(cfg, r, draws)
         assert calls == {"step": trace.steps, "rollout": computes * ticks_in_flight(n_all[r])}
 
 
@@ -519,11 +546,11 @@ def test_diverged_lanes_start_no_sequence_but_finish_those_in_flight(monkeypatch
     cfg = make_config(plant=CUBIC, availability=from_execution_time(0.4),
                       controller=ControllerKind(kind), horizon=300, runs=8, master_seed=3,
                       disturbance=DisturbanceModel(kind="uniform", lo=0.0, hi=0.01))
-    n_all, _, _ = presample(cfg)
-    n_lived = np.array(n_all)
+    draws = presample(cfg)
+    n_lived = np.array(draws[0])
     for r in range(cfg.runs):
         calls.update(rollout=0, rows=0)
-        trace = run_episode(cfg, r)
+        trace = run_episode(cfg, r, draws)
         n_lived[r, trace.steps:] = 0  # a trace stops at the step its next state diverges
         assert calls == {"rollout": ticks_in_flight(n_lived[r]), "rows": n_lived[r].sum()}
     calls.update(rollout=0, rows=0)
