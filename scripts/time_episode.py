@@ -14,8 +14,7 @@ times 15 operations in turn. The operation is a trace episode of runs 0
 and 1 in turn; with `--op monte_carlo` the config's 100-run `monte_carlo`
 call, the operation behind markov_simulate's `op_p99_ms`. Both read one
 `presample` of the config, drawn once per process before any timing, as
-`anyctrl simulate` draws one block for its study and traces; a tree whose
-`run_episode` takes no `draws` draws each episode's run by itself. With
+`anyctrl simulate` draws one block for its study and traces. With
 `--op simulate` one whole markov_simulate pass
 (`bench/workloads.MarkovSimulate`: `cli.main(["simulate", ..., "--traces",
 "2"])` with its config, runs.csv, summary.txt and trace files in a
@@ -51,7 +50,6 @@ directory that each process removes when it ends.
 
 import argparse
 import contextlib
-import inspect
 import json
 import os
 import subprocess
@@ -109,10 +107,8 @@ def child(op: str) -> None:
             def operation(i):
                 monte_carlo(config, draws)
         else:
-            block = (draws,) if "draws" in inspect.signature(run_episode).parameters else ()
-
             def operation(i):
-                run_episode(config, i % 2, *block)
+                run_episode(config, i % 2, draws)
         operation(0)
         closing = calibration_seconds()
         for i in range(REPEATS):

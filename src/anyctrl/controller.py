@@ -20,16 +20,16 @@ whole rows, through 1-D views in which each float64 row is one `np.void`
 item, all built once per ring; the plant's outputs are first cast to
 contiguous float64, as plain assignment casts them. The Lyapunov
 decrease tests of those depths are bookkeeping: the ring records each
-depth's states and runs one stacked V call and one test over a whole
-block of `Ring.block` steps (`check`), at each block's end and when it
-drains. A failure therefore surfaces at the end of its block, with the
-fields it would have had at its own step. The block is sized by the
-ring's rows (lanes x C): BLOCK_ROWS // rows steps and at least
-SOURCE_BLOCK, so a ring of one run pays the block's fixed cost about
-once per BLOCK_ROWS row-steps, not every SOURCE_BLOCK steps.
+depth's states, and the engine's block loop (`simulation._blocks`) runs
+`check`, one stacked V call and one test, over each block of `Ring.block`
+steps and `drain` once it stops. A failure therefore surfaces at the end
+of its block, with the fields it would have had at its own step. The
+block is sized by the ring's rows (lanes x C): BLOCK_ROWS // rows steps
+and at least SOURCE_BLOCK, so a ring of one run pays the block's fixed
+cost about once per BLOCK_ROWS row-steps, not every SOURCE_BLOCK steps.
 
 The input played at step k is one gather from the ring, at a source
-computed in closed form from the capped N schedule (`Ring.steps`).
+computed in closed form from the capped N schedule (`Ring.sources`).
 Variant two (a2) keeps the tail of older sequences: it plays the sequence
 started at k - d for the smallest d with N(k - d) > d. Variant one (a1)
 wipes older sequences on every recomputation: it plays the sequence of
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,9 +111,10 @@ class Ring:
     """The tentative sequences in flight on every lane: slot t mod C for the one started at step t.
 
     `first_run` is the run index of the first lane; a certificate violation
-    names the run of the failing sequence. `block` is the steps per
-    source-map block and per decrease check, sized by the ring's rows when
-    it is built: max(SOURCE_BLOCK, BLOCK_ROWS // (lanes x C)).
+    names the run of the failing sequence. `block` is the steps per block
+    of the engine's loop (`simulation._blocks`), one source map and one
+    decrease check each, sized by the ring's rows when it is built:
+    max(SOURCE_BLOCK, BLOCK_ROWS // (lanes x C)).
     """
 
     def __init__(self, plant: PlantModel, capacity: int, lanes=(), first_run: int = 0):
@@ -138,42 +139,36 @@ class Ring:
         # step from a rollout step by its disturbance being a view
         self.w0 = np.zeros(plant.m)
 
-    def steps(self, kind: ControllerKind, n_sched) -> Iterator:
-        """Yield, for k = 0, 1, ..., N(k) and the `inputs` row of u(k) on every lane.
+    def sources(self, kind: ControllerKind, n_sched, start: int, stop: int):
+        """N(k) and the `inputs` row of u(k) on every lane, for k = start .. stop - 1, time-major.
 
         `n_sched` is the capped `(..., horizon)` schedule of N(k)
-        (`ControllerKind.capped`). For a1 and a2 the source map is built
-        `block` steps at a time from C - 1 steps of look-back, which are
-        copied into an int64 buffer once per block so that step indices add
-        to them; N(k) is that buffer's row, and a step of no source maps to
-        the zero row. The baseline has no sources: it gets N(k) as stored
-        and None.
+        (`ControllerKind.capped`). For a1 and a2 the source map is built in
+        closed form from C - 1 steps of look-back, which are copied into an
+        int64 buffer so that step indices add to them; the N(k) rows are that
+        buffer's, and a step of no source maps to the zero row. The baseline
+        has no sources: it gets its N(k) rows as stored and None for each step.
         """
-        n_sched = np.asarray(n_sched)
-        horizon, c, lanes = n_sched.shape[-1], self.capacity, self.base.shape
-        if kind.kind == "baseline":
-            yield from ((n_sched[..., k], None) for k in range(horizon))
-            return
+        c, lanes = self.capacity, self.base.shape
         time_major = (len(lanes),) + tuple(range(len(lanes)))  # the step axis first
-        for start in range(0, horizon, self.block):
-            stop = min(start + self.block, horizon)
-            lo = max(start - (c - 1), 0)
-            # time-major N(t) for t = start - (c - 1) .. stop - 1, zero before step 0
-            n = np.zeros((stop - start + c - 1,) + lanes, dtype=np.int64)
-            n[c - 1 - (start - lo):] = n_sched[..., lo:stop].transpose(time_major)
-            t = np.arange(start - (c - 1), stop).reshape((-1,) + (1,) * len(lanes))
-            k = t[c - 1:]
-            if kind.kind == "a2":  # t = k - d for the smallest d with N(k - d) > d
-                d_src = np.full(k.shape[:1] + lanes, c)
-                for d in range(c):  # d where N(k - d) > d, c elsewhere
-                    np.minimum(d_src, d + (c - d) * (n[c - 1 - d:len(n) - d] <= d), out=d_src)
-                t_src, covered = k - d_src, d_src < c
-            else:  # a1: the last t with N(t) >= 1, provided t + N(t) > k
-                last = np.maximum.accumulate(np.where(n >= 1, t - t[0], 0), axis=0)[c - 1:]
-                t_src = t[0] + last
-                covered = np.take_along_axis(n, last, axis=0) > k - t_src
-            yield from zip(n[c - 1:], np.where(covered, self.base + t_src % c,
-                                                self.inputs.shape[0] - 1))
+        if kind.kind == "baseline":
+            return n_sched[..., start:stop].transpose(time_major), [None] * (stop - start)
+        lo = max(start - (c - 1), 0)
+        # time-major N(t) for t = start - (c - 1) .. stop - 1, zero before step 0
+        n = np.zeros((stop - start + c - 1,) + lanes, dtype=np.int64)
+        n[c - 1 - (start - lo):] = n_sched[..., lo:stop].transpose(time_major)
+        t = np.arange(start - (c - 1), stop).reshape((-1,) + (1,) * len(lanes))
+        k = t[c - 1:]
+        if kind.kind == "a2":  # t = k - d for the smallest d with N(k - d) > d
+            d_src = np.full(k.shape[:1] + lanes, c)
+            for d in range(c):  # d where N(k - d) > d, c elsewhere
+                np.minimum(d_src, d + (c - d) * (n[c - 1 - d:len(n) - d] <= d), out=d_src)
+            t_src, covered = k - d_src, d_src < c
+        else:  # a1: the last t with N(t) >= 1, provided t + N(t) > k
+            last = np.maximum.accumulate(np.where(n >= 1, t - t[0], 0), axis=0)[c - 1:]
+            t_src = t[0] + last
+            covered = np.take_along_axis(n, last, axis=0) > k - t_src
+        return n[c - 1:], np.where(covered, self.base + t_src % c, self.inputs.shape[0] - 1)
 
     def in_flight(self) -> np.ndarray:
         """The flat rows whose sequence is in flight at step `tick`: `end > tick`."""
@@ -222,8 +217,9 @@ def check(plant: PlantModel, ring: Ring) -> None:
 
     A depth fails when V after its step exceeds rho times V before it (plus
     a slack) and V before it is at most DECREASE_CHECK_LIMIT; that means
-    the (V, kappa, rho) triple is inconsistent on this trajectory. The earliest failure is kept on the ring (`Ring.fail`) and
-    raised by `drain`. V is evaluated row by row, so its values and the
+    the (V, kappa, rho) triple is inconsistent on this trajectory. The
+    earliest failure is kept on the ring (`Ring.fail`) and raised by
+    `drain`. V is evaluated row by row, so its values and the
     test's outcome are those of testing each step on its own.
     """
     if not ring.pending:
@@ -262,15 +258,12 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     """One controller update on every lane: returns the applied input u(k).
 
     `n` and `src` are this step's N(k), at most the ring's capacity, and
-    source from `ring.steps`: for a1 and a2, `n` is an int64 row, so the
-    end step t + N(t) is written with a plain assignment. The baseline
+    source row from `Ring.sources`: for a1 and a2, `n` is an int64 row, so
+    the end step t + N(t) is written with a plain assignment. The baseline
     controller only uses the indicator n >= 1 and leaves the ring alone.
-    Any rows in flight after the new sequence starts (`end > tick`) advance
-    one depth. The decrease tests run at the end of each block of
-    `ring.block` steps; a failure drains the ring and raises (see
-    `drain`). Every sequence started up to the failing step is then tested
-    in full, and any started later has a later start step, so the
-    violation names what it would have named at the failing step.
+    Otherwise the step starts the new sequence, advances every row in
+    flight after it (`end > tick`) one depth and gathers u(k) at `src`;
+    the decrease tests of those depths wait on the ring for the engine.
     """
     if kind.kind == "baseline":
         return np.where((np.asarray(n) >= 1)[..., None], plant.policy(x), 0.0)
@@ -280,10 +273,6 @@ def controller_step(kind: ControllerKind, plant: PlantModel, x, n, ring: Ring, s
     if (rows := ring.in_flight()).size:
         tentative_sequence(plant, ring, rows)
     ring.tick += 1
-    if ring.tick % ring.block == 0:
-        check(plant, ring)
-        if ring.failure is not None:
-            drain(plant, ring)
     return ring.inputs.take(src, axis=0)
 
 

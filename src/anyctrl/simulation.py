@@ -5,30 +5,31 @@ disturbance, initial state) derived deterministically from the master
 seed, so comparing controllers on the same run index reuses identical
 (N, w) draws: common random numbers across controller variants.
 
-One loop over time steps (`_blocks`) drives the one controller kernel
+One block loop (`_blocks`) drives the one controller kernel
 (`controller.controller_step`) on any leading lane shape: `run_episode`
 steps a single run on `()` lanes and records its full trace, and the batch
 engine behind `monte_carlo` steps all runs at once on `(runs,)` lanes. Both
 read the same stacked draws (`presample`): an episode is one row of the
 Monte-Carlo block, not a second draw of its run. The loop keeps a
-`controller.Ring` of in-flight tentative sequences, reads every step's
-input source from the ring's closed-form source map, and drains the ring
-once it stops stepping, so every computed depth is tested.
+`controller.Ring` of in-flight tentative sequences and drains it once it
+stops stepping, so every computed depth is tested.
 
-A step does only the recursion: the gather that gives u(k), one advance of
-the in-flight sequences, the plant step and the divergence guard. A lane
-diverges when its next state's norm exceeds OVERFLOW_GUARD or is not
+A step does only the recursion: the controller step (start a sequence,
+advance the ring, gather u(k)), the plant step and the divergence guard. A
+lane diverges when its next state's norm exceeds OVERFLOW_GUARD or is not
 finite; the guard first tests the whole next state's squared norm, one dot
 product, against GUARD_PRECHECK, and takes the per-lane norms only when
 that fails (NaN, inf and an overflowing sum all fail it) and on every step
 after the first divergence, so its outcome is the per-lane test's. The
 bookkeeping runs once per block of `Ring.block` steps, which the ring
 sizes by its rows (16 from 64 rows up, 256 for one run at Lambda 4): the
-ring tests the block's Lyapunov decreases in one stacked pass, and the
-loop hands the block's states and inputs to its consumer. `run_episode`
-joins the blocks into its trace; the engine evaluates each block's stage
-costs in one pass and adds them to each run's cost in step order, so a
-run's cost is the same bit for bit as the step-order sum over its trace.
+loop builds the block's source map (`Ring.sources`), tests its Lyapunov
+decreases in one stacked pass (`controller.check`; a failure drains the
+ring, which raises) and hands its states and inputs to its consumer.
+`run_episode` joins the blocks into its trace; the engine evaluates each
+block's stage costs in one pass and adds them to each run's cost in step
+order, so a run's cost is the same bit for bit as the step-order sum over
+its trace.
 Every plant must broadcast over leading axes (see `plants.PlantModel`).
 
 Only `presample_each` seeds run streams, behind `presample`; `anyctrl
@@ -47,6 +48,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .availability import AvailabilityModel, make_sampler
+from . import controller
 from .controller import ControllerKind, Ring, controller_step, drain, effective_lengths
 from .errors import ConfigError, integer, real, reals
 from .plants import DisturbanceModel, PlantModel, norm, sum_squares
@@ -296,9 +298,9 @@ def presample_each(configs: Sequence[SimConfig]) -> Iterator:
 def _checked_draws(config: SimConfig, draws):
     """`draws`, or `presample(config)` if None; ConfigError if its shapes are not the config's."""
     n_all, w_all, x0 = presample(config) if draws is None else draws
-    if (n_all.shape != (config.runs, config.horizon)
-            or x0.shape != (config.runs, config.plant.n)):
-        raise ConfigError("presampled draws do not match the config's runs, horizon and state")
+    runs, horizon, n, m = config.runs, config.horizon, config.plant.n, config.plant.m
+    if (n_all.shape, w_all.shape, x0.shape) != ((runs, horizon), (runs, horizon, m), (runs, n)):
+        raise ConfigError("presampled draws do not match the config's runs, horizon and plant")
     return n_all, w_all, x0
 
 
@@ -312,8 +314,10 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
     anywhere raises ConfigError before the first step: with N <= C, the
     ring's end steps alone tell what is in flight. A block holds x(k) and
     u(k) for `ring.block` steps, and `alive` the lanes not diverged by its
-    end. A diverged lane keeps its last state and starts no sequence. Once
-    all have diverged the loop stops; then the ring is drained.
+    end; its depths are decrease-tested before it is yielded, and a failure
+    drains the ring, which raises. A diverged lane keeps its last state and
+    starts no sequence. Once all have diverged the loop stops; then the
+    ring is drained.
     """
     plant, kind = config.plant, config.controller
     ring = Ring(plant, config.buffer_capacity, x0.shape[:-1], first_run)
@@ -322,33 +326,36 @@ def _blocks(config: SimConfig, n_sched, w, x0, first_run: int = 0):
         raise ConfigError(f"sequence length {longest} exceeds buffer capacity {ring.capacity}")
     alive = np.ones(x0.shape[:-1], dtype=bool)
     diverged = False  # whether any lane has; until then the masks below are identities
-    x, xs, us = x0, [], []
+    x, horizon = x0, n_sched.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        # a diverged lane's input is never read, so its sources need not know it diverged
-        for k, (n, src) in enumerate(ring.steps(kind, n_sched)):
-            n = np.where(alive, n, 0) if diverged else n
-            u = controller_step(kind, plant, x, n, ring, src)
-            xs.append(x)
-            us.append(u)
-            x_next = plant.f(x, u, w[..., k, :])
-            flat = x_next.reshape(-1)
-            # NaN, inf and an overflowing sum fail both comparisons, so
-            # non-finite states count as diverged
-            if diverged or not flat.dot(flat) <= GUARD_PRECHECK:
-                finite = norm(x_next) <= OVERFLOW_GUARD
-                diverged = diverged or not finite.all()
-            if diverged:
-                alive = alive & finite
-                x = np.where(alive[..., None], x_next, x)
-            else:
-                x = x_next
-            if diverged and not alive.any():
-                break
-            if len(xs) == ring.block:
-                yield np.array(xs, dtype=float), np.array(us, dtype=float), alive
-                xs, us = [], []
-        if xs:
+        for start in range(0, horizon, ring.block):
+            stop, xs, us = min(start + ring.block, horizon), [], []
+            # a diverged lane's input is never read, so its sources need not know it diverged
+            for k, n, src in zip(range(start, stop), *ring.sources(kind, n_sched, start, stop)):
+                n = np.where(alive, n, 0) if diverged else n
+                u = controller_step(kind, plant, x, n, ring, src)
+                xs.append(x)
+                us.append(u)
+                x_next = plant.f(x, u, w[..., k, :])
+                flat = x_next.reshape(-1)
+                # NaN, inf and an overflowing sum fail both comparisons, so
+                # non-finite states count as diverged
+                if diverged or not flat.dot(flat) <= GUARD_PRECHECK:
+                    finite = norm(x_next) <= OVERFLOW_GUARD
+                    diverged = diverged or not finite.all()
+                if diverged:
+                    alive = alive & finite
+                    x = np.where(alive[..., None], x_next, x)
+                else:
+                    x = x_next
+                if diverged and not alive.any():
+                    break
+            controller.check(plant, ring)
+            if ring.failure is not None:
+                drain(plant, ring)
             yield np.array(xs, dtype=float), np.array(us, dtype=float), alive
+            if not alive.any():
+                break
         drain(plant, ring)
 
 

@@ -97,7 +97,12 @@ class CheckRecorder:
     """`controller.check` that first feeds what it tests to a hash, when one is set.
 
     Each depth recorded on the ring gives its step, its ring rows and its
-    states before and after the rollout step.
+    states before and after the rollout step. The recorder replaces the
+    `controller.check` attribute, so it sees every test only because the
+    engine calls `check` through that attribute: `simulation._blocks` once
+    per block and `controller.drain` once the loop stops. Each depth
+    leaves the ring when it is tested, so the hash takes every computed
+    depth once, in step order, however the calls split the steps.
     """
 
     def __init__(self, check):

@@ -611,10 +611,13 @@ def riccati_gain_loop(a, q, r, tol=1e-12, max_iter=100000):
 # --- the batch engine with one masked rollout pass and decrease test per depth ---
 
 def presample_run(config, run_index):
-    """(N schedule, disturbance draws, x0) for one run, from the streams `run_episode` draws on.
+    """(N schedule, disturbance draws, x0) for one run, drawn from its own three streams.
 
     The schedule is `sample_loop`'s on the run's availability stream, stored
-    as `availability.length_dtype`.
+    as `availability.length_dtype`. `run_episode` draws nothing: it reads
+    row `run_index` of a `presample` block, whose schedules one sampler
+    over all runs draws. This draws that row the slow way, one step at a
+    time, for the references that compare with it.
     """
     avail_rng, w, x0 = _run_draws(config, run_index)
     lengths, _ = sample_loop(config.availability, avail_rng, config.horizon)

@@ -188,6 +188,60 @@ def test_violations_on_stock_draws_do_not_depend_on_block_length(case):
             assert outcome(lambda: run_episode(cfg, want[2], draws)) == want
 
 
+# --- every computed depth is decrease-tested exactly once ---
+
+
+def depths_checked(run):
+    """`run()`, and the (step, ring row) of every depth that `controller.check` tests meanwhile."""
+    seen, check = [], controller.check
+
+    def recording(plant, ring):
+        for tick, rows, _, _ in ring.pending:
+            seen.extend((tick, int(row)) for row in rows)
+        check(plant, ring)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "check", recording)
+        run()
+    return seen
+
+
+def linear_gaussian(kind):
+    return SimConfig(plant=LINEAR, availability=IidAvailability([0.1, 0.2, 0.3, 0.2, 0.2]),
+                     controller=ControllerKind(kind),
+                     disturbance=DisturbanceModel(kind="gaussian", variance=0.1),
+                     horizon=100, runs=6, master_seed=4)
+
+
+# (config, block length, runs that diverge); fig1 at tau 0.4 runs its own block rule
+ONCE = {
+    **{f"linear-{kind}": (linear_gaussian(kind), 5, 0) for kind in ("a1", "a2")},
+    **{f"fig1-tau0.4-{kind}": (replace(fig1(0.4, kind), runs=6), None, 5)
+       for kind in ("a1", "a2")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONCE))
+def test_every_computed_depth_is_tested_once(case):
+    """No (step, row) pair is tested twice, and each lane tests the capped N(k) of
+    every step it stepped, in monte_carlo and in each run's episode: a sequence
+    is computed in full, past the horizon or a divergence included."""
+    cfg, length, diverging = ONCE[case]
+    draws = presample(cfg)
+    capped = cfg.controller.capped(draws[0])
+    with forced_block(length):
+        traces = [run_episode(cfg, r, draws) for r in range(cfg.runs)]
+        batch = depths_checked(lambda: monte_carlo(cfg, draws))
+        episodes = [depths_checked(lambda: run_episode(cfg, r, draws)) for r in range(cfg.runs)]
+    assert sum(trace.diverged for trace in traces) == diverging
+    want = [int(capped[r, :trace.steps].sum()) for r, trace in enumerate(traces)]
+    for seen in (batch, *episodes):
+        assert len(set(seen)) == len(seen)
+    lanes = np.array([row for _, row in batch]) // cfg.buffer_capacity
+    assert np.bincount(lanes, minlength=cfg.runs).tolist() == want
+    assert [len(seen) for seen in episodes] == want
+
+
 # --- the row-sized block rule ---
 
 SAT_2D = make_builtin_plant("sat_2d")

@@ -25,8 +25,9 @@ n_sequences = st.lists(st.integers(min_value=0, max_value=4),
 def kernel_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
     """The package kernel on a forced `(lanes..., steps)` schedule without disturbance.
 
-    Returns the played inputs `(steps, lanes..., p)` and the final state;
-    the sequences still in flight are drained, so every depth is tested.
+    The sources of all steps come from one `Ring.sources` block. Returns the
+    played inputs `(steps, lanes..., p)` and the final state; the sequences
+    still in flight are drained, so every depth is tested.
     """
     ctrl = ControllerKind(kind, buffer_cap=buffer_cap)
     n_sched = ctrl.capped(np.asarray(n_sched))
@@ -35,7 +36,7 @@ def kernel_loop(kind, plant, n_sched, cap, buffer_cap=None, x0=None):
     ring = Ring(plant, cap, lanes)
     w0 = np.zeros(plant.m)
     inputs = []
-    for n, src in ring.steps(ctrl, n_sched):
+    for n, src in zip(*ring.sources(ctrl, n_sched, 0, n_sched.shape[-1])):
         u = controller_step(ctrl, plant, x, n, ring, src)
         inputs.append(u)
         x = plant.f(x, u, w0)
@@ -160,6 +161,11 @@ def test_baseline_ignores_buffer():
     u = controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 0, ring, None)
     np.testing.assert_array_equal(u, [0.0])
     assert ring.tick == 0 and not ring.end.any() and not ring.inputs.any()
+    # its N(k) rows come as stored, with no source
+    sched = np.array([[2, 0, 1], [0, 1, 2]], dtype=np.uint8)
+    n, src = Ring(LINEAR, 2, (2,)).sources(ControllerKind("baseline"), sched, 1, 3)
+    assert n.dtype == np.uint8 and n.tolist() == [[0, 1], [1, 2]]
+    assert [s for _, s in zip(n, src)] == [None, None]
     buf = np.array([[5.0], [6.0]])
     _, out = oracles.controller_step(ControllerKind("baseline"), LINEAR, np.array([1.0]), 2, buf)
     assert out is buf
@@ -236,6 +242,36 @@ def test_effective_lengths_match_recursions(kind, n_seq, buffer_cap):
     want = {"baseline": lambda ns: [0] * len(ns), "a1": oracles.lam_sequence_a1,
             "a2": oracles.lam_sequence_a2}[kind](capped)
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+@st.composite
+def source_blocks(draw):
+    """(capacity, `(lanes, steps)` uint8 schedule of N <= capacity, block length)."""
+    cap = draw(st.integers(min_value=1, max_value=5))
+    lanes = draw(st.integers(min_value=1, max_value=4))
+    steps = draw(st.integers(min_value=1, max_value=40))
+    n_sched = draw(arrays(np.uint8, (lanes, steps), elements=st.integers(0, cap)))
+    return cap, n_sched, draw(st.integers(min_value=1, max_value=steps + 2))
+
+
+@pytest.mark.parametrize("kind", ["a1", "a2"])
+@given(case=source_blocks())
+@settings(max_examples=150, deadline=None)
+def test_a_step_has_a_source_exactly_when_its_buffer_is_not_empty(kind, case):
+    """Block by block, `Ring.sources` gives N(k) as int64 and a row of the step's own lane
+    exactly where lambda(k) >= 1, and the zero row elsewhere."""
+    cap, n_sched, block = case
+    lanes, steps = n_sched.shape
+    ctrl, ring = ControllerKind(kind), Ring(LINEAR, cap, (lanes,))
+    blocks = [ring.sources(ctrl, n_sched, start, min(start + block, steps))
+              for start in range(0, steps, block)]
+    n, src = (np.concatenate(rows) for rows in zip(*blocks))
+    assert n.dtype == np.int64 and n.tolist() == n_sched.T.tolist()
+    has_source = src != ring.inputs.shape[0] - 1
+    want = np.array([effective_lengths(ctrl, row) >= 1 for row in n_sched]).T
+    np.testing.assert_array_equal(has_source, want)
+    lane = np.broadcast_to(np.arange(lanes), src.shape)
+    np.testing.assert_array_equal((src // cap)[has_source], lane[has_source])
 
 
 @given(n=arrays(st.sampled_from([np.uint8, np.uint16, np.int64]),

@@ -473,11 +473,30 @@ def test_episode_rejects_a_run_outside_the_study(run_index):
         run_episode(cfg, run_index)
 
 
-def test_episode_rejects_draws_of_another_config():
+def draws_pairings():
+    """(config, config whose draws it is given) pairs whose blocks differ in one shape.
+
+    A log_lyapunov plant draws no disturbance (m = 0) and a linear_scalar
+    plant one number per step, so each one's block has the other's runs,
+    horizon and state but not its disturbance width.
+    """
     cfg = make_config(runs=3, horizon=10)
-    for other in (replace(cfg, runs=4), replace(cfg, horizon=11)):
-        with pytest.raises(ConfigError, match="presampled draws do not match"):
-            run_episode(cfg, 0, presample(other))
+    log = replace(cfg, plant=make_builtin_plant("log_lyapunov", rho=0.9))
+    return {"runs": (cfg, replace(cfg, runs=4)), "horizon": (cfg, replace(cfg, horizon=11)),
+            "linear-given-log": (cfg, log), "log-given-linear": (log, cfg)}
+
+
+@pytest.mark.parametrize("pairing", draws_pairings())
+def test_episode_rejects_draws_of_another_config(pairing):
+    """Both entry points reject the block with a ConfigError. Given a disturbance
+    block of another width, both once raised numpy's broadcast error on one
+    pairing and ran the other."""
+    cfg, other = draws_pairings()[pairing]
+    draws = presample(other)
+    with pytest.raises(ConfigError, match="presampled draws do not match"):
+        run_episode(cfg, 0, draws)
+    with pytest.raises(ConfigError, match="presampled draws do not match"):
+        monte_carlo(cfg, draws)
 
 
 def ticks_in_flight(n_sched):
