@@ -1,7 +1,8 @@
 """Command-line front end: simulate, stability, and sweep subcommands.
 
-Each loads its YAML file, parses it with `config`, runs and writes; a
-ConfigError, which names its key, exits with status 2.
+Each loads its YAML file, parses it with `config`, makes its --out
+directory, runs and writes; a ConfigError, which names its key or flag,
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -18,8 +19,13 @@ from .stability import evaluate
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, made if missing; each command makes it before any work."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot make the output directory "
+                          f"({exc.strerror})") from None
     return out
 
 
@@ -38,9 +44,9 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.traces <= config.runs:
         raise ConfigError(f"--traces must lie in 0..{config.runs} (the number of runs), "
                           f"got {args.traces}")
+    out = _out_dir(args)
     draws = presample(config)  # one block: the traces are its first runs
     summary = monte_carlo(config, draws)
-    out = _out_dir(args)
     write_runs_csv(summary, out / "runs.csv")
     with open(out / "summary.txt", "w") as fh:
         fh.write(f"mean={summary.mean!r}\n")
@@ -61,11 +67,11 @@ def cmd_simulate(args) -> int:
 def cmd_stability(args) -> int:
     data = load_yaml(args.config)
     inputs = parse_certificate_inputs(data)
+    out = _out_dir(args)
     report = evaluate(inputs)
     lines = report.lines()
     for line in lines:
         print(line)
-    out = _out_dir(args)
     with open(out / "stability.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -74,8 +80,8 @@ def cmd_stability(args) -> int:
 def cmd_sweep(args) -> int:
     data = load_yaml(args.config)
     name, spec = parse_sweep(data, seed=args.seed, runs=args.runs, horizon=args.horizon)
-    rows = run_sweep(spec)
     out = _out_dir(args)
+    rows = run_sweep(spec)
     path = out / f"sweep_{name}.csv"
     write_sweep_csv(rows, path)
     for row in rows:

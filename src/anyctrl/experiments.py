@@ -19,7 +19,7 @@ import numpy as np
 from .availability import from_execution_time
 from .controller import KINDS, ControllerKind
 from .errors import ConfigError, integer, reals
-from .plants import DisturbanceModel, make_builtin_plant
+from .plants import DisturbanceModel, PlantModel, make_builtin_plant
 from .simulation import (CI_Z, SimConfig, _write_csv, improvement_pct, monte_carlo,
                          paired_diff, presample_each)
 
@@ -59,6 +59,11 @@ class ExperimentSpec:
             except ConfigError as exc:
                 raise ConfigError("sweep grid over tau"
                                   + str(exc).removeprefix("availability.tau")) from None
+        for value in self.grid if self.sweep == "a" else ():
+            try:  # the plant's own rule on a, named after the grid
+                _linear_plant(self.base, value)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep grid over a: {exc}") from None
         if self.sweep == "buffer_cap" and any(integer(v, "grid") < 1 for v in self.grid):
             raise ConfigError(f"sweep grid over buffer_cap must hold integers >= 1, "
                               f"got {list(self.grid)!r}")
@@ -95,14 +100,19 @@ def builtin_experiment(name: str, *, seed: Optional[int] = None, runs: Optional[
     return ExperimentSpec(sweep, default_grid if grid is None else tuple(grid), base)
 
 
+def _linear_plant(base: SimConfig, a: float) -> PlantModel:
+    """The linear plant at `a`, with the LQR weights of the base plant."""
+    weights = {key: base.plant.params[key] for key in ("q", "r")}
+    return make_builtin_plant("linear_scalar", a=float(a), **weights)
+
+
 def _config_at(spec: ExperimentSpec, value: float, kind: str) -> SimConfig:
     base = spec.base
     cap = None
     if spec.sweep == "tau":
         base = replace(base, availability=from_execution_time(value))
-    elif spec.sweep == "a":  # the base plant's LQR weights carry over
-        weights = {key: base.plant.params[key] for key in ("q", "r")}
-        base = replace(base, plant=make_builtin_plant("linear_scalar", a=float(value), **weights))
+    elif spec.sweep == "a":
+        base = replace(base, plant=_linear_plant(base, value))
     else:
         cap = value
     controller = ControllerKind(kind, buffer_cap=cap if kind != "baseline" else None)

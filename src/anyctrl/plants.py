@@ -198,7 +198,7 @@ def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
 def _linear_scalar(a: float, q: float = 0.2, r: float = 2.0) -> PlantModel:
     gain = lqr_gain_scalar(a, q, r)
     rho = abs(a - gain)
-    if rho >= 1.0:
+    if not rho < 1.0:  # also NaN: above |a| ~ 1e77 the Riccati root overflows
         raise ConfigError(f"LQR loop for a={a} is not contracting (|a-K|={rho})")
 
     def f(x, u, w):

@@ -220,7 +220,7 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     """
     g = model.num_states
     if g > MAX_CHAIN_STATES:
-        raise ConfigError(f"chain has {g} states; dense certificate evaluation "
+        raise ConfigError(f"availability.Q: chain has {g} states; dense certificate evaluation "
                           f"supports at most {MAX_CHAIN_STATES}")
     p0, q_bar = model.p0_by_state, model.transition
     # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros

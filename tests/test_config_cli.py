@@ -15,7 +15,7 @@ from anyctrl.errors import ConfigError
 from anyctrl.experiments import builtin_experiment, run_sweep, write_sweep_csv
 from anyctrl.plants import DisturbanceModel, make_builtin_plant
 from anyctrl.simulation import SimConfig
-from anyctrl.stability import CertificateInputs
+from anyctrl.stability import MAX_CHAIN_STATES, CertificateInputs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -331,6 +331,11 @@ MARKOV_AVAILABILITY = {"kind": "markov", "Q": [[0.9, 0.1], [0.2, 0.8]],
     ({"grid": [0.0, 0.2]}, "sweep grid over tau must lie in (0, 1), got 0.0"),
     ({"grid": [0.2, 1.0]}, "sweep grid over tau must lie in (0, 1), got 1.0"),
     ({"base": {**SIM_DOC, "horizon": 0}}, "base: horizon"),
+    # an a grid is checked by the plant's own rule on a, named after the grid
+    ({"sweep": "a", "grid": [1.0, 1.2],
+      "base": {**SIM_DOC, "plant": {"name": "linear_scalar", "params": {"a": 1.2, "q": 0}}}},
+     "sweep grid over a: LQR loop for a=1.0 is not contracting"),
+    ({"sweep": "a", "grid": [0.9, 1e80]}, "sweep grid over a: LQR loop for a=1e+80"),
 ])
 def test_cli_sweep_rejects_silent_replacement(tmp_path, capsys, change, key):
     doc = {"experiment": "custom", "sweep": "tau", "grid": [0.2, 0.3], "base": dict(SIM_DOC)}
@@ -415,6 +420,10 @@ def test_parse_sim_config_accepts_boundary_values():
 
 
 STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time", "tau": 0.23}}
+# a chain one state past stability.MAX_CHAIN_STATES: each state stays put with probability 1/2
+LONG_CHAIN = {"kind": "markov", "P": [[0.5, 0.5]] * (MAX_CHAIN_STATES + 1),
+              "Q": (np.full((MAX_CHAIN_STATES + 1,) * 2, 0.5 / MAX_CHAIN_STATES)
+                    + np.eye(MAX_CHAIN_STATES + 1) * (0.5 - 0.5 / MAX_CHAIN_STATES)).tolist()}
 
 
 @pytest.mark.parametrize("command, change, key", [
@@ -431,6 +440,9 @@ STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time
     ("simulate", {"availability": {"kind": "exec_time", "tau": "x"}}, "availability.tau"),
     ("simulate", {"disturbance": {"kind": "uniform", "lo": "q"}}, "disturbance.lo"),
     ("simulate", {"plant": {"name": "linear_scalar", "params": [1.2]}}, "plant.params"),
+    # the Riccati root overflows, and the NaN loop factor is named as a non-contracting a
+    ("simulate", {"plant": {"name": "linear_scalar", "params": {"a": 1e80}}},
+     "plant.params: LQR loop for a=1e+80 is not contracting"),
     ("simulate", {"plant": "linear_scalar"}, "plant"),
     ("simulate", {"cost": [0.2]}, "cost"),
     ("simulate", {"x0": ["one"]}, "x0"),
@@ -438,6 +450,8 @@ STABILITY_DOC = {"rho": 0.5, "alpha": 1.618, "availability": {"kind": "exec_time
     ("stability", {"rho": "x"}, "rho"),
     ("stability", {"rho": None}, "rho"),
     ("stability", {"alpha": [1.0]}, "alpha"),
+    ("stability", {"availability": LONG_CHAIN},
+     f"availability.Q: chain has {MAX_CHAIN_STATES + 1} states"),
     # a quoted number is a string, and an integer too large for a float is not finite
     ("simulate", {"plant": {"name": "linear_scalar", "params": {"a": "1.2"}}}, "plant.params.a"),
     ("simulate", {"availability": {"kind": "exec_time", "tau": "0.3"}}, "availability.tau"),
@@ -467,3 +481,25 @@ def test_cli_bad_values_name_their_key(tmp_path, capsys, command, change, key):
     err = capsys.readouterr().err
     assert code == 2
     assert key in err and "Traceback" not in err
+
+
+OUT_DOCS = {
+    "simulate": SIM_DOC,
+    "stability": STABILITY_DOC,
+    "sweep": {"experiment": "custom", "sweep": "tau", "grid": [0.2, 0.3], "base": SIM_DOC},
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+@pytest.mark.parametrize("command", sorted(OUT_DOCS))
+def test_cli_rejects_an_out_that_is_no_directory_before_any_work(tmp_path, capsys, command,
+                                                                 below):
+    """An --out that names a regular file, or a path below one, exits 2 naming --out."""
+    path = write_config(tmp_path, OUT_DOCS[command])
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main([command, "--config", str(path), "--out", str(out / "sub" if below else out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: --out ") and "Traceback" not in captured.err
+    assert captured.out == ""  # nothing was simulated, evaluated or printed first
