@@ -9,9 +9,11 @@ PYTHONHASHSEED=0, no bytecode written), at seed 3 for SECONDS of timed
 work. Every number printed is a field of the worker's JSON: for each
 end-to-end metric (`wall_s`, `work_per_s`, `op_p50_ms`, `op_p99_ms`,
 `peak_rss_mb`, in reference units as `bench/run.py` prints them) each
-tree's median over the rounds and each round's value, then each tree's
-count of operations whose outputs differed from `bench/reference/`.
-`bench/run.py` adds only `setup_s`, from processes of its own.
+tree's median over the rounds and each round's value, and in how many
+rounds the last tree read better than the first, in the direction
+`BENCHMARK.json` gives the metric; then each tree's count of operations
+whose outputs differed from `bench/reference/`. `bench/run.py` adds only
+`setup_s`, from processes of its own.
 
     python scripts/time_episode.py ../parent/src src
     python scripts/time_episode.py ../parent/src src --rounds 6 --workload fig1_sweep
@@ -41,7 +43,9 @@ from run import DEADLINE_S, THREAD_VARS, start_worker  # noqa: E402  (bench/ is 
 SEED = 3  # the seed, and so the input instance, of every benchmark run
 SECONDS = 2.0  # timed work per worker process
 METRICS = ("wall_s", "work_per_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+LOWER_IS_BETTER = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
 
 
 def main(argv=None) -> int:
@@ -73,6 +77,10 @@ def main(argv=None) -> int:
             values = [out["metrics"][name]["value"] for out in outs]
             print(f"{str(tree):<{width}}  {median(values):10.4g}  "
                   f"({' '.join(f'{v:.4g}' for v in values)})")
+        first, last = ([out["metrics"][name]["value"] for out in results[tree]]
+                       for tree in (trees[0], trees[-1]))
+        wins = sum(b < a if LOWER_IS_BETTER[name] else b > a for a, b in zip(first, last))
+        print(f"last tree better in {wins} of {args.rounds} rounds")
     print(f"operations checked against bench/reference/\n{'tree':<{width}}  failed  attempted")
     failed = {tree: sum(out["failed"] for out in outs) for tree, outs in results.items()}
     for tree, outs in results.items():

@@ -37,9 +37,10 @@ AVAILABILITY_KEYS = {"exec_time": ("tau",), "iid": ("p",), "markov": ("Q", "P", 
 
 
 def load_yaml(path) -> dict:
+    """The document at `path`, a mapping, read by pyyaml's safe loader (libyaml's when built)."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:

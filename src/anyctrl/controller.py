@@ -12,9 +12,9 @@ flight: slot t mod C holds the predicted state, the end step t + N(t) and
 the latest input of the sequence started at step t, in flight while
 `end > tick`. Each step starts the new sequence and then advances every
 in-flight row one depth with one stacked step of the nominal closed loop
-(`tentative_sequence`): one call of the plant's closed-loop map, which
-gives each row's input and next state (`PlantModel.nominal_step`), and
-that is all the recursion needs. The rows are gathered through a 2-D view
+(`tentative_sequence`), which has no disturbance: one call of the plant's
+closed-loop map gives each row's input and next state (`PlantModel.nominal_step`),
+and that is all the recursion needs. The rows are gathered through a 2-D view
 of the ring's states and the advanced states and inputs scattered back as
 whole rows, through 1-D views in which each float64 row is one `np.void`
 item, all built once per ring; the plant's outputs are first cast to
@@ -135,9 +135,6 @@ class Ring:
         self.chi_rows = _row_items(self.chi_flat)
         self.input_rows = _row_items(self.inputs)
         self.base = np.arange(0, size, capacity).reshape(lanes)  # flat index of each lane's slot 0
-        # a fresh array, never a view: bench/tracing.py tells the engine's plant
-        # step from a rollout step by its disturbance being a view
-        self.w0 = np.zeros(plant.m)
 
     def sources(self, kind: ControllerKind, n_sched, start: int, stop: int):
         """N(k) and the `inputs` row of u(k) on every lane, for k = start .. stop - 1, time-major.
@@ -195,7 +192,7 @@ def tentative_sequence(plant: PlantModel, ring: Ring, rows: np.ndarray) -> None:
     certificate's per-step Lyapunov decrease on them.
     """
     chi = ring.chi_flat.take(rows, axis=0)
-    u, nxt = plant.nominal_step(chi, ring.w0)
+    u, nxt = plant.nominal_step(chi)
     # a 1-D scatter of whole rows costs a quarter of numpy's row-subspace assignment
     ring.chi_rows[rows] = _as_rows(nxt, ring.chi_rows.dtype)
     ring.input_rows[rows] = _as_rows(u, ring.input_rows.dtype)

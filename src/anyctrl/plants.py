@@ -8,9 +8,10 @@ used by the stability certificates.
 Every plant broadcasts: ``f``, ``kappa`` and ``V`` accept arrays with the
 state/input/disturbance components on the last axis and broadcast over
 leading axes. The controller kernel and the simulation loop rely on it.
-A plant may also fuse one step of the nominal closed loop,
-``(kappa(x), f(x, kappa(x), w))``, into one call (``closed_loop``) that
-shares the work the two calls repeat; the controller's rollout takes it.
+A plant may also fuse one step of the nominal closed loop, which has no
+disturbance, ``(kappa(x), f(x, kappa(x), 0))``, into one call
+(``closed_loop``) that shares the work the two calls repeat; the
+controller's rollout takes it.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ SQRT5 = math.sqrt(5.0)
 # equal descriptor that is another object only sends a call to the array path
 FLOAT64 = np.dtype(np.float64)
 # sat_2d's closed-loop map computes a stack of at most this many rows in
-# Python floats, one row at a time. The map costs about
-# 10 us on the array path whatever the rows; the row path takes 0.3-0.4 of that
-# at 1 or 2 rows and 0.96-1.12 at 8 (three runs; 2-core VM, Python 3.11.7,
-# numpy 2.4.6)
+# Python floats, one row at a time. The map costs about 5 us on the array path
+# whatever the rows; the row path takes 0.33 of that at 1 row, 0.56 at 4, 0.81-0.84
+# at 8 and 1.14-1.20 at 12 (three runs; 2-core VM, Python 3.11.7, numpy 2.4.6).
+# One run's ring, a trace episode's, has at most C rows in flight
 ROW_CALL_MAX = 8
 # each disturbance kind and the DisturbanceModel fields it reads
 DISTURBANCE_KEYS = {"none": (), "uniform": ("lo", "hi"), "gaussian": ("mean", "variance")}
@@ -87,12 +88,12 @@ class PlantModel:
     with the same IEEE operations in the same order as its array path, so
     either path gives the same bits.
 
-    ``closed_loop``, if not None, maps states ``x`` and disturbances ``w``
-    to ``(policy(x), f(x, policy(x), w))`` in one call, bit for bit, shape
-    and dtype included, computing once what the two calls share. A plant
-    that supplies it must keep it equal to its ``policy`` and ``f``: a
-    ``dataclasses.replace`` of either must also replace ``closed_loop`` or
-    set it to None. `nominal_step` takes it, or the two calls without it.
+    ``closed_loop``, if not None, maps states ``x`` to ``(policy(x), f(x,
+    policy(x), np.zeros(m)))``, f at a float64 zero disturbance, in one call,
+    bit for bit, shape and dtype included. A plant that supplies it must
+    keep it equal to its ``policy`` and ``f``: a ``dataclasses.replace`` of
+    either must also replace ``closed_loop`` or set it to None.
+    `nominal_step` takes it, or the two calls without it.
     """
 
     name: str
@@ -105,22 +106,22 @@ class PlantModel:
     rho: float
     alpha: Optional[float] = None
     params: dict = field(default_factory=dict)
-    closed_loop: Optional[Callable[[np.ndarray, np.ndarray],
-                                   Tuple[np.ndarray, np.ndarray]]] = None
+    closed_loop: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         check_rates(self.rho, 1.0 if self.alpha is None else self.alpha)
 
-    def nominal_step(self, x, w) -> Tuple[np.ndarray, np.ndarray]:
-        """One step of the nominal closed loop: ``(u, x_next)`` with u = policy(x).
+    def nominal_step(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """One step of the nominal closed loop, which has no disturbance: ``(policy(x), x_next)``.
 
-        The plant's ``closed_loop`` when it has one; else a policy call and
-        an f call.
+        The plant's ``closed_loop`` when it has one; else a policy call and an
+        f call at a fresh ``np.zeros(m)``, which owns its data: bench/tracing.py
+        tells the engine's plant step from a rollout's by a disturbance view.
         """
         if self.closed_loop is not None:
-            return self.closed_loop(x, w)
+            return self.closed_loop(x)
         u = self.policy(x)
-        return u, self.f(x, u, w)
+        return u, self.f(x, u, np.zeros(self.m))
 
 
 def check_rates(rho, alpha) -> Tuple[float, float]:
@@ -181,10 +182,13 @@ def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
     def kappa(x):
         return -x ** 3 - x
 
-    def closed_loop(x, w):  # kappa, then f, with the cube computed once
+    # kappa, then f at w = 0, the cube computed once. f's last `+ w` changes only a -0.0
+    # (never here: at x = -0.0, c + u is +0.0) and promotes float32 as the cast does
+    def closed_loop(x):
         c = x ** 3
         u = -c - x
-        return u, x + 0.01 * (c + u) + w
+        nxt = x + 0.01 * (c + u)
+        return u, nxt.astype(np.promote_types(nxt.dtype, FLOAT64), copy=False)
 
     return PlantModel(
         name="cubic_scalar", n=1, p=1, m=1,
@@ -226,52 +230,45 @@ def _sat1(s: float) -> float:
 
 
 def _sat_2d() -> PlantModel:
-    # kappa(x) and f(x, kappa(x), w) of one row in Python floats: the array
-    # path's IEEE operations in its order, so a stack of at most ROW_CALL_MAX rows
-    # gets the same bits
-    def step_row(x1, x2, w1):
-        s = _sat1(x1 + x2)
-        u1, u2 = -x2, 0.8 * s
-        return u1, u2, x2 + u1 + math.sqrt(w1 * w1 + 5.0) - SQRT5, u2 - s
-
-    # the array path, given s = sat(x1 + x2), which the closed-loop map computes once
+    # kappa's array path, given s = sat(x1 + x2), which the closed-loop map computes once
     def kappa_at(x, s):
         out = np.empty(x.shape)
         np.negative(x[..., 1], out[..., 0])
         np.multiply(s, 0.8, out[..., 1])
         return out
 
-    def f_at(x, u, w, s):
-        first = x[..., 1] + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0)  # x, u, w broadcast
-        out = np.empty(first.shape + (2,))
-        np.subtract(first, SQRT5, out[..., 0])
-        np.subtract(u[..., 1], s, out[..., 1])  # the bits of -sat(x1 + x2) + u2
-        return out
-
     def f(x, u, w):
         if x.ndim == u.ndim == w.ndim == 1 and x.dtype is u.dtype is w.dtype is FLOAT64:
             (x1, x2), (u1, u2), (w1,) = x.tolist(), u.tolist(), w.tolist()
             return np.array((x2 + u1 + math.sqrt(w1 * w1 + 5.0) - SQRT5, u2 - _sat1(x1 + x2)))
-        return f_at(x, u, w, sat(x[..., 0] + x[..., 1]))
+        first = x[..., 1] + u[..., 0] + np.sqrt(w[..., 0] ** 2 + 5.0)  # x, u, w broadcast
+        out = np.empty(first.shape + (2,))
+        np.subtract(first, SQRT5, out[..., 0])
+        np.subtract(u[..., 1], sat(x[..., 0] + x[..., 1]), out[..., 1])  # -sat(x1 + x2) + u2
+        return out
 
     def kappa(x):
         return kappa_at(x, sat(x[..., 0] + x[..., 1]))
 
-    # x.size first: a stack of more than ROW_CALL_MAX rows of two states leaves
-    # for numpy after one test, so the Monte-Carlo calls pay little for the rows.
-    # The row path takes a rollout's call: a stack, and one 1-D w for every row
-    def closed_loop(x, w):
-        if (x.size <= 2 * ROW_CALL_MAX and x.ndim == 2 and w.ndim == 1
-                and x.dtype is w.dtype is FLOAT64):
-            (w1,), us, nxts = w.tolist(), [], []
+    # f at w = 0 after u1 = -x2 has x1+ = (x2 - x2 + sqrt5) - sqrt5, which is x2 - x2:
+    # +0.0, or for an infinite or NaN x2 its NaN. x.size first: a stack of more than
+    # ROW_CALL_MAX rows leaves for numpy after one test; a smaller one, a rollout's,
+    # takes the same IEEE operations in Python floats, row by row
+    def closed_loop(x):
+        if x.size <= 2 * ROW_CALL_MAX and x.ndim == 2 and x.dtype is FLOAT64:
+            us, nxts = [], []
             for x1, x2 in x.tolist():
-                u1, u2, n1, n2 = step_row(x1, x2, w1)
-                us += (u1, u2)
-                nxts += (n1, n2)
+                s = _sat1(x1 + x2)
+                u2 = 0.8 * s
+                us += (-x2, u2)
+                nxts += (x2 - x2, u2 - s)
             return np.array(us).reshape(-1, 2), np.array(nxts).reshape(-1, 2)
         s = sat(x[..., 0] + x[..., 1])
         u = kappa_at(x, s)
-        return u, f_at(x, u, w, s)
+        nxt = np.empty(x.shape)
+        np.subtract(x[..., 1], x[..., 1], nxt[..., 0])
+        np.subtract(u[..., 1], s, nxt[..., 1])
+        return u, nxt
 
     def v(x):
         return 2.0 * norm(x)

@@ -544,7 +544,7 @@ def ring_advance_fancy(plant, ring, rows):
     chis = ring.chi.reshape(-1, ring.chi.shape[-1])
     chi = chis.take(rows, axis=0)
     u = plant.policy(chi)
-    nxt = plant.f(chi, u, ring.w0)
+    nxt = plant.f(chi, u, np.zeros(plant.m))
     chis[rows] = nxt
     ring.inputs[rows] = u
     ring.pending.append((ring.tick, rows, chi, nxt))

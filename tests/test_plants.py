@@ -254,7 +254,7 @@ def test_sum_squares_is_the_reduction_bit_for_bit(x):
 @st.composite
 def sat_2d_calls(draw, elements=st.floats(allow_nan=False, allow_infinity=False),
                  max_rows=2 * ROW_CALL_MAX, layouts=("()", "(k,)", "rollout")):
-    """(x, u, w) on `()` lanes, on `(k,)` lanes, or on `(k,)` lanes with a rollout's zeros(1).
+    """(x, u, w) on `()` lanes, on `(k,)` lanes, or on `(k,)` lanes with one zeros(1) for all.
 
     A `()` call is one row, so `policy(x)` is drawn 1-D too. Stacks hold 0
     to `max_rows` rows: by default up to 2 ROW_CALL_MAX, on both sides of
@@ -278,7 +278,7 @@ def test_sat_2d_is_its_formulas_bit_for_bit(call):
         u_want = sat_2d_policy(x)
         pairs = [(plant.f(x, u, w), sat_2d_f(x, u, w)),
                  (plant.policy(x), u_want),
-                 *zip(plant.closed_loop(x, w), (u_want, sat_2d_f(x, u_want, w)))]
+                 *zip(plant.closed_loop(x), (u_want, sat_2d_f(x, u_want, np.zeros(1))))]
     for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -287,11 +287,10 @@ def test_sat_2d_is_its_formulas_bit_for_bit(call):
 def on_the_array_path(fn, *args):
     """`fn` on the call's rows, stacked under zero rows to ROW_CALL_MAX + 1, which takes numpy.
 
-    A 1-D argument is one row, and then the result is too; a rollout's
-    zeros(1) disturbance stays every row's. Each result row is its input
-    row's alone, so the call's rows of the padded result are what the array
-    path gives on the call itself. A closed-loop map's pair of results is
-    trimmed result by result.
+    A 1-D call is one row, and then the result is too. Each result row is
+    its input row's alone, so the call's rows of the padded result are what
+    the array path gives on the call itself. A closed-loop map's pair of
+    results is trimmed result by result.
     """
     one_row = args[0].ndim == 1
     rows = [a[None] if one_row else a for a in args]
@@ -320,7 +319,7 @@ def test_sat_2d_row_path_is_the_array_path(call):
         if x.ndim == 1:
             pairs = [(plant.f(x, u, w), on_the_array_path(plant.f, x, u, w))]
         else:
-            pairs = zip(plant.closed_loop(x, w), on_the_array_path(plant.closed_loop, x, w))
+            pairs = zip(plant.closed_loop(x), on_the_array_path(plant.closed_loop, x))
     for got, want in pairs:
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)  # NaN equals NaN here
@@ -341,20 +340,30 @@ CLOSED_LOOP_VALUES = st.one_of(
 
 @st.composite
 def closed_loop_calls(draw, plant):
-    """(x, w) for `plant.closed_loop`: a 1-D call or a stack of 1 to ROW_CALL_MAX + 2 rows.
+    """States for `plant.closed_loop`: one 1-D row or a stack of 1 to ROW_CALL_MAX + 2 rows.
 
-    A stack's w is one row per state row, or 1-D as a rollout's zeros. x and
-    w are float64 or float32 each.
+    float64 or float32: a float32 state's next state is float64, as f at a
+    float64 zero disturbance promotes it.
     """
     rows = draw(st.integers(0, ROW_CALL_MAX + 2))  # 0 for a 1-D call
     lead = (rows,) if rows else ()
     x = draw(arrays(np.float64, lead + (plant.n,), elements=CLOSED_LOOP_VALUES))
-    w_lead = lead if lead and draw(st.booleans()) else ()
-    w = draw(st.one_of(st.just(np.zeros(w_lead + (plant.m,))),
-                       arrays(np.float64, w_lead + (plant.m,), elements=CLOSED_LOOP_VALUES)))
     with np.errstate(over="ignore"):
-        return (x.astype(draw(st.sampled_from([np.float64, np.float32]))),
-                w.astype(draw(st.sampled_from([np.float64, np.float32]))))
+        return x.astype(draw(st.sampled_from([np.float64, np.float32])))
+
+
+def policy_then_f(plant, x):
+    """`(policy(x), f(x, policy(x), 0))`, the nominal step at a float64 zero disturbance."""
+    u = plant.policy(x)
+    return u, plant.f(x, u, np.zeros(plant.m))
+
+
+def assert_same_arrays(got, want):
+    """Two tuples of arrays equal bit for bit, shape and dtype included."""
+    assert type(got) is tuple and len(got) == len(want)
+    for g, v in zip(got, want):
+        assert g.shape == v.shape and g.dtype == v.dtype
+        assert g.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("name", ["cubic_scalar", "sat_2d"])
@@ -362,24 +371,19 @@ def closed_loop_calls(draw, plant):
 @settings(max_examples=300, deadline=None)
 def test_closed_loop_map_is_policy_then_f_bit_for_bit(name, data):
     plant = make_builtin_plant(name)
-    x, w = data.draw(closed_loop_calls(plant))
+    x = data.draw(closed_loop_calls(plant))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = plant.closed_loop(x, w)
-        u = plant.policy(x)
-        want = (u, plant.f(x, u, w))
-    assert type(got) is tuple and len(got) == 2
-    for g, v in zip(got, want):
-        assert g.shape == v.shape and g.dtype == v.dtype
-        assert g.tobytes() == v.tobytes()
+        assert_same_arrays(plant.closed_loop(x), policy_then_f(plant, x))
 
 
 @pytest.mark.parametrize("name", PLANT_NAMES)
 def test_nominal_step_is_policy_then_f(name):
+    """On normal draws and on the non-finite and signed-zero rows, in float64 and float32."""
     plant = build(name)
-    x = np.random.default_rng(5).normal(size=(6, plant.n))
-    w = np.zeros(plant.m)
-    u = plant.policy(x)
-    got = plant.nominal_step(x, w)
-    for g, v in zip(got, (u, plant.f(x, u, w))):
-        assert g.tobytes() == v.tobytes()
+    normal = np.random.default_rng(5).normal(size=(6, plant.n))
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, 5e-324])
+    edges = np.resize(edges, (edges.size, plant.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (normal, edges, normal.astype(np.float32), edges.astype(np.float32)):
+            assert_same_arrays(plant.nominal_step(x), policy_then_f(plant, x))
     assert (plant.closed_loop is None) == (name in ("linear_scalar", "log_lyapunov"))

@@ -546,6 +546,35 @@ def test_every_step_goes_through_the_patchable_kernel(monkeypatch, kind, buffer_
         assert calls == {"step": trace.steps, "rollout": computes * ticks_in_flight(n_all[r])}
 
 
+@pytest.mark.parametrize("plant", [LINEAR, CUBIC], ids=["linear_scalar", "cubic_scalar"])
+def test_f_gets_a_view_of_the_block_once_per_step_and_owned_zeros_otherwise(plant):
+    """How a wrapper of f tells the engine's plant step from a rollout's nominal step.
+
+    In monte_carlo, f's disturbance is a view of the presampled block once
+    per step run, and on every other call an all-zero array that owns its
+    data: a map-less plant's nominal step, once per step with a sequence in
+    flight, drain steps included. A plant with a closed-loop map leaves f to
+    the engine's step. bench/tracing.py mirrors the divergence guard on it.
+    """
+    calls = {"step": 0, "rollout": 0}
+
+    def watched(x, u, w):
+        if np.shares_memory(w, w_all) and not w.flags.owndata:
+            calls["step"] += 1
+        else:
+            assert w.flags.owndata and w.dtype == np.float64 and not w.any()
+            calls["rollout"] += 1
+        return plant.f(x, u, w)
+
+    cfg = make_config(plant=replace(plant, f=watched), runs=6, horizon=120,
+                      disturbance=DisturbanceModel(kind="gaussian", variance=0.01))
+    draws = presample(cfg)
+    w_all = draws[1]
+    assert monte_carlo(cfg, draws).diverged_count == 0
+    rollouts = ticks_in_flight(draws[0]) if plant.closed_loop is None else 0
+    assert calls == {"step": cfg.horizon, "rollout": rollouts}
+
+
 @pytest.mark.parametrize("kind", ["a1", "a2"])
 def test_diverged_lanes_start_no_sequence_but_finish_those_in_flight(monkeypatch, kind):
     """On runs of which some diverge, controller.tentative_sequence runs once per step
