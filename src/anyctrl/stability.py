@@ -292,7 +292,9 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
                             "to the sharp spectral-radius guard")
     try:
         report.upsilon_by_state = upsilon(model, rho, alpha)
-    except DivergenceError:
+    # a singular I - alpha * Q_bar means alpha * Q_bar has the eigenvalue 1, which the
+    # power-iteration guard can put just below one (0.99999999999999 for a root of 1)
+    except (DivergenceError, np.linalg.LinAlgError):
         report.notes.append("growth-bound assumption violated: spectral radius of "
                             "alpha*Q_bar >= 1, anytime certificate yields no verdict")
         return report

@@ -246,6 +246,17 @@ def test_markov_a1_verdict_ignores_only_degenerate_states(case):
     assert report.verdicts["a1"] == ("stable" if np.all(finite < 1.0) else "not_certified")
 
 
+def test_markov_root_of_exactly_one_yields_no_verdict():
+    # 1.5 * diag(p0) @ Q has Perron root 1 exactly, so I - alpha * Q_bar is singular;
+    # the power iteration reads the root as 0.99999999999999 and passes the guard
+    weights = np.array([[3.0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]])
+    pmfs = np.array([[3.0, 0, 0], [0, 3, 0], [2, 1, 0], [2, 1, 0]]) / 3.0
+    model = MarkovAvailability(weights / weights.sum(axis=1, keepdims=True), pmfs)
+    report = evaluate(CertificateInputs(0.0, 1.5, model))
+    assert report.upsilon_by_state is None and "a1" not in report.verdicts
+    assert any("alpha*Q_bar >= 1" in note for note in report.notes)
+
+
 @given(certificate_chains())
 @settings(max_examples=100, deadline=None)
 def test_damped_chain_rows_equal_the_diagonal_product(case):
