@@ -39,7 +39,7 @@ AVAILABILITY_KEYS = {"exec_time": ("tau",), "iid": ("p",), "markov": ("Q", "P", 
 def load_yaml(path) -> dict:
     """The document at `path`, a mapping, read by pyyaml's safe loader (libyaml's when built)."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # yaml decodes, so a bad byte is a YAMLError
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -126,18 +126,17 @@ def parse_controller(section: dict) -> ControllerKind:
 
 def parse_scale(data: dict, *, seed: Optional[int] = None, runs: Optional[int] = None,
                 horizon: Optional[int] = None) -> dict:
-    """seed, runs and horizon from the file, with keyword overrides winning.
+    """The seed, runs and horizon that the file or a keyword gives, the keyword winning.
 
-    A value neither gives is the SimConfig default. Every value is held to
-    `simulation.check_scale`, the file's too where an override replaces it.
+    A value neither gives is left out: SimConfig holds the defaults. Each is held
+    to `simulation.check_scale`, the file's too where a keyword replaces it.
     """
-    given = {"seed": seed, "runs": runs, "horizon": horizon}
     out = {}
-    for key, default in (("seed", SimConfig.master_seed), ("runs", SimConfig.runs),
-                         ("horizon", SimConfig.horizon)):
-        out[key] = check_scale(key, data.get(key, default))
-        if given[key] is not None:
-            out[key] = check_scale(key, given[key])
+    for key, value in (("seed", seed), ("runs", runs), ("horizon", horizon)):
+        if key in data:
+            out[key] = check_scale(key, data[key])
+        if value is not None:
+            out[key] = check_scale(key, value)
     return out
 
 
@@ -151,10 +150,11 @@ def parse_sim_config(data: dict, *, seed: Optional[int] = None,
     disturbance = parse_disturbance(data.get("disturbance"))
     cost = _section(data.get("cost"), "cost", ("q_x", "r_u"))
     sizes = parse_scale(data, seed=seed, runs=runs, horizon=horizon)
+    if "seed" in sizes:
+        sizes["master_seed"] = sizes.pop("seed")
     return SimConfig(plant=plant, availability=availability, controller=controller,
-                     disturbance=disturbance, horizon=sizes["horizon"], runs=sizes["runs"],
-                     master_seed=sizes["seed"], x0=data.get("x0"), x0_box=data.get("x0_box"),
-                     **cost)
+                     disturbance=disturbance, x0=data.get("x0"), x0_box=data.get("x0_box"),
+                     **sizes, **cost)
 
 
 def parse_certificate_inputs(data: dict) -> CertificateInputs:
@@ -176,27 +176,19 @@ def parse_sweep(data: dict, *, seed: Optional[int] = None, runs: Optional[int] =
         raise ConfigError(f"experiment must be one of {', '.join(BUILTIN)}, custom; "
                           f"got {name!r}")
     scale = parse_scale(data, seed=seed, runs=runs, horizon=horizon)
-    given = {"seed": seed, "runs": runs, "horizon": horizon}
-    # a value neither the top level nor an override gives stays the base's (or the default)
-    overrides = {key: value for key, value in scale.items()
-                 if key in data or given[key] is not None}
     grid = data.get("grid")
     if grid is not None and not isinstance(grid, list):
         raise ConfigError(f"grid must be a list, got {grid!r}")
     if name != "custom":
-        spec = builtin_experiment(name, grid=grid, **overrides)
+        spec = builtin_experiment(name, grid=grid, **scale)
         _section(data, "", SWEEP_KEYS)
         return name, spec
     base_doc = _section(data.get("base"), "base")
     try:
-        base = parse_sim_config(base_doc, **overrides)
+        base = parse_sim_config(base_doc, **scale)
     except ConfigError as exc:
         raise ConfigError(f"base: {exc}") from None
     sweep, grid = _require(data, "sweep", ""), _require(data, "grid", "")
-    # the base must be one the sweep can vary; ExperimentSpec checks a sweep over `a`
-    kind = base_doc["availability"]["kind"]
-    if sweep == "tau" and kind != "exec_time":
-        raise ConfigError(f"sweeping tau needs base.availability.kind exec_time, got {kind!r}")
-    spec = ExperimentSpec(sweep, tuple(grid), base)
+    spec = ExperimentSpec(sweep, tuple(grid), base)  # which checks the base against the sweep
     _section(data, "", CUSTOM_SWEEP_KEYS)
     return name, spec

@@ -2,9 +2,7 @@
 
 A sweep runs baseline / buffer-wiping / tail-keeping controllers over a
 parameter grid, reusing identical availability and disturbance streams per
-run index so that paired cost differences are low-variance. Each run's
-streams are seeded and drawn once per sweep; only the N schedules are
-drawn again when the swept value changes the availability model. The three
+run index so that paired cost differences are low-variance. The three
 stock experiments (`BUILTIN`) vary, respectively, the execution time tau,
 the linear plant parameter a, and an artificial buffer-size cap.
 """
@@ -19,7 +17,7 @@ import numpy as np
 from .availability import from_execution_time
 from .controller import KINDS, ControllerKind
 from .errors import ConfigError, integer, reals
-from .plants import DisturbanceModel, PlantModel, make_builtin_plant
+from .plants import DisturbanceModel, make_builtin_plant
 from .simulation import (CI_Z, SimConfig, _write_csv, improvement_pct, monte_carlo,
                          paired_diff, presample_each)
 
@@ -36,37 +34,61 @@ SWEEP_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep: which variable moves over which grid, on what template."""
+    """A sweep: which variable moves over which grid, on what template.
+
+    It owns a sweep's rules, so one built in Python gets the errors of one
+    read from YAML: a tau sweep's base is an execution-time model (the pmf
+    `from_execution_time` gives for its first entry), an `a` sweep's plant is
+    linear_scalar, whose q and r every grid point keeps, and a buffer_cap
+    sweep's integer grid sets the cap, so its base sets none (the others cap
+    a1 and a2 at the base's cap). Each grid point's base is built once, here,
+    which checks the grid value, and is no field, so `repr` and `==` ignore it.
+    """
 
     sweep: str  # tau | a | buffer_cap
     grid: Sequence[float]
     base: SimConfig
 
     def __post_init__(self):
+        base = self.base
         if self.sweep not in ("tau", "a", "buffer_cap"):
             raise ConfigError(f"sweep variable must be tau, a, or buffer_cap, got {self.sweep!r}")
-        if self.sweep == "a" and self.base.plant.name != "linear_scalar":
+        if self.sweep == "tau":
+            pmf = getattr(base.availability, "pmf", None)  # a Markov model has none
+            try:
+                ok = pmf is not None and np.array_equal(pmf, from_execution_time(pmf[0]).pmf)
+            except ConfigError:  # its first entry is no execution time
+                ok = False
+            if not ok:
+                got = "markov" if pmf is None else f"iid p = {pmf.tolist()}"
+                raise ConfigError("sweeping tau needs base.availability.kind exec_time, got " + got)
+        if self.sweep == "a" and base.plant.name != "linear_scalar":
             raise ConfigError("sweeping a needs base.plant.name linear_scalar, "
-                              f"got {self.base.plant.name!r}")
+                              f"got {base.plant.name!r}")
+        if self.sweep == "buffer_cap" and base.controller.buffer_cap is not None:
+            raise ConfigError("sweeping buffer_cap needs no base.controller.buffer_cap")
         values = reals(self.grid, "grid")
         if values.ndim != 1 or values.size == 0:
             raise ConfigError(f"sweep grid must be a nonempty list of numbers, got {self.grid!r}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
-        for value in self.grid if self.sweep == "tau" else ():
-            try:  # the model's own rule on tau, named after the grid
-                from_execution_time(value)
-            except ConfigError as exc:
-                raise ConfigError("sweep grid over tau"
-                                  + str(exc).removeprefix("availability.tau")) from None
-        for value in self.grid if self.sweep == "a" else ():
-            try:  # the plant's own rule on a, named after the grid
-                _linear_plant(self.base, value)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep grid over a: {exc}") from None
         if self.sweep == "buffer_cap" and any(integer(v, "grid") < 1 for v in self.grid):
             raise ConfigError(f"sweep grid over buffer_cap must hold integers >= 1, "
                               f"got {list(self.grid)!r}")
+        points = dict.fromkeys(self.grid, base)  # grid value -> the base at that grid point
+        for value in self.grid if self.sweep != "buffer_cap" else ():
+            try:  # the model's own rule on tau, or the plant's on a, named after the grid
+                if self.sweep == "tau":
+                    points[value] = replace(base, availability=from_execution_time(value))
+                else:  # the base plant's LQR weights at every a
+                    weights = {key: base.plant.params[key] for key in ("q", "r")}
+                    points[value] = replace(base, plant=make_builtin_plant(
+                        "linear_scalar", a=float(value), **weights))
+            except ConfigError as exc:
+                text = str(exc).removeprefix("availability.tau")
+                raise ConfigError(f"sweep grid over {self.sweep}"
+                                  + (text if self.sweep == "tau" else f": {text}")) from None
+        object.__setattr__(self, "_points", points)
 
 
 # The stock studies, one row each: sweep variable, default grid, plant name
@@ -100,33 +122,21 @@ def builtin_experiment(name: str, *, seed: Optional[int] = None, runs: Optional[
     return ExperimentSpec(sweep, default_grid if grid is None else tuple(grid), base)
 
 
-def _linear_plant(base: SimConfig, a: float) -> PlantModel:
-    """The linear plant at `a`, with the LQR weights of the base plant."""
-    weights = {key: base.plant.params[key] for key in ("q", "r")}
-    return make_builtin_plant("linear_scalar", a=float(a), **weights)
-
-
 def _config_at(spec: ExperimentSpec, value: float, kind: str) -> SimConfig:
-    base = spec.base
-    cap = None
-    if spec.sweep == "tau":
-        base = replace(base, availability=from_execution_time(value))
-    elif spec.sweep == "a":
-        base = replace(base, plant=_linear_plant(base, value))
-    else:
-        cap = value
+    """Controller `kind`'s cell at grid value `value`: its grid point, given the controller."""
+    cap = value if spec.sweep == "buffer_cap" else spec.base.controller.buffer_cap
     controller = ControllerKind(kind, buffer_cap=cap if kind != "baseline" else None)
-    return replace(base, controller=controller)
+    return replace(spec._points[value], controller=controller)
 
 
 def run_sweep(spec: ExperimentSpec) -> List[dict]:
     """One row per grid point, comparing the three controllers under shared streams.
 
-    Each run's streams are seeded once for the whole sweep (see
-    `simulation.presample_each`): its disturbances and initial state are
-    drawn once, and its N schedule once per availability model, so only a
-    `tau` sweep draws new schedules at every grid point. A `buffer_cap`
-    sweep caps only a1 and a2, so its baseline is one config at every grid
+    Its cells are the spec's grid points given a controller, so it builds no
+    model. Each run's streams are seeded once (`simulation.presample_each`):
+    its disturbances and initial state are drawn once, and its N schedule once
+    per availability model, so only a tau sweep draws new schedules at every
+    grid point. A buffer_cap sweep's baseline is one config at every grid
     point: it runs once, and every row reads that summary.
     """
     cells = [{kind: _config_at(spec, value, kind) for kind in KINDS} for value in spec.grid]

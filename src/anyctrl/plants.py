@@ -175,7 +175,7 @@ def lqr_gain_scalar(a: float, q: float, r: float) -> float:
     return a * p / (r + p)
 
 
-def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
+def _cubic_scalar() -> PlantModel:
     def f(x, u, w):
         return x + 0.01 * (x ** 3 + u) + w
 
@@ -193,9 +193,7 @@ def _cubic_scalar(alpha: Optional[float] = None) -> PlantModel:
     return PlantModel(
         name="cubic_scalar", n=1, p=1, m=1,
         f=f, lyapunov=norm, policy=kappa,
-        rho=0.99, alpha=alpha,
-        params={} if alpha is None else {"alpha": alpha},
-        closed_loop=closed_loop,
+        rho=0.99, closed_loop=closed_loop,
     )
 
 
@@ -313,7 +311,7 @@ BUILTIN_PLANTS = tuple(sorted(_BUILDERS))
 def make_builtin_plant(name: str, **params) -> PlantModel:
     """Construct one of the four built-in plants by name.
 
-    cubic_scalar(alpha=None), linear_scalar(a, q=0.2, r=2.0), sat_2d(), log_lyapunov(rho).
+    cubic_scalar(), linear_scalar(a, q=0.2, r=2.0), sat_2d(), log_lyapunov(rho).
     """
     try:
         builder = _BUILDERS[name]

@@ -50,6 +50,19 @@ def test_load_yaml_errors(tmp_path):
         load_yaml(scalar)
 
 
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_a_config_that_is_no_utf8_is_malformed_yaml(tmp_path, capsys, monkeypatch, loader):
+    """yaml reads the bytes, so a byte that is no UTF-8 is its error, whatever the locale."""
+    if not hasattr(yaml, loader):
+        pytest.skip(f"pyyaml was built without {loader}")
+    monkeypatch.setattr(yaml, "CSafeLoader", getattr(yaml, loader), raising=False)
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"seed: 1\nname: \xff\xfe\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed YAML in {path}" in err and "Traceback" not in err
+
+
 def test_parse_availability_kinds():
     iid = parse_availability({"kind": "iid", "p": [0.3, 0.7]})
     assert isinstance(iid, IidAvailability)
@@ -321,6 +334,10 @@ MARKOV_AVAILABILITY = {"kind": "markov", "Q": [[0.9, 0.1], [0.2, 0.8]],
     ({"base": {**SIM_DOC, "availability": {"kind": "iid", "p": [0.3, 0.7]}}},
      "base.availability.kind"),
     ({"sweep": "buffer_cap", "grid": [1, 2.5]}, "grid"),
+    # a buffer_cap sweep's grid sets the cap
+    ({"sweep": "buffer_cap", "grid": [1, 2],
+      "base": {**SIM_DOC, "controller": {"kind": "a2", "buffer_cap": 2}}},
+     "base.controller.buffer_cap"),
     ({"sweep": "buffer_cap", "grid": [0, 1]}, "grid"),
     ({"sweep": "buffer_cap", "grid": [True, 2]}, "grid"),
     ({"grid": "0.2"}, "grid"),

@@ -30,7 +30,7 @@ WRONG_SECTIONS = ["x", [1], 5, True]
 
 PLANTS = [
     {"name": "linear_scalar", "params": {"a": 1.2}},
-    {"name": "cubic_scalar", "params": {"alpha": 1.5}},
+    {"name": "cubic_scalar"},
     {"name": "sat_2d"},
     {"name": "log_lyapunov", "params": {"rho": 0.5}},
 ]
@@ -120,8 +120,6 @@ def sim_mutations(doc):
                 for v in [*WRONG_NUMBERS, *NON_FINITE]]
     if plant["name"] == "log_lyapunov":
         out += [(("plant", "params", "rho"), v, "plant.params") for v in [1.5, -0.5]]
-    if plant["name"] == "cubic_scalar":
-        out += [(("plant", "params", "alpha"), 0.5, "plant.params")]
     out += availability_mutations(doc["availability"])
     out += [(("controller", "kind"), v, "controller.kind") for v in [DROP, "a3", 5, [1]]]
     out += [(("controller", "buffer_cap"), v, "controller.buffer_cap")
@@ -208,6 +206,8 @@ def sweep_cases(draw):
     base = draw(sim_documents(
         plants=[PLANTS[0]] if sweep == "a" else PLANTS,
         availabilities=AVAILABILITIES[:1] if sweep == "tau" else AVAILABILITIES))
+    if sweep == "buffer_cap":  # whose grid sets the cap
+        base["controller"].pop("buffer_cap", None)
     grid = {"tau": [0.2, 0.3], "a": [0.9, 1.1], "buffer_cap": [1, 2]}[sweep]
     doc = {"experiment": "custom", "sweep": sweep, "grid": grid, "base": base, **SCALE}
     out = [(("sweep",), v, "sweep") for v in [DROP, "gamma", 5]]

@@ -191,7 +191,7 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("build_model, field", [
-    (lambda: make_builtin_plant("cubic_scalar", alpha=NAN), "alpha"),
+    (lambda: replace(make_builtin_plant("sat_2d"), alpha=NAN), "alpha"),
     (lambda: DisturbanceModel(kind="uniform", lo=NAN, hi=1.0), "disturbance.lo"),
     (lambda: DisturbanceModel(kind="uniform", lo=0.0, hi=NAN), "disturbance.hi"),
     (lambda: DisturbanceModel(kind="gaussian", variance=NAN), "disturbance.variance"),
@@ -214,7 +214,14 @@ def test_a_plant_rate_that_is_no_number_is_a_config_error(change):
 
 def test_an_infinite_alpha_is_a_config_error():
     with pytest.raises(ConfigError, match="^alpha must be finite"):
-        make_builtin_plant("cubic_scalar", alpha=float("inf"))
+        replace(make_builtin_plant("sat_2d"), alpha=float("inf"))
+
+
+def test_cubic_scalar_takes_no_alpha():
+    # x+ = x + 0.01 x^3 has no finite global growth bound, so no alpha is true of it
+    assert make_builtin_plant("cubic_scalar").alpha is None
+    with pytest.raises(ConfigError, match="bad parameters for plant 'cubic_scalar'"):
+        make_builtin_plant("cubic_scalar", alpha=1.5)
 
 
 @pytest.mark.parametrize("value", [float("inf"), -float("inf")], ids=["inf", "-inf"])

@@ -1,4 +1,4 @@
-"""`scripts/time_episode.py` runs end to end on this tree and prints its table."""
+"""Each script under `scripts/` runs end to end on this tree and prints its table."""
 
 import re
 import subprocess
@@ -37,3 +37,20 @@ def test_time_episode_checks_markov_simulate_against_the_reference():
     assert found, row
     failed, attempted = map(int, found.groups())
     assert failed == 0 and attempted > 0 and attempted % 3 == 0  # 3 operations a pass
+
+
+def test_src_lines_gives_every_line_of_each_module_one_kind():
+    """`scripts/src_lines.py`: per module, code + docstring + comment + blank is its line count."""
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_lines.py")],
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["module", "code", "docstring", "comment", "blank", "lines"]
+    counts = {name: list(map(int, numbers)) for name, *numbers in map(str.split, rows)}
+    package = ROOT / "src" / "anyctrl"
+    assert list(counts) == sorted(path.name for path in package.glob("*.py")) + ["total"]
+    for name, (*kinds, lines) in counts.items():
+        assert sum(kinds) == lines
+        if name != "total":
+            assert lines == len((package / name).read_text().splitlines())
+    assert [sum(column) for column in zip(*list(counts.values())[:-1])] == counts["total"]
+    assert counts["total"][1] > 0 and counts["total"][2] > 0  # docstrings and comments found
