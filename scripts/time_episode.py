@@ -11,9 +11,14 @@ end-to-end metric (`wall_s`, `work_per_s`, `op_p50_ms`, `op_p99_ms`,
 `peak_rss_mb`, in reference units as `bench/run.py` prints them) each
 tree's median over the rounds and each round's value, and in how many
 rounds the last tree read better than the first, in the direction
-`BENCHMARK.json` gives the metric; then each tree's count of operations
-whose outputs differed from `bench/reference/`. `bench/run.py` adds only
-`setup_s`, from processes of its own.
+`BENCHMARK.json` gives the metric; then the first tree's quartiles
+(inclusive method, as numpy's default percentile), whether the last
+tree's median lies outside them, and whether it is better than the first
+tree's median by more than their spread (q3 - q1). A claimed gain needs
+both: a win in nearly every round, and a median shift beyond the spread.
+Then each tree's count of operations whose outputs differed from
+`bench/reference/`. `bench/run.py` adds only `setup_s`, from processes of
+its own.
 
     python scripts/time_episode.py ../parent/src src
     python scripts/time_episode.py ../parent/src src --rounds 6 --workload fig1_sweep
@@ -33,7 +38,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leaves no __pycache__ in bench/
@@ -79,8 +84,15 @@ def main(argv=None) -> int:
                   f"({' '.join(f'{v:.4g}' for v in values)})")
         first, last = ([out["metrics"][name]["value"] for out in results[tree]]
                        for tree in (trees[0], trees[-1]))
-        wins = sum(b < a if LOWER_IS_BETTER[name] else b > a for a, b in zip(first, last))
+        lower = LOWER_IS_BETTER[name]
+        wins = sum(b < a if lower else b > a for a, b in zip(first, last))
         print(f"last tree better in {wins} of {args.rounds} rounds")
+        q1, _, q3 = quantiles(first, n=4, method="inclusive") if len(first) > 1 else first * 3
+        mid = median(last)
+        shift = median(first) - mid if lower else mid - median(first)
+        print(f"first tree quartiles {q1:.4g} {q3:.4g}; last tree median "
+              f"{'inside' if q1 <= mid <= q3 else 'outside'} them; "
+              f"better by more than their spread: {'yes' if shift > q3 - q1 else 'no'}")
     print(f"operations checked against bench/reference/\n{'tree':<{width}}  failed  attempted")
     failed = {tree: sum(out["failed"] for out in outs) for tree, outs in results.items()}
     for tree, outs in results.items():

@@ -16,6 +16,15 @@ at power-iteration steps 0, 1, 2 and then 4, 8, ..., 128 often decides
 it early), and only past it forms the stacked products: rho * Q_bar beside
 alpha * Q_bar, both inverses in one batched `inv` call, the powers of
 rho * Q_bar, and every live state's products as one stacked matmul.
+
+A certificate works on one chain of at most MAX_CHAIN_STATES states at a
+time, where numpy's Python-level wrappers (`np.sum`, `np.ones`, `np.eye`,
+`np.full`, `ndarray.max`, `ndarray.any`) cost more than the arithmetic
+they wrap. So the fixed path calls what they call, with the same bits:
+`np.add.reduce`, `np.empty` plus `fill`, `np.count_nonzero`, a read-only
+identity block, and `tolist()` Python floats for p_hat0 and for the
+printed upsilon values. When every p0|s is a zero, numpy's `max` still
+picks p_hat0, since it need not keep the first of tied signed zeros.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ from .errors import ConfigError, DivergenceError
 from .plants import check_rates
 
 MAX_CHAIN_STATES = 16
+# the identity of the largest chain `upsilon` takes; a chain of G states reads its
+# top-left G x G block
+_EYE = np.eye(MAX_CHAIN_STATES)
+_EYE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class StabilityReport:
             if value is not None:
                 out.append(f"{name}={value:.12g}")
         if self.upsilon_by_state is not None:
-            for i, v in enumerate(self.upsilon_by_state):
+            for i, v in enumerate(self.upsilon_by_state.tolist()):
                 out.append(f"upsilon[{i}]={v:.12g}")
         for cert, verdict in self.verdicts.items():
             out.append(f"verdict.{cert}={verdict}")
@@ -101,7 +114,7 @@ def sigma(model: IidAvailability, rho: float, alpha: float) -> float:
     if p0 * alpha >= 1.0:
         raise DivergenceError(f"p0*alpha = {p0 * alpha} >= 1: certificate series diverges")
     ls = np.arange(1, model.max_len + 1)
-    tail = float(np.sum(model.pmf[1:] * (p0 * rho) ** ls))
+    tail = float(np.add.reduce(model.pmf[1:] * (p0 * rho) ** ls))
     return (rho * (1.0 - p0 * alpha) + (alpha - rho) / (1.0 - p0) * tail) / (1.0 - p0 * rho)
 
 
@@ -147,7 +160,8 @@ def spectral_radius(mat: np.ndarray, bound: float) -> float:
     ring chains in the benchmark's certify pool. Each step takes the product
     with `ndarray.dot` and the norm as sqrt(w . w); these give the same
     iterates as `mat @ v` and `np.linalg.norm`, without their Python
-    wrappers.
+    wrappers. For the same reason the all-ones start vector, of the
+    matrix's own size, is filled in place rather than made by `np.ones`.
 
     The loop may answer early. At the steps in BRACKET_CHECKPOINTS it
     applies the Collatz-Wielandt test to the current iterate v >= 0 and
@@ -162,8 +176,9 @@ def spectral_radius(mat: np.ndarray, bound: float) -> float:
     400 * G * eps (below 1.4e-12) over 200 steps. The norm of w, which the
     loop takes anyway, shows which end can hold, so only that one is
     tested. A decision at step s costs s + 1 products. The test runs at
-    step 0, where v is the all-ones vector and it reads the row sums, so a
-    matrix whose row sums all lie below `lo` is decided with one product;
+    step 0, where v is the all-ones vector and it compares the row sums
+    with the scalars lo and hi, so a matrix whose row sums all lie below
+    `lo` is decided with one product;
     at steps 1 and 2, which decide over half of the certify pool's chains
     whose row sums straddle `bound`; and then at spacings that double up
     to step 128, so a matrix that the bracket never decides pays for nine
@@ -172,7 +187,8 @@ def spectral_radius(mat: np.ndarray, bound: float) -> float:
     ring chains of the certify pool are never decided by it and still get
     the iteration's own value; only an exact eigen-solve mends them.
     """
-    v = np.ones(mat.shape[0])
+    v = np.empty(mat.shape[0])
+    v.fill(1.0)
     radius, v_norm = 0.0, math.sqrt(v.size)
     checks = iter(BRACKET_CHECKPOINTS)
     check = next(checks)
@@ -187,11 +203,12 @@ def spectral_radius(mat: np.ndarray, bound: float) -> float:
         if step == check:
             check = next(checks, -1)
             # w <= lo * v forces |w| <= lo * |v|, and w >= hi * v forces
-            # |w| >= hi * |v|, so the norms leave at most one end to test
+            # |w| >= hi * |v|, so the norms leave at most one end to test;
+            # at step 0, v is all ones and the ends are compared as scalars
             if nrm < bound * v_norm:
-                if np.count_nonzero(w <= lo * v) == w.size:
+                if np.count_nonzero(w <= (lo * v if step else lo)) == w.size:
                     return lo
-            elif np.count_nonzero(w >= hi * v) == w.size:
+            elif np.count_nonzero(w >= (hi * v if step else hi)) == w.size:
                 return hi
         radius, v_norm = nrm, 1.0
         v = w / nrm
@@ -234,7 +251,7 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     if spectral_radius(scaled[1], bound=1.0) >= 1.0:
         raise DivergenceError("spectral radius of alpha * Q_bar >= 1: series diverges")
     np.multiply(rho, q_damped, out=scaled[0])
-    eye = np.eye(g)
+    eye = _EYE[:g, :g]
     inv_rho, inv_alpha = np.linalg.inv(eye - scaled)
     rq = scaled[0]
     live = (p0 < 1.0).nonzero()[0]
@@ -253,7 +270,8 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     scale = (alpha - rho) / (1.0 - pmfs[:, 0])
     core = rho * eye + scale[:, None, None] * inv_alpha @ weighted
     # (k, 1, G) rows keep each state's vector-matrix products as in the 1-D case
-    out = np.full(g, np.nan)
+    out = np.empty(g)
+    out.fill(np.nan)
     out[live] = (q_bar[live, None, :] @ inv_rho @ core @ (1.0 - p0))[:, 0]
     return out
 
@@ -284,7 +302,10 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
         return report
 
     # the baseline margin at the worst state's idle probability
-    p_hat0 = report.p_hat0 = float(model.p0_by_state.max())
+    p_hat0 = max(model.p0_by_state.tolist())
+    if p_hat0 == 0.0:  # every p0|s is +-0.0: keep the zero that numpy's max picks
+        p_hat0 = float(model.p0_by_state.max())
+    report.p_hat0 = p_hat0
     report.baseline_margin = baseline_margin(p_hat0, alpha, rho)
     report.verdicts["baseline"] = _verdict(report.baseline_margin)
     if p_hat0 * alpha >= 1.0:
@@ -299,6 +320,6 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
                             "alpha*Q_bar >= 1, anytime certificate yields no verdict")
         return report
     # NaN (degenerate states) fails `>= 1`, so only the other states decide
-    report.verdicts["a1"] = ("not_certified" if (report.upsilon_by_state >= 1.0).any()
+    report.verdicts["a1"] = ("not_certified" if np.count_nonzero(report.upsilon_by_state >= 1.0)
                              else "stable")
     return report

@@ -21,8 +21,8 @@ def test_time_episode_checks_markov_simulate_against_the_reference():
                           "--rounds", "1", "--workload", "markov_simulate"],
                          check=True, capture_output=True, text=True, timeout=300).stdout
     lines = out.splitlines()
-    assert len(lines) == 4 * len(METRICS) + 3, out
-    for name, (title, header, row, wins) in zip(METRICS, zip(*[iter(lines)] * 4)):
+    assert len(lines) == 5 * len(METRICS) + 3, out
+    for name, (title, header, row, wins, spread) in zip(METRICS, zip(*[iter(lines)] * 5)):
         assert re.fullmatch(re.escape(name) + r" \(\S+\)", title)
         assert re.fullmatch(r"tree +median  \(each round\)", header)
         found = re.fullmatch(re.escape(src) + r" +(\S+)  \((\S+)\)", row)
@@ -30,6 +30,11 @@ def test_time_episode_checks_markov_simulate_against_the_reference():
         value, round_value = map(float, found.groups())
         assert value == round_value > 0
         assert wins == "last tree better in 0 of 1 rounds"  # one tree never beats itself
+        # one round's quartiles are its value, and the same median is no shift
+        found = re.fullmatch(r"first tree quartiles (\S+) (\S+); last tree median inside them; "
+                             r"better by more than their spread: no", spread)
+        assert found, spread
+        assert [float(q) for q in found.groups()] == [float(f"{value:.4g}")] * 2
     title, header, row = lines[-3:]
     assert title == "operations checked against bench/reference/"
     assert re.fullmatch(r"tree +failed  attempted", header)

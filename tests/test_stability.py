@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -268,8 +271,11 @@ def test_damped_chain_rows_equal_the_diagonal_product(case):
 
 @st.composite
 def nonnegative_matrices(draw):
-    """Integer-weight and 0/1 matrices, slow sparse rings and periodic (block-cyclic) matrices, scaled."""
-    g = draw(st.integers(1, 16))
+    """Integer-weight and 0/1 matrices, slow sparse rings and periodic (block-cyclic) matrices, scaled.
+
+    Up to 24 states, past MAX_CHAIN_STATES: `spectral_radius` takes a matrix of any size.
+    """
+    g = draw(st.integers(1, 24))
     kind = draw(st.sampled_from(("weights", "zero_one", "ring", "periodic")))
     if kind == "ring":
         ring = np.roll(np.eye(g), 1, axis=1)
@@ -426,6 +432,36 @@ def test_evaluate_markov_report():
     assert report.baseline_margin == pytest.approx(baseline_margin(0.6, 1.3, 0.4))
     assert report.upsilon_by_state.shape == (2,)
     assert "a1" in report.verdicts
+
+
+@pytest.mark.parametrize("p0", [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]])
+def test_signed_zero_p_hat0_prints_the_zero_numpy_max_picks(p0):
+    # p_hat0 is read as the largest p0|s; among tied zeros numpy's max need not pick the
+    # first, as Python's max does, and the report prints the sign of the zero it keeps
+    g = len(p0)
+    model = MarkovAvailability(np.full((g, g), 1.0 / g), np.column_stack([p0, np.ones(g)]))
+    lines = evaluate(CertificateInputs(0.5, 1.5, model)).lines()
+    assert f"p_hat0={float(model.p0_by_state.max()):.12g}" in lines
+
+
+def test_every_certify_pool_report_equals_the_benchmark_reference():
+    """Each of the benchmark's 4096 certificates prints its recorded lines, string for string.
+
+    The benchmark itself accepts numbers within a relative tolerance; this test does not.
+    """
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    pool = workloads.certificate_pool()
+    reference = workloads.load_reference("certify/pool.json.gz")
+    assert reference["inputs"] == {"pool_sha256": workloads.pool_digest(pool),
+                                   "pool_size": len(pool)}
+    assert len(reference["lines"]) == len(pool) == 4096
+    for (category, rho, alpha, model), want in zip(pool, reference["lines"]):
+        got = evaluate(CertificateInputs(rho, alpha, model)).lines()
+        assert got == want, (category, rho, alpha)
 
 
 NAN = float("nan")
