@@ -19,12 +19,10 @@ rho * Q_bar, and every live state's products as one stacked matmul.
 
 A certificate works on one chain of at most MAX_CHAIN_STATES states at a
 time, where numpy's Python-level wrappers (`np.sum`, `np.ones`, `np.eye`,
-`np.full`, `ndarray.max`, `ndarray.any`) cost more than the arithmetic
-they wrap. So the fixed path calls what they call, with the same bits:
-`np.add.reduce`, `np.empty` plus `fill`, `np.count_nonzero`, a read-only
-identity block, and `tolist()` Python floats for p_hat0 and for the
-printed upsilon values. When every p0|s is a zero, numpy's `max` still
-picks p_hat0, since it need not keep the first of tied signed zeros.
+`np.full`, `ndarray.any`) cost more than the arithmetic they wrap. So
+the fixed path calls what they call, with the same bits: `np.add.reduce`,
+`np.empty` plus `fill`, `np.count_nonzero`, a read-only identity block,
+and `tolist()` Python floats for the printed upsilon values.
 """
 
 from __future__ import annotations
@@ -302,10 +300,7 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
         return report
 
     # the baseline margin at the worst state's idle probability
-    p_hat0 = max(model.p0_by_state.tolist())
-    if p_hat0 == 0.0:  # every p0|s is +-0.0: keep the zero that numpy's max picks
-        p_hat0 = float(model.p0_by_state.max())
-    report.p_hat0 = p_hat0
+    p_hat0 = report.p_hat0 = float(model.p0_by_state.max())
     report.baseline_margin = baseline_margin(p_hat0, alpha, rho)
     report.verdicts["baseline"] = _verdict(report.baseline_margin)
     if p_hat0 * alpha >= 1.0:
