@@ -127,6 +127,8 @@ def from_execution_time(tau: float) -> IidAvailability:
 
     Lambda = floor(1/tau) <= TAU_MAX_LEN, checked before the pmf is built, with a 1e-9
     snap so that integer 1/tau is stable under float rounding. A zero last entry is kept.
+    A tau just above 1/k, which the snap takes to Lambda = k, gets Lambda = k - 1 when
+    the pmf with k entries of tau sums above 1 by more than the models' tolerance.
     """
     tau = real(tau, "availability.tau")
     if not 0.0 < tau < 1.0:
@@ -137,6 +139,9 @@ def from_execution_time(tau: float) -> IidAvailability:
                           f"got {tau}")
     pmf = np.full(int(lam) + 1, tau)
     pmf[-1] = max(0.0, 1.0 - lam * tau)
+    if pmf.sum() - 1.0 > _TOL:  # the test `validate` makes; Lambda >= 2 here, as tau < 1
+        pmf = pmf[:-1]
+        pmf[-1] = 1.0 - (lam - 1) * tau
     return IidAvailability(pmf)
 
 

@@ -2,10 +2,12 @@
 
 All certificates return continuous margins (stable iff margin < 1) so that
 parameter sweeps can plot margin against availability parameters instead of
-a bare verdict. The Markov-model quantities operate on the thinned chain of
-computation instants: `upsilon` damps each transition by its state's idle
-probability, Q_bar = diag(p0|s) Q, and weights the end of a gap by the
-per-state computation probabilities p_bar = 1 - p0|s.
+a bare verdict. The i.i.d. certificates evaluate one series, in `sigma`,
+and read the a1 margin and omega from it. The Markov-model quantities
+operate on the thinned chain of computation instants: `upsilon` damps
+each transition by its state's idle probability, Q_bar = diag(p0|s) Q,
+and weights the end of a gap by the per-state computation probabilities
+p_bar = 1 - p0|s.
 
 `evaluate` on a Markov model works in this order (the model was
 validated when it was built, by its constructor); the worst-state bound
@@ -14,8 +16,9 @@ note when it fails; `upsilon` then forms alpha * Q_bar, decides the sharp
 guard, its spectral radius against one (a Collatz-Wielandt bracket tested
 at power-iteration steps 0, 1, 2 and then 4, 8, ..., 128 often decides
 it early), and only past it forms the stacked products: rho * Q_bar beside
-alpha * Q_bar, both inverses in one batched `inv` call, the powers of
-rho * Q_bar, and every live state's products as one stacked matmul.
+alpha * Q_bar, both inverses in one batched `inv` call (a singular
+I - alpha * Q_bar fails as the guard does), the powers of rho * Q_bar,
+and every live state's products as one stacked matmul.
 
 A certificate works on one chain of at most MAX_CHAIN_STATES states at a
 time, where numpy's Python-level wrappers (`np.sum`, `np.ones`, `np.eye`,
@@ -121,17 +124,12 @@ def a1_margin(model: IidAvailability, rho: float, alpha: float) -> float:
 
 
 def omega(model: IidAvailability, rho: float, alpha: float) -> float:
-    """Pmf-weighted gap contraction: sum of p_l * Omega_l over l >= 1.
+    """Pmf-weighted gap contraction, the sum of p_l * Omega_l over l >= 1, read from sigma."""
+    return _omega_from_sigma(model.p0, alpha, sigma(model, rho, alpha))
 
-    The terms are added one at a time in Python floats, in order of l and
-    onto 0.0, which `tests/oracles.py` `omega_sum` pins bit for bit. The
-    loop is explicit because `sum()` of floats is compensated from Python
-    3.12 on.
-    """
-    p0, total = model.p0, 0.0
-    for l, p in enumerate(model.pmf.tolist()[1:], 1):
-        total += p * omega_l(l, p0, rho, alpha)
-    return total
+
+def _omega_from_sigma(p0: float, alpha: float, sig: float) -> float:
+    return (1.0 - p0) * sig / (1.0 - p0 * alpha)
 
 
 # --- Markov processor-state model ---
@@ -226,6 +224,8 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     guard; over half of the other chains of the certify pool are decided by
     the second or third. The guard runs on alpha * Q_bar before
     rho * Q_bar is formed, so a chain that fails it forms nothing else.
+    A root of exactly one can pass the guard (read as 0.99999999999999);
+    its singular I - alpha * Q_bar is a DivergenceError too.
     Every state is evaluated in one stacked pass with the same per-state
     arithmetic as a loop over states: rho * Q_bar and alpha * Q_bar share
     one (2, G, G) stack, I - rho * Q_bar and I - alpha * Q_bar are inverted
@@ -237,9 +237,9 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     if g > MAX_CHAIN_STATES:
         raise ConfigError(f"availability.Q: chain has {g} states; dense certificate evaluation "
                           f"supports at most {MAX_CHAIN_STATES}")
-    p0, q_bar = model.p0_by_state, model.transition
+    p0, q = model.p0_by_state, model.transition
     # row s scaled by p0|s: the same bits as diag(p0) @ Q, whose other terms are zeros
-    q_damped = p0[:, None] * q_bar
+    q_damped = p0[:, None] * q
     # scaled[1] = alpha * Q_bar is filled and guarded first, scaled[0] = rho * Q_bar only
     # past the guard; each is one scalar product. The guard iterates on the stack's slab:
     # on a separate alpha * Q_bar array the slow ring chains of the certify benchmark ran
@@ -250,7 +250,10 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
         raise DivergenceError("spectral radius of alpha * Q_bar >= 1: series diverges")
     np.multiply(rho, q_damped, out=scaled[0])
     eye = _EYE[:g, :g]
-    inv_rho, inv_alpha = np.linalg.inv(eye - scaled)
+    try:
+        inv_rho, inv_alpha = np.linalg.inv(eye - scaled)
+    except np.linalg.LinAlgError:  # rho < 1 keeps I - rho * Q_bar invertible
+        raise DivergenceError("I - alpha * Q_bar is singular: series diverges") from None
     rq = scaled[0]
     live = (p0 < 1.0).nonzero()[0]
     pmfs = model.cond_pmfs[live]
@@ -270,7 +273,7 @@ def upsilon(model: MarkovAvailability, rho: float, alpha: float) -> np.ndarray:
     # (k, 1, G) rows keep each state's vector-matrix products as in the 1-D case
     out = np.empty(g)
     out.fill(np.nan)
-    out[live] = (q_bar[live, None, :] @ inv_rho @ core @ (1.0 - p0))[:, 0]
+    out[live] = (q[live, None, :] @ inv_rho @ core @ (1.0 - p0))[:, 0]
     return out
 
 
@@ -292,7 +295,7 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
                                 "anytime certificates yield no verdict")
             return report
         report.sigma = sigma(model, rho, alpha)
-        report.omega = omega(model, rho, alpha)
+        report.omega = _omega_from_sigma(model.p0, alpha, report.sigma)
         report.a1_margin = baseline_margin(model.p0, alpha, report.sigma)
         report.verdicts["a1"] = _verdict(report.a1_margin)
         report.verdicts["a2"] = report.verdicts["a1"]
@@ -308,9 +311,7 @@ def evaluate(inputs: CertificateInputs) -> StabilityReport:
                             "to the sharp spectral-radius guard")
     try:
         report.upsilon_by_state = upsilon(model, rho, alpha)
-    # a singular I - alpha * Q_bar means alpha * Q_bar has the eigenvalue 1, which the
-    # power-iteration guard can put just below one (0.99999999999999 for a root of 1)
-    except (DivergenceError, np.linalg.LinAlgError):
+    except DivergenceError:
         report.notes.append("growth-bound assumption violated: spectral radius of "
                             "alpha*Q_bar >= 1, anytime certificate yields no verdict")
         return report

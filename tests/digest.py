@@ -304,10 +304,10 @@ def certificate_digest_lines():
     lines = {}
     for kind, rho, alpha, build in certificate_cases():
         lines.setdefault(kind, []).extend(certificate_lines(rho, alpha, build) + [""])
-    pool = certificate_pool()
-    lines[f"pool of {len(pool)}"] = [
-        line for _, rho, alpha, model in pool
-        for line in certificate_lines(rho, alpha, lambda: model) + [""]]
+    # one line per category of the certify pool, which lists each category's items together
+    for category, rho, alpha, model in certificate_pool():
+        lines.setdefault(f"pool {category}", []).extend(
+            certificate_lines(rho, alpha, lambda: model) + [""])
     for kind, text in lines.items():
         sha = text_digest("\n".join(text))
         yield f"certificates {kind} {sha}"

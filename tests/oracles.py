@@ -28,9 +28,6 @@ costs one step at a time, in python floats.
 CSV files with the csv module, one `csv.writer` or `csv.DictWriter` row at
 a time: the reference for the bytes of the package's bulk writers.
 
-`omega_sum` adds the package's `omega_l` terms as numpy scalars with
-`sum()`: the reference for the bits of `stability.omega`'s float loop.
-
 `validate_elementwise` tests the availability invariants of a model's
 arrays with elementwise masks (`(a >= 0).all()`, `np.abs(sums - 1) > tol`),
 and `model_error` turns them into the message a model's constructor
@@ -55,7 +52,6 @@ from anyctrl.controller import DECREASE_CHECK_LIMIT, DECREASE_SLACK
 from anyctrl.errors import CertificateViolation, ConfigError
 from anyctrl.experiments import SWEEP_COLUMNS
 from anyctrl.simulation import OVERFLOW_GUARD, _blocks, _run_draws, presample
-from anyctrl.stability import omega_l
 
 SERIES_TERMS = 500
 
@@ -222,12 +218,6 @@ def spectral_radius_loop(mat, iterations=200, tol=1e-12):
         radius = nrm
         v = w / nrm
     return radius
-
-
-def omega_sum(model, rho, alpha):
-    """Pmf-weighted gap contraction, each term a numpy scalar, added by `sum()` from 0."""
-    return float(sum(model.pmf[l] * omega_l(l, model.p0, rho, alpha)
-                     for l in range(1, model.max_len + 1)))
 
 
 def upsilon_per_state(transition, cond_pmfs, rho, alpha):

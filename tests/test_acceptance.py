@@ -153,7 +153,7 @@ def test_criterion_03_algebraic_identities():
         rng = np.random.default_rng(seed)
         model, rho, alpha = random_iid_instance(rng)
         p0 = model.p0
-        lhs = omega(model, rho, alpha)
+        lhs = sum(p * omega_l(l, p0, rho, alpha) for l, p in enumerate(model.pmf[1:], 1))
         rhs = (1.0 - p0) * sigma(model, rho, alpha) / (1.0 - p0 * alpha)
         assert abs(lhs - rhs) < 1e-12
         # single-state chain reduces to the i.i.d. certificate

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anyctrl import availability
-from anyctrl.availability import (WALK_BLOCK, IidAvailability, MarkovAvailability,
+from anyctrl.availability import (TAU_MAX_LEN, WALK_BLOCK, IidAvailability, MarkovAvailability,
                                   from_execution_time, is_primitive, length_dtype,
                                   make_sampler, stationary_distribution,
                                   validate)
@@ -30,10 +32,44 @@ def test_exec_time_examples():
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_exec_time_is_a_distribution(tau):
     m = from_execution_time(tau)
-    assert m.max_len == int(np.floor(1.0 / tau + 1e-9))
+    lam = int(np.floor(1.0 / tau + 1e-9))
+    # one less only where Lambda entries of tau would exceed one
+    assert m.max_len == lam or (m.max_len == lam - 1 and Fraction(tau) * lam > 1)
     assert np.all(m.pmf >= 0)
     assert abs(float(m.pmf.sum()) - 1.0) < 1e-9
     assert validate(m) == []
+
+
+@pytest.mark.parametrize("tau", [0.3333333334, 0.25000000001, 0.5000000001, 0.1 + 1e-13])
+def test_exec_time_just_above_one_over_k_takes_one_entry_less(tau):
+    # the snap gives Lambda = k, but k entries of tau sum above one by more than the tolerance
+    # (0.1 + 1e-13 by 1e-12 exactly, which its pmf's sum exceeds)
+    k = int(np.floor(1.0 / tau + 1e-9))
+    model = from_execution_time(tau)
+    assert model.max_len == k - 1 and model.pmf[:-1].tolist() == [tau] * (k - 1)
+    assert model.pmf[-1] == 1.0 - (k - 1) * tau
+
+
+@given(st.integers(2, TAU_MAX_LEN), st.integers(-4, 4),
+       st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 3e-12, 1e-11, 1e-10, 2e-9]))
+@example(10, 0, 1e-12)  # tau = 0.1 + 1e-13
+def test_exec_time_near_one_over_k_builds(k, ulps, rel):
+    """tau within a few ulps and 2e-9 above 1/k: Lambda = floor(1/tau + 1e-9), less one
+    only where Lambda * tau exceeds one, and the pmf validates."""
+    tau = 1.0 / k * (1.0 + rel)
+    for _ in range(abs(ulps)):
+        tau = math.nextafter(tau, math.copysign(1.0, ulps))
+    lam = int(np.floor(1.0 / tau + 1e-9))
+    assume(lam <= TAU_MAX_LEN)
+    model = from_execution_time(tau)  # validated by its constructor
+    excess = Fraction(tau) * lam - 1
+    if excess <= 1e-15:  # 1/tau rounds to lam: the snap keeps it
+        assert model.max_len == lam
+    elif excess > 2e-12:  # no rounding brings lam entries of tau back within 1e-12 of one
+        assert model.max_len == lam - 1
+    else:
+        assert model.max_len in (lam - 1, lam)
+    assert model.pmf[:-1].tolist() == [tau] * model.max_len
 
 
 # the last four: a Lambda above 65535, checked before the pmf of floor(1/tau) + 1 floats

@@ -76,6 +76,13 @@ def test_parse_availability_kinds():
     assert tau.max_len == 2
 
 
+def test_parse_availability_takes_a_tau_just_above_one_third():
+    # Lambda = 3 would sum to 1.0000000002; the model is the one Python builds
+    model = parse_availability(yaml.safe_load("{kind: exec_time, tau: 0.3333333334}"))
+    assert model.max_len == 2
+    np.testing.assert_array_equal(model.pmf, from_execution_time(0.3333333334).pmf)
+
+
 def test_parse_availability_errors_name_keys():
     with pytest.raises(ConfigError, match="availability.kind"):
         parse_availability({"kind": "bogus"})

@@ -177,6 +177,16 @@ def test_a_tau_sweep_over_an_iid_execution_time_pmf_replaces_nothing():
                                       availability.from_execution_time(tau).pmf)
 
 
+def test_a_tau_sweep_takes_a_grid_value_just_above_one_third_from_python_and_yaml():
+    tau = 0.3333333334  # Lambda = 3 would sum to 1.0000000002
+    specs = [ExperimentSpec("tau", (0.1, tau), builtin_experiment("fig1").base),
+             parse_sweep({**SWEEP_DOC, "grid": [0.1, tau]})[1]]
+    for spec in specs:
+        model = _config_at(spec, tau, "a1").availability
+        assert model.max_len == 2
+        np.testing.assert_array_equal(model.pmf, availability.from_execution_time(tau).pmf)
+
+
 def test_a_buffer_cap_sweep_takes_no_base_cap():
     base = builtin_experiment("fig3").base
     with pytest.raises(ConfigError, match="base.controller.buffer_cap"):
